@@ -14,6 +14,7 @@ import random
 import sys
 
 from .axioms import (
+    DoubleDistributivityViolation,
     c_characteristic,
     characteristic,
     check_double_distributivity,
@@ -69,7 +70,12 @@ def cmd_verify(args) -> int:
     if args.level == "multigroup":
         rep = check_multigroup(x, args.mode, args.budget, rng)
     elif args.level == "dd":
-        rep = check_double_distributivity(x, args.budget, rng)
+        try:
+            rep = check_double_distributivity(x, args.budget, rng)
+        except DoubleDistributivityViolation as exc:
+            # the violated tuple is itself the counterexample
+            print(f"error: {exc}", file=sys.stderr)
+            return MATH_FAIL
     else:
         rep = check_multiring(x, args.level, args.budget, rng)
     if args.format == "json":

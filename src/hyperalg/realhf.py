@@ -57,7 +57,8 @@ def ultra_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
     return rinterval(0.0, max(a, b), tol)
 
 
-def ultra_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def _max_add_sets(s1: RSet, s2: RSet, floor: float, tol: Tolerance) -> RSet:
+    """Set sum for a max addition whose tie gives the down-set to `floor`."""
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
@@ -67,8 +68,12 @@ def ultra_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
                 m = max(hi1, hi2)
                 out.append((m, m))
             else:
-                out.append((0.0, max(hi1, hi2)))
+                out.append((floor, max(hi1, hi2)))
     return rset(out, tol)
+
+
+def ultra_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+    return _max_add_sets(s1, s2, 0.0, tol)
 
 
 def trop_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
@@ -91,15 +96,7 @@ def trop_mul(a: float, b: float) -> float:
 
 
 def trop_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
-    out = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            if hi2 < lo1 - tol.eps or hi1 < lo2 - tol.eps:
-                m = max(hi1, hi2)
-                out.append((m, m))
-            else:
-                out.append((NEG_INF, max(hi1, hi2)))
-    return rset(out, tol)
+    return _max_add_sets(s1, s2, NEG_INF, tol)
 
 
 def _log_exp_diff(a: float, b: float) -> float:

@@ -2,10 +2,16 @@
 
 Each class binds one carrier's operations, samplers and text forms to the
 uniform Structure interface consumed by the axiom checkers.
+
+Carriers of one value-set family share a base holding the set algebra, the
+text forms and the classical multiplication once: ComplexCarrier (csets, for
+TC, Phi and C) and IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba,
+R and maxplus).  A subclass states its addition and only what else differs.
 """
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -114,10 +120,8 @@ class FiniteStructure(Structure):
         return "{" + ",".join(str(e) for e in ordered) + "}"
 
 
-class ComplexTropical(Structure):
-    """C with dominant-modulus / shortest-arc / disk addition."""
-
-    name = "TC"
+class ComplexCarrier(Structure):
+    """C with its usual multiplication and the csets value-set algebra."""
 
     zero = CZERO
     one = CONE
@@ -132,12 +136,6 @@ class ComplexTropical(Structure):
         if a.modulus == 0.0:
             return CZERO
         return ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
-
-    def add(self, a, b):
-        return ctrop.ct_add(a, b, self.tol)
-
-    def add_sets(self, s1, s2):
-        return ctrop.ct_add_sets(s1, s2, self.tol)
 
     def union_sets(self, s1, s2):
         return csets.union(s1, s2, self.tol)
@@ -156,9 +154,6 @@ class ComplexTropical(Structure):
 
     def scale(self, a, s, side="left"):
         return ctrop.cset_scale(s, a, self.tol)
-
-    def mul_sets(self, s1, s2):
-        return ctrop.ct_mul_sets(s1, s2, self.tol)
 
     def eq(self, a, b):
         return a.eq(b, self.tol)
@@ -185,6 +180,21 @@ class ComplexTropical(Structure):
         return csets.format_cset(s)
 
 
+class ComplexTropical(ComplexCarrier):
+    """C with dominant-modulus / shortest-arc / disk addition."""
+
+    name = "TC"
+
+    def add(self, a, b):
+        return ctrop.ct_add(a, b, self.tol)
+
+    def add_sets(self, s1, s2):
+        return ctrop.ct_add_sets(s1, s2, self.tol)
+
+    def mul_sets(self, s1, s2):
+        return ctrop.ct_mul_sets(s1, s2, self.tol)
+
+
 class PhaseStructure(ComplexTropical):
     """Unit circle plus 0, with the addition clipped from the complex sum."""
 
@@ -207,7 +217,61 @@ class PhaseStructure(ComplexTropical):
         return ctrop.phase_add_sets(s1, s2, self.tol)
 
 
-class RealTropical(Structure):
+class IntervalCarrier(Structure):
+    """An R-like carrier: rsets interval unions, the real product by default,
+    and finite literals only, besides the carrier's zero (-inf on trop)."""
+
+    def union_sets(self, s1, s2):
+        return rsets.runion(s1, s2, self.tol)
+
+    def singleton(self, a):
+        return rsets.rpoint(a)
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        if a == 0.0:
+            raise ZeroDivisionError("0 has no inverse")
+        return 1.0 / a
+
+    def _endpointwise(self, s1, s2, f):
+        """The set of [f(lo1, lo2), f(hi1, hi2)] over all interval pairs, for
+        an f monotone in both arguments."""
+        return rsets.rset(
+            [(f(lo1, lo2), f(hi1, hi2)) for lo1, hi1 in s1.intervals for lo2, hi2 in s2.intervals],
+            self.tol,
+        )
+
+    def eq(self, a, b):
+        return self.tol.close(a, b)
+
+    def member(self, x, s):
+        return rsets.rmember(x, s, self.tol)
+
+    def set_eq(self, s1, s2):
+        return rsets.rset_eq(s1, s2, self.tol)
+
+    def subset(self, s1, s2):
+        return rsets.rsubset(s1, s2, self.tol)
+
+    def pick(self, s, rng, count=4):
+        return rsets.rpick(s, rng, count)
+
+    def format_elem(self, a):
+        return fmt_num(a)
+
+    def parse_elem(self, text):
+        v = float(text)
+        if not math.isfinite(v) and v != self.zero:
+            raise ValueError(f"{text.strip()!r} is not a finite real")
+        return v
+
+    def format_set(self, s):
+        return rsets.format_rset(s)
+
+
+class RealTropical(IntervalCarrier):
     """R with the four-case tropical addition induced from C."""
 
     name = "TR"
@@ -229,52 +293,11 @@ class RealTropical(Structure):
     def add_sets(self, s1, s2):
         return ctrop.rt_add_sets(s1, s2, self.tol)
 
-    def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2, self.tol)
-
-    def singleton(self, a):
-        return rsets.rpoint(a)
-
     def neg(self, a):
         return -a
 
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0.0:
-            raise ZeroDivisionError("0 has no inverse")
-        return 1.0 / a
-
-    def scale(self, a, s, side="left"):
-        return ctrop.rt_mul_sets(rsets.rpoint(a), s, self.tol)
-
     def mul_sets(self, s1, s2):
         return ctrop.rt_mul_sets(s1, s2, self.tol)
-
-    def eq(self, a, b):
-        return self.tol.close(a, b)
-
-    def member(self, x, s):
-        return rsets.rmember(x, s, self.tol)
-
-    def set_eq(self, s1, s2):
-        return rsets.rset_eq(s1, s2, self.tol)
-
-    def subset(self, s1, s2):
-        return rsets.rsubset(s1, s2, self.tol)
-
-    def pick(self, s, rng, count=4):
-        return rsets.rpick(s, rng, count)
-
-    def format_elem(self, a):
-        return fmt_num(a)
-
-    def parse_elem(self, text):
-        return float(text)
-
-    def format_set(self, s):
-        return rsets.format_rset(s)
 
 
 class TriangleStructure(RealTropical):
@@ -299,18 +322,11 @@ class TriangleStructure(RealTropical):
     def neg(self, a):
         return a
 
-    def scale(self, a, s, side="left"):
-        return self.mul_sets(rsets.rpoint(a), s)
-
     def mul_sets(self, s1, s2):
-        out = []
-        for lo1, hi1 in s1.intervals:
-            for lo2, hi2 in s2.intervals:
-                out.append((lo1 * lo2, hi1 * hi2))
-        return rsets.rset(out, self.tol)
+        return self._endpointwise(s1, s2, operator.mul)
 
     def parse_elem(self, text):
-        v = float(text)
+        v = super().parse_elem(text)
         if v < 0:
             raise ValueError("carrier is the nonnegative reals")
         return v
@@ -328,7 +344,7 @@ class UltraStructure(TriangleStructure):
         return realhf.ultra_add_sets(s1, s2, self.tol)
 
 
-class TropStructure(Structure):
+class TropStructure(IntervalCarrier):
     """R ∪ {-inf} with max/down-set addition; multiplication is +."""
 
     name = "trop"
@@ -349,12 +365,6 @@ class TropStructure(Structure):
     def add_sets(self, s1, s2):
         return realhf.trop_add_sets(s1, s2, self.tol)
 
-    def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2, self.tol)
-
-    def singleton(self, a):
-        return rsets.rpoint(a)
-
     def neg(self, a):
         return a
 
@@ -366,39 +376,8 @@ class TropStructure(Structure):
             raise ZeroDivisionError("-inf has no inverse")
         return -a
 
-    def scale(self, a, s, side="left"):
-        return self.mul_sets(rsets.rpoint(a), s)
-
     def mul_sets(self, s1, s2):
-        out = []
-        for lo1, hi1 in s1.intervals:
-            for lo2, hi2 in s2.intervals:
-                out.append((realhf.trop_mul(lo1, lo2), realhf.trop_mul(hi1, hi2)))
-        return rsets.rset(out, self.tol)
-
-    def eq(self, a, b):
-        return a == b or self.tol.close(a, b)
-
-    def member(self, x, s):
-        return rsets.rmember(x, s, self.tol)
-
-    def set_eq(self, s1, s2):
-        return rsets.rset_eq(s1, s2, self.tol)
-
-    def subset(self, s1, s2):
-        return rsets.rsubset(s1, s2, self.tol)
-
-    def pick(self, s, rng, count=4):
-        return rsets.rpick(s, rng, count)
-
-    def format_elem(self, a):
-        return fmt_num(a)
-
-    def parse_elem(self, text):
-        return NEG_INF if text.strip() == "-inf" else float(text)
-
-    def format_set(self, s):
-        return rsets.format_rset(s)
+        return self._endpointwise(s1, s2, realhf.trop_mul)
 
 
 class AmoebaStructure(TropStructure):
@@ -548,9 +527,6 @@ class MonomialStructure(Structure):
     def inv(self, a):
         return exotic.mono_inv(a)
 
-    def scale(self, a, s, side="left"):
-        return exotic.mono_mul_sets(exotic.MPoint(a), s, self.tol)
-
     def mul_sets(self, s1, s2):
         return exotic.mono_mul_sets(s1, s2, self.tol)
 
@@ -666,9 +642,6 @@ class PadicStructure(Structure):
     def inv(self, a):
         return exotic.padic_inv(a)
 
-    def scale(self, a, s, side="left"):
-        return exotic.padic_mul_sets(exotic.PPoint(a), s, self.tol)
-
     def mul_sets(self, s1, s2):
         return exotic.padic_mul_sets(s1, s2, self.tol)
 
@@ -718,23 +691,10 @@ class PadicStructure(Structure):
         return exotic.format_pset(s)
 
 
-class ComplexField(Structure):
+class ComplexField(ComplexCarrier):
     """Classical C with singleton sums, as a homomorphism domain."""
 
     name = "C"
-    zero = CZERO
-    one = CONE
-
-    def random_elem(self, rng):
-        if rng.random() < 0.05:
-            return CZERO
-        m = math.exp(rng.uniform(-1.5, 1.5))
-        return ComplexElem(m, rng.uniform(0.0, TWO_PI))
-
-    def peer(self, a, rng):
-        if a.modulus == 0.0:
-            return CZERO
-        return ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
 
     def add(self, a, b):
         return csets.CPoint(ComplexElem.from_complex(a.as_complex() + b.as_complex()))
@@ -748,124 +708,20 @@ class ComplexField(Structure):
                 parts.append(self.add(c1.elem, c2.elem))
         return csets.normalize_parts(parts, self.tol)
 
-    def union_sets(self, s1, s2):
-        return csets.union(s1, s2, self.tol)
 
-    def singleton(self, a):
-        return csets.CPoint(a)
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a.times(b)
-
-    def inv(self, a):
-        return a.inv()
-
-    def scale(self, a, s, side="left"):
-        return ctrop.cset_scale(s, a, self.tol)
-
-    def eq(self, a, b):
-        return a.eq(b, self.tol)
-
-    def member(self, x, s):
-        return csets.member(x, s, self.tol)
-
-    def set_eq(self, s1, s2):
-        return csets.set_eq(s1, s2, self.tol)
-
-    def subset(self, s1, s2):
-        return csets.subset(s1, s2, self.tol)
-
-    def pick(self, s, rng, count=4):
-        return csets.pick(s, rng, count)
-
-    def format_elem(self, a):
-        return csets.format_celem(a)
-
-    def parse_elem(self, text):
-        return csets.parse_celem(text)
-
-    def format_set(self, s):
-        return csets.format_cset(s)
-
-
-class RealField(Structure):
+class RealField(RealTropical):
     """Classical R with singleton sums, as a homomorphism domain."""
 
     name = "R"
-    zero = 0.0
-    one = 1.0
-
-    def random_elem(self, rng):
-        if rng.random() < 0.05:
-            return 0.0
-        m = math.exp(rng.uniform(-1.5, 1.5))
-        return m if rng.random() < 0.5 else -m
-
-    def peer(self, a, rng):
-        return a if rng.random() < 0.5 else -a
 
     def add(self, a, b):
         return rsets.rpoint(a + b)
 
     def add_sets(self, s1, s2):
-        out = []
-        for lo1, hi1 in s1.intervals:
-            for lo2, hi2 in s2.intervals:
-                out.append((lo1 + lo2, hi1 + hi2))
-        return rsets.rset(out, self.tol)
-
-    def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2, self.tol)
-
-    def singleton(self, a):
-        return rsets.rpoint(a)
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0.0:
-            raise ZeroDivisionError
-        return 1.0 / a
-
-    def scale(self, a, s, side="left"):
-        return ctrop.rt_mul_sets(rsets.rpoint(a), s, self.tol)
-
-    def mul_sets(self, s1, s2):
-        return ctrop.rt_mul_sets(s1, s2, self.tol)
-
-    def eq(self, a, b):
-        return self.tol.close(a, b)
-
-    def member(self, x, s):
-        return rsets.rmember(x, s, self.tol)
-
-    def set_eq(self, s1, s2):
-        return rsets.rset_eq(s1, s2, self.tol)
-
-    def subset(self, s1, s2):
-        return rsets.rsubset(s1, s2, self.tol)
-
-    def pick(self, s, rng, count=4):
-        return rsets.rpick(s, rng, count)
-
-    def format_elem(self, a):
-        return fmt_num(a)
-
-    def parse_elem(self, text):
-        return float(text)
-
-    def format_set(self, s):
-        return rsets.format_rset(s)
+        return self._endpointwise(s1, s2, operator.add)
 
 
-class MaxPlusReals(Structure):
+class MaxPlusReals(IntervalCarrier):
     """(R+, max, *): the univalued semifield sitting inside the complex
     tropical carrier.  Used as a homomorphism target; it has no negation."""
 
@@ -880,52 +736,10 @@ class MaxPlusReals(Structure):
         return rsets.rpoint(max(a, b))
 
     def add_sets(self, s1, s2):
-        out = []
-        for lo1, hi1 in s1.intervals:
-            for lo2, hi2 in s2.intervals:
-                out.append((max(lo1, lo2), max(hi1, hi2)))
-        return rsets.rset(out, self.tol)
-
-    def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2, self.tol)
-
-    def singleton(self, a):
-        return rsets.rpoint(a)
+        return self._endpointwise(s1, s2, max)
 
     def neg(self, a):
-        raise NotImplementedError("max-plus has no negation")
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a == 0.0:
-            raise ZeroDivisionError
-        return 1.0 / a
-
-    def eq(self, a, b):
-        return self.tol.close(a, b)
-
-    def member(self, x, s):
-        return rsets.rmember(x, s, self.tol)
-
-    def set_eq(self, s1, s2):
-        return rsets.rset_eq(s1, s2, self.tol)
-
-    def subset(self, s1, s2):
-        return rsets.rsubset(s1, s2, self.tol)
-
-    def pick(self, s, rng, count=4):
-        return rsets.rpick(s, rng, count)
-
-    def format_elem(self, a):
-        return fmt_num(a)
-
-    def parse_elem(self, text):
-        return float(text)
-
-    def format_set(self, s):
-        return rsets.format_rset(s)
+        raise ValueError("max-plus has no negation")
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,18 @@ class TestAdd:
         s = parse_cset(out.strip())
         assert member(parse_celem("1∠0.5"), s)
 
-    def test_parse_failure_exit_2(self, capsys):
-        code, _, err = run(capsys, "add", "TC", "zzz", "1")
+    @pytest.mark.parametrize(
+        "structure,a,b",
+        [
+            ("TC", "zzz", "1"),
+            ("TR", "nan", "1"),
+            ("trop", "nan", "1"),
+            ("R", "inf", "1"),
+            ("tri", "inf", "1"),
+        ],
+    )
+    def test_parse_failure_exit_2(self, capsys, structure, a, b):
+        code, _, err = run(capsys, "add", structure, a, b)
         assert code == 2 and "error" in err
 
     def test_unknown_structure_exit_2(self, capsys):
@@ -55,6 +65,9 @@ class TestSum:
     def test_trop(self, capsys):
         code, out, _ = run(capsys, "sum", "trop", "1", "2", "2")
         assert code == 0 and out.strip() == "interval [-inf,2]"
+        # -inf is the tropical zero, the one non-finite literal trop accepts
+        code, out, _ = run(capsys, "sum", "trop", "--", "-inf", "2")
+        assert code == 0 and out.strip() == "point 2"
 
 
 class TestVerify:
@@ -70,6 +83,18 @@ class TestVerify:
         assert code == 1
         assert "axiom=double-distributivity verdict=fail" in out
         assert "axiom=half-double-distributivity verdict=pass" in out
+
+    def test_maxplus_without_negation_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "maxplus")
+        assert (code, out, err) == (2, "", "error: max-plus has no negation\n")
+
+    def test_padic_dd_violation_exit_1(self, capsys):
+        code, out, err = run(
+            capsys, "verify", "padic:3:8", "--level", "dd", "--budget", "400", "--seed", "0"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: padic:3:8: (") and err.count("\n") == 1
+        assert "not inside the expanded sum" in err
 
     def test_m_hyperfield_search(self, capsys):
         code, out, _ = run(capsys, "verify", "M", "--level", "hyperfield-search")
