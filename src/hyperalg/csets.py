@@ -5,6 +5,10 @@ three primitives: a single point, an arc of a circle centred at the origin
 (traversed counterclockwise, full circles flagged), and a closed disk centred
 at the origin.  Sets are normalized to a canonical component list so equality
 and containment can be decided componentwise.
+
+Canonical form is a contract: every operation returns a fixed point of
+normalize_parts, and the predicates and set-extended sums take canonical inputs
+built under the same tolerance they compare with, and do not normalize them.
 """
 from __future__ import annotations
 
@@ -191,23 +195,25 @@ def _merge_radius_arcs(radius: float, arcs: list, eps: float) -> list:
     """Merge arcs of one radius circularly; may return a single full circle."""
     if any(a.full for a in arcs):
         return [full_circle(radius)]
-    segs = sorted((a.start, a.start + a.sweep) for a in arcs)
+    segs = sorted((a.start, a.start + a.sweep, a.sweep) for a in arcs)
     merged: list[list[float]] = []
-    for s, e in segs:
+    for s, e, sw in segs:
         if merged and s <= merged[-1][1] + eps:
             merged[-1][1] = max(merged[-1][1], e)
         else:
-            merged.append([s, e])
+            merged.append([s, e, sw])
     if len(merged) > 1 and merged[-1][1] + eps >= merged[0][0] + TWO_PI:
         # the last segment wraps around onto the first
         merged[0][0] = merged[-1][0] - TWO_PI
         merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
         merged.pop()
     out = []
-    for s, e in merged:
+    for s, e, sw in merged:
         if e - s >= TWO_PI - eps:
             return [full_circle(radius)]
-        out.append(CArc(radius, wrap_angle(s), e - s))
+        # an arc no other arc extends keeps its own sweep, so the result is a
+        # fixed point: (start + sweep) - start may round the sweep by one ulp
+        out.append(CArc(radius, wrap_angle(s), sw if s + sw == e else e - s))
     return out
 
 
@@ -320,7 +326,8 @@ def _comp_eq(c1, c2, tol: Tolerance) -> bool:
     return False
 
 
-def _match_components(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
+def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
+    """Is there a one-to-one matching of the components under comp_eq?"""
     if len(p1) != len(p2):
         return False
     remaining = list(p2)
@@ -335,19 +342,15 @@ def _match_components(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
 
 
 def set_eq(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    n1 = normalize(s1, tol)
-    n2 = normalize(s2, tol)
-    return _match_components(parts_of(n1), parts_of(n2), _comp_eq, tol)
+    return match_parts(parts_of(s1), parts_of(s2), _comp_eq, tol)
 
 
 def subset(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Containment of normalized symbolic sets, decided componentwise."""
-    n1 = normalize(s1, tol)
-    n2 = normalize(s2, tol)
+    """Containment of canonical symbolic sets, decided componentwise."""
     eps = tol.eps
-    for c in parts_of(n1):
+    for c in parts_of(s1):
         ok = False
-        for d in parts_of(n2):
+        for d in parts_of(s2):
             if isinstance(d, CDisk):
                 top = (
                     c.radius if isinstance(c, (CDisk, CArc)) else c.elem.modulus

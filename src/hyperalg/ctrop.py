@@ -22,7 +22,6 @@ from .csets import (
     RepresentationClosureError,
     arc,
     full_circle,
-    normalize,
     normalize_parts,
     parts_of,
 )
@@ -57,12 +56,7 @@ def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet
     z = a.as_complex() + b.as_complex()
     if abs(z) < tol.eps * r:  # antipodal cutoff: discontinuous branch
         return CDisk(r)
-    delta = wrap_angle(b.argument - a.argument)
-    if delta <= tol.eps or delta >= TWO_PI - tol.eps:
-        return CPoint(ComplexElem(r, a.argument))
-    if delta <= math.pi:
-        return CArc(r, a.argument, delta)
-    return CArc(r, b.argument, TWO_PI - delta)
+    return _minor_arc_parts(r, a.argument, b.argument, tol)[0]
 
 
 def _minor_arc_parts(radius: float, alpha: float, beta: float, tol: Tolerance) -> list:
@@ -172,8 +166,8 @@ def _ct_add_comps(c1, c2, tol: Tolerance) -> list:
 
 def ct_add_sets(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
     out: list = []
-    for c1 in parts_of(normalize(s1, tol)):
-        for c2 in parts_of(normalize(s2, tol)):
+    for c1 in parts_of(s1):
+        for c2 in parts_of(s2):
             out.extend(_ct_add_comps(c1, c2, tol))
     return normalize_parts(out, tol)
 
@@ -216,8 +210,8 @@ def _cmul_comps(c1, c2, tol: Tolerance) -> list:
 
 def ct_mul_sets(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
     out: list = []
-    for c1 in parts_of(normalize(s1, tol)):
-        for c2 in parts_of(normalize(s2, tol)):
+    for c1 in parts_of(s1):
+        for c2 in parts_of(s2):
             out.extend(_cmul_comps(c1, c2, tol))
     return normalize_parts(out, tol)
 
@@ -239,8 +233,6 @@ def zero_in_convex_hull(points: list[ComplexElem], tol: Tolerance = DEFAULT_TOL)
         wrap_angle(p.argument) for p in points if p.modulus > tol.eps * scale
     )
     if any(p.modulus <= tol.eps * scale for p in points):
-        return True
-    if not angles:
         return True
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TWO_PI - angles[-1])
@@ -348,7 +340,7 @@ def rt_mul_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
 # phase hyperfield (unit circle plus 0)
 
 
-def _check_phase_elem(a: ComplexElem, tol: Tolerance) -> None:
+def check_phase_elem(a: ComplexElem, tol: Tolerance) -> None:
     if a.modulus > tol.eps and abs(a.modulus - 1.0) > tol.eps:
         raise ValueError(f"phase carrier holds units and zero, got modulus {a.modulus}")
 
@@ -370,8 +362,8 @@ def _phase_clip(s: CSet, tol: Tolerance) -> CSet:
 
 
 def phase_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    _check_phase_elem(a, tol)
-    _check_phase_elem(b, tol)
+    check_phase_elem(a, tol)
+    check_phase_elem(b, tol)
     return _phase_clip(ct_add(a, b, tol), tol)
 
 
@@ -539,8 +531,8 @@ def _quat_add_comps(c1, c2, tol: Tolerance) -> list:
 
 def quat_add_sets(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> QSet:
     out: list = []
-    for c1 in qparts_of(qnormalize([s1], tol)):
-        for c2 in qparts_of(qnormalize([s2], tol)):
+    for c1 in qparts_of(s1):
+        for c2 in qparts_of(s2):
             out.extend(_quat_add_comps(c1, c2, tol))
     return qnormalize(out, tol)
 

@@ -10,14 +10,19 @@ dominated by the larger norm, is ordinary digit addition when the leading
 digits do not sum to p, and is the open ball of strictly smaller norms when
 they do.  Any classical operation whose answer depends on digits beyond the
 truncation returns the Indeterminate marker rather than a wrong value.
+
+Canonical form is a contract: every operation returns a fixed point of
+mnormalize or pnormalize, and the predicates and set-extended sums take
+canonical inputs built under the same tolerance they compare with.
 """
 from __future__ import annotations
 
+import cmath
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .csets import InvalidSetError, RepresentationClosureError
+from .csets import InvalidSetError, RepresentationClosureError, match_parts
 from .tolerance import DEFAULT_TOL, Tolerance, fmt_num
 
 
@@ -119,25 +124,29 @@ def mmember(x: MonomialElem, s: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def mset_eq(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    p1 = mparts_of(mnormalize([s1], tol))
-    p2 = mparts_of(mnormalize([s2], tol))
-    if len(p1) != len(p2):
-        return False
-    rem = list(p2)
-    for c in p1:
-        for i, d in enumerate(rem):
-            if isinstance(c, MCone) and isinstance(d, MCone):
-                if abs(float(c.bound) - float(d.bound)) <= tol.eps:
-                    del rem[i]
-                    break
-            elif isinstance(c, MPoint) and isinstance(d, MPoint):
-                if c.elem.eq(d.elem, tol):
-                    del rem[i]
-                    break
+def msubset(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    for c in mparts_of(s1):
+        if isinstance(c, MPoint):
+            if not mmember(c.elem, s2, tol):
+                return False
         else:
-            return False
+            ok = any(
+                isinstance(d, MCone) and float(c.bound) <= float(d.bound) + tol.eps
+                for d in mparts_of(s2)
+            )
+            if not ok:
+                return False
     return True
+
+
+def _mcomp_eq(c, d, tol: Tolerance) -> bool:
+    if isinstance(c, MCone) and isinstance(d, MCone):
+        return abs(float(c.bound) - float(d.bound)) <= tol.eps
+    return isinstance(c, MPoint) and isinstance(d, MPoint) and c.elem.eq(d.elem, tol)
+
+
+def mset_eq(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return match_parts(mparts_of(s1), mparts_of(s2), _mcomp_eq, tol)
 
 
 def mono_add(a: MonomialElem, b: MonomialElem, tol: Tolerance = DEFAULT_TOL) -> MSet:
@@ -184,8 +193,8 @@ def _mcone_point(c: MCone, p: MonomialElem, tol: Tolerance) -> list:
 
 def mono_add_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
     out: list = []
-    for c1 in mparts_of(mnormalize([s1], tol)):
-        for c2 in mparts_of(mnormalize([s2], tol)):
+    for c1 in mparts_of(s1):
+        for c2 in mparts_of(s2):
             if isinstance(c1, MPoint) and isinstance(c2, MPoint):
                 out.extend(mparts_of(mono_add(c1.elem, c2.elem, tol)))
             elif isinstance(c1, MCone) and isinstance(c2, MPoint):
@@ -258,6 +267,8 @@ def parse_monomial(text: str, domain: str = "real") -> MonomialElem:
         from .csets import parse_celem
 
         coeff = parse_celem(cs).as_complex()
+    if not cmath.isfinite(coeff):
+        raise InvalidSetError(f"monomial coefficient must be finite: {text!r}")
     es = m.group("exp")
     if domain == "int":
         exp: float | Fraction | int = int(es)
@@ -449,23 +460,20 @@ def pmember(x: PadicElem, s: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def pset_eq(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    p1 = pparts_of(pnormalize([s1]))
-    p2 = pparts_of(pnormalize([s2]))
-    if len(p1) != len(p2):
-        return False
-    rem = list(p2)
-    for c in p1:
-        for i, d in enumerate(rem):
-            if isinstance(c, PCone) and isinstance(d, PCone) and c.e == d.e:
-                del rem[i]
-                break
-            if isinstance(c, PPoint) and isinstance(d, PPoint) and c.elem.eq(d.elem):
-                del rem[i]
-                break
+def psubset(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    for c in pparts_of(s1):
+        if isinstance(c, PPoint):
+            if not pmember(c.elem, s2, tol):
+                return False
         else:
-            return False
+            if not any(isinstance(d, PCone) and d.e <= c.e for d in pparts_of(s2)):
+                return False
     return True
+
+
+def pset_eq(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """p-adic arithmetic is exact, so canonical sets are equal iff identical."""
+    return s1 == s2
 
 
 def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
@@ -524,8 +532,8 @@ def padic_inv(a: PadicElem) -> PadicElem:
 
 def padic_add_sets(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> PSet:
     out: list = []
-    for c1 in pparts_of(pnormalize([s1])):
-        for c2 in pparts_of(pnormalize([s2])):
+    for c1 in pparts_of(s1):
+        for c2 in pparts_of(s2):
             if isinstance(c1, PPoint) and isinstance(c2, PPoint):
                 out.extend(pparts_of(padic_add(c1.elem, c2.elem, tol)))
             elif isinstance(c1, PCone) and isinstance(c2, PPoint):

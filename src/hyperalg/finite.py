@@ -538,7 +538,7 @@ def mul_quotient(x: FiniteMultistructure, s_labels) -> FiniteMultistructure:
     )
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     return all(p % d for d in range(2, int(p**0.5) + 1))
@@ -552,7 +552,7 @@ def make_powers_quotient(p: int, depth: int) -> FiniteMultistructure:
     the order is reversed: higher powers sit lower.  For p = 2 the tie branch
     is strict (the complement classes cancel); for odd p it is non-strict.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InvalidStructureError(f"{p} is not prime")
     if depth < 2:
         raise InvalidStructureError("depth must be >= 2")

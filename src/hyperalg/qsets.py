@@ -6,6 +6,10 @@ later) geodesic cones: the union of minor arcs from a point to every point
 of an arc).  A cone with generator set V is exactly the set of norm-r points
 whose direction is a nonnegative combination of the unit generators, which
 gives an exact membership test via small linear solves.
+
+Canonical form is a contract: every operation returns a fixed point of
+qnormalize, and the predicates (qset_eq) and the set-extended sums take
+canonical inputs built under the same tolerance they compare with.
 """
 from __future__ import annotations
 
@@ -13,8 +17,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .csets import InvalidSetError
-from .tolerance import DEFAULT_TOL, Tolerance
+from .csets import InvalidSetError, match_parts
+from .tolerance import DEFAULT_TOL, Tolerance, fmt_num
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +220,6 @@ def qparts_of(s: QSet) -> list:
 def _comp_radius(c) -> float:
     if isinstance(c, QPoint):
         return c.elem.norm
-    if isinstance(c, (QArc, QCone)):
-        return c.radius
     return c.radius
 
 
@@ -300,35 +302,12 @@ def _qcomp_eq(c1, c2, tol: Tolerance) -> bool:
             c1.a.eq(c2.b, tol) and c1.b.eq(c2.a, tol)
         )
     if isinstance(c1, QCone) and isinstance(c2, QCone):
-        if len(c1.vertices) != len(c2.vertices):
-            return False
-        rem = list(c2.vertices)
-        for v in c1.vertices:
-            for i, w in enumerate(rem):
-                if v.eq(w, tol):
-                    del rem[i]
-                    break
-            else:
-                return False
-        return True
+        return match_parts(c1.vertices, c2.vertices, QuatElem.eq, tol)
     return False
 
 
 def qset_eq(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    n1 = qnormalize([s1], tol)
-    n2 = qnormalize([s2], tol)
-    p1, p2 = qparts_of(n1), qparts_of(n2)
-    if len(p1) != len(p2):
-        return False
-    rem = list(p2)
-    for c in p1:
-        for i, d in enumerate(rem):
-            if _qcomp_eq(c, d, tol):
-                del rem[i]
-                break
-        else:
-            return False
-    return True
+    return match_parts(qparts_of(s1), qparts_of(s2), _qcomp_eq, tol)
 
 
 def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
@@ -373,8 +352,6 @@ def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
 
 
 def format_qelem(q: QuatElem) -> str:
-    from .tolerance import fmt_num
-
     return ",".join(fmt_num(v) for v in q.coords())
 
 
@@ -382,12 +359,12 @@ def parse_qelem(text: str) -> QuatElem:
     vals = [float(v) for v in text.split(",")]
     if len(vals) != 4:
         raise InvalidSetError(f"quaternion literal needs 4 components: {text!r}")
+    if not all(map(math.isfinite, vals)):
+        raise InvalidSetError(f"quaternion coordinates must be finite: {text!r}")
     return QuatElem(*vals)
 
 
 def format_qset(s: QSet) -> str:
-    from .tolerance import fmt_num
-
     out = []
     for c in qparts_of(s):
         if isinstance(c, QPoint):

@@ -2,6 +2,10 @@
 
 Used for every R-like carrier: nonnegative reals, the real line, and the
 tropical line R ∪ {-inf} where a down-set {x <= a} is the interval [-inf, a].
+
+Canonical form is a contract: every operation returns a fixed point of rset,
+and the predicates (rset_eq, rsubset) take canonical inputs built under the
+same tolerance they compare with.
 """
 from __future__ import annotations
 
@@ -82,23 +86,19 @@ def _ends_close(a: float, b: float, tol: Tolerance) -> bool:
 
 
 def rset_eq(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = rset(list(s1.intervals), tol)
-    b = rset(list(s2.intervals), tol)
-    if len(a.intervals) != len(b.intervals):
+    if len(s1.intervals) != len(s2.intervals):
         return False
     return all(
         _ends_close(i[0], j[0], tol) and _ends_close(i[1], j[1], tol)
-        for i, j in zip(a.intervals, b.intervals)
+        for i, j in zip(s1.intervals, s2.intervals)
     )
 
 
 def rsubset(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    n1 = rset(list(s1.intervals), tol)
-    n2 = rset(list(s2.intervals), tol)
-    for lo, hi in n1.intervals:
+    for lo, hi in s1.intervals:
         if not any(
             (lo >= lo2 - tol.eps or lo == lo2) and (hi <= hi2 + tol.eps or hi == hi2)
-            for lo2, hi2 in n2.intervals
+            for lo2, hi2 in s2.intervals
         ):
             return False
     return True

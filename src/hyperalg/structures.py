@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import csets, ctrop, exotic, qsets, realhf, rsets
 from .axioms import EmptySumError, Structure
 from .csets import CZERO, CONE, ComplexElem
-from .finite import FiniteMultistructure
+from .finite import FiniteMultistructure, is_prime
 from .qsets import QONE, QZERO, QuatElem
 from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, Tolerance, fmt_num
 
@@ -174,7 +174,10 @@ class ComplexCarrier(Structure):
         return csets.format_celem(a)
 
     def parse_elem(self, text):
-        return csets.parse_celem(text)
+        e = csets.parse_celem(text)
+        if not (math.isfinite(e.modulus) and math.isfinite(e.argument)):
+            raise ValueError(f"{text.strip()!r} is not a finite complex number")
+        return e
 
     def format_set(self, s):
         return csets.format_cset(s)
@@ -216,10 +219,17 @@ class PhaseStructure(ComplexTropical):
     def add_sets(self, s1, s2):
         return ctrop.phase_add_sets(s1, s2, self.tol)
 
+    def parse_elem(self, text):
+        a = super().parse_elem(text)
+        ctrop.check_phase_elem(a, self.tol)
+        return a
+
 
 class IntervalCarrier(Structure):
     """An R-like carrier: rsets interval unions, the real product by default,
     and finite literals only, besides the carrier's zero (-inf on trop)."""
+
+    nonnegative = False  # an R+ carrier also rejects negative literals
 
     def union_sets(self, s1, s2):
         return rsets.runion(s1, s2, self.tol)
@@ -265,6 +275,8 @@ class IntervalCarrier(Structure):
         v = float(text)
         if not math.isfinite(v) and v != self.zero:
             raise ValueError(f"{text.strip()!r} is not a finite real")
+        if self.nonnegative and v < 0:
+            raise ValueError("carrier is the nonnegative reals")
         return v
 
     def format_set(self, s):
@@ -304,6 +316,7 @@ class TriangleStructure(RealTropical):
     """Nonnegative reals with the triangle-inequality addition."""
 
     name = "tri"
+    nonnegative = True
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
@@ -324,12 +337,6 @@ class TriangleStructure(RealTropical):
 
     def mul_sets(self, s1, s2):
         return self._endpointwise(s1, s2, operator.mul)
-
-    def parse_elem(self, text):
-        v = super().parse_elem(text)
-        if v < 0:
-            raise ValueError("carrier is the nonnegative reals")
-        return v
 
 
 class UltraStructure(TriangleStructure):
@@ -540,19 +547,7 @@ class MonomialStructure(Structure):
         return exotic.mset_eq(s1, s2, self.tol)
 
     def subset(self, s1, s2):
-        for c in exotic.mparts_of(exotic.mnormalize([s1], self.tol)):
-            if isinstance(c, exotic.MPoint):
-                if not exotic.mmember(c.elem, s2, self.tol):
-                    return False
-            else:
-                ok = any(
-                    isinstance(d, exotic.MCone)
-                    and float(c.bound) <= float(d.bound) + self.tol.eps
-                    for d in exotic.mparts_of(s2)
-                )
-                if not ok:
-                    return False
-        return True
+        return exotic.msubset(s1, s2, self.tol)
 
     def pick(self, s, rng, count=4):
         pts = []
@@ -590,6 +585,10 @@ class PadicStructure(Structure):
 
     def __init__(self, p: int = 5, depth: int = 8, tol: Tolerance = DEFAULT_TOL):
         super().__init__(tol)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if depth < 1:
+            raise ValueError(f"p-adic depth must be >= 1, got {depth}")
         self.p = p
         self.depth = depth
         self.name = f"padic:{p}:{depth}"
@@ -655,17 +654,7 @@ class PadicStructure(Structure):
         return exotic.pset_eq(s1, s2, self.tol)
 
     def subset(self, s1, s2):
-        for c in exotic.pparts_of(exotic.pnormalize([s1])):
-            if isinstance(c, exotic.PPoint):
-                if not exotic.pmember(c.elem, s2, self.tol):
-                    return False
-            else:
-                if not any(
-                    isinstance(d, exotic.PCone) and d.e <= c.e
-                    for d in exotic.pparts_of(s2)
-                ):
-                    return False
-        return True
+        return exotic.psubset(s1, s2, self.tol)
 
     def pick(self, s, rng, count=4):
         pts = []
@@ -726,6 +715,7 @@ class MaxPlusReals(IntervalCarrier):
     tropical carrier.  Used as a homomorphism target; it has no negation."""
 
     name = "maxplus"
+    nonnegative = True
     zero = 0.0
     one = 1.0
 

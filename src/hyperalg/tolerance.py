@@ -29,15 +29,6 @@ class Tolerance:
         d = x - y
         return abs(d) <= self.eps if d == d else False
 
-    def is_zero(self, x: float) -> bool:
-        return abs(x) <= self.eps
-
-    def leq(self, x: float, y: float) -> bool:
-        return x <= y + self.eps
-
-    def lt(self, x: float, y: float) -> bool:
-        return x < y - self.eps
-
     def angle_close(self, a: float, b: float) -> bool:
         return circ_dist(a, b) <= self.eps
 

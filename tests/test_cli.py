@@ -44,6 +44,13 @@ class TestAdd:
             ("trop", "nan", "1"),
             ("R", "inf", "1"),
             ("tri", "inf", "1"),
+            ("maxplus", "-1", "2"),
+            ("TC", "inf∠0", "1"),
+            ("TC", "1e400∠0", "1"),
+            ("quat", "nan,0,0,0", "1,0,0,0"),
+            ("mono", "nant^1", "1t^0"),
+            ("padic:5:0", "1", "1"),
+            ("padic:4:8", "1", "1"),
         ],
     )
     def test_parse_failure_exit_2(self, capsys, structure, a, b):
@@ -68,6 +75,10 @@ class TestSum:
         # -inf is the tropical zero, the one non-finite literal trop accepts
         code, out, _ = run(capsys, "sum", "trop", "--", "-inf", "2")
         assert code == 0 and out.strip() == "point 2"
+
+    def test_phase_non_unit_exit_2(self, capsys):
+        code, _, err = run(capsys, "sum", "Phi", "--", "2∠0", "1∠0")
+        assert code == 2 and "error" in err
 
 
 class TestVerify:

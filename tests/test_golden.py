@@ -1,8 +1,9 @@
-"""Golden CLI outputs: verdicts, witnesses and JSON text stay byte-identical.
+"""Golden CLI outputs: verdicts, witnesses, JSON text and printed value sets
+stay byte-identical.
 
-Each case runs `hyperalg verify` or `hyperalg hom` in-process and compares
-stdout and the exit code with `tests/golden/cli.json`. Regenerate the file
-(only when an output change is intended) with
+Each case runs `hyperalg verify`, `hom`, `add`, `sum`, `char` or `poly`
+in-process and compares stdout and the exit code with `tests/golden/cli.json`.
+Regenerate the file (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,7 +15,7 @@ import os
 import pytest
 
 from hyperalg.cli import HOM_TABLE, main
-from hyperalg.structures import REGISTRY_NAMES
+from hyperalg.structures import REGISTRY_NAMES, get_structure
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli.json")
 
@@ -27,6 +28,8 @@ DD_RAISES = {"padic:3:8", "padic:5:8"}
 
 
 def cases() -> list[list[str]]:
+    """verify/hom lines, the SET_CASES, then `char` for every registry name
+    with a unity."""
     out = []
     for name in REGISTRY_NAMES:
         common = ["--format", "json", "--seed", "0", "--budget", "300"]
@@ -37,7 +40,64 @@ def cases() -> list[list[str]]:
             out.append(["verify", name, "--level", "dd", *common])
     for hom in HOM_TABLE:
         out.append(["hom", hom, "--format", "json", "--budget", "200", "--seed", "2"])
+    out += SET_CASES
+    out += [["char", name] for name in REGISTRY_NAMES if get_structure(name).has_one]
     return out
+
+
+PI = "3.141592653589793"
+
+# value sets printed by add/sum/poly: dominant, tie (arc, interval, down-set,
+# cone) and cancellation (disk, ball, circle plus zero) results per carrier
+SET_CASES = [
+    ["add", "TC", "1∠0", "1∠1"],
+    ["add", "TC", "1∠6", "1∠0.5"],
+    ["add", "TC", "1∠0", f"1∠{PI}"],
+    ["add", "TC", "2∠0", "1∠1"],
+    ["add", "TC", "1∠0", "1∠0"],
+    ["sum", "TC", "--", "1∠0", "1∠1", "1∠2"],
+    ["sum", "TC", "--", "1∠5.5", "1∠0.3", "1∠6"],
+    ["sum", "TC", "--", "1∠0", "1∠2", "1∠4"],
+    ["sum", "TC", "--", "1∠0", f"1∠{PI}", "2∠1"],
+    ["add", "Phi", "1∠0", "1∠1"],
+    ["add", "Phi", "1∠0", f"1∠{PI}"],
+    ["sum", "Phi", "--", "1∠0", f"1∠{PI}", "1∠1"],
+    ["sum", "Phi", "--", "1∠0", "1∠1", "0"],
+    ["add", "quat", "1,0,0,0", "0,1,0,0"],
+    ["add", "quat", "--", "1,0,0,0", "-1,0,0,0"],
+    ["add", "quat", "2,0,0,0", "0,1,0,0"],
+    ["sum", "quat", "--", "1,0,0,0", "0,1,0,0", "0,0,1,0"],
+    ["sum", "quat", "--", "1,0,0,0", "0,1,0,0", "-0.7071067811865476,0.7071067811865476,0,0"],
+    ["sum", "quat", "--", "1,0,0,0", "0,1,0,0", "-1,0,0,0"],
+    ["add", "mono", "1t^1", "2t^1"],
+    ["add", "mono", "--", "1t^1", "-1t^1"],
+    ["add", "mono", "3t^2", "1t^1"],
+    ["sum", "mono", "--", "1t^1", "-1t^1", "2t^0"],
+    ["sum", "mono", "--", "1t^1", "-1t^1", "1t^1"],
+    ["add", "padic:5:8", "1", "2"],
+    ["add", "padic:5:8", "1", "4"],
+    ["add", "padic:5:8", "5", "1"],
+    ["sum", "padic:5:8", "--", "1", "4", "5"],
+    ["sum", "padic:5:8", "--", "1", "4", "1"],
+    ["add", "TR", "--", "1", "-1"],
+    ["add", "TR", "--", "2", "-1"],
+    ["add", "TR", "1", "1"],
+    ["sum", "TR", "--", "1", "-1", "-0.5"],
+    ["sum", "TR", "--", "1", "-1", "2"],
+    ["add", "tri", "2", "1"],
+    ["add", "tri", "1", "1"],
+    ["sum", "tri", "1", "2", "4"],
+    ["add", "trop", "1", "1"],
+    ["add", "trop", "1", "2"],
+    ["sum", "trop", "--", "1", "2", "2", "-3"],
+    ["add", "amoeba", "0", "0"],
+    ["add", "amoeba", "1", "0"],
+    ["sum", "amoeba", "--", "0", "-1", "3"],
+    ["poly", "TC", "X^2 + X + 1", "--at", "1∠2"],
+    ["poly", "TC", "2X^3 + X", "--at", "1∠0.5"],
+    ["poly", "tri", "X^2 + 1", "--at", "1"],
+    ["poly", "tri", "X^3 + X + 5", "--at", "1.5"],
+]
 
 
 @pytest.fixture(scope="module")

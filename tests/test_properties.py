@@ -5,10 +5,14 @@ arise from coinciding draws, while distinct draws stay far from the branch
 cutoffs, matching the declared tolerance policy.
 """
 import math
+import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperalg import csets, exotic, qsets, rsets
+from hyperalg.axioms import stratified_tuples
 from hyperalg.csets import CPoint, ComplexElem, set_eq
 from hyperalg.ctrop import ct_add, ct_add_sets, cset_scale, rt_add, rt_add_sets
 from hyperalg.realhf import (
@@ -22,6 +26,7 @@ from hyperalg.realhf import (
     ultra_add_sets,
 )
 from hyperalg.rsets import rpoint, rset_eq
+from hyperalg.structures import get_structure
 from hyperalg.tolerance import Tolerance
 
 WIDE = Tolerance(1e-7)
@@ -139,3 +144,45 @@ def test_real_tropical_associative(a, b, c, share):
     lhs = rt_add_sets(rt_add(a, b), rpoint(c))
     rhs = rt_add_sets(rpoint(a), rt_add(b, c))
     assert rset_eq(lhs, rhs, WIDE)
+
+
+# each value-set family's normalizer, keyed by the set types it produces
+NORMAL_FORMS = [
+    ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), csets.normalize),
+    ((rsets.RSet,), lambda s, tol: rsets.rset(list(s.intervals), tol)),
+    ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
+     lambda s, tol: qsets.qnormalize([s], tol)),
+    ((exotic.MPoint, exotic.MCone, exotic.MUnion), lambda s, tol: exotic.mnormalize([s], tol)),
+    ((exotic.PPoint, exotic.PCone, exotic.PUnion), lambda s, tol: exotic.pnormalize([s])),
+]
+
+CANONICAL_CARRIERS = [
+    "TC", "Phi", "C", "quat", "mono", "mono-int", "mono-rational", "padic:2:8",
+    "padic:3:8", "padic:5:8", "TR", "R", "tri", "ultra", "trop", "amoeba",
+]
+
+
+def _normal_form(s, tol):
+    for kinds, normalize in NORMAL_FORMS:
+        if isinstance(s, kinds):
+            return normalize(s, tol)
+    raise TypeError(f"no normalizer for {type(s).__name__}")
+
+
+@pytest.mark.parametrize("name", CANONICAL_CARRIERS)
+def test_operations_return_canonical_sets(name):
+    """Every operation returns a fixed point of its family's normalizer, so
+    predicates and set-extended sums need not normalize their inputs."""
+    X = get_structure(name)
+    for a, b, c in stratified_tuples(X, random.Random(11), 3, 500):
+        ab, bc = X.add(a, b), X.add(b, c)
+        outs = [
+            ab,
+            X.add_sets(ab, X.singleton(c)),
+            X.union_sets(ab, bc),
+            X.scale(c, ab),
+            X.mul_sets(ab, bc),
+        ]
+        for out in outs:
+            if out is not None:
+                assert out == _normal_form(out, X.tol), (a, b, c, out)
