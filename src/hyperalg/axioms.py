@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .tolerance import DEFAULT_TOL, Tolerance
+from .tolerance import DEFAULT_TOL
 
 
 class EmptySumError(ValueError):
@@ -44,9 +44,7 @@ class Structure:
     has_one = True
     has_inv = True
     mul_commutative = True
-
-    def __init__(self, tol: Tolerance = DEFAULT_TOL):
-        self.tol = tol
+    tol = DEFAULT_TOL
 
     # carrier
     @property

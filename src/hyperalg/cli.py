@@ -28,6 +28,17 @@ USAGE_ERROR = 2
 MATH_FAIL = 1
 
 
+def _budget(text: str) -> int:
+    """A --budget value: an integer >= 1, since a budget of 0 checks nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
 def _seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -214,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Set-valued arithmetic over tropical hyperfields. Structures: "
             "K, Q1, S, F2, M, TC, TR, Phi, tri, ultra, trop, amoeba, quat, "
-            "mono, padic:p:L, zmod:n, powers:p:depth, finite:FILE. Elements: "
+            "mono, mono-int, mono-rational, maxplus, C, R, padic:p:L, "
+            "powers:p:depth, zmod:n, finite:FILE. Elements: "
             "complex as m∠theta (ASCII m@theta) or x+yi; quaternions as "
             "x,y,z,t; monomials as 3t^2; tropical numbers as -inf or reals."
         ),
@@ -240,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["multigroup", "multiring", "hyperring", "hyperfield", "dd", "hyperfield-search"],
     )
     p.add_argument("--mode", default="full", choices=["full", "minimal"])
-    p.add_argument("--budget", type=int, default=2000)
+    p.add_argument("--budget", type=_budget, default=2000)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_verify)
@@ -257,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="verify a named homomorphism")
     p.add_argument("name", help=f"one of {sorted(HOM_TABLE)}")
-    p.add_argument("--budget", type=int, default=300)
+    p.add_argument("--budget", type=_budget, default=300)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_hom)

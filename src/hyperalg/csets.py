@@ -437,22 +437,23 @@ def format_cset(s: CSet) -> str:
 
 
 def parse_celem(text: str) -> ComplexElem:
-    """Parse `m∠θ`, ASCII `m@θ`, or cartesian `x+yi` forms."""
+    """Parse `m∠θ`, ASCII `m@θ`, cartesian `x+yi` or plain real forms; the
+    modulus and the argument must be finite."""
     t = text.strip()
-    for sep in ("∠", "@"):
-        if sep in t:
-            m_s, a_s = t.split(sep, 1)
-            return ComplexElem(float(m_s), float(a_s))
-    if t.endswith(("i", "j")) or "i" in t or "j" in t:
-        try:
-            z = complex(t.replace(" ", "").replace("i", "j"))
-            return ComplexElem.from_complex(z)
-        except ValueError as exc:
-            raise InvalidSetError(f"cannot parse complex literal {text!r}") from exc
     try:
-        return ComplexElem.from_complex(complex(float(t), 0.0))
+        for sep in ("∠", "@"):
+            if sep in t:
+                m_s, a_s = t.split(sep, 1)
+                m, a = float(m_s), float(a_s)
+                break
+        else:
+            z = complex(t.replace(" ", "").replace("i", "j")) if "i" in t or "j" in t else float(t)
+            m, a = math.hypot(z.real, z.imag), math.atan2(z.imag, z.real)
     except ValueError as exc:
         raise InvalidSetError(f"cannot parse complex literal {text!r}") from exc
+    if not (math.isfinite(m) and math.isfinite(a)):
+        raise InvalidSetError(f"complex literal {text!r} is not finite")
+    return ComplexElem(m, a)
 
 
 def parse_cset(text: str) -> CSet:

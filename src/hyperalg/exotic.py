@@ -18,6 +18,7 @@ canonical inputs built under the same tolerance they compare with.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,6 +138,31 @@ def msubset(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
             if not ok:
                 return False
     return True
+
+
+def random_coeff(rng) -> complex:
+    """A random nonzero monomial coefficient."""
+    return complex(rng.gauss(0.0, 1.0) or 1.0, rng.gauss(0.0, 1.0))
+
+
+def mpick(s: MSet, rng, domain: str = "real") -> list:
+    """Sample points of s: each point, and for a cone 0 plus monomials at three
+    exponents of the domain strictly below its bound."""
+    pts = []
+    for c in mparts_of(s):
+        if isinstance(c, MPoint):
+            pts.append(c.elem)
+            continue
+        pts.append(MZERO)
+        for step in (1, 2, 4):
+            if domain == "int":
+                e: float | Fraction | int = math.floor(float(c.bound)) - step
+            elif domain == "rational":
+                e = Fraction(c.bound) - Fraction(step, 2)
+            else:
+                e = float(c.bound) - 0.5 * step
+            pts.append(MonomialElem(random_coeff(rng), e))
+    return pts
 
 
 def _mcomp_eq(c, d, tol: Tolerance) -> bool:
@@ -270,12 +296,15 @@ def parse_monomial(text: str, domain: str = "real") -> MonomialElem:
     if not cmath.isfinite(coeff):
         raise InvalidSetError(f"monomial coefficient must be finite: {text!r}")
     es = m.group("exp")
-    if domain == "int":
-        exp: float | Fraction | int = int(es)
-    elif domain == "rational":
-        exp = Fraction(es)
-    else:
-        exp = float(es)
+    try:
+        if domain == "int":
+            exp: float | Fraction | int = int(es)
+        elif domain == "rational":
+            exp = Fraction(es)
+        else:
+            exp = float(es)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidSetError(f"cannot parse {domain} exponent {es!r} in {text!r}") from exc
     return MonomialElem(coeff, exp)
 
 
@@ -469,6 +498,25 @@ def psubset(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
             if not any(isinstance(d, PCone) and d.e <= c.e for d in pparts_of(s2)):
                 return False
     return True
+
+
+def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
+    """`depth` random base-p digits with a nonzero leading digit."""
+    return (rng.randint(1, p - 1),) + tuple(rng.randint(0, p - 1) for _ in range(depth - 1))
+
+
+def ppick(s: PSet, rng, depth: int) -> list:
+    """Sample points of s: each point, and for a cone 0 plus two elements of
+    strictly smaller norm with `depth` digits."""
+    pts = []
+    for c in pparts_of(s):
+        if isinstance(c, PPoint):
+            pts.append(c.elem)
+            continue
+        pts.append(padic_zero(c.p))
+        for delta in (1, 2):
+            pts.append(PadicElem(c.p, c.e + delta, random_digits(c.p, depth, rng)))
+    return pts
 
 
 def pset_eq(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:

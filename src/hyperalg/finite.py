@@ -36,11 +36,25 @@ class FiniteMultistructure:
         if len(self._index) != len(self.elements):
             raise InvalidStructureError("duplicate element labels")
         n = len(self.elements)
+        valid = frozenset(range(n))
+        mul = self.mul_table
+        for what, idx in (("zero", self.zero_idx), ("one", self.one_idx)):
+            if idx is not None and idx not in valid:
+                raise InvalidStructureError(f"{what} index {idx!r} is not in 0..{n - 1}")
         for i in range(n):
             for j in range(n):
                 cell = self.add_table.get((i, j))
                 if not cell:
                     raise InvalidStructureError(f"add table empty or missing at {(i, j)}")
+                if not cell <= valid:
+                    raise InvalidStructureError(
+                        f"add table cell {(i, j)} holds indices outside 0..{n - 1}: {set(cell)}"
+                    )
+                if mul is not None and mul.get((i, j)) not in valid:
+                    raise InvalidStructureError(
+                        f"mul table cell {(i, j)} is missing or not in 0..{n - 1}: "
+                        f"{mul.get((i, j))!r}"
+                    )
         if self.neg_map is None:
             self.neg_map = self._derive_neg()
 
@@ -137,6 +151,29 @@ class FiniteMultistructure:
 
 def _table(n: int, fn) -> dict:
     return {(i, j): frozenset(fn(i, j)) for i in range(n) for j in range(n)}
+
+
+def _partition(n: int, key) -> tuple[list, dict]:
+    """Classes of 0..n-1 under equal `key`, in first-seen order, with each
+    index's class number."""
+    number: dict = {}
+    class_of = {i: number.setdefault(key(i), len(number)) for i in range(n)}
+    return list(number), class_of
+
+
+def _induced_add(x: FiniteMultistructure, members: list, class_of: dict) -> tuple[dict, tuple]:
+    """The add table that x induces on the classes `members` (index
+    collections), and their `[a,b]` labels."""
+    m = len(members)
+    add_table = {
+        (ci, cj): frozenset(
+            class_of[k] for a in members[ci] for b in members[cj] for k in x.add_table[(a, b)]
+        )
+        for ci in range(m)
+        for cj in range(m)
+    }
+    labels = tuple("[" + ",".join(str(x.elements[i]) for i in sorted(c)) + "]" for c in members)
+    return add_table, labels
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +465,7 @@ def make_double_coset(g: Group, subgroup: frozenset) -> FiniteMultistructure:
     def coset(x: int) -> frozenset:
         return frozenset(g.mul(g.mul(h1, x), h2) for h1 in hs for h2 in hs)
 
-    cosets: list[frozenset] = []
-    coset_of = {}
-    for x in range(g.order):
-        c = coset(x)
-        if c not in cosets:
-            cosets.append(c)
-        coset_of[x] = cosets.index(c)
+    cosets, coset_of = _partition(g.order, coset)
     reps = [min(c) for c in cosets]
     n = len(cosets)
     add_table = {}
@@ -501,20 +532,13 @@ def mul_quotient(x: FiniteMultistructure, s_labels) -> FiniteMultistructure:
         for b in range(a + 1, n):
             if prod[a] & prod[b]:
                 join(a, b)
-    roots = sorted({find(i) for i in range(n)})
-    class_of = {i: roots.index(find(i)) for i in range(n)}
+    # a root is its class's least index, so first-seen order is root order
+    roots, class_of = _partition(n, find)
     members: list[list[int]] = [[] for _ in roots]
     for i in range(n):
         members[class_of[i]].append(i)
     m = len(roots)
-    add_table = {}
-    for ci in range(m):
-        for cj in range(m):
-            out = set()
-            for a in members[ci]:
-                for b in members[cj]:
-                    out.update(class_of[k] for k in x.add_table[(a, b)])
-            add_table[(ci, cj)] = frozenset(out)
+    add_table, labels = _induced_add(x, members, class_of)
     mul_table = {}
     for ci in range(m):
         for cj in range(m):
@@ -524,9 +548,6 @@ def mul_quotient(x: FiniteMultistructure, s_labels) -> FiniteMultistructure:
             if len(results) != 1:
                 raise InvalidStructureError("quotient multiplication not well defined")
             mul_table[(ci, cj)] = results.pop()
-    labels = tuple(
-        "[" + ",".join(str(x.elements[i]) for i in sorted(mem)) + "]" for mem in members
-    )
     one_idx = class_of[x.one_idx] if x.one_idx is not None else None
     return FiniteMultistructure(
         elements=labels,
@@ -632,25 +653,8 @@ def quotient_by_normal(x: FiniteMultistructure, y_labels) -> FiniteMultistructur
             out.update(x.add_table[(a, i)])
         return frozenset(out)
 
-    classes: list[frozenset] = []
-    class_of = {}
-    for a in range(n):
-        o = orbit(a)
-        if o not in classes:
-            classes.append(o)
-        class_of[a] = classes.index(o)
-    m = len(classes)
-    add_table = {}
-    for ci in range(m):
-        for cj in range(m):
-            out = set()
-            for a in classes[ci]:
-                for b in classes[cj]:
-                    out.update(class_of[k] for k in x.add_table[(a, b)])
-            add_table[(ci, cj)] = frozenset(out)
-    labels = tuple(
-        "[" + ",".join(str(x.elements[i]) for i in sorted(c)) + "]" for c in classes
-    )
+    classes, class_of = _partition(n, orbit)
+    add_table, labels = _induced_add(x, classes, class_of)
     return FiniteMultistructure(
         elements=labels,
         add_table=add_table,

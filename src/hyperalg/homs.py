@@ -318,9 +318,14 @@ def zero_set_member(p: HFPolynomial, point: tuple) -> bool:
     return x.member(x.zero, hf_poly_eval(p, point))
 
 
+# evaluation multiplies once per unit of an exponent, so parsing caps them
+MAX_POLY_EXPONENT = 1000
+
+
 def parse_hf_poly(structure: Structure, text: str) -> HFPolynomial:
     """Univariate polynomial whose coefficients use the structure's element
-    grammar: `2X^3 + 1`, coefficient literals per structure."""
+    grammar: `2X^3 + 1`, coefficient literals per structure, exponents at
+    most MAX_POLY_EXPONENT."""
     t = text.replace("-", "+-")
     if t.startswith("+-"):
         t = "-" + t[2:]
@@ -335,6 +340,8 @@ def parse_hf_poly(structure: Structure, text: str) -> HFPolynomial:
             exp = 1
             if es.startswith("^"):
                 exp = int(es[1:])
+            if exp > MAX_POLY_EXPONENT:
+                raise ValueError(f"exponent {exp} in {chunk!r} exceeds {MAX_POLY_EXPONENT}")
             coeff = structure.parse_elem(cs) if cs not in ("", "-") else (
                 structure.neg(structure.one) if cs == "-" else structure.one
             )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 
 from .csets import InvalidSetError, match_parts
@@ -349,6 +350,12 @@ def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
                 if n > 1e-9:
                     pts.append(QuatElem(*_scale(mix, r / n)))
     return pts
+
+
+def qsubset(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Containment judged on three points of s1 sampled at a fixed seed: a
+    True verdict is sampled, not proven."""
+    return all(qmember(p, s2, tol) for p in qpick(s1, random.Random(7), 3))
 
 
 def format_qelem(q: QuatElem) -> str:

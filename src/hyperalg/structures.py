@@ -1,9 +1,11 @@
 """Concrete structure handles and the name registry used by the CLI.
 
 Each class binds one carrier's operations, samplers and text forms to the
-uniform Structure interface consumed by the axiom checkers.
+uniform Structure interface consumed by the axiom checkers.  It forwards to
+the family modules (csets, rsets, qsets, exotic), which hold every set
+algorithm: membership, containment, sampling and normal forms.
 
-Carriers of one value-set family share a base holding the set algebra, the
+Carriers of one value-set family share a base binding the set algebra, the
 text forms and the classical multiplication once: ComplexCarrier (csets, for
 TC, Phi and C) and IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba,
 R and maxplus).  A subclass states its addition and only what else differs.
@@ -12,15 +14,13 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from fractions import Fraction
 
-from . import csets, ctrop, exotic, qsets, realhf, rsets
+from . import csets, ctrop, exotic, finite, qsets, realhf, rsets
 from .axioms import EmptySumError, Structure
 from .csets import CZERO, CONE, ComplexElem
-from .finite import FiniteMultistructure, is_prime
 from .qsets import QONE, QZERO, QuatElem
-from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, Tolerance, fmt_num
+from .tolerance import NEG_INF, TWO_PI, fmt_num
 
 
 class FiniteStructure(Structure):
@@ -28,8 +28,7 @@ class FiniteStructure(Structure):
 
     is_finite = True
 
-    def __init__(self, table: FiniteMultistructure, tol: Tolerance = DEFAULT_TOL):
-        super().__init__(tol)
+    def __init__(self, table: finite.FiniteMultistructure):
         self.table = table
         self.name = table.name or "finite"
         self.has_mul = table.mul_table is not None
@@ -174,10 +173,7 @@ class ComplexCarrier(Structure):
         return csets.format_celem(a)
 
     def parse_elem(self, text):
-        e = csets.parse_celem(text)
-        if not (math.isfinite(e.modulus) and math.isfinite(e.argument)):
-            raise ValueError(f"{text.strip()!r} is not a finite complex number")
-        return e
+        return csets.parse_celem(text)
 
     def format_set(self, s):
         return csets.format_cset(s)
@@ -400,27 +396,32 @@ class AmoebaStructure(TropStructure):
 
 
 class QuaternionTropical(Structure):
-    """H with dominant-norm / geodesic-arc / ball addition (a skew carrier)."""
+    """H with dominant-norm / geodesic-arc / ball addition (a skew carrier).
+
+    It keeps the default `mul_sets` (None): products of arcs are not
+    symbolically representable.
+    """
 
     name = "quat"
     mul_commutative = False
     zero = QZERO
     one = QONE
 
+    @staticmethod
+    def _on_sphere(radius, rng):
+        v = [rng.gauss(0.0, 1.0) for _ in range(4)]
+        n = math.sqrt(sum(x * x for x in v)) or 1.0
+        return QuatElem(*(x * radius / n for x in v))
+
     def random_elem(self, rng):
         if rng.random() < 0.05:
             return QZERO
-        m = math.exp(rng.uniform(-1.0, 1.0))
-        v = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(x * x for x in v)) or 1.0
-        return QuatElem(*(x * m / n for x in v))
+        return self._on_sphere(math.exp(rng.uniform(-1.0, 1.0)), rng)
 
     def peer(self, a, rng):
         if a.norm == 0.0:
             return QZERO
-        v = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(x * x for x in v)) or 1.0
-        return QuatElem(*(x * a.norm / n for x in v))
+        return self._on_sphere(a.norm, rng)
 
     def add(self, a, b):
         return ctrop.quat_add(a, b, self.tol)
@@ -446,9 +447,6 @@ class QuaternionTropical(Structure):
     def scale(self, a, s, side="left"):
         return ctrop.quat_scale(s, a, side, self.tol)
 
-    def mul_sets(self, s1, s2):
-        return None  # products of arcs are not symbolically representable
-
     def eq(self, a, b):
         return a.eq(b, self.tol)
 
@@ -459,10 +457,7 @@ class QuaternionTropical(Structure):
         return qsets.qset_eq(s1, s2, self.tol)
 
     def subset(self, s1, s2):
-        for p in qsets.qpick(s1, random.Random(7), 3):
-            if not qsets.qmember(p, s2, self.tol):
-                return False
-        return True
+        return qsets.qsubset(s1, s2, self.tol)
 
     def pick(self, s, rng, count=4):
         return qsets.qpick(s, rng, count)
@@ -483,8 +478,7 @@ class MonomialStructure(Structure):
     The exponent domain is `real`, `rational`, or `int`.
     """
 
-    def __init__(self, domain: str = "real", tol: Tolerance = DEFAULT_TOL):
-        super().__init__(tol)
+    def __init__(self, domain: str = "real"):
         if domain not in ("real", "rational", "int"):
             raise ValueError(f"unknown exponent domain {domain!r}")
         self.domain = domain
@@ -500,18 +494,15 @@ class MonomialStructure(Structure):
             return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         return rng.uniform(-3.0, 3.0)
 
-    def _rand_coeff(self, rng):
-        return complex(rng.gauss(0.0, 1.0) or 1.0, rng.gauss(0.0, 1.0))
-
     def random_elem(self, rng):
         if rng.random() < 0.05:
             return exotic.MZERO
-        return exotic.MonomialElem(self._rand_coeff(rng), self._rand_exp(rng))
+        return exotic.MonomialElem(exotic.random_coeff(rng), self._rand_exp(rng))
 
     def peer(self, a, rng):
         if a.zero:
             return a
-        return exotic.MonomialElem(self._rand_coeff(rng), a.exponent)
+        return exotic.MonomialElem(exotic.random_coeff(rng), a.exponent)
 
     def add(self, a, b):
         return exotic.mono_add(a, b, self.tol)
@@ -550,22 +541,7 @@ class MonomialStructure(Structure):
         return exotic.msubset(s1, s2, self.tol)
 
     def pick(self, s, rng, count=4):
-        pts = []
-        for c in exotic.mparts_of(s):
-            if isinstance(c, exotic.MPoint):
-                pts.append(c.elem)
-            else:
-                pts.append(exotic.MZERO)
-                b = float(c.bound)
-                for step in (1, 2, 4):
-                    if self.domain == "int":
-                        e: object = int(math.floor(b)) - step  # strictly below
-                    elif self.domain == "rational":
-                        e = Fraction(c.bound) - Fraction(step, 2)
-                    else:
-                        e = b - 0.5 * step
-                    pts.append(exotic.MonomialElem(self._rand_coeff(rng), e))
-        return pts
+        return exotic.mpick(s, rng, self.domain)
 
     def format_elem(self, a):
         return exotic.format_monomial(a)
@@ -583,9 +559,8 @@ class PadicStructure(Structure):
     The addition is not associative and its negation is not unique (see README).
     """
 
-    def __init__(self, p: int = 5, depth: int = 8, tol: Tolerance = DEFAULT_TOL):
-        super().__init__(tol)
-        if not is_prime(p):
+    def __init__(self, p: int = 5, depth: int = 8):
+        if not finite.is_prime(p):
             raise ValueError(f"{p} is not prime")
         if depth < 1:
             raise ValueError(f"p-adic depth must be >= 1, got {depth}")
@@ -607,18 +582,12 @@ class PadicStructure(Structure):
         if rng.random() < 0.05:
             return self._zero
         e = rng.randint(-3, 3)
-        digits = [rng.randint(1, self.p - 1)] + [
-            rng.randint(0, self.p - 1) for _ in range(self.depth - 1)
-        ]
-        return exotic.PadicElem(self.p, e, tuple(digits))
+        return exotic.PadicElem(self.p, e, exotic.random_digits(self.p, self.depth, rng))
 
     def peer(self, a, rng):
         if a.is_zero:
             return a
-        digits = [rng.randint(1, self.p - 1)] + [
-            rng.randint(0, self.p - 1) for _ in range(self.depth - 1)
-        ]
-        return exotic.PadicElem(self.p, a.e, tuple(digits))
+        return exotic.PadicElem(self.p, a.e, exotic.random_digits(self.p, self.depth, rng))
 
     def add(self, a, b):
         return exotic.padic_add(a, b, self.tol)
@@ -657,18 +626,7 @@ class PadicStructure(Structure):
         return exotic.psubset(s1, s2, self.tol)
 
     def pick(self, s, rng, count=4):
-        pts = []
-        for c in exotic.pparts_of(s):
-            if isinstance(c, exotic.PPoint):
-                pts.append(c.elem)
-            else:
-                pts.append(self._zero)
-                for delta in (1, 2):
-                    digits = [rng.randint(1, self.p - 1)] + [
-                        rng.randint(0, self.p - 1) for _ in range(self.depth - 1)
-                    ]
-                    pts.append(exotic.PadicElem(self.p, c.e + delta, tuple(digits)))
-        return pts
+        return exotic.ppick(s, rng, self.depth)
 
     def format_elem(self, a):
         return exotic.format_padic(a)
@@ -735,61 +693,47 @@ class MaxPlusReals(IntervalCarrier):
 # ---------------------------------------------------------------------------
 # registry
 
+# fixed registry names -> factories of a fresh handle
+_NAMED = {
+    "K": lambda: FiniteStructure(finite.make_krasner()),
+    "Q1": lambda: FiniteStructure(finite.make_q1()),
+    "S": lambda: FiniteStructure(finite.make_sign()),
+    "F2": lambda: FiniteStructure(finite.make_f2()),
+    "M": lambda: FiniteStructure(finite.make_M()),
+    "TC": ComplexTropical,
+    "TR": RealTropical,
+    "Phi": PhaseStructure,
+    "tri": TriangleStructure,
+    "ultra": UltraStructure,
+    "trop": TropStructure,
+    "amoeba": AmoebaStructure,
+    "quat": QuaternionTropical,
+    "mono": MonomialStructure,
+    "maxplus": MaxPlusReals,
+    "C": ComplexField,
+    "R": RealField,
+}
 
-def _finite_factories():
-    from . import finite
 
-    return {
-        "K": finite.make_krasner,
-        "Q1": finite.make_q1,
-        "S": finite.make_sign,
-        "F2": finite.make_f2,
-        "M": finite.make_M,
-    }
-
-
-def get_structure(name: str, tol: Tolerance = DEFAULT_TOL) -> Structure:
-    """Resolve a registry name: K, S, F2, M, Q1, TC, TR, Phi, tri, ultra,
-    trop, amoeba, quat, mono[-int|-rational], maxplus, padic:p:L, finite:file,
-    or zmod:n."""
-    fin = _finite_factories()
-    if name in fin:
-        return FiniteStructure(fin[name](), tol)
-    simple = {
-        "TC": ComplexTropical,
-        "TR": RealTropical,
-        "Phi": PhaseStructure,
-        "tri": TriangleStructure,
-        "ultra": UltraStructure,
-        "trop": TropStructure,
-        "amoeba": AmoebaStructure,
-        "quat": QuaternionTropical,
-        "maxplus": MaxPlusReals,
-        "C": ComplexField,
-        "R": RealField,
-    }
-    if name in simple:
-        return simple[name](tol)
-    if name == "mono":
-        return MonomialStructure("real", tol)
+def get_structure(name: str) -> Structure:
+    """Resolve a registry name: K, Q1, S, F2, M, TC, TR, Phi, tri, ultra,
+    trop, amoeba, quat, mono, mono-int, mono-rational, maxplus, C, R,
+    padic:p:L, powers:p:depth, zmod:n or finite:FILE."""
+    if name in _NAMED:
+        return _NAMED[name]()
+    _, _, arg = name.partition(":")
     if name.startswith("mono-"):
-        return MonomialStructure(name.split("-", 1)[1], tol)
-    if name.startswith("padic:"):
-        _, p, depth = name.split(":")
-        return PadicStructure(int(p), int(depth), tol)
+        return MonomialStructure(name[len("mono-"):])
+    if name.startswith(("padic:", "powers:")):
+        p, depth = (int(v) for v in arg.split(":"))
+        if name.startswith("padic:"):
+            return PadicStructure(p, depth)
+        return FiniteStructure(finite.make_powers_quotient(p, depth))
     if name.startswith("zmod:"):
-        from .finite import make_zmod
-
-        return FiniteStructure(make_zmod(int(name.split(":")[1])), tol)
+        return FiniteStructure(finite.make_zmod(int(arg)))
     if name.startswith("finite:"):
-        path = name.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            return FiniteStructure(FiniteMultistructure.from_json(fh.read()), tol)
-    if name.startswith("powers:"):
-        from .finite import make_powers_quotient
-
-        _, p, depth = name.split(":")
-        return FiniteStructure(make_powers_quotient(int(p), int(depth)), tol)
+        with open(arg, encoding="utf-8") as fh:
+            return FiniteStructure(finite.FiniteMultistructure.from_json(fh.read()))
     raise ValueError(f"unknown structure {name!r}")
 
 

@@ -51,11 +51,29 @@ class TestAdd:
             ("mono", "nant^1", "1t^0"),
             ("padic:5:0", "1", "1"),
             ("padic:4:8", "1", "1"),
+            ("TC", "1∠inf", "1"),
+            ("TC", "1e400+1i", "1"),
+            ("Phi", "1@nan", "1∠0"),
+            ("mono-rational", "1t^1/0", "1t^0"),
         ],
     )
     def test_parse_failure_exit_2(self, capsys, structure, a, b):
         code, _, err = run(capsys, "add", structure, a, b)
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize(
+        "argv,literal",
+        [
+            (["add", "TC", "1∠inf", "1"], "1∠inf"),
+            (["add", "C", "1", "1@-inf"], "1@-inf"),
+            (["deq", "complex", "1∠0", "1∠inf"], "1∠inf"),
+            (["add", "mono-rational", "1t^1/0", "1t^0"], "1t^1/0"),
+        ],
+    )
+    def test_parse_failure_names_literal(self, capsys, argv, literal):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and repr(literal) in err
 
     def test_unknown_structure_exit_2(self, capsys):
         code, _, err = run(capsys, "add", "nosuch", "1", "2")
@@ -117,6 +135,34 @@ class TestVerify:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize("budget", ["0", "-5", "x"])
+    @pytest.mark.parametrize("command", [["verify", "TC", "--level", "dd"], ["hom", "abs-tc"]])
+    def test_budget_below_one_exit_2(self, capsys, command, budget):
+        code, out, err = run(capsys, *command, "--budget", budget)
+        assert (code, out) == (2, "") and "--budget" in err
+
+    @pytest.mark.parametrize(
+        "edit,cell",
+        [
+            (lambda t: t["add"].update({"1,1": [0, 5]}), "add table cell (1, 1)"),
+            (lambda t: t["mul"].update({"1,1": 7}), "mul table cell (1, 1)"),
+            (lambda t: t["mul"].pop("0,1"), "mul table cell (0, 1)"),
+            (lambda t: t.update(zero=2), "zero index 2"),
+            (lambda t: t.update(one=-1), "one index -1"),
+        ],
+        ids=["add-index", "mul-index", "mul-missing", "zero", "one"],
+    )
+    def test_finite_table_out_of_range_exit_2(self, capsys, tmp_path, edit, cell):
+        from hyperalg.finite import make_krasner
+
+        table = json.loads(make_krasner().to_json())
+        edit(table)
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        code, out, err = run(capsys, "verify", f"finite:{path}", "--level", "hyperfield")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and cell in err
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -193,6 +239,14 @@ class TestPoly:
     def test_krasner_eval(self, capsys):
         code, out, _ = run(capsys, "poly", "K", "X + 1", "--at", "1")
         assert code == 0 and out.splitlines()[0] == "{0,1}"
+
+    def test_exponent_above_cap_exit_2(self, capsys):
+        from hyperalg.homs import MAX_POLY_EXPONENT
+
+        code, out, _ = run(capsys, "poly", "trop", f"X^{MAX_POLY_EXPONENT} + 1", "--at", "1")
+        assert code == 0 and out.splitlines()[0] == f"point {MAX_POLY_EXPONENT}"
+        code, out, err = run(capsys, "poly", "trop", "X^99999999999 + 1", "--at", "1")
+        assert (code, out) == (2, "") and "X^99999999999" in err
 
 
 class TestDeq:

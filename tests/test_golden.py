@@ -26,12 +26,15 @@ SWEEP_LEVEL = {"M": "multigroup", "quat": "multigroup"}
 # distributivity at these seeds; tests/test_cli.py covers that error path
 DD_RAISES = {"padic:3:8", "padic:5:8"}
 
+# names outside REGISTRY_NAMES whose verify lines are pinned as well
+EXTRA_VERIFY_NAMES = ["mono-int", "mono-rational"]
+
 
 def cases() -> list[list[str]]:
     """verify/hom lines, the SET_CASES, then `char` for every registry name
     with a unity."""
     out = []
-    for name in REGISTRY_NAMES:
+    for name in REGISTRY_NAMES + EXTRA_VERIFY_NAMES:
         common = ["--format", "json", "--seed", "0", "--budget", "300"]
         level = SWEEP_LEVEL.get(name, "hyperfield")
         out.append(["verify", name, "--level", level, *common])

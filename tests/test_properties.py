@@ -172,8 +172,10 @@ def _normal_form(s, tol):
 @pytest.mark.parametrize("name", CANONICAL_CARRIERS)
 def test_operations_return_canonical_sets(name):
     """Every operation returns a fixed point of its family's normalizer, so
-    predicates and set-extended sums need not normalize their inputs."""
+    predicates and set-extended sums need not normalize their inputs; every
+    point `pick` samples from a result is a member of it."""
     X = get_structure(name)
+    pick_rng = random.Random(12)
     for a, b, c in stratified_tuples(X, random.Random(11), 3, 500):
         ab, bc = X.add(a, b), X.add(b, c)
         outs = [
@@ -186,3 +188,5 @@ def test_operations_return_canonical_sets(name):
         for out in outs:
             if out is not None:
                 assert out == _normal_form(out, X.tol), (a, b, c, out)
+                for p in X.pick(out, pick_rng):
+                    assert X.member(p, out), (a, b, c, out, p)
