@@ -8,7 +8,7 @@ import argparse
 import csv
 import pathlib
 
-from hyperalg.deq import trace_rows
+from hyperalg.deq import parse_h_schedule, trace_rows
 
 CASES = {
     "lm": [("1", "2"), ("0", "0"), ("-3", "3")],
@@ -20,15 +20,14 @@ CASES = {
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="traces")
-    parser.add_argument("--h", default="1,0.3,0.1,0.03,0.01,0.003,0.001")
+    parser.add_argument("--h", type=parse_h_schedule, default="1,0.3,0.1,0.03,0.01,0.003,0.001")
     args = parser.parse_args()
-    schedule = [float(t) for t in args.h.split(",")]
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for family, pairs in CASES.items():
         rows = []
         for a, b in pairs:
-            rows.extend(trace_rows(family, a, b, schedule))
+            rows.extend(trace_rows(family, a, b, args.h))
         path = out / f"{family}.csv"
         with path.open("w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(

@@ -101,8 +101,7 @@ def cmd_verify(args) -> int:
 def cmd_quotient(args) -> int:
     from .finite import FiniteMultistructure, mul_quotient
 
-    with open(args.table, encoding="utf-8") as fh:
-        x = FiniteMultistructure.from_json(fh.read())
+    x = FiniteMultistructure.load(args.table)
     labels = [t.strip() for t in args.by.split(",")]
     q = mul_quotient(x, labels)
     print(q.to_json())
@@ -185,10 +184,9 @@ def cmd_poly(args) -> int:
 
 
 def cmd_deq(args) -> int:
-    from .deq import trace_rows
+    from .deq import parse_h_schedule, trace_rows
 
-    schedule = [float(t) for t in args.h.split(",")]
-    rows = trace_rows(args.family, args.a, args.b, schedule)
+    rows = trace_rows(args.family, args.a, args.b, parse_h_schedule(args.h))
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -204,8 +202,7 @@ def cmd_spectrum(args) -> int:
     from .finite import FiniteMultistructure, prime_ideals
 
     if args.table.endswith(".json") or os.path.exists(args.table):
-        with open(args.table, encoding="utf-8") as fh:
-            x = FiniteMultistructure.from_json(fh.read())
+        x = FiniteMultistructure.load(args.table)
     else:
         s = get_structure(args.table)
         if not s.is_finite:

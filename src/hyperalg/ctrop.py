@@ -34,6 +34,9 @@ from .qsets import (
     QUnion,
     QZERO,
     QuatElem,
+    _dot,
+    _scale,
+    _sub,
     in_cone,
     qnormalize,
     qparts_of,
@@ -390,23 +393,6 @@ def quat_add(a: QuatElem, b: QuatElem, tol: Tolerance = DEFAULT_TOL) -> QSet:
     return QArc(a, b)
 
 
-def _q_same_plane(units: list[tuple], extra: tuple, eps: float) -> bool:
-    """Does `extra` lie in the linear span of two unit vectors?"""
-    u, v = units
-    # Gram-Schmidt residual of extra against span(u, v)
-    proj_u = sum(extra[i] * u[i] for i in range(4))
-    w = tuple(v[i] - sum(v[j] * u[j] for j in range(4)) * u[i] for i in range(4))
-    wn = math.sqrt(sum(x * x for x in w))
-    if wn < 1e-12:
-        w = (0.0, 0.0, 0.0, 0.0)
-        proj_w = 0.0
-    else:
-        w = tuple(x / wn for x in w)
-        proj_w = sum(extra[i] * w[i] for i in range(4))
-    res = tuple(extra[i] - proj_u * u[i] - proj_w * w[i] for i in range(4))
-    return math.sqrt(sum(x * x for x in res)) <= max(eps, 1e-9)
-
-
 def _qarc_point(a: QArc, p: QuatElem, tol: Tolerance) -> list:
     eps = tol.eps
     r = a.radius
@@ -418,66 +404,38 @@ def _qarc_point(a: QArc, p: QuatElem, tol: Tolerance) -> list:
     minus = tuple(-x for x in up)
     if in_cone(minus, [ua, ub], eps):
         return [QBall(r)]
-    if _q_same_plane([ua, ub], up, eps):
-        # coplanar: reduce to the circle rules on that great circle
-        return _qarc_point_coplanar(a, p, r, tol)
-    return [QCone((a.a, a.b, QuatElem(*(x * r for x in up))))]
-
-
-def _qarc_point_coplanar(a: QArc, p: QuatElem, r: float, tol: Tolerance) -> list:
-    """Arc + equal-norm point on the same great circle: hull-arc rule."""
-    ua, ub, up = a.a.unit(), a.b.unit(), p.unit()
-    # planar basis (e1, e2) of span(ua, ub)
-    e1 = ua
-    w = tuple(ub[i] - sum(ub[j] * e1[j] for j in range(4)) * e1[i] for i in range(4))
-    wn = math.sqrt(sum(x * x for x in w))
+    # orthonormal basis (ua, e2) of the arc's plane, by Gram-Schmidt
+    w = _sub(ub, _scale(ua, _dot(ub, ua)))
+    wn = math.sqrt(_dot(w, w))
+    e2 = tuple(x / wn for x in w) if wn >= 1e-12 else (0.0, 0.0, 0.0, 0.0)
+    x_p, y_p = _dot(up, ua), _dot(up, e2)
+    res = tuple(up[i] - x_p * ua[i] - y_p * e2[i] for i in range(4))
+    if math.sqrt(_dot(res, res)) > max(eps, 1e-9):
+        return [QCone((a.a, a.b, QuatElem(*(x * r for x in up))))]
     if wn < 1e-12:  # degenerate arc (a == b); treat as two points
         return [QPoint(a.a), QPoint(QuatElem(*(x * r for x in up)))]
-    e2 = tuple(x / wn for x in w)
 
-    def ang(u: tuple) -> float:
-        return math.atan2(
-            sum(u[i] * e2[i] for i in range(4)), sum(u[i] * e1[i] for i in range(4))
-        )
-
-    th_a, th_b, th_p = ang(ua), ang(ub), ang(up)
-    sweep = wrap_angle(th_b - th_a)
-    if sweep > math.pi:
-        th_a, th_b = th_b, th_a
-        sweep = TWO_PI - sweep
-    segs = [(th_a, th_a + sweep)]
-    for th in (th_a, th_a + sweep):
-        d = wrap_angle(th_p - th)
-        if d <= tol.eps or d >= TWO_PI - tol.eps:
-            continue
-        segs.append((th, th + d) if d <= math.pi else (th_p, th_p + TWO_PI - d))
-    # circular merge, then map angle intervals back to endpoint pairs
-    segs = sorted((wrap_angle(s), wrap_angle(s) + (e - s)) for s, e in segs)
-    merged: list[list[float]] = []
-    for s, e in segs:
-        if merged and s <= merged[-1][1] + tol.eps:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    if len(merged) > 1 and merged[-1][1] + tol.eps >= merged[0][0] + TWO_PI:
-        merged[0][0] = merged[-1][0] - TWO_PI
-        merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
-        merged.pop()
-
+    # p lies on the arc's great circle: apply the circle rule in its plane
     def at(theta: float) -> QuatElem:
         return QuatElem(
-            *(r * (math.cos(theta) * e1[i] + math.sin(theta) * e2[i]) for i in range(4))
+            *(r * (math.cos(theta) * ua[i] + math.sin(theta) * e2[i]) for i in range(4))
         )
 
+    th_a = math.atan2(_dot(ua, e2), _dot(ua, ua))
+    sweep = wrap_angle(math.atan2(_dot(ub, e2), _dot(ub, ua)) - th_a)
+    circle = _point_arc(ComplexElem(r, math.atan2(y_p, x_p)), CArc(r, th_a, sweep), tol)
     out: list = []
-    for s, e in merged:
-        sw = e - s
-        if sw >= TWO_PI - tol.eps:
+    for c in parts_of(normalize_parts(circle, tol)):
+        if isinstance(c, CDisk):
+            out.append(QBall(c.radius))
+        elif isinstance(c, CPoint):
+            out.append(QPoint(at(c.elem.argument)))
+        elif c.full:
             raise RepresentationClosureError("full great circle in quaternion sum")
-        if sw <= tol.eps:
-            out.append(QPoint(at(s)))
+        elif c.sweep <= eps:
+            out.append(QPoint(at(c.start)))
         else:
-            out.append(QArc(at(s), at(e)))
+            out.append(QArc(at(c.start), at(c.start + c.sweep)))
     return out
 
 
@@ -509,20 +467,20 @@ def _qball_any(b: QBall, other, tol: Tolerance) -> list:
     return [QBall(b.radius)]
 
 
+# order of component kinds in _quat_add_comps: the lower rank comes first
+_QRANK = {QBall: 0, QArc: 1, QCone: 1, QPoint: 2}
+
+
 def _quat_add_comps(c1, c2, tol: Tolerance) -> list:
+    if _QRANK[type(c2)] < _QRANK[type(c1)]:  # the sum is commutative
+        c1, c2 = c2, c1
     if isinstance(c1, QBall):
         return _qball_any(c1, c2, tol)
-    if isinstance(c2, QBall):
-        return _qball_any(c2, c1, tol)
-    if isinstance(c1, QPoint) and isinstance(c2, QPoint):
-        return qparts_of(quat_add(c1.elem, c2.elem, tol))
-    if isinstance(c1, QPoint) and isinstance(c2, QArc):
-        return _qarc_point(c2, c1.elem, tol)
-    if isinstance(c1, QArc) and isinstance(c2, QPoint):
-        return _qarc_point(c1, c2.elem, tol)
-    if isinstance(c1, QPoint) and isinstance(c2, QCone):
-        return _qcone_point(c2, c1.elem, tol)
-    if isinstance(c1, QCone) and isinstance(c2, QPoint):
+    if isinstance(c2, QPoint):
+        if isinstance(c1, QPoint):
+            return qparts_of(quat_add(c1.elem, c2.elem, tol))
+        if isinstance(c1, QArc):
+            return _qarc_point(c1, c2.elem, tol)
         return _qcone_point(c1, c2.elem, tol)
     raise RepresentationClosureError(
         f"unsupported quaternion pair {type(c1).__name__} + {type(c2).__name__}"

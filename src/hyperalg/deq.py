@@ -24,11 +24,22 @@ def _check_h(h: float) -> None:
         raise ValueError(f"dequantization parameter must be >= 0, got {h}")
 
 
+def parse_h_schedule(text: str) -> list[float]:
+    """The `--h` option: comma-separated finite reals >= 0."""
+    try:
+        hs = [float(t) for t in text.split(",")]
+    except ValueError:
+        hs = [math.nan]
+    if not all(0.0 <= h < math.inf for h in hs):
+        raise ValueError(f"--h takes comma-separated finite reals >= 0, got {text!r}")
+    return hs
+
+
 def lm_add(a: float, b: float, h: float) -> float:
     """h*ln(e^(a/h) + e^(b/h)) for h > 0, max(a, b) at h = 0."""
     _check_h(h)
     m = max(a, b)
-    if h == 0.0:
+    if h == 0.0 or m == NEG_INF:
         return m
     return m + h * math.log1p(math.exp(-abs(a - b) / h))
 
@@ -244,21 +255,29 @@ def _fmt3(w) -> str:
 # CSV traces for the CLI
 
 
-def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> list[dict]:
-    from .csets import format_celem, parse_celem
-    from .rsets import format_rset
+# the registry carrier whose literals each family's operands are
+_TRACE_CARRIERS = {"lm": "trop", "tri": "tri", "complex": "C"}
 
+
+def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> list[dict]:
+    from .csets import format_celem
+    from .rsets import format_rset
+    from .structures import get_structure
+
+    if family not in _TRACE_CARRIERS:
+        raise ValueError(f"unknown dequantization family {family!r}")
+    carrier = get_structure(_TRACE_CARRIERS[family])
+    a, b = carrier.parse_elem(a_text), carrier.parse_elem(b_text)
     rows = []
     if family == "lm":
-        a, b = float(a_text), float(b_text)
         ref = max(a, b)
         for h in schedule:
             val = lm_add(a, b, h)
+            err = 0.0 if val == ref else abs(val - ref)
             rows.append(
-                {"h": h, "a": a_text, "b": b_text, "result": repr(val), "reference": repr(ref), "error": abs(val - ref)}
+                {"h": h, "a": a_text, "b": b_text, "result": repr(val), "reference": repr(ref), "error": err}
             )
     elif family == "tri":
-        a, b = float(a_text), float(b_text)
         ref = ultra_add(a, b)
         for h in schedule:
             s = tri_add_h(a, b, h) if h > 0 else ultra_add(a, b)
@@ -266,8 +285,7 @@ def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> 
             rows.append(
                 {"h": h, "a": a_text, "b": b_text, "result": format_rset(s), "reference": format_rset(ref), "error": err}
             )
-    elif family == "complex":
-        a, b = parse_celem(a_text), parse_celem(b_text)
+    else:
         ref = c_add_0(a, b)
         for h in schedule:
             val = c_add_h(a, b, h) if h > 0 else ref
@@ -282,6 +300,4 @@ def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> 
                     "error": err,
                 }
             )
-    else:
-        raise ValueError(f"unknown dequantization family {family!r}")
     return rows

@@ -221,12 +221,12 @@ def mono_add_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
     out: list = []
     for c1 in mparts_of(s1):
         for c2 in mparts_of(s2):
-            if isinstance(c1, MPoint) and isinstance(c2, MPoint):
+            if isinstance(c1, MPoint) and isinstance(c2, MCone):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, MPoint):
                 out.extend(mparts_of(mono_add(c1.elem, c2.elem, tol)))
-            elif isinstance(c1, MCone) and isinstance(c2, MPoint):
+            elif isinstance(c2, MPoint):
                 out.extend(_mcone_point(c1, c2.elem, tol))
-            elif isinstance(c1, MPoint) and isinstance(c2, MCone):
-                out.extend(_mcone_point(c2, c1.elem, tol))
             else:
                 out.append(MCone(max(c1.bound, c2.bound, key=float)))
     return mnormalize(out, tol)
@@ -236,18 +236,15 @@ def mono_mul_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
     out: list = []
     for c1 in mparts_of(s1):
         for c2 in mparts_of(s2):
-            if isinstance(c1, MPoint) and isinstance(c2, MPoint):
+            if isinstance(c1, MPoint) and isinstance(c2, MCone):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, MPoint):
                 out.append(MPoint(mono_mul(c1.elem, c2.elem)))
-            elif isinstance(c1, MCone) and isinstance(c2, MPoint):
+            elif isinstance(c2, MPoint):
                 if c2.elem.zero:
                     out.append(MPoint(MZERO))
                 else:
                     out.append(MCone(c1.bound + c2.elem.exponent))
-            elif isinstance(c1, MPoint) and isinstance(c2, MCone):
-                if c1.elem.zero:
-                    out.append(MPoint(MZERO))
-                else:
-                    out.append(MCone(c2.bound + c1.elem.exponent))
             else:
                 out.append(MCone(c1.bound + c2.bound))
     return mnormalize(out, tol)
@@ -305,6 +302,12 @@ def parse_monomial(text: str, domain: str = "real") -> MonomialElem:
             exp = float(es)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidSetError(f"cannot parse {domain} exponent {es!r} in {text!r}") from exc
+    try:
+        finite = math.isfinite(exp)
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
+        raise InvalidSetError(f"{domain} exponent {es!r} in {text!r} is not finite")
     return MonomialElem(coeff, exp)
 
 
@@ -392,6 +395,14 @@ def padic_neg(a: PadicElem) -> PadicElem:
     return PadicElem(p, a.e, tuple(ds))
 
 
+def _carry(acc: list[int], p: int) -> None:
+    """Reduce digit sums to base-p digits in place, least significant first;
+    the carry out of the last digit is dropped."""
+    carry = 0
+    for i, v in enumerate(acc):
+        carry, acc[i] = divmod(v + carry, p)
+
+
 def padic_classical_add(a: PadicElem, b: PadicElem):
     """Ordinary p-adic addition of truncated series.
 
@@ -416,11 +427,7 @@ def padic_classical_add(a: PadicElem, b: PadicElem):
     for k, d in enumerate(b.digits):
         if b.e + k < top:
             acc[b.e + k - e0] += d
-    carry = 0
-    for i in range(size):
-        v = acc[i] + carry
-        acc[i] = v % p
-        carry = v // p
+    _carry(acc, p)
     if all(d == 0 for d in acc):
         return INDETERMINATE
     return padic_from_digits(p, e0, acc, depth)
@@ -556,11 +563,7 @@ def padic_mul(a: PadicElem, b: PadicElem) -> PadicElem:
         for j, db in enumerate(b.digits):
             if i + j < depth:
                 acc[i + j] += da * db
-    carry = 0
-    for i in range(depth):
-        v = acc[i] + carry
-        acc[i] = v % p
-        carry = v // p
+    _carry(acc, p)
     return padic_from_digits(p, a.e + b.e, acc, depth)
 
 
@@ -582,12 +585,12 @@ def padic_add_sets(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> PSet:
     out: list = []
     for c1 in pparts_of(s1):
         for c2 in pparts_of(s2):
-            if isinstance(c1, PPoint) and isinstance(c2, PPoint):
+            if isinstance(c1, PPoint) and isinstance(c2, PCone):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, PPoint):
                 out.extend(pparts_of(padic_add(c1.elem, c2.elem, tol)))
-            elif isinstance(c1, PCone) and isinstance(c2, PPoint):
+            elif isinstance(c2, PPoint):
                 out.extend(_pcone_point(c1, c2.elem))
-            elif isinstance(c1, PPoint) and isinstance(c2, PCone):
-                out.extend(_pcone_point(c2, c1.elem))
             else:
                 out.append(PCone(c1.p, min(c1.e, c2.e)))
     return pnormalize(out)
@@ -603,18 +606,15 @@ def padic_mul_sets(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> PSet:
     out: list = []
     for c1 in pparts_of(s1):
         for c2 in pparts_of(s2):
-            if isinstance(c1, PPoint) and isinstance(c2, PPoint):
+            if isinstance(c1, PPoint) and isinstance(c2, PCone):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, PPoint):
                 out.append(PPoint(padic_mul(c1.elem, c2.elem)))
-            elif isinstance(c1, PCone) and isinstance(c2, PPoint):
+            elif isinstance(c2, PPoint):
                 if c2.elem.is_zero:
                     out.append(PPoint(padic_zero(c1.p)))
                 else:
                     out.append(PCone(c1.p, c1.e + c2.elem.e))
-            elif isinstance(c1, PPoint) and isinstance(c2, PCone):
-                if c1.elem.is_zero:
-                    out.append(PPoint(padic_zero(c2.p)))
-                else:
-                    out.append(PCone(c2.p, c2.e + c1.elem.e))
             else:
                 out.append(PCone(c1.p, c1.e + c2.e + 1))
     return pnormalize(out)
@@ -690,9 +690,5 @@ def parse_padic(text: str, p: int, depth: int) -> PadicElem:
     acc = [0] * size
     for e, d in coeffs.items():
         acc[e - lo] += d
-    carry = 0
-    for i in range(size):
-        v = acc[i] + carry
-        acc[i] = v % p
-        carry = v // p
+    _carry(acc, p)
     return padic_from_digits(p, lo + shift, acc, depth)

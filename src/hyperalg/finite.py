@@ -9,6 +9,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from .qsets import QuatElem
+
 
 class InvalidStructureError(ValueError):
     pass
@@ -127,26 +129,63 @@ class FiniteMultistructure:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMultistructure":
+        """Parse a table written by to_json; the shape is checked first, so a
+        malformed table raises InvalidStructureError naming the key."""
         data = json.loads(text)
-        elements = tuple(data["elements"])
-        add_table = {}
-        for key, cell in data["add"].items():
-            i, j = (int(v) for v in key.split(","))
-            add_table[(i, j)] = frozenset(cell)
-        mul_table = None
-        if "mul" in data:
-            mul_table = {}
-            for key, k in data["mul"].items():
-                i, j = (int(v) for v in key.split(","))
-                mul_table[(i, j)] = int(k)
+        if not isinstance(data, dict):
+            raise InvalidStructureError("the table must be a JSON object")
+        for key in ("elements", "add", "zero"):
+            if key not in data:
+                raise InvalidStructureError(f"missing key {key!r}")
+        elements = data["elements"]
+        if not isinstance(elements, list) or not all(
+            isinstance(e, (str, int, float)) for e in elements
+        ):
+            raise InvalidStructureError("key 'elements' must be a list of labels")
+        for key in ("zero", "one"):
+            if key in data and not _is_index(data[key]):
+                raise InvalidStructureError(f"key {key!r} must be an integer index")
+        add_cells = _cells(data, "add", lambda c: isinstance(c, list) and all(map(_is_index, c)))
+        add_table = {ij: frozenset(cell) for ij, cell in add_cells}
+        mul_table = dict(_cells(data, "mul", _is_index)) if "mul" in data else None
         return cls(
-            elements=elements,
+            elements=tuple(elements),
             add_table=add_table,
-            zero_idx=int(data["zero"]),
+            zero_idx=data["zero"],
             mul_table=mul_table,
-            one_idx=int(data["one"]) if "one" in data else None,
+            one_idx=data.get("one"),
             name=data.get("name", ""),
         )
+
+    @classmethod
+    def load(cls, path: str) -> "FiniteMultistructure":
+        """Read a table file; errors in its content name the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls.from_json(fh.read())
+        except ValueError as exc:  # bad JSON, encoding or shape; OSError names the file
+            raise InvalidStructureError(f"{path}: {exc}") from None
+
+
+def _is_index(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _cells(data: dict, key: str, valid) -> list:
+    """The `"i,j": value` entries of a table key as ((i, j), value) pairs."""
+    table = data[key]
+    if not isinstance(table, dict):
+        raise InvalidStructureError(f"key {key!r} must be an object of \"i,j\" cells")
+    out = []
+    for name, value in table.items():
+        try:
+            i, j = (int(v) for v in name.split(","))
+        except ValueError:
+            raise InvalidStructureError(f"key {key!r} has a malformed cell name {name!r}") from None
+        if not valid(value):
+            raise InvalidStructureError(f"key {key!r} has an invalid cell {name!r}: {value!r}")
+        out.append(((i, j), value))
+    return out
 
 
 def _table(n: int, fn) -> dict:
@@ -368,40 +407,14 @@ def dihedral_group(n: int) -> Group:
 
 
 def quaternion_group() -> Group:
-    """Q8 as signed units {±1, ±i, ±j, ±k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {"1": (1, "1"), "i": (1, "i"), "j": (1, "j"), "k": (1, "k")}
-
-    def split(x):
-        return (-1, x[1:]) if x.startswith("-") else (1, x)
-
-    mul_sym = {
-        ("1", x): (1, x) for x in ("1", "i", "j", "k")
-    }
-    mul_sym.update({(x, "1"): (1, x) for x in ("i", "j", "k")})
-    mul_sym.update(
-        {
-            ("i", "i"): (-1, "1"),
-            ("j", "j"): (-1, "1"),
-            ("k", "k"): (-1, "1"),
-            ("i", "j"): (1, "k"),
-            ("j", "i"): (-1, "k"),
-            ("j", "k"): (1, "i"),
-            ("k", "j"): (-1, "i"),
-            ("k", "i"): (1, "j"),
-            ("i", "k"): (-1, "j"),
-        }
-    )
-    idx = {nm: k for k, nm in enumerate(names)}
-    table = {}
-    for a, x in enumerate(names):
-        for b, y in enumerate(names):
-            sx, bx = split(x)
-            sy, by = split(y)
-            s, bz = mul_sym[(bx, by)]
-            sign = sx * sy * s
-            table[(a, b)] = idx[bz if sign == 1 else "-" + bz]
-    return Group("Q8", tuple(names), table)
+    """Q8 as signed units {±1, ±i, ±j, ±k}, multiplied as quaternions."""
+    names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
+    units = [
+        QuatElem(*(sign * (axis == k) for k in range(4))) for axis in range(4) for sign in (1, -1)
+    ]
+    idx = {u: k for k, u in enumerate(units)}
+    table = {(a, b): idx[x.times(y)] for a, x in enumerate(units) for b, y in enumerate(units)}
+    return Group("Q8", names, table)
 
 
 def symmetric3() -> Group:

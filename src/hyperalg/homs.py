@@ -124,8 +124,14 @@ _TERM_RE = re.compile(
 )
 
 
+# a sign right after one of these belongs to the literal it is in (`X^-1`,
+# `1@-1`, `1∠-1`, `0,-1,0,0`, `1e-3`), not to the next term
+_SIGN_KEEPERS = "^@∠,eE"
+
+
 def _split_terms(text: str) -> list[str]:
-    """Split on top-level +/- signs, keeping groups and `^-` exponents intact."""
+    """Split on top-level +/- signs, keeping groups and signs inside literals
+    intact; a `-` starts the next term."""
     chunks: list[str] = []
     cur = ""
     depth = 0
@@ -135,11 +141,11 @@ def _split_terms(text: str) -> list[str]:
             depth += 1
         elif ch in ")}":
             depth -= 1
-        if depth == 0 and ch == "+" and prev != "^":
+        if depth == 0 and ch == "+" and prev not in _SIGN_KEEPERS:
             if cur.strip():
                 chunks.append(cur)
             cur = ""
-        elif depth == 0 and ch == "-" and prev != "^" and cur.strip():
+        elif depth == 0 and ch == "-" and prev not in _SIGN_KEEPERS and cur.strip():
             chunks.append(cur)
             cur = "-"
         else:
@@ -324,29 +330,32 @@ MAX_POLY_EXPONENT = 1000
 
 def parse_hf_poly(structure: Structure, text: str) -> HFPolynomial:
     """Univariate polynomial whose coefficients use the structure's element
-    grammar: `2X^3 + 1`, coefficient literals per structure, exponents at
-    most MAX_POLY_EXPONENT."""
-    t = text.replace("-", "+-")
-    if t.startswith("+-"):
-        t = "-" + t[2:]
+    grammar: `2X^3 - 1`, `(1+1i)X + 1@-1`.
+
+    Terms split on the signs that _split_terms splits on; a `-` stays on the
+    coefficient literal it precedes, a coefficient wrapped in parentheses is
+    unwrapped, and `X` may only be followed by `^<digits>`, an exponent of at
+    most MAX_POLY_EXPONENT.
+    """
     terms: list = []
-    for chunk in t.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "X" in chunk:
-            cs, _, es = chunk.partition("X")
-            cs = cs.strip().rstrip("*").strip()
-            exp = 1
-            if es.startswith("^"):
-                exp = int(es[1:])
-            if exp > MAX_POLY_EXPONENT:
-                raise ValueError(f"exponent {exp} in {chunk!r} exceeds {MAX_POLY_EXPONENT}")
-            coeff = structure.parse_elem(cs) if cs not in ("", "-") else (
-                structure.neg(structure.one) if cs == "-" else structure.one
-            )
+    for chunk in _split_terms(text):
+        term = chunk.strip()
+        cs, var, es = term.partition("X")
+        if es and not re.fullmatch(r"\^[0-9]+", es):
+            raise ValueError(f"cannot parse polynomial term {term!r}: X takes only ^<digits>")
+        exp = int(es[1:]) if es else (1 if var else 0)
+        if exp > MAX_POLY_EXPONENT:
+            raise ValueError(f"exponent {exp} in {term!r} exceeds {MAX_POLY_EXPONENT}")
+        cs = cs.strip()
+        if var:
+            cs = cs.rstrip("*").strip()
+        if cs.startswith("-"):
+            cs = "-" + cs[1:].strip()
+        if cs.startswith("(") and cs.endswith(")"):
+            cs = cs[1:-1]
+        if var and cs in ("", "-"):
+            coeff = structure.neg(structure.one) if cs == "-" else structure.one
         else:
-            coeff = structure.parse_elem(chunk)
-            exp = 0
+            coeff = structure.parse_elem(cs)
         terms.append(((exp,), coeff))
     return hf_polynomial(structure, terms)

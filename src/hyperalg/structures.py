@@ -732,8 +732,7 @@ def get_structure(name: str) -> Structure:
     if name.startswith("zmod:"):
         return FiniteStructure(finite.make_zmod(int(arg)))
     if name.startswith("finite:"):
-        with open(arg, encoding="utf-8") as fh:
-            return FiniteStructure(finite.FiniteMultistructure.from_json(fh.read()))
+        return FiniteStructure(finite.FiniteMultistructure.load(arg))
     raise ValueError(f"unknown structure {name!r}")
 
 

@@ -1,7 +1,12 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperalg.cli import main
 from hyperalg.csets import member, parse_celem, parse_cset
@@ -55,6 +60,9 @@ class TestAdd:
             ("TC", "1e400+1i", "1"),
             ("Phi", "1@nan", "1∠0"),
             ("mono-rational", "1t^1/0", "1t^0"),
+            ("mono", "1t^" + "9" * 400, "1t^0"),
+            ("mono-int", "1t^" + "9" * 400, "1t^0"),
+            ("mono-rational", "1t^" + "9" * 400 + "/1", "1t^0"),
         ],
     )
     def test_parse_failure_exit_2(self, capsys, structure, a, b):
@@ -248,6 +256,27 @@ class TestPoly:
         code, out, err = run(capsys, "poly", "trop", "X^99999999999 + 1", "--at", "1")
         assert (code, out) == (2, "") and "X^99999999999" in err
 
+    @pytest.mark.parametrize(
+        "structure,poly,at,first",
+        [
+            ("TR", "X^2 - 1", "1", "interval [-1,1]"),
+            ("TR", "1e-3X + 1", "1", "point 1"),
+            ("TC", "1@-1X + 1", "1", "arc r=1 from=5.2831853072 sweep=1"),
+            ("TC", "(1+1i)X + 1", "1", "point 1.4142135624∠0.7853981634"),
+            ("quat", "0,-1,0,0X + 1,0,0,0", "1,0,0,0", "garc 0,-1,0,0 to 1,0,0,0"),
+            ("padic:5:8", "(2 + 3*5)X + 1", "1", "point 3 + 3*5"),
+        ],
+    )
+    def test_signs_and_groups_stay_in_their_literal(self, capsys, structure, poly, at, first):
+        code, out, err = run(capsys, "poly", structure, poly, "--at", at)
+        assert (code, err) == (0, "") and out.splitlines()[0] == first
+
+    @pytest.mark.parametrize("term", ["X X", "X^-1", "X^2X^3", "X ^2", "X^{2}"])
+    def test_malformed_x_term_exit_2_names_term(self, capsys, term):
+        code, out, err = run(capsys, "poly", "TR", f"{term} + 1", "--at", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and repr(term) in err
+
 
 class TestDeq:
     def test_lm_csv(self, capsys):
@@ -269,6 +298,36 @@ class TestDeq:
         assert code == 0
         assert "[0," in out
 
+    @pytest.mark.parametrize("h", ["nan", "inf", "-1", ",,", "1,nan", ""])
+    @pytest.mark.parametrize(
+        "family,a,b", [("lm", "1", "2"), ("tri", "1", "2"), ("complex", "1@0", "1@1")]
+    )
+    def test_bad_h_exit_2_names_option(self, capsys, family, a, b, h):
+        code, out, err = run(capsys, "deq", family, a, b, f"--h={h}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --h ") and repr(h) in err
+
+    @pytest.mark.parametrize(
+        "family,a,b",
+        [("lm", "1", "nan"), ("lm", "inf", "2"), ("lm", "1", "1e400"), ("tri", "1", "1e400")],
+    )
+    def test_operands_use_the_family_carrier(self, capsys, family, a, b):
+        code, out, err = run(capsys, "deq", family, "--", a, b)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_lm_both_tropical_zero(self, capsys):
+        code, out, _ = run(capsys, "deq", "lm", "--h", "1,0", "--", "-inf", "-inf")
+        assert code == 0
+        rows = ["1.0,-inf,-inf,-inf,-inf,0.0", "0.0,-inf,-inf,-inf,-inf,0.0"]
+        assert out.splitlines()[1:] == rows
+
+    def test_h_schedule_parser(self):
+        from hyperalg.deq import parse_h_schedule
+
+        assert parse_h_schedule("1,0.5,0,-0") == [1.0, 0.5, 0.0, -0.0]
+        with pytest.raises(ValueError, match="--h"):
+            parse_h_schedule("1,inf")
+
 
 class TestSpectrum:
     def test_z6(self, capsys, tmp_path):
@@ -284,3 +343,149 @@ class TestSpectrum:
     def test_structure_name(self, capsys):
         code, out, _ = run(capsys, "spectrum", "S")
         assert code == 0 and "prime-ideal={0}" in out
+
+
+# malformed table shapes: each must exit 2 with an error naming the file
+BAD_TABLES = {
+    "no-zero": lambda t: t.pop("zero"),
+    "add-list": lambda t: t.update(add=[]),
+    "add-cell-int": lambda t: t["add"].update({"1,1": 5}),
+    "add-cell-name": lambda t: t["add"].update({"1;1": [0]}),
+    "zero-null": lambda t: t.update(zero=None),
+    "elements-int": lambda t: t.update(elements=5),
+    "top-level-list": None,
+}
+
+
+def _write_table(directory, shape: str) -> str:
+    from hyperalg.finite import make_sign
+
+    table = json.loads(make_sign().to_json())
+    if shape == "top-level-list":
+        table = [table]
+    elif shape in BAD_TABLES:
+        BAD_TABLES[shape](table)
+    path = directory / f"{shape}.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    return str(path)
+
+
+class TestTables:
+    @pytest.mark.parametrize("shape", sorted(BAD_TABLES))
+    @pytest.mark.parametrize(
+        "command",
+        [
+            lambda path: ["add", f"finite:{path}", "1", "1"],
+            lambda path: ["verify", f"finite:{path}", "--level", "hyperfield"],
+            lambda path: ["spectrum", path],
+            lambda path: ["quotient", path, "--by", "1"],
+        ],
+        ids=["add", "verify", "spectrum", "quotient"],
+    )
+    def test_malformed_table_exit_2_names_file(self, capsys, tmp_path, shape, command):
+        path = _write_table(tmp_path, shape)
+        code, out, err = run(capsys, *command(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "shape,key",
+        [("add-list", "'add'"), ("zero-null", "'zero'"), ("elements-int", "'elements'"),
+         ("add-cell-int", "'1,1'")],
+    )
+    def test_error_names_the_key(self, capsys, tmp_path, shape, key):
+        code, _, err = run(capsys, "add", f"finite:{_write_table(tmp_path, shape)}", "1", "1")
+        assert code == 2 and key in err
+
+    def test_load_round_trips(self, tmp_path):
+        from hyperalg.finite import FiniteMultistructure, make_sign
+
+        path = _write_table(tmp_path, "sign")
+        assert FiniteMultistructure.load(path).to_json() == make_sign().to_json()
+
+
+# ---------------------------------------------------------------------------
+# argv fuzz: every subcommand on edge-case literals ends in exit 0, 1 or 2,
+# never in a traceback, and a successful run prints no nan
+
+LITERALS = [
+    "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-0", "", " ", "0", "1", "2", "-1",
+    "0.5", "1e-3", "1e99999", "1@-1", "1∠-0.5", "1∠0", "2∠1", "1∠inf", "1@nan", "inf∠0",
+    "1+1i", "(1+1i)", "i", "-i", "1,0,0,0", "0,-1,0,0", "-0,0,0,1", "nan,0,0,0", "1e400,0,0,0",
+    "1t^1", "-1t^1", "1t^-2", "1t^1/0", "nant^1", "1t^" + "9" * 400, "-1t^-" + "9" * 400,
+    "5", "2 + 3*5", "5^-1 * (1 + 2*5)", "3^2", "5^99999", "zzz", "{0}",
+]
+STRUCTURES = [
+    "K", "S", "M", "F2", "TC", "TR", "Phi", "tri", "ultra", "trop", "amoeba", "quat", "mono",
+    "mono-int", "mono-rational", "maxplus", "C", "R", "padic:5:8", "padic:2:3", "padic:5:0",
+    "zmod:6", "zmod:0", "powers:2:3", "nosuch",
+] + [f"finite:<{shape}>" for shape in ["sign", "not-json", *BAD_TABLES]]
+# <shape> stands for the path of a table file of that shape
+TABLE_ARGS = [f"<{shape}>" for shape in ["sign", "not-json", "missing", *BAD_TABLES]]
+COEFFS = [
+    "", "-", "2", "-1", "1e-3", "(1+1i)", "1@-1", "nan", "1e400", "1,0,0,0", "1t^1", "(2 + 3*5)",
+]
+POWERS = ["", "X", "X^2", "X^-1", "X X", "X^99999999999", "X^3X", "X^1000"]
+H_VALUES = ["1", "0.1", "0", "-0", "nan", "inf", "-1", "", "1e400", "1e-400"]
+
+lit = st.sampled_from(LITERALS)
+poly = st.lists(
+    st.tuples(
+        st.sampled_from([" + ", " - ", "-"]), st.sampled_from(COEFFS), st.sampled_from(POWERS)
+    ),
+    min_size=1,
+    max_size=3,
+).map(lambda terms: "".join(sep + c + x for sep, c, x in terms).removeprefix(terms[0][0]))
+
+
+@st.composite
+def argvs(draw):
+    cmd = draw(st.sampled_from(["add", "sum", "poly", "deq", "char", "verify", "quotient", "spectrum"]))
+    s = draw(st.sampled_from(STRUCTURES))
+    sep = draw(st.sampled_from([[], ["--"]]))
+    if cmd == "add":
+        return ["add", s, *sep, draw(lit), draw(lit)]
+    if cmd == "sum":
+        return ["sum", s, *sep, *draw(st.lists(lit, min_size=1, max_size=4))]
+    if cmd == "poly":
+        return ["poly", s, f"--at={draw(lit)}", *sep, draw(poly)]
+    if cmd == "deq":
+        family = draw(st.sampled_from(["lm", "tri", "complex"]))
+        h = ",".join(draw(st.lists(st.sampled_from(H_VALUES), min_size=1, max_size=3)))
+        return ["deq", family, f"--h={h}", *sep, draw(lit), draw(lit)]
+    if cmd == "char":
+        return ["char", s, "--cap", draw(st.sampled_from(["2", "8", "64", "1", "-1"]))]
+    if cmd == "verify":
+        level = draw(st.sampled_from(["multigroup", "multiring", "hyperring", "hyperfield", "dd"]))
+        budget, seed = draw(st.integers(1, 20)), draw(st.integers(0, 3))
+        return ["verify", s, "--level", level, "--budget", str(budget), "--seed", str(seed)]
+    if cmd == "quotient":
+        by = draw(st.sampled_from(["1", "1,-1", "0,1", "x", ""]))
+        return ["quotient", draw(st.sampled_from(TABLE_ARGS)), "--by", by]
+    return ["spectrum", draw(st.sampled_from(TABLE_ARGS + ["K", "S", "TC", "zmod:6", "nosuch"]))]
+
+
+@pytest.fixture(scope="module")
+def table_paths(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tables")
+    paths = {shape: _write_table(directory, shape) for shape in ["sign", *BAD_TABLES]}
+    (directory / "not-json.json").write_text("{", encoding="utf-8")
+    paths["not-json"] = str(directory / "not-json.json")
+    paths["missing"] = str(directory / "missing.json")
+    return paths
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=argvs())
+def test_argv_fuzz_exits_cleanly(table_paths, argv):
+    argv = [re.sub(r"<([a-z-]+)>", lambda m: table_paths[m[1]], a) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") or "usage: " in err
+    if code == 0:
+        assert not re.search(r"\bnan\b", out, re.IGNORECASE)

@@ -157,6 +157,20 @@ class TestGroups:
         assert len(all_subgroups(quaternion_group())) == 6
         assert len(all_subgroups(dihedral_group(4))) == 10
 
+    def test_q8_relations(self):
+        g = quaternion_group()
+        idx = {label: k for k, label in enumerate(g.elements)}
+
+        def times(x, y):
+            return g.elements[g.mul(idx[x], idx[y])]
+
+        assert (times("i", "j"), times("j", "i"), times("i", "i"), times("k", "i")) == (
+            "k",
+            "-k",
+            "-1",
+            "j",
+        )
+
     def test_double_coset_trivial(self):
         g = cyclic_group(1)
         dc = make_double_coset(g, frozenset({0}))

@@ -13,8 +13,16 @@ from hypothesis import strategies as st
 
 from hyperalg import csets, exotic, qsets, rsets
 from hyperalg.axioms import stratified_tuples
-from hyperalg.csets import CPoint, ComplexElem, set_eq
-from hyperalg.ctrop import ct_add, ct_add_sets, cset_scale, rt_add, rt_add_sets
+from hyperalg.csets import CDisk, CPoint, ComplexElem, parts_of, set_eq
+from hyperalg.ctrop import (
+    ct_add,
+    ct_add_sets,
+    cset_scale,
+    quat_add,
+    quat_add_sets,
+    rt_add,
+    rt_add_sets,
+)
 from hyperalg.realhf import (
     amoeba_add,
     amoeba_add_sets,
@@ -144,6 +152,51 @@ def test_real_tropical_associative(a, b, c, share):
     lhs = rt_add_sets(rt_add(a, b), rpoint(c))
     rhs = rt_add_sets(rpoint(a), rt_add(b, c))
     assert rset_eq(lhs, rhs, WIDE)
+
+
+def _on_h(z: ComplexElem) -> qsets.QuatElem:
+    """z = x + yi as the quaternion x + yi + 0j + 0k."""
+    return qsets.QuatElem(z.re, z.im, 0.0, 0.0)
+
+
+def _cset_on_h(s) -> qsets.QSet:
+    """The image of a complex value set in span(1, i), a complex line of H."""
+    out = []
+    for c in parts_of(s):
+        if isinstance(c, CPoint):
+            out.append(qsets.QPoint(_on_h(c.elem)))
+        elif isinstance(c, CDisk):
+            out.append(qsets.QBall(c.radius))
+        else:
+            ends = (ComplexElem(c.radius, c.start), ComplexElem(c.radius, c.start + c.sweep))
+            out.append(qsets.QArc(*map(_on_h, ends)))
+    return qsets.qnormalize(out)
+
+
+@given(
+    moduli,
+    angles,
+    st.integers(50, 3090).map(lambda k: k * 1e-3),
+    st.sampled_from(["tie", "antipodal", "start", "end", "inside", "larger", "smaller"]),
+    angles,
+)
+@settings(max_examples=300, deadline=None)
+def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, case, theta):
+    """Arc + point in span(1, i): the quaternion sum is the image of the
+    complex sum, in the tie, antipodal, endpoint and dominant cases."""
+    a, b = ComplexElem(r, alpha), ComplexElem(r, alpha + sweep)
+    p = {
+        "tie": ComplexElem(r, theta),
+        "antipodal": ComplexElem(r, alpha + 0.5 * sweep + math.pi),
+        "start": a,
+        "end": b,
+        "inside": ComplexElem(r, alpha + 0.3 * sweep),
+        "larger": ComplexElem(r + 1.0, theta),
+        "smaller": ComplexElem(0.5 * r, theta),
+    }[case]
+    complex_sum = ct_add_sets(ct_add(a, b), CPoint(p))
+    quat_sum = quat_add_sets(quat_add(_on_h(a), _on_h(b)), qsets.QPoint(_on_h(p)))
+    assert qsets.qset_eq(quat_sum, _cset_on_h(complex_sum)), (complex_sum, quat_sum)
 
 
 # each value-set family's normalizer, keyed by the set types it produces
