@@ -27,6 +27,9 @@ from .structures import get_structure
 USAGE_ERROR = 2
 MATH_FAIL = 1
 
+# `char` folds 1 + 1 + ... up to --cap summands on carriers that never stabilize
+MAX_CAP = 10_000
+
 
 def _budget(text: str) -> int:
     """A --budget value: an integer >= 1, since a budget of 0 checks nothing."""
@@ -36,6 +39,17 @@ def _budget(text: str) -> int:
         n = 0
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return n
+
+
+def _cap(text: str) -> int:
+    """A --cap value: an integer from 2 to MAX_CAP."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if not 2 <= n <= MAX_CAP:
+        raise argparse.ArgumentTypeError(f"must be an integer from 2 to {MAX_CAP}, got {text!r}")
     return n
 
 
@@ -261,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("char", help="characteristic and C-characteristic")
     p.add_argument("structure")
-    p.add_argument("--cap", type=int, default=64)
+    p.add_argument("--cap", type=_cap, default=64)
     p.set_defaults(fn=cmd_char)
 
     p = sub.add_parser("hom", help="verify a named homomorphism")

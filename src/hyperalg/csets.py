@@ -6,9 +6,9 @@ three primitives: a single point, an arc of a circle centred at the origin
 at the origin.  Sets are normalized to a canonical component list so equality
 and containment can be decided componentwise.
 
-Canonical form is a contract: every operation returns a fixed point of
-normalize_parts, and the predicates and set-extended sums take canonical inputs
-built under the same tolerance they compare with, and do not normalize them.
+Canonical form is a contract: every operation builds its set under the library
+tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
+predicates and set-extended sums take as is; a predicate may compare wider.
 """
 from __future__ import annotations
 
@@ -162,11 +162,11 @@ class CUnion:
 CSet = CPoint | CArc | CDisk | CUnion
 
 
-def arc(radius: float, start: float, sweep: float, tol: Tolerance = DEFAULT_TOL) -> CArc | CPoint:
+def arc(radius: float, start: float, sweep: float) -> CArc | CPoint:
     """Tolerant arc constructor: promotes near-full sweeps, degrades tiny ones."""
-    if sweep <= tol.eps:
+    if sweep <= DEFAULT_TOL.eps:
         return CPoint(ComplexElem(radius, start))
-    if sweep >= TWO_PI - tol.eps:
+    if sweep >= TWO_PI - DEFAULT_TOL.eps:
         return CArc(radius, 0.0, TWO_PI, full=True)
     return CArc(radius, start, sweep)
 
@@ -191,8 +191,9 @@ def _sort_key(c) -> tuple:
     return (2, c.elem.modulus, c.elem.argument, 0.0)
 
 
-def _merge_radius_arcs(radius: float, arcs: list, eps: float) -> list:
+def _merge_radius_arcs(radius: float, arcs: list) -> list:
     """Merge arcs of one radius circularly; may return a single full circle."""
+    eps = DEFAULT_TOL.eps
     if any(a.full for a in arcs):
         return [full_circle(radius)]
     segs = sorted((a.start, a.start + a.sweep, a.sweep) for a in arcs)
@@ -217,8 +218,8 @@ def _merge_radius_arcs(radius: float, arcs: list, eps: float) -> list:
     return out
 
 
-def normalize_parts(parts: list, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    eps = tol.eps
+def normalize_parts(parts: list) -> CSet:
+    eps = DEFAULT_TOL.eps
     flat: list = []
     for p in parts:
         flat.extend(parts_of(p))
@@ -257,7 +258,7 @@ def normalize_parts(parts: list, tol: Tolerance = DEFAULT_TOL) -> CSet:
             arc_groups.append([a])
     merged_arcs: list[CArc] = []
     for group in arc_groups:
-        merged_arcs.extend(_merge_radius_arcs(group[0].radius, group, eps))
+        merged_arcs.extend(_merge_radius_arcs(group[0].radius, group))
 
     # points absorbed by arcs of the same radius, then deduplicated
     kept: list[ComplexElem] = []
@@ -268,9 +269,9 @@ def normalize_parts(parts: list, tol: Tolerance = DEFAULT_TOL) -> CSet:
         )
         if absorbed:
             continue
-        if kept and p.eq(kept[-1], tol):
+        if kept and p.eq(kept[-1]):
             continue
-        if any(p.eq(q, tol) for q in kept):
+        if any(p.eq(q) for q in kept):
             continue
         kept.append(p)
 
@@ -284,8 +285,8 @@ def normalize_parts(parts: list, tol: Tolerance = DEFAULT_TOL) -> CSet:
     return CUnion(tuple(out))
 
 
-def normalize(s: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    return normalize_parts([s], tol)
+def normalize(s: CSet) -> CSet:
+    return normalize_parts([s])
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +309,8 @@ def member(x: ComplexElem, s: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def union(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    return normalize_parts(parts_of(s1) + parts_of(s2), tol)
+def union(s1: CSet, s2: CSet) -> CSet:
+    return normalize_parts(parts_of(s1) + parts_of(s2))
 
 
 def _comp_eq(c1, c2, tol: Tolerance) -> bool:

@@ -59,13 +59,13 @@ def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet
     z = a.as_complex() + b.as_complex()
     if abs(z) < tol.eps * r:  # antipodal cutoff: discontinuous branch
         return CDisk(r)
-    return _minor_arc_parts(r, a.argument, b.argument, tol)[0]
+    return _minor_arc_parts(r, a.argument, b.argument)[0]
 
 
-def _minor_arc_parts(radius: float, alpha: float, beta: float, tol: Tolerance) -> list:
+def _minor_arc_parts(radius: float, alpha: float, beta: float) -> list:
     """Components of the minor arc between two angles on one circle."""
     delta = wrap_angle(beta - alpha)
-    if delta <= tol.eps or delta >= TWO_PI - tol.eps:
+    if delta <= DEFAULT_TOL.eps or delta >= TWO_PI - DEFAULT_TOL.eps:
         return [CPoint(ComplexElem(radius, alpha))]
     if delta <= math.pi:
         return [CArc(radius, alpha, delta)]
@@ -76,12 +76,12 @@ def _arc_angles(a: CArc) -> tuple[float, float]:
     return a.start, a.start + a.sweep
 
 
-def _point_point(p: ComplexElem, q: ComplexElem, tol: Tolerance) -> list:
-    return parts_of(ct_add(p, q, tol))
+def _point_point(p: ComplexElem, q: ComplexElem) -> list:
+    return parts_of(ct_add(p, q))
 
 
-def _point_arc(p: ComplexElem, a: CArc, tol: Tolerance) -> list:
-    eps = tol.eps
+def _point_arc(p: ComplexElem, a: CArc) -> list:
+    eps = DEFAULT_TOL.eps
     if p.modulus > a.radius + eps:
         return [CPoint(p)]
     if p.modulus < a.radius - eps:
@@ -93,18 +93,18 @@ def _point_arc(p: ComplexElem, a: CArc, tol: Tolerance) -> list:
         return [CDisk(r)]
     out: list = [a]
     s, e = _arc_angles(a)
-    out.extend(_minor_arc_parts(r, s, p.argument, tol))
-    out.extend(_minor_arc_parts(r, e, p.argument, tol))
+    out.extend(_minor_arc_parts(r, s, p.argument))
+    out.extend(_minor_arc_parts(r, e, p.argument))
     return out
 
 
-def _point_disk(p: ComplexElem, d: CDisk, tol: Tolerance) -> list:
-    if p.modulus > d.radius + tol.eps:
+def _point_disk(p: ComplexElem, d: CDisk) -> list:
+    if p.modulus > d.radius + DEFAULT_TOL.eps:
         return [CPoint(p)]
     return [d]
 
 
-def _arcs_have_antipodes(a1: CArc, a2: CArc, eps: float) -> bool:
+def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
     """Does a2 contain -x for some x in a1 (same radius assumed)?"""
     if a1.full or a2.full:
         return True
@@ -112,34 +112,34 @@ def _arcs_have_antipodes(a1: CArc, a2: CArc, eps: float) -> bool:
     e2 = s2 + a2.sweep
     # circular interval intersection of [a1.start, +sweep] and [s2, +sweep]
     off = wrap_angle(s2 - a1.start)
-    if off <= a1.sweep + eps:
+    if off <= a1.sweep + DEFAULT_TOL.eps:
         return True
     off2 = wrap_angle(a1.start - s2)
-    return off2 <= a2.sweep + eps
+    return off2 <= a2.sweep + DEFAULT_TOL.eps
 
 
-def _arc_arc(a1: CArc, a2: CArc, tol: Tolerance) -> list:
-    eps = tol.eps
+def _arc_arc(a1: CArc, a2: CArc) -> list:
+    eps = DEFAULT_TOL.eps
     if a1.radius > a2.radius + eps:
         return [a1]
     if a2.radius > a1.radius + eps:
         return [a2]
     r = max(a1.radius, a2.radius)
-    if _arcs_have_antipodes(a1, a2, eps):
+    if _arcs_have_antipodes(a1, a2):
         return [CDisk(r)]
     # no antipodal pair: the union of minor arcs is spanned by the corner
     # connections between endpoints plus the arcs themselves
     out: list = [CArc(r, a1.start, a1.sweep), CArc(r, a2.start, a2.sweep)]
     for ang1 in _arc_angles(a1):
         for ang2 in _arc_angles(a2):
-            out.extend(_minor_arc_parts(r, ang1, ang2, tol))
+            out.extend(_minor_arc_parts(r, ang1, ang2))
     return out
 
 
-def _disk_any(d: CDisk, other, tol: Tolerance) -> list:
-    eps = tol.eps
+def _disk_any(d: CDisk, other) -> list:
+    eps = DEFAULT_TOL.eps
     if isinstance(other, CPoint):
-        return _point_disk(other.elem, d, tol)
+        return _point_disk(other.elem, d)
     if isinstance(other, CDisk):
         return [CDisk(max(d.radius, other.radius))]
     if isinstance(other, CArc):
@@ -149,37 +149,37 @@ def _disk_any(d: CDisk, other, tol: Tolerance) -> list:
     raise RepresentationClosureError(f"disk + {type(other).__name__}")
 
 
-def _ct_add_comps(c1, c2, tol: Tolerance) -> list:
+def _ct_add_comps(c1, c2) -> list:
     if isinstance(c1, CDisk):
-        return _disk_any(c1, c2, tol)
+        return _disk_any(c1, c2)
     if isinstance(c2, CDisk):
-        return _disk_any(c2, c1, tol)
+        return _disk_any(c2, c1)
     if isinstance(c1, CPoint) and isinstance(c2, CPoint):
-        return _point_point(c1.elem, c2.elem, tol)
+        return _point_point(c1.elem, c2.elem)
     if isinstance(c1, CPoint) and isinstance(c2, CArc):
-        return _point_arc(c1.elem, c2, tol)
+        return _point_arc(c1.elem, c2)
     if isinstance(c1, CArc) and isinstance(c2, CPoint):
-        return _point_arc(c2.elem, c1, tol)
+        return _point_arc(c2.elem, c1)
     if isinstance(c1, CArc) and isinstance(c2, CArc):
-        return _arc_arc(c1, c2, tol)
+        return _arc_arc(c1, c2)
     raise RepresentationClosureError(
         f"unsupported component pair {type(c1).__name__} + {type(c2).__name__}"
     )
 
 
-def ct_add_sets(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
+def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
     out: list = []
     for c1 in parts_of(s1):
         for c2 in parts_of(s2):
-            out.extend(_ct_add_comps(c1, c2, tol))
-    return normalize_parts(out, tol)
+            out.extend(_ct_add_comps(c1, c2))
+    return normalize_parts(out)
 
 
 # ---------------------------------------------------------------------------
 # pointwise multiplication of value sets (rotation/scaling closed forms)
 
 
-def cset_scale(s: CSet, f: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
+def cset_scale(s: CSet, f: ComplexElem) -> CSet:
     if f.modulus == 0.0:
         return CPoint(CZERO)
     out: list = []
@@ -192,14 +192,14 @@ def cset_scale(s: CSet, f: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
             out.append(full_circle(c.radius * f.modulus))
         else:
             out.append(CArc(c.radius * f.modulus, c.start + f.argument, c.sweep))
-    return normalize_parts(out, tol)
+    return normalize_parts(out)
 
 
-def _cmul_comps(c1, c2, tol: Tolerance) -> list:
+def _cmul_comps(c1, c2) -> list:
     if isinstance(c1, CPoint):
-        return parts_of(cset_scale(c2, c1.elem, tol))
+        return parts_of(cset_scale(c2, c1.elem))
     if isinstance(c2, CPoint):
-        return parts_of(cset_scale(c1, c2.elem, tol))
+        return parts_of(cset_scale(c1, c2.elem))
     if isinstance(c1, CDisk) or isinstance(c2, CDisk):
         r1 = c1.radius
         r2 = c2.radius
@@ -208,63 +208,65 @@ def _cmul_comps(c1, c2, tol: Tolerance) -> list:
     r = c1.radius * c2.radius
     if c1.full or c2.full:
         return [full_circle(r)]
-    return [arc(r, c1.start + c2.start, c1.sweep + c2.sweep, tol)]
+    return [arc(r, c1.start + c2.start, c1.sweep + c2.sweep)]
 
 
-def ct_mul_sets(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
+def ct_mul_sets(s1: CSet, s2: CSet) -> CSet:
     out: list = []
     for c1 in parts_of(s1):
         for c2 in parts_of(s2):
-            out.extend(_cmul_comps(c1, c2, tol))
-    return normalize_parts(out, tol)
+            out.extend(_cmul_comps(c1, c2))
+    return normalize_parts(out)
 
 
 # ---------------------------------------------------------------------------
 # n-ary sums and the convex-hull criterion
 
 
-def zero_in_convex_hull(points: list[ComplexElem], tol: Tolerance = DEFAULT_TOL) -> bool:
+def zero_in_convex_hull(points: list[ComplexElem]) -> bool:
     """Is the origin inside the closed convex hull of the given points?
 
     Decided on the circular gaps between point directions; points within
     tolerance of the origin count as the origin itself.
     """
+    eps = DEFAULT_TOL.eps
     scale = max((p.modulus for p in points), default=0.0)
-    if scale <= tol.eps:
+    if scale <= eps:
         return True
     angles = sorted(
-        wrap_angle(p.argument) for p in points if p.modulus > tol.eps * scale
+        wrap_angle(p.argument) for p in points if p.modulus > eps * scale
     )
-    if any(p.modulus <= tol.eps * scale for p in points):
+    if any(p.modulus <= eps * scale for p in points):
         return True
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TWO_PI - angles[-1])
-    return max(gaps) <= math.pi + tol.eps
+    return max(gaps) <= math.pi + eps
 
 
-def zero_in_sum(values: list[ComplexElem], tol: Tolerance = DEFAULT_TOL) -> bool:
+def zero_in_sum(values: list[ComplexElem]) -> bool:
     """0 lies in the tropical sum iff it lies in the convex hull of the
     summands of greatest modulus."""
     if not values:
         raise ValueError("empty sum")
     rmax = max(v.modulus for v in values)
-    if rmax <= tol.eps:
+    if rmax <= DEFAULT_TOL.eps:
         return True
-    tops = [v for v in values if v.modulus >= rmax - tol.eps]
-    return zero_in_convex_hull(tops, tol)
+    tops = [v for v in values if v.modulus >= rmax - DEFAULT_TOL.eps]
+    return zero_in_convex_hull(tops)
 
 
-def ct_sum_n(values: list[ComplexElem], tol: Tolerance = DEFAULT_TOL) -> CSet:
+def ct_sum_n(values: list[ComplexElem]) -> CSet:
     """Closed form of the iterated tropical sum: only maximal-modulus summands
     contribute; the result is a disk exactly when their hull captures 0,
     otherwise the minor arc spanned by the extreme summands (or a point)."""
     if not values:
         raise ValueError("empty sum")
+    eps = DEFAULT_TOL.eps
     rmax = max(v.modulus for v in values)
-    if rmax <= tol.eps:
+    if rmax <= eps:
         return CPoint(CZERO)
-    tops = [v for v in values if v.modulus >= rmax - tol.eps]
-    if zero_in_convex_hull(tops, tol):
+    tops = [v for v in values if v.modulus >= rmax - eps]
+    if zero_in_convex_hull(tops):
         return CDisk(rmax)
     # all tops sit in an open half-plane; take the angular hull
     sx = sum(math.cos(v.argument) for v in tops)
@@ -277,7 +279,7 @@ def ct_sum_n(values: list[ComplexElem], tol: Tolerance = DEFAULT_TOL) -> CSet:
             d -= TWO_PI
         offs.append(d)
     lo, hi = min(offs), max(offs)
-    if hi - lo <= tol.eps:
+    if hi - lo <= eps:
         return CPoint(ComplexElem(rmax, ref + lo))
     return CArc(rmax, wrap_angle(ref + lo), hi - lo)
 
@@ -294,24 +296,24 @@ def rt_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
         return rpoint(a if ma > mb else b)
     m = max(ma, mb)
     if abs(a + b) <= tol.eps * m:
-        return rinterval(-m, m, tol)
+        return rinterval(-m, m)
     return rpoint(a if ma >= mb else b)
 
 
-def rt_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def rt_add_sets(s1: RSet, s2: RSet) -> RSet:
     """Set extension over the real tropical carrier.
 
     Components are points and symmetric intervals [-m, m]; nothing else can
     arise from rt_add.
     """
-    eps = tol.eps
+    eps = DEFAULT_TOL.eps
     out: list[tuple[float, float]] = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             p1 = lo1 == hi1
             p2 = lo2 == hi2
             if p1 and p2:
-                out.extend(rt_add(lo1, lo2, tol).intervals)
+                out.extend(rt_add(lo1, lo2).intervals)
                 continue
             if p1 or p2:
                 point, (lo, hi) = (lo1, (lo2, hi2)) if p1 else (lo2, (lo1, hi1))
@@ -327,51 +329,51 @@ def rt_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
             # two symmetric intervals: the larger absorbs the smaller
             m = max(hi1, hi2)
             out.append((-m, m))
-    return rset(out, tol)
+    return rset(out)
 
 
-def rt_mul_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def rt_mul_sets(s1: RSet, s2: RSet) -> RSet:
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
             out.append((min(prods), max(prods)))
-    return rset(out, tol)
+    return rset(out)
 
 
 # ---------------------------------------------------------------------------
 # phase hyperfield (unit circle plus 0)
 
 
-def check_phase_elem(a: ComplexElem, tol: Tolerance) -> None:
-    if a.modulus > tol.eps and abs(a.modulus - 1.0) > tol.eps:
+def check_phase_elem(a: ComplexElem) -> None:
+    if a.modulus > DEFAULT_TOL.eps and abs(a.modulus - 1.0) > DEFAULT_TOL.eps:
         raise ValueError(f"phase carrier holds units and zero, got modulus {a.modulus}")
 
 
-def _phase_clip(s: CSet, tol: Tolerance) -> CSet:
+def _phase_clip(s: CSet) -> CSet:
     """Intersect a complex value set with the unit circle ∪ {0}."""
     out: list = []
     for c in parts_of(s):
         if isinstance(c, CDisk):
-            if abs(c.radius - 1.0) <= tol.eps:
+            if abs(c.radius - 1.0) <= DEFAULT_TOL.eps:
                 out.extend([full_circle(1.0), CPoint(CZERO)])
-            elif c.radius <= tol.eps:
+            elif c.radius <= DEFAULT_TOL.eps:
                 out.append(CPoint(CZERO))
             else:  # cannot happen for sums of units: radii are 0 or 1
                 raise RepresentationClosureError("phase sum left the carrier")
         else:
             out.append(c)
-    return normalize_parts(out, tol)
+    return normalize_parts(out)
 
 
 def phase_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    check_phase_elem(a, tol)
-    check_phase_elem(b, tol)
-    return _phase_clip(ct_add(a, b, tol), tol)
+    check_phase_elem(a)
+    check_phase_elem(b)
+    return _phase_clip(ct_add(a, b, tol))
 
 
-def phase_add_sets(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> CSet:
-    return _phase_clip(ct_add_sets(s1, s2, tol), tol)
+def phase_add_sets(s1: CSet, s2: CSet) -> CSet:
+    return _phase_clip(ct_add_sets(s1, s2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +395,8 @@ def quat_add(a: QuatElem, b: QuatElem, tol: Tolerance = DEFAULT_TOL) -> QSet:
     return QArc(a, b)
 
 
-def _qarc_point(a: QArc, p: QuatElem, tol: Tolerance) -> list:
-    eps = tol.eps
+def _qarc_point(a: QArc, p: QuatElem) -> list:
+    eps = DEFAULT_TOL.eps
     r = a.radius
     if p.norm > r + eps:
         return [QPoint(p)]
@@ -423,9 +425,9 @@ def _qarc_point(a: QArc, p: QuatElem, tol: Tolerance) -> list:
 
     th_a = math.atan2(_dot(ua, e2), _dot(ua, ua))
     sweep = wrap_angle(math.atan2(_dot(ub, e2), _dot(ub, ua)) - th_a)
-    circle = _point_arc(ComplexElem(r, math.atan2(y_p, x_p)), CArc(r, th_a, sweep), tol)
+    circle = _point_arc(ComplexElem(r, math.atan2(y_p, x_p)), CArc(r, th_a, sweep))
     out: list = []
-    for c in parts_of(normalize_parts(circle, tol)):
+    for c in parts_of(normalize_parts(circle)):
         if isinstance(c, CDisk):
             out.append(QBall(c.radius))
         elif isinstance(c, CPoint):
@@ -439,8 +441,8 @@ def _qarc_point(a: QArc, p: QuatElem, tol: Tolerance) -> list:
     return out
 
 
-def _qcone_point(c: QCone, p: QuatElem, tol: Tolerance) -> list:
-    eps = tol.eps
+def _qcone_point(c: QCone, p: QuatElem) -> list:
+    eps = DEFAULT_TOL.eps
     r = c.radius
     if p.norm > r + eps:
         return [QPoint(p)]
@@ -456,13 +458,13 @@ def _qcone_point(c: QCone, p: QuatElem, tol: Tolerance) -> list:
     return [QCone(c.vertices + (QuatElem(*(x * r for x in up)),))]
 
 
-def _qball_any(b: QBall, other, tol: Tolerance) -> list:
+def _qball_any(b: QBall, other) -> list:
     if isinstance(other, QPoint):
-        if other.elem.norm > b.radius + tol.eps:
+        if other.elem.norm > b.radius + DEFAULT_TOL.eps:
             return [QPoint(other.elem)]
         return [b]
     r_other = other.radius
-    if r_other > b.radius + tol.eps:
+    if r_other > b.radius + DEFAULT_TOL.eps:
         return [other]
     return [QBall(b.radius)]
 
@@ -471,31 +473,31 @@ def _qball_any(b: QBall, other, tol: Tolerance) -> list:
 _QRANK = {QBall: 0, QArc: 1, QCone: 1, QPoint: 2}
 
 
-def _quat_add_comps(c1, c2, tol: Tolerance) -> list:
+def _quat_add_comps(c1, c2) -> list:
     if _QRANK[type(c2)] < _QRANK[type(c1)]:  # the sum is commutative
         c1, c2 = c2, c1
     if isinstance(c1, QBall):
-        return _qball_any(c1, c2, tol)
+        return _qball_any(c1, c2)
     if isinstance(c2, QPoint):
         if isinstance(c1, QPoint):
-            return qparts_of(quat_add(c1.elem, c2.elem, tol))
+            return qparts_of(quat_add(c1.elem, c2.elem))
         if isinstance(c1, QArc):
-            return _qarc_point(c1, c2.elem, tol)
-        return _qcone_point(c1, c2.elem, tol)
+            return _qarc_point(c1, c2.elem)
+        return _qcone_point(c1, c2.elem)
     raise RepresentationClosureError(
         f"unsupported quaternion pair {type(c1).__name__} + {type(c2).__name__}"
     )
 
 
-def quat_add_sets(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> QSet:
+def quat_add_sets(s1: QSet, s2: QSet) -> QSet:
     out: list = []
     for c1 in qparts_of(s1):
         for c2 in qparts_of(s2):
-            out.extend(_quat_add_comps(c1, c2, tol))
-    return qnormalize(out, tol)
+            out.extend(_quat_add_comps(c1, c2))
+    return qnormalize(out)
 
 
-def quat_scale(s: QSet, f: QuatElem, side: str, tol: Tolerance = DEFAULT_TOL) -> QSet:
+def quat_scale(s: QSet, f: QuatElem, side: str) -> QSet:
     """Pointwise left or right multiplication of a set by a quaternion.
 
     Multiplication by a fixed quaternion is a similarity of H, so each
@@ -517,4 +519,4 @@ def quat_scale(s: QSet, f: QuatElem, side: str, tol: Tolerance = DEFAULT_TOL) ->
             out.append(QArc(mp(c.a), mp(c.b)))
         else:
             out.append(QCone(tuple(mp(v) for v in c.vertices)))
-    return qnormalize(out, tol)
+    return qnormalize(out)

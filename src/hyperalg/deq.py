@@ -57,23 +57,23 @@ def d_h(x: float, h: float) -> float:
     return h * math.log(x)
 
 
-def tri_add_h(a: float, b: float, h: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def tri_add_h(a: float, b: float, h: float) -> RSet:
     """Triangle addition pulled back along x -> x^(1/h); ultratriangle at 0."""
     _check_h(h)
     if a < 0.0 or b < 0.0:
         raise ValueError("carrier is the nonnegative reals")
     if h == 0.0:
-        return ultra_add(a, b, tol)
+        return ultra_add(a, b)
     if a == 0.0 or b == 0.0:
         return rpoint(a + b)
     m, mn = max(a, b), min(a, b)
     ratio_pow = (mn / m) ** (1.0 / h)  # underflows to 0 harmlessly
     hi = m * math.exp(h * math.log1p(ratio_pow))
-    if abs(a - b) <= tol.eps:
+    if abs(a - b) <= DEFAULT_TOL.eps:
         lo = 0.0
     else:
         lo = m * math.exp(h * math.log1p(-ratio_pow))
-    return rinterval(lo, hi, tol)
+    return rinterval(lo, hi)
 
 
 def s_h(z: ComplexElem, h: float) -> ComplexElem:
@@ -93,7 +93,7 @@ def s_h_inv(z: ComplexElem, h: float) -> ComplexElem:
     return ComplexElem(z.modulus**h, z.argument)
 
 
-def c_add_h(a: ComplexElem, b: ComplexElem, h: float, tol: Tolerance = DEFAULT_TOL) -> ComplexElem:
+def c_add_h(a: ComplexElem, b: ComplexElem, h: float) -> ComplexElem:
     """Ordinary complex addition conjugated by s_h, overflow-free.
 
     Writing m = max|.|, the sum s_h(a) + s_h(b) = m^(1/h) * w with
@@ -119,27 +119,24 @@ def c_add_h(a: ComplexElem, b: ComplexElem, h: float, tol: Tolerance = DEFAULT_T
     return ComplexElem(m * wmod**h, math.atan2(wy, wx))
 
 
-def c_add_0(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> ComplexElem:
+def c_add_0(a: ComplexElem, b: ComplexElem) -> ComplexElem:
     """Pointwise limit of +_h: dominant operand, or the bisector direction at
     tied moduli, or 0 on cancellation.  Not associative."""
+    eps = DEFAULT_TOL.eps
     ra, rb = a.modulus, b.modulus
-    if abs(ra - rb) > tol.eps:
+    if abs(ra - rb) > eps:
         return a if ra > rb else b
-    if max(ra, rb) <= tol.eps:
+    if max(ra, rb) <= eps:
         return CZERO
     zx = math.cos(a.argument) + math.cos(b.argument)
     zy = math.sin(a.argument) + math.sin(b.argument)
-    if math.hypot(zx, zy) <= tol.eps:
+    if math.hypot(zx, zy) <= eps:
         return CZERO
     return ComplexElem(max(ra, rb), math.atan2(zy, zx))
 
 
 def graph_witness(
-    a: ComplexElem,
-    b: ComplexElem,
-    c: ComplexElem,
-    h: float,
-    tol: Tolerance = DEFAULT_TOL,
+    a: ComplexElem, b: ComplexElem, c: ComplexElem, h: float
 ) -> tuple[ComplexElem, ComplexElem]:
     """A pair (a_h, b_h) with c_add_h(a_h, b_h, h) = c, converging to (a, b).
 
@@ -149,21 +146,22 @@ def graph_witness(
     """
     if h <= 0.0:
         raise ValueError("graph_witness needs h > 0")
-    if not cmember(c, ct_add(a, b, tol), tol):
+    if not cmember(c, ct_add(a, b)):
         raise ValueError("target must lie in the tropical sum of a and b")
+    eps = DEFAULT_TOL.eps
     ra, rb = a.modulus, b.modulus
-    if abs(ra - rb) > tol.eps:
+    if abs(ra - rb) > eps:
         return (a, b)
-    if max(ra, rb) <= tol.eps:
+    if max(ra, rb) <= eps:
         return (a, b)
     z = a.as_complex() + b.as_complex()
-    if abs(z) < tol.eps * max(ra, rb):  # cancellation: target anywhere in the disk
-        return (c_add_h(a, c, h, tol), -a)
+    if abs(z) < eps * max(ra, rb):  # cancellation: target anywhere in the disk
+        return (c_add_h(a, c, h), -a)
     # arc target: solve c = lam*a + mu*b in real coordinates
     ax, ay = a.re, a.im
     bx, by = b.re, b.im
     det = ax * by - ay * bx
-    if abs(det) <= tol.eps * max(ra, rb) ** 2:  # a and b parallel: degenerate arc
+    if abs(det) <= eps * max(ra, rb) ** 2:  # a and b parallel: degenerate arc
         return (a, b)
     lam = (c.re * by - c.im * bx) / det
     mu = (ax * c.im - ay * c.re) / det
@@ -174,24 +172,23 @@ def graph_witness(
     )
 
 
-def amoeba_add_h(x: float, y: float, h: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def amoeba_add_h(x: float, y: float, h: float) -> RSet:
     """The amoeba-family addition: tri_add_h transported along log."""
     _check_h(h)
     if h == 0.0:
-        return trop_add(x, y, tol)
+        return trop_add(x, y)
     if x == NEG_INF:
         return rpoint(y)
     if y == NEG_INF:
         return rpoint(x)
-    s = tri_add_h(math.exp(x), math.exp(y), h, tol)
+    s = tri_add_h(math.exp(x), math.exp(y), h)
     lo, hi = s.lo, s.hi
-    return rinterval(NEG_INF if lo <= 0.0 else math.log(lo), math.log(hi), tol)
+    return rinterval(NEG_INF if lo <= 0.0 else math.log(lo), math.log(hi))
 
 
 def check_diagram(
     budget: int = 200,
     rng: random.Random | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     schedule: tuple = H_SCHEDULE,
 ) -> AxiomReport:
     """Verify that the three dequantization families commute with the
@@ -219,20 +216,20 @@ def check_diagram(
         for h in schedule:
             if h == 0.0:
                 continue
-            s = c_add_h(a, b, h, tol)
-            tri_h = tri_add_h(a.modulus, b.modulus, h, tol)
+            s = c_add_h(a, b, h)
+            tri_h = tri_add_h(a.modulus, b.modulus, h)
             if not rmember(s.modulus, tri_h, wide):
                 mod_ok = False
                 mod_w = mod_w or (a, b, h)
             la = NEG_INF if a.modulus == 0.0 else math.log(a.modulus)
             lb = NEG_INF if b.modulus == 0.0 else math.log(b.modulus)
-            am = amoeba_add_h(la, lb, h, tol)
+            am = amoeba_add_h(la, lb, h)
             lo_ref = NEG_INF if tri_h.lo <= 0.0 else math.log(tri_h.lo)
             if not (wide.close(am.hi, math.log(tri_h.hi)) and (am.lo == lo_ref or wide.close(am.lo, lo_ref))):
                 log_ok = False
                 log_w = log_w or (a, b, h)
-        limit = c_add_0(a, b, tol)
-        if not rmember(limit.modulus, ultra_add(a.modulus, b.modulus, tol), wide):
+        limit = c_add_0(a, b)
+        if not rmember(limit.modulus, ultra_add(a.modulus, b.modulus), wide):
             limit_ok = False
             limit_w = limit_w or (a, b, 0.0)
     rep.tuples_checked = budget

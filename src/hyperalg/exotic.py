@@ -11,15 +11,17 @@ digits do not sum to p, and is the open ball of strictly smaller norms when
 they do.  Any classical operation whose answer depends on digits beyond the
 truncation returns the Indeterminate marker rather than a wrong value.
 
-Canonical form is a contract: every operation returns a fixed point of
-mnormalize or pnormalize, and the predicates and set-extended sums take
-canonical inputs built under the same tolerance they compare with.
+Canonical form is a contract: every operation builds its set under the library
+tolerance DEFAULT_TOL and returns a fixed point of mnormalize or pnormalize,
+which the predicates and set-extended sums take as is; a monomial predicate may
+compare wider, and p-adic arithmetic is exact.
 """
 from __future__ import annotations
 
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,7 +85,7 @@ def mparts_of(s: MSet) -> list:
     return list(s.parts) if isinstance(s, MUnion) else [s]
 
 
-def mnormalize(parts: list, tol: Tolerance = DEFAULT_TOL) -> MSet:
+def mnormalize(parts: list) -> MSet:
     flat: list = []
     for p in parts:
         flat.extend(mparts_of(p))
@@ -100,9 +102,9 @@ def mnormalize(parts: list, tol: Tolerance = DEFAULT_TOL) -> MSet:
         if not isinstance(c, MPoint):
             continue
         e = c.elem
-        if bound is not None and (e.zero or float(e.exponent) <= bound - tol.eps):
+        if bound is not None and (e.zero or float(e.exponent) <= bound - DEFAULT_TOL.eps):
             continue
-        if any(e.eq(k, tol) for k in kept):
+        if any(e.eq(k) for k in kept):
             continue
         kept.append(e)
     out.extend(
@@ -192,7 +194,10 @@ def mono_add(a: MonomialElem, b: MonomialElem, tol: Tolerance = DEFAULT_TOL) -> 
 def mono_mul(a: MonomialElem, b: MonomialElem) -> MonomialElem:
     if a.zero or b.zero:
         return MZERO
-    return MonomialElem(a.coeff * b.coeff, a.exponent + b.exponent)
+    e = a.exponent + b.exponent
+    if not abs(e) <= sys.float_info.max:  # also rejects a float overflow to inf
+        raise InvalidSetError(f"monomial product exponent {e} leaves the float range")
+    return MonomialElem(a.coeff * b.coeff, e)
 
 
 def mono_inv(a: MonomialElem) -> MonomialElem:
@@ -207,32 +212,34 @@ def mono_neg(a: MonomialElem) -> MonomialElem:
     return MonomialElem(-a.coeff, a.exponent)
 
 
-def _mcone_point(c: MCone, p: MonomialElem, tol: Tolerance) -> list:
+def _mcone_point(c: MCone, p: MonomialElem) -> list:
     if p.zero:
         return [c]
     e = float(p.exponent)
     b = float(c.bound)
-    if e < b - tol.eps:
+    if e < b - DEFAULT_TOL.eps:
         return [c]
     return [MPoint(p)]
 
 
-def mono_add_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
+def mono_add_sets(s1: MSet, s2: MSet) -> MSet:
     out: list = []
     for c1 in mparts_of(s1):
         for c2 in mparts_of(s2):
             if isinstance(c1, MPoint) and isinstance(c2, MCone):  # commutative
                 c1, c2 = c2, c1
             if isinstance(c1, MPoint):
-                out.extend(mparts_of(mono_add(c1.elem, c2.elem, tol)))
+                out.extend(mparts_of(mono_add(c1.elem, c2.elem)))
             elif isinstance(c2, MPoint):
-                out.extend(_mcone_point(c1, c2.elem, tol))
+                out.extend(_mcone_point(c1, c2.elem))
             else:
                 out.append(MCone(max(c1.bound, c2.bound, key=float)))
-    return mnormalize(out, tol)
+    return mnormalize(out)
 
 
-def mono_mul_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
+def mono_mul_sets(s1: MSet, s2: MSet, domain: str = "real") -> MSet:
+    """Pointwise product.  Two int-domain cones multiply to `below t^(b1+b2-1)`:
+    their exponents are at most b1-1 and b2-1."""
     out: list = []
     for c1 in mparts_of(s1):
         for c2 in mparts_of(s2):
@@ -246,8 +253,9 @@ def mono_mul_sets(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> MSet:
                 else:
                     out.append(MCone(c1.bound + c2.elem.exponent))
             else:
-                out.append(MCone(c1.bound + c2.bound))
-    return mnormalize(out, tol)
+                bound = c1.bound + c2.bound
+                out.append(MCone(bound - 1 if domain == "int" else bound))
+    return mnormalize(out)
 
 
 def format_monomial(a: MonomialElem) -> str:
@@ -361,7 +369,7 @@ class PadicElem:
             return 0.0
         return float(self.p) ** (-self.e)
 
-    def eq(self, other: "PadicElem", tol: Tolerance = DEFAULT_TOL) -> bool:
+    def eq(self, other: "PadicElem") -> bool:
         return self.p == other.p and self.e == other.e and self.digits == other.digits
 
 
@@ -485,7 +493,7 @@ def pnormalize(parts: list) -> PSet:
     return PUnion(tuple(out))
 
 
-def pmember(x: PadicElem, s: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+def pmember(x: PadicElem, s: PSet) -> bool:
     for c in pparts_of(s):
         if isinstance(c, PPoint):
             if x.eq(c.elem):
@@ -496,10 +504,10 @@ def pmember(x: PadicElem, s: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def psubset(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+def psubset(s1: PSet, s2: PSet) -> bool:
     for c in pparts_of(s1):
         if isinstance(c, PPoint):
-            if not pmember(c.elem, s2, tol):
+            if not pmember(c.elem, s2):
                 return False
         else:
             if not any(isinstance(d, PCone) and d.e <= c.e for d in pparts_of(s2)):
@@ -526,7 +534,7 @@ def ppick(s: PSet, rng, depth: int) -> list:
     return pts
 
 
-def pset_eq(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+def pset_eq(s1: PSet, s2: PSet) -> bool:
     """p-adic arithmetic is exact, so canonical sets are equal iff identical."""
     return s1 == s2
 
@@ -581,14 +589,14 @@ def padic_inv(a: PadicElem) -> PadicElem:
     return padic_from_digits(p, -a.e, digits, depth)
 
 
-def padic_add_sets(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> PSet:
+def padic_add_sets(s1: PSet, s2: PSet) -> PSet:
     out: list = []
     for c1 in pparts_of(s1):
         for c2 in pparts_of(s2):
             if isinstance(c1, PPoint) and isinstance(c2, PCone):  # commutative
                 c1, c2 = c2, c1
             if isinstance(c1, PPoint):
-                out.extend(pparts_of(padic_add(c1.elem, c2.elem, tol)))
+                out.extend(pparts_of(padic_add(c1.elem, c2.elem)))
             elif isinstance(c2, PPoint):
                 out.extend(_pcone_point(c1, c2.elem))
             else:
@@ -602,7 +610,7 @@ def _pcone_point(c: PCone, x: PadicElem) -> list:
     return [PPoint(x)]
 
 
-def padic_mul_sets(s1: PSet, s2: PSet, tol: Tolerance = DEFAULT_TOL) -> PSet:
+def padic_mul_sets(s1: PSet, s2: PSet) -> PSet:
     out: list = []
     for c1 in pparts_of(s1):
         for c2 in pparts_of(s2):
@@ -683,12 +691,18 @@ def parse_padic(text: str, p: int, depth: int) -> PadicElem:
             coeffs[0] = coeffs.get(0, 0) + d * base**e
             continue
         coeffs[e] = coeffs.get(e, 0) + d
-    if not coeffs:
-        return padic_zero(p)
-    lo = min(coeffs)
-    size = depth + max(coeffs) - lo + 2
-    acc = [0] * size
-    for e, d in coeffs.items():
-        acc[e - lo] += d
-    _carry(acc, p)
-    return padic_from_digits(p, lo + shift, acc, depth)
+    # fold the terms into base-p digits, least significant first, keeping the
+    # whole carry; stop after `depth` digits from the leading nonzero one
+    terms = sorted(coeffs.items())
+    digits: list[int] = []
+    carry, e = 0, terms[0][0]
+    while len(digits) < depth and (carry or terms):
+        if not (carry or digits):  # skip the zero digits below the next term
+            e = terms[0][0]
+        if terms and terms[0][0] == e:
+            carry += terms.pop(0)[1]
+        carry, d = divmod(carry, p)
+        if d or digits:
+            digits.append(d)
+        e += 1
+    return padic_from_digits(p, e - len(digits) + shift, digits, depth)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .axioms import HomReport, Structure
 from .csets import CZERO, ComplexElem, member as cmember
 from .ctrop import ct_add
-from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
+from .tolerance import NEG_INF, Tolerance
 
 
 def sign_map(x: float) -> int:
@@ -213,7 +213,6 @@ def _random_poly(rng: random.Random, real_exponents: bool = False) -> Polynomial
 def check_w_hom(
     budget: int = 300,
     rng: random.Random | None = None,
-    tol: Tolerance = DEFAULT_TOL,
     real_exponents: bool = False,
 ) -> HomReport:
     """Verify w(p+q) ∈ w(p) ∔ w(q) and w(pq) = w(p)w(q) over three strata:
@@ -228,7 +227,7 @@ def check_w_hom(
     def one_pair(p: Polynomial, q: Polynomial) -> None:
         rep.pairs_checked += 1
         wp, wq, wpq = w_map(p), w_map(q), w_map(p + q)
-        if not cmember(wpq, ct_add(wp, wq, tol), wide):
+        if not cmember(wpq, ct_add(wp, wq), wide):
             rep.additive = False
             if rep.witness is None:
                 rep.witness = (p, q)

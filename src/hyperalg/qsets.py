@@ -7,9 +7,9 @@ of an arc).  A cone with generator set V is exactly the set of norm-r points
 whose direction is a nonnegative combination of the unit generators, which
 gives an exact membership test via small linear solves.
 
-Canonical form is a contract: every operation returns a fixed point of
-qnormalize, and the predicates (qset_eq) and the set-extended sums take
-canonical inputs built under the same tolerance they compare with.
+Canonical form is a contract: every operation builds its set under the library
+tolerance DEFAULT_TOL and returns a fixed point of qnormalize, which the
+predicates and set-extended sums take as is; a predicate may compare wider.
 """
 from __future__ import annotations
 
@@ -243,7 +243,7 @@ def qmember(x: QuatElem, s: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def qnormalize(parts: list, tol: Tolerance = DEFAULT_TOL) -> QSet:
+def qnormalize(parts: list) -> QSet:
     flat: list = []
     for p in parts:
         flat.extend(qparts_of(p))
@@ -255,28 +255,28 @@ def qnormalize(parts: list, tol: Tolerance = DEFAULT_TOL) -> QSet:
             ball_r = max(ball_r, c.radius)
     out: list = []
     if ball_r >= 0.0:
-        if ball_r <= tol.eps:
+        if ball_r <= DEFAULT_TOL.eps:
             flat.append(QPoint(QZERO))
         else:
             out.append(QBall(ball_r))
     rest = [
         c
         for c in flat
-        if not isinstance(c, QBall) and _comp_radius(c) > ball_r + tol.eps
+        if not isinstance(c, QBall) and _comp_radius(c) > ball_r + DEFAULT_TOL.eps
     ]
     # absorb points lying on arcs/cones, then dedup
     arcs = [c for c in rest if isinstance(c, (QArc, QCone))]
     points = [c.elem for c in rest if isinstance(c, QPoint)]
     kept_pts: list[QuatElem] = []
     for p in sorted(points, key=lambda e: e.coords()):
-        if any(qmember(p, a, tol) for a in arcs):
+        if any(qmember(p, a) for a in arcs):
             continue
-        if any(p.eq(q, tol) for q in kept_pts):
+        if any(p.eq(q) for q in kept_pts):
             continue
         kept_pts.append(p)
     kept_arcs: list = []
     for a in arcs:
-        if not any(_qcomp_eq(a, b, tol) for b in kept_arcs):
+        if not any(_qcomp_eq(a, b, DEFAULT_TOL) for b in kept_arcs):
             kept_arcs.append(a)
     out.extend(sorted(kept_arcs, key=_qsort_key))
     out.extend(QPoint(p) for p in kept_pts)

@@ -25,55 +25,55 @@ def _require_nonneg(*vals: float) -> None:
             raise ValueError(f"carrier is the nonnegative reals, got {v}")
 
 
-def tri_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def tri_add(a: float, b: float) -> RSet:
     """Side lengths c completing a (possibly degenerate) triangle with a, b."""
     _require_nonneg(a, b)
-    return rinterval(abs(a - b), a + b, tol)
+    return rinterval(abs(a - b), a + b)
 
 
-def tri_sum_n(values: list[float], tol: Tolerance = DEFAULT_TOL) -> RSet:
+def tri_sum_n(values: list[float]) -> RSet:
     """Closed form of the iterated triangle sum: the polygon inequality."""
     if not values:
         raise ValueError("empty sum")
     _require_nonneg(*values)
     total = sum(values)
     lo = max(0.0, 2.0 * max(values) - total)
-    return rinterval(lo, total, tol)
+    return rinterval(lo, total)
 
 
-def tri_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             gap = max(0.0, lo1 - hi2, lo2 - hi1)
             out.append((gap, hi1 + hi2))
-    return rset(out, tol)
+    return rset(out)
 
 
-def ultra_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def ultra_add(a: float, b: float) -> RSet:
     _require_nonneg(a, b)
-    if not tol.close(a, b):
+    if not DEFAULT_TOL.close(a, b):
         return rpoint(max(a, b))
-    return rinterval(0.0, max(a, b), tol)
+    return rinterval(0.0, max(a, b))
 
 
-def _max_add_sets(s1: RSet, s2: RSet, floor: float, tol: Tolerance) -> RSet:
+def _max_add_sets(s1: RSet, s2: RSet, floor: float) -> RSet:
     """Set sum for a max addition whose tie gives the down-set to `floor`."""
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             # down-sets and points only; a tie between touching components
             # produces the down-set below the tied value
-            if hi2 < lo1 - tol.eps or hi1 < lo2 - tol.eps:
+            if hi2 < lo1 - DEFAULT_TOL.eps or hi1 < lo2 - DEFAULT_TOL.eps:
                 m = max(hi1, hi2)
                 out.append((m, m))
             else:
                 out.append((floor, max(hi1, hi2)))
-    return rset(out, tol)
+    return rset(out)
 
 
-def ultra_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
-    return _max_add_sets(s1, s2, 0.0, tol)
+def ultra_add_sets(s1: RSet, s2: RSet) -> RSet:
+    return _max_add_sets(s1, s2, 0.0)
 
 
 def trop_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
@@ -86,7 +86,7 @@ def trop_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
         return rpoint(a)
     if not tol.close(a, b):
         return rpoint(max(a, b))
-    return rinterval(NEG_INF, max(a, b), tol)
+    return rinterval(NEG_INF, max(a, b))
 
 
 def trop_mul(a: float, b: float) -> float:
@@ -95,8 +95,8 @@ def trop_mul(a: float, b: float) -> float:
     return a + b
 
 
-def trop_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
-    return _max_add_sets(s1, s2, NEG_INF, tol)
+def trop_add_sets(s1: RSet, s2: RSet) -> RSet:
+    return _max_add_sets(s1, s2, NEG_INF)
 
 
 def _log_exp_diff(a: float, b: float) -> float:
@@ -114,7 +114,7 @@ def _log_exp_sum(a: float, b: float) -> float:
     return m + math.log1p(math.exp(-abs(a - b)))
 
 
-def amoeba_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def amoeba_add(a: float, b: float) -> RSet:
     """Triangle addition in log scale: [log|e^a - e^b|, log(e^a + e^b)]."""
     if a == NEG_INF and b == NEG_INF:
         return rpoint(NEG_INF)
@@ -123,26 +123,27 @@ def amoeba_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
     if b == NEG_INF:
         return rpoint(a)
     hi = _log_exp_sum(a, b)
-    if abs(a - b) <= tol.eps:  # exact-symmetry branch: avoid log of a cancellation
-        return rinterval(NEG_INF, hi, tol)
+    # exact-symmetry branch: avoid log of a cancellation
+    if abs(a - b) <= DEFAULT_TOL.eps:
+        return rinterval(NEG_INF, hi)
     lo = _log_exp_diff(max(a, b), min(a, b))
-    return rinterval(lo, hi, tol)
+    return rinterval(lo, hi)
 
 
-def amoeba_add_sets(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def amoeba_add_sets(s1: RSet, s2: RSet) -> RSet:
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             hi = _log_exp_sum(hi1, hi2)
             # gap between the exp-images decides the lower endpoint
-            if lo1 > hi2 + tol.eps:
+            if lo1 > hi2 + DEFAULT_TOL.eps:
                 lo = _log_exp_diff(lo1, hi2)
-            elif lo2 > hi1 + tol.eps:
+            elif lo2 > hi1 + DEFAULT_TOL.eps:
                 lo = _log_exp_diff(lo2, hi1)
             else:
                 lo = NEG_INF
             out.append((lo, hi))
-    return rset(out, tol)
+    return rset(out)
 
 
 @dataclass
@@ -168,7 +169,6 @@ def check_seminorm(
     kind: str = "archimedean",
     add=operator.add,
     mul=operator.mul,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> SeminormReport:
     """Verify |x+y| lands in the triangle (resp. ultratriangle) sum of |x|, |y|
     and that |xy| = |x||y|, over all pairs from `sample`.
@@ -183,9 +183,9 @@ def check_seminorm(
         for y in sample:
             rep.checked += 1
             nx, ny, nxy = norm(x), norm(y), norm(add(x, y))
-            target = tri_add(nx, ny, tol) if kind == "archimedean" else ultra_add(nx, ny, tol)
+            target = tri_add(nx, ny) if kind == "archimedean" else ultra_add(nx, ny)
             # comparisons scale with the operands, so widen the tolerance
-            wide = Tolerance(max(tol.eps, tol.eps * max(nx, ny, 1.0) * 8))
+            wide = Tolerance(max(DEFAULT_TOL.eps, DEFAULT_TOL.eps * max(nx, ny, 1.0) * 8))
             if not rmember(nxy, target, wide):
                 rep.triangle_ok = False
                 rep.witness = rep.witness or (x, y)
@@ -197,7 +197,7 @@ def check_seminorm(
                 lx = NEG_INF if nx == 0.0 else math.log(nx)
                 ly = NEG_INF if ny == 0.0 else math.log(ny)
                 lxy = NEG_INF if nxy == 0.0 else math.log(nxy)
-                if not rmember(lxy, trop_add(lx, ly, tol), wide):
+                if not rmember(lxy, trop_add(lx, ly), wide):
                     rep.valuation_ok = False
                     rep.witness = rep.witness or (x, y)
     return rep

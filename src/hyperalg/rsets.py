@@ -3,9 +3,9 @@
 Used for every R-like carrier: nonnegative reals, the real line, and the
 tropical line R ∪ {-inf} where a down-set {x <= a} is the interval [-inf, a].
 
-Canonical form is a contract: every operation returns a fixed point of rset,
-and the predicates (rset_eq, rsubset) take canonical inputs built under the
-same tolerance they compare with.
+Canonical form is a contract: every operation builds its set under the library
+tolerance DEFAULT_TOL and returns a fixed point of rset, which the predicates
+(rset_eq, rsubset) take as is; a predicate may compare wider.
 """
 from __future__ import annotations
 
@@ -42,12 +42,12 @@ def rpoint(x: float) -> RSet:
     return RSet(((x, x),))
 
 
-def rinterval(lo: float, hi: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
-    return rset([(lo, hi)], tol)
+def rinterval(lo: float, hi: float) -> RSet:
+    return rset([(lo, hi)])
 
 
-def rset(pairs: list[tuple[float, float]], tol: Tolerance = DEFAULT_TOL) -> RSet:
-    eps = tol.eps
+def rset(pairs: list[tuple[float, float]]) -> RSet:
+    eps = DEFAULT_TOL.eps
     cleaned = []
     for lo, hi in pairs:
         if math.isnan(lo) or math.isnan(hi):
@@ -68,8 +68,8 @@ def rset(pairs: list[tuple[float, float]], tol: Tolerance = DEFAULT_TOL) -> RSet
     return RSet(tuple((lo, hi) for lo, hi in merged))
 
 
-def runion(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> RSet:
-    return rset(list(s1.intervals) + list(s2.intervals), tol)
+def runion(s1: RSet, s2: RSet) -> RSet:
+    return rset(list(s1.intervals) + list(s2.intervals))
 
 
 def rmember(x: float, s: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -17,10 +17,10 @@ import operator
 from fractions import Fraction
 
 from . import csets, ctrop, exotic, finite, qsets, realhf, rsets
-from .axioms import EmptySumError, Structure
+from .axioms import Structure
 from .csets import CZERO, CONE, ComplexElem
 from .qsets import QONE, QZERO, QuatElem
-from .tolerance import NEG_INF, TWO_PI, fmt_num
+from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, fmt_num
 
 
 class FiniteStructure(Structure):
@@ -33,8 +33,6 @@ class FiniteStructure(Structure):
         self.name = table.name or "finite"
         self.has_mul = table.mul_table is not None
         self.has_one = table.one_idx is not None
-        self.has_inv = self.has_mul
-        self.mul_commutative = True
 
     @property
     def zero(self):
@@ -54,10 +52,7 @@ class FiniteStructure(Structure):
         return rng.choice(self.table.elements)
 
     def add(self, a, b):
-        out = self.table.add(a, b)
-        if not out:
-            raise EmptySumError(f"{self.name}: empty sum at ({a}, {b})")
-        return out
+        return self.table.add(a, b)
 
     def add_sets(self, s1, s2):
         out = set()
@@ -137,7 +132,7 @@ class ComplexCarrier(Structure):
         return ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
 
     def union_sets(self, s1, s2):
-        return csets.union(s1, s2, self.tol)
+        return csets.union(s1, s2)
 
     def singleton(self, a):
         return csets.CPoint(a)
@@ -152,19 +147,19 @@ class ComplexCarrier(Structure):
         return a.inv()
 
     def scale(self, a, s, side="left"):
-        return ctrop.cset_scale(s, a, self.tol)
+        return ctrop.cset_scale(s, a)
 
     def eq(self, a, b):
-        return a.eq(b, self.tol)
+        return a.eq(b)
 
     def member(self, x, s):
-        return csets.member(x, s, self.tol)
+        return csets.member(x, s)
 
     def set_eq(self, s1, s2):
-        return csets.set_eq(s1, s2, self.tol)
+        return csets.set_eq(s1, s2)
 
     def subset(self, s1, s2):
-        return csets.subset(s1, s2, self.tol)
+        return csets.subset(s1, s2)
 
     def pick(self, s, rng, count=4):
         return csets.pick(s, rng, count)
@@ -185,13 +180,13 @@ class ComplexTropical(ComplexCarrier):
     name = "TC"
 
     def add(self, a, b):
-        return ctrop.ct_add(a, b, self.tol)
+        return ctrop.ct_add(a, b)
 
     def add_sets(self, s1, s2):
-        return ctrop.ct_add_sets(s1, s2, self.tol)
+        return ctrop.ct_add_sets(s1, s2)
 
     def mul_sets(self, s1, s2):
-        return ctrop.ct_mul_sets(s1, s2, self.tol)
+        return ctrop.ct_mul_sets(s1, s2)
 
 
 class PhaseStructure(ComplexTropical):
@@ -210,14 +205,14 @@ class PhaseStructure(ComplexTropical):
         return ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
 
     def add(self, a, b):
-        return ctrop.phase_add(a, b, self.tol)
+        return ctrop.phase_add(a, b)
 
     def add_sets(self, s1, s2):
-        return ctrop.phase_add_sets(s1, s2, self.tol)
+        return ctrop.phase_add_sets(s1, s2)
 
     def parse_elem(self, text):
         a = super().parse_elem(text)
-        ctrop.check_phase_elem(a, self.tol)
+        ctrop.check_phase_elem(a)
         return a
 
 
@@ -228,7 +223,7 @@ class IntervalCarrier(Structure):
     nonnegative = False  # an R+ carrier also rejects negative literals
 
     def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2, self.tol)
+        return rsets.runion(s1, s2)
 
     def singleton(self, a):
         return rsets.rpoint(a)
@@ -245,21 +240,20 @@ class IntervalCarrier(Structure):
         """The set of [f(lo1, lo2), f(hi1, hi2)] over all interval pairs, for
         an f monotone in both arguments."""
         return rsets.rset(
-            [(f(lo1, lo2), f(hi1, hi2)) for lo1, hi1 in s1.intervals for lo2, hi2 in s2.intervals],
-            self.tol,
+            [(f(lo1, lo2), f(hi1, hi2)) for lo1, hi1 in s1.intervals for lo2, hi2 in s2.intervals]
         )
 
     def eq(self, a, b):
-        return self.tol.close(a, b)
+        return DEFAULT_TOL.close(a, b)
 
     def member(self, x, s):
-        return rsets.rmember(x, s, self.tol)
+        return rsets.rmember(x, s)
 
     def set_eq(self, s1, s2):
-        return rsets.rset_eq(s1, s2, self.tol)
+        return rsets.rset_eq(s1, s2)
 
     def subset(self, s1, s2):
-        return rsets.rsubset(s1, s2, self.tol)
+        return rsets.rsubset(s1, s2)
 
     def pick(self, s, rng, count=4):
         return rsets.rpick(s, rng, count)
@@ -296,16 +290,16 @@ class RealTropical(IntervalCarrier):
         return a if rng.random() < 0.5 else -a
 
     def add(self, a, b):
-        return ctrop.rt_add(a, b, self.tol)
+        return ctrop.rt_add(a, b)
 
     def add_sets(self, s1, s2):
-        return ctrop.rt_add_sets(s1, s2, self.tol)
+        return ctrop.rt_add_sets(s1, s2)
 
     def neg(self, a):
         return -a
 
     def mul_sets(self, s1, s2):
-        return ctrop.rt_mul_sets(s1, s2, self.tol)
+        return ctrop.rt_mul_sets(s1, s2)
 
 
 class TriangleStructure(RealTropical):
@@ -323,10 +317,10 @@ class TriangleStructure(RealTropical):
         return a
 
     def add(self, a, b):
-        return realhf.tri_add(a, b, self.tol)
+        return realhf.tri_add(a, b)
 
     def add_sets(self, s1, s2):
-        return realhf.tri_add_sets(s1, s2, self.tol)
+        return realhf.tri_add_sets(s1, s2)
 
     def neg(self, a):
         return a
@@ -341,10 +335,10 @@ class UltraStructure(TriangleStructure):
     name = "ultra"
 
     def add(self, a, b):
-        return realhf.ultra_add(a, b, self.tol)
+        return realhf.ultra_add(a, b)
 
     def add_sets(self, s1, s2):
-        return realhf.ultra_add_sets(s1, s2, self.tol)
+        return realhf.ultra_add_sets(s1, s2)
 
 
 class TropStructure(IntervalCarrier):
@@ -363,10 +357,10 @@ class TropStructure(IntervalCarrier):
         return a
 
     def add(self, a, b):
-        return realhf.trop_add(a, b, self.tol)
+        return realhf.trop_add(a, b)
 
     def add_sets(self, s1, s2):
-        return realhf.trop_add_sets(s1, s2, self.tol)
+        return realhf.trop_add_sets(s1, s2)
 
     def neg(self, a):
         return a
@@ -389,10 +383,10 @@ class AmoebaStructure(TropStructure):
     name = "amoeba"
 
     def add(self, a, b):
-        return realhf.amoeba_add(a, b, self.tol)
+        return realhf.amoeba_add(a, b)
 
     def add_sets(self, s1, s2):
-        return realhf.amoeba_add_sets(s1, s2, self.tol)
+        return realhf.amoeba_add_sets(s1, s2)
 
 
 class QuaternionTropical(Structure):
@@ -403,7 +397,6 @@ class QuaternionTropical(Structure):
     """
 
     name = "quat"
-    mul_commutative = False
     zero = QZERO
     one = QONE
 
@@ -424,13 +417,13 @@ class QuaternionTropical(Structure):
         return self._on_sphere(a.norm, rng)
 
     def add(self, a, b):
-        return ctrop.quat_add(a, b, self.tol)
+        return ctrop.quat_add(a, b)
 
     def add_sets(self, s1, s2):
-        return ctrop.quat_add_sets(s1, s2, self.tol)
+        return ctrop.quat_add_sets(s1, s2)
 
     def union_sets(self, s1, s2):
-        return qsets.qnormalize([s1, s2], self.tol)
+        return qsets.qnormalize([s1, s2])
 
     def singleton(self, a):
         return qsets.QPoint(a)
@@ -445,19 +438,19 @@ class QuaternionTropical(Structure):
         return a.inv()
 
     def scale(self, a, s, side="left"):
-        return ctrop.quat_scale(s, a, side, self.tol)
+        return ctrop.quat_scale(s, a, side)
 
     def eq(self, a, b):
-        return a.eq(b, self.tol)
+        return a.eq(b)
 
     def member(self, x, s):
-        return qsets.qmember(x, s, self.tol)
+        return qsets.qmember(x, s)
 
     def set_eq(self, s1, s2):
-        return qsets.qset_eq(s1, s2, self.tol)
+        return qsets.qset_eq(s1, s2)
 
     def subset(self, s1, s2):
-        return qsets.qsubset(s1, s2, self.tol)
+        return qsets.qsubset(s1, s2)
 
     def pick(self, s, rng, count=4):
         return qsets.qpick(s, rng, count)
@@ -505,13 +498,13 @@ class MonomialStructure(Structure):
         return exotic.MonomialElem(exotic.random_coeff(rng), a.exponent)
 
     def add(self, a, b):
-        return exotic.mono_add(a, b, self.tol)
+        return exotic.mono_add(a, b)
 
     def add_sets(self, s1, s2):
-        return exotic.mono_add_sets(s1, s2, self.tol)
+        return exotic.mono_add_sets(s1, s2)
 
     def union_sets(self, s1, s2):
-        return exotic.mnormalize([s1, s2], self.tol)
+        return exotic.mnormalize([s1, s2])
 
     def singleton(self, a):
         return exotic.MPoint(a)
@@ -526,19 +519,19 @@ class MonomialStructure(Structure):
         return exotic.mono_inv(a)
 
     def mul_sets(self, s1, s2):
-        return exotic.mono_mul_sets(s1, s2, self.tol)
+        return exotic.mono_mul_sets(s1, s2, self.domain)
 
     def eq(self, a, b):
-        return a.eq(b, self.tol)
+        return a.eq(b)
 
     def member(self, x, s):
-        return exotic.mmember(x, s, self.tol)
+        return exotic.mmember(x, s)
 
     def set_eq(self, s1, s2):
-        return exotic.mset_eq(s1, s2, self.tol)
+        return exotic.mset_eq(s1, s2)
 
     def subset(self, s1, s2):
-        return exotic.msubset(s1, s2, self.tol)
+        return exotic.msubset(s1, s2)
 
     def pick(self, s, rng, count=4):
         return exotic.mpick(s, rng, self.domain)
@@ -590,10 +583,10 @@ class PadicStructure(Structure):
         return exotic.PadicElem(self.p, a.e, exotic.random_digits(self.p, self.depth, rng))
 
     def add(self, a, b):
-        return exotic.padic_add(a, b, self.tol)
+        return exotic.padic_add(a, b)
 
     def add_sets(self, s1, s2):
-        return exotic.padic_add_sets(s1, s2, self.tol)
+        return exotic.padic_add_sets(s1, s2)
 
     def union_sets(self, s1, s2):
         return exotic.pnormalize([s1, s2])
@@ -611,19 +604,19 @@ class PadicStructure(Structure):
         return exotic.padic_inv(a)
 
     def mul_sets(self, s1, s2):
-        return exotic.padic_mul_sets(s1, s2, self.tol)
+        return exotic.padic_mul_sets(s1, s2)
 
     def eq(self, a, b):
         return a.eq(b)
 
     def member(self, x, s):
-        return exotic.pmember(x, s, self.tol)
+        return exotic.pmember(x, s)
 
     def set_eq(self, s1, s2):
-        return exotic.pset_eq(s1, s2, self.tol)
+        return exotic.pset_eq(s1, s2)
 
     def subset(self, s1, s2):
-        return exotic.psubset(s1, s2, self.tol)
+        return exotic.psubset(s1, s2)
 
     def pick(self, s, rng, count=4):
         return exotic.ppick(s, rng, self.depth)
@@ -653,7 +646,7 @@ class ComplexField(ComplexCarrier):
                 if not isinstance(c1, csets.CPoint) or not isinstance(c2, csets.CPoint):
                     raise csets.RepresentationClosureError("classical sums are pointwise")
                 parts.append(self.add(c1.elem, c2.elem))
-        return csets.normalize_parts(parts, self.tol)
+        return csets.normalize_parts(parts)
 
 
 class RealField(RealTropical):

@@ -1,8 +1,10 @@
 """Comparison policy for floating-point carriers.
 
-All public operations compare moduli, angles and interval endpoints through an
-explicit Tolerance so that the branch structure of the multivalued additions
-(dominant / tie / antipodal) is deterministic.
+Every operation compares moduli, angles and interval endpoints against the one
+absolute library tolerance DEFAULT_TOL, so that the branch structure of the
+multivalued additions (dominant / tie / antipodal) is deterministic.  The
+membership and equality predicates take a Tolerance argument, so a checker may
+compare with a wider one.
 """
 from __future__ import annotations
 

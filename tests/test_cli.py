@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperalg.cli import main
+from hyperalg.cli import HOM_TABLE, MAX_CAP, main
 from hyperalg.csets import member, parse_celem, parse_cset
 
 
@@ -87,6 +87,14 @@ class TestAdd:
         code, _, err = run(capsys, "add", "nosuch", "1", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "structure,literal,expected",
+        [("padic:5:3", "3125", "point 5^5"), ("padic:2:3", "1024", "point 2^10")],
+    )
+    def test_padic_literal_keeps_its_top_carry(self, capsys, structure, literal, expected):
+        # the folded constant's only nonzero digit lies above depth + 2 digits
+        assert run(capsys, "add", structure, literal, "0") == (0, expected + "\n", "")
+
 
 class TestSum:
     def test_nary_disk(self, capsys):
@@ -120,6 +128,27 @@ class TestVerify:
         assert code == 1
         assert "axiom=double-distributivity verdict=fail" in out
         assert "axiom=half-double-distributivity verdict=pass" in out
+
+    def test_mono_int_dd_reports_failure(self, capsys):
+        import random
+
+        from hyperalg.axioms import check_double_distributivity
+        from hyperalg.structures import get_structure
+
+        argv = ("verify", "mono-int", "--level", "dd", "--seed", "0", "--budget", "300")
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "axiom=double-distributivity verdict=fail witness=(" in out
+        # the witness replays: ax + ay + bx + by is not inside (a+b)(x+y)
+        X = get_structure("mono-int")
+        rep = check_double_distributivity(X, 300, random.Random(0))
+        (check,) = rep.failures()
+        a, b, x, y = check.witness
+        rhs = X.add_sets(
+            X.add_sets(X.add(X.mul(a, x), X.mul(a, y)), X.singleton(X.mul(b, x))),
+            X.singleton(X.mul(b, y)),
+        )
+        assert not X.subset(rhs, X.mul_sets(X.add(a, b), X.add(x, y)))
 
     def test_maxplus_without_negation_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "maxplus")
@@ -220,6 +249,11 @@ class TestChar:
         code, out, _ = run(capsys, "char", "powers:2:6")
         assert "characteristic=2" in out and "c-characteristic=2" in out
 
+    @pytest.mark.parametrize("cap", ["0", "1", str(MAX_CAP + 1), "100000000000"])
+    def test_cap_out_of_range_exit_2(self, capsys, cap):
+        code, out, err = run(capsys, "char", "R", "--cap", cap)
+        assert (code, out) == (2, "") and "--cap" in err
+
 
 class TestHom:
     def test_sign_hom(self, capsys):
@@ -270,6 +304,12 @@ class TestPoly:
     def test_signs_and_groups_stay_in_their_literal(self, capsys, structure, poly, at, first):
         code, out, err = run(capsys, "poly", structure, poly, "--at", at)
         assert (code, err) == (0, "") and out.splitlines()[0] == first
+
+    @pytest.mark.parametrize("structure", ["mono-int", "mono"])
+    def test_monomial_exponent_overflow_exit_2(self, capsys, structure):
+        code, out, err = run(capsys, "poly", structure, "X^1000", "--at", "1t^1" + "0" * 306)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: monomial product exponent") and "float range" in err
 
     @pytest.mark.parametrize("term", ["X X", "X^-1", "X^2X^3", "X ^2", "X^{2}"])
     def test_malformed_x_term_exit_2_names_term(self, capsys, term):
@@ -413,6 +453,7 @@ LITERALS = [
     "0.5", "1e-3", "1e99999", "1@-1", "1∠-0.5", "1∠0", "2∠1", "1∠inf", "1@nan", "inf∠0",
     "1+1i", "(1+1i)", "i", "-i", "1,0,0,0", "0,-1,0,0", "-0,0,0,1", "nan,0,0,0", "1e400,0,0,0",
     "1t^1", "-1t^1", "1t^-2", "1t^1/0", "nant^1", "1t^" + "9" * 400, "-1t^-" + "9" * 400,
+    "1t^1" + "0" * 306,
     "5", "2 + 3*5", "5^-1 * (1 + 2*5)", "3^2", "5^99999", "zzz", "{0}",
 ]
 STRUCTURES = [
@@ -440,7 +481,9 @@ poly = st.lists(
 
 @st.composite
 def argvs(draw):
-    cmd = draw(st.sampled_from(["add", "sum", "poly", "deq", "char", "verify", "quotient", "spectrum"]))
+    cmd = draw(st.sampled_from(
+        ["add", "sum", "poly", "deq", "char", "hom", "verify", "quotient", "spectrum"]
+    ))
     s = draw(st.sampled_from(STRUCTURES))
     sep = draw(st.sampled_from([[], ["--"]]))
     if cmd == "add":
@@ -454,7 +497,13 @@ def argvs(draw):
         h = ",".join(draw(st.lists(st.sampled_from(H_VALUES), min_size=1, max_size=3)))
         return ["deq", family, f"--h={h}", *sep, draw(lit), draw(lit)]
     if cmd == "char":
-        return ["char", s, "--cap", draw(st.sampled_from(["2", "8", "64", "1", "-1"]))]
+        caps = ["2", "8", "64", "1", "-1", "0", "x", str(MAX_CAP), str(MAX_CAP + 1)]
+        return ["char", s, "--cap", draw(st.sampled_from(caps))]
+    if cmd == "hom":
+        name = draw(st.sampled_from([*HOM_TABLE, "nosuch"]))
+        budget, seed = draw(st.integers(1, 20)), draw(st.integers(0, 3))
+        fmt = draw(st.sampled_from(["text", "json"]))
+        return ["hom", name, "--budget", str(budget), "--seed", str(seed), "--format", fmt]
     if cmd == "verify":
         level = draw(st.sampled_from(["multigroup", "multiring", "hyperring", "hyperfield", "dd"]))
         budget, seed = draw(st.integers(1, 20)), draw(st.integers(0, 3))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperalg.csets import ComplexElem, member as cmember
+from hyperalg.csets import ComplexElem, InvalidSetError, member as cmember
 from hyperalg.ctrop import ct_add
 from hyperalg.exotic import (
     INDETERMINATE,
@@ -41,6 +41,7 @@ from hyperalg.exotic import (
 )
 from hyperalg.realhf import check_seminorm, ultra_add
 from hyperalg.rsets import rmember
+from hyperalg.structures import get_structure
 from hyperalg.tolerance import Tolerance
 
 
@@ -70,6 +71,11 @@ class TestMonomialAdd:
     def test_neg_cancels(self):
         a = mono(3 + 4j, 2.5)
         assert mono_add(a, mono_neg(a)) == MCone(2.5)
+
+    @pytest.mark.parametrize("e", [1e308, 10**308, Fraction(10**308)], ids=["real", "int", "rational"])
+    def test_mul_exponent_leaving_the_float_range_raises(self, e):
+        with pytest.raises(InvalidSetError, match="float range"):
+            mono_mul(mono(1, e), mono(1, e))
 
 
 class TestMonomialSets:
@@ -117,6 +123,18 @@ class TestMonomialSets:
             lhs = mono_mul_sets(MPoint(a), mono_add(b, c))
             rhs = mono_add_sets(MPoint(mono_mul(a, b)), MPoint(mono_mul(a, c)))
             assert mset_eq(lhs, rhs)
+
+    def test_cone_product_in_each_domain(self):
+        cases = [
+            ("real", 1.5, -0.5, 1.0),
+            ("rational", Fraction(1, 2), Fraction(1, 3), Fraction(5, 6)),
+            # integer exponents below 2 and below -1 are at most 1 and -2
+            ("int", 2, -1, 0),
+        ]
+        for domain, b1, b2, product in cases:
+            assert mono_mul_sets(MCone(b1), MCone(b2), domain) == MCone(product)
+            X = get_structure("mono" if domain == "real" else f"mono-{domain}")
+            assert X.mul_sets(MCone(b1), MCone(b2)) == MCone(product), domain
 
     def test_exponent_domains(self):
         q = parse_monomial("2t^1/2", domain="rational")
@@ -311,6 +329,10 @@ class TestPadicText:
     def test_roundtrip(self):
         a = pe(5, -1, [1, 2, 0, 3])
         assert parse_padic(format_padic(a), 5, 8).eq(a)
+
+    @pytest.mark.parametrize("text,p,depth,e", [("3125", 5, 3, 5), ("1024", 2, 3, 10)])
+    def test_parse_keeps_the_top_carry(self, text, p, depth, e):
+        assert parse_padic(text, p, depth) == PadicElem(p, e, (1,) + (0,) * (depth - 1))
 
     def test_zero(self):
         assert parse_padic("0", 5, 8).is_zero

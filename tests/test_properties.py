@@ -202,11 +202,11 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
 # each value-set family's normalizer, keyed by the set types it produces
 NORMAL_FORMS = [
     ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), csets.normalize),
-    ((rsets.RSet,), lambda s, tol: rsets.rset(list(s.intervals), tol)),
+    ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
     ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
-     lambda s, tol: qsets.qnormalize([s], tol)),
-    ((exotic.MPoint, exotic.MCone, exotic.MUnion), lambda s, tol: exotic.mnormalize([s], tol)),
-    ((exotic.PPoint, exotic.PCone, exotic.PUnion), lambda s, tol: exotic.pnormalize([s])),
+     lambda s: qsets.qnormalize([s])),
+    ((exotic.MPoint, exotic.MCone, exotic.MUnion), lambda s: exotic.mnormalize([s])),
+    ((exotic.PPoint, exotic.PCone, exotic.PUnion), lambda s: exotic.pnormalize([s])),
 ]
 
 CANONICAL_CARRIERS = [
@@ -215,10 +215,10 @@ CANONICAL_CARRIERS = [
 ]
 
 
-def _normal_form(s, tol):
+def _normal_form(s):
     for kinds, normalize in NORMAL_FORMS:
         if isinstance(s, kinds):
-            return normalize(s, tol)
+            return normalize(s)
     raise TypeError(f"no normalizer for {type(s).__name__}")
 
 
@@ -240,6 +240,6 @@ def test_operations_return_canonical_sets(name):
         ]
         for out in outs:
             if out is not None:
-                assert out == _normal_form(out, X.tol), (a, b, c, out)
+                assert out == _normal_form(out), (a, b, c, out)
                 for p in X.pick(out, pick_rng):
                     assert X.member(p, out), (a, b, c, out, p)
