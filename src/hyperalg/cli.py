@@ -133,50 +133,35 @@ def cmd_char(args) -> int:
     return 0
 
 
+# name -> (source, target, the map: a function of homs, description)
 HOM_TABLE = {
-    "sign": ("R", "S", "sign map x -> x/|x| on the classical reals"),
-    "sign-tr": ("TR", "S", "sign map on the real tropical carrier"),
-    "S-K": ("S", "K", "collapse of signs onto the two-element carrier"),
-    "phase": ("C", "Phi", "phase map z -> z/|z| on the classical field"),
-    "phase-tc": ("TC", "Phi", "phase map on the complex tropical carrier"),
-    "abs": ("C", "tri", "modulus map on the classical field"),
-    "abs-tc": ("TC", "tri", "modulus map on the complex tropical carrier"),
-    "abs-ultra": ("TC", "ultra", "modulus map into the ultratriangle carrier"),
-    "logabs": ("TC", "trop", "log-modulus map"),
-    "logabs-amoeba": ("C", "amoeba", "log-modulus on the classical field"),
-    "modulus-maxplus": ("TC", "maxplus", "modulus into (R+, max, *): not a homomorphism"),
-    "w": (None, None, "leading-term map on complex polynomials"),
+    "sign": ("R", "S", "sign_label", "sign map x -> x/|x| on the classical reals"),
+    "sign-tr": ("TR", "S", "sign_label", "sign map on the real tropical carrier"),
+    "S-K": ("S", "K", "collapse_sign", "collapse of signs onto the two-element carrier"),
+    "phase": ("C", "Phi", "phase_map", "phase map z -> z/|z| on the classical field"),
+    "phase-tc": ("TC", "Phi", "phase_map", "phase map on the complex tropical carrier"),
+    "abs": ("C", "tri", "abs_map", "modulus map on the classical field"),
+    "abs-tc": ("TC", "tri", "abs_map", "modulus map on the complex tropical carrier"),
+    "abs-ultra": ("TC", "ultra", "abs_map", "modulus map into the ultratriangle carrier"),
+    "logabs": ("TC", "trop", "log_abs", "log-modulus map"),
+    "logabs-amoeba": ("C", "amoeba", "log_abs", "log-modulus on the classical field"),
+    "modulus-maxplus": ("TC", "maxplus", "abs_map", "modulus into (R+, max, *): not a homomorphism"),
+    "w": (None, None, "w_map", "leading-term map on complex polynomials"),
 }
 
 
-def _hom_fn(name: str, x, y):
-    from .homs import abs_map, log_abs, phase_map, sign_map
-
-    if name in ("sign", "sign-tr"):
-        return lambda v: {1: "1", -1: "-1", 0: "0"}[sign_map(v)]
-    if name == "S-K":
-        return lambda lbl: "0" if lbl == "0" else "1"
-    if name in ("phase", "phase-tc"):
-        return phase_map
-    if name in ("abs", "abs-tc", "abs-ultra", "modulus-maxplus"):
-        return abs_map
-    if name in ("logabs", "logabs-amoeba"):
-        return log_abs
-    raise ValueError(name)
-
-
 def cmd_hom(args) -> int:
+    from . import homs
+
     rng = random.Random(_seed(args))
     if args.name == "w":
-        from .homs import check_w_hom
-
-        rep = check_w_hom(args.budget, rng)
+        rep = homs.check_w_hom(args.budget, rng)
     else:
         if args.name not in HOM_TABLE:
             raise ValueError(f"unknown homomorphism {args.name!r}; try {sorted(HOM_TABLE)}")
-        src, dst, _ = HOM_TABLE[args.name]
+        src, dst, fn, _ = HOM_TABLE[args.name]
         x, y = get_structure(src), get_structure(dst)
-        rep = check_hom(_hom_fn(args.name, x, y), x, y, args.budget, rng, name=args.name)
+        rep = check_hom(getattr(homs, fn), x, y, args.budget, rng, name=args.name)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -186,14 +171,14 @@ def cmd_hom(args) -> int:
 
 
 def cmd_poly(args) -> int:
-    from .homs import hf_poly_eval, parse_hf_poly, zero_set_member
+    from .homs import hf_poly_eval, parse_hf_poly
 
     x = get_structure(args.structure)
     p = parse_hf_poly(x, args.poly)
     point = tuple(x.parse_elem(t) for t in args.at.split(";"))
     val = hf_poly_eval(p, point)
     print(x.format_set(val))
-    print(f"zero-member={'true' if zero_set_member(p, point) else 'false'}")
+    print(f"zero-member={'true' if x.member(x.zero, val) else 'false'}")
     return 0
 
 

@@ -1,20 +1,20 @@
 """Tropical additions on monomials and on truncated p-adic numbers.
 
-Monomials a*t^r carry a nonzero complex coefficient and a real exponent; the
-sum is dominated by the larger exponent, adds coefficients on a tie, and
-degenerates to the open cone of strictly smaller exponents (plus 0) on a
-cancellation.  Exponents may be restricted to rationals or integers.
-
-p-adic numbers are truncated to a fixed digit depth L; the multivalued sum is
-dominated by the larger norm, is ordinary digit addition when the leading
-digits do not sum to p, and is the open ball of strictly smaller norms when
-they do.  Any classical operation whose answer depends on digits beyond the
-truncation returns the Indeterminate marker rather than a wrong value.
+Both carriers come from a field with a non-Archimedean valuation, so they share
+one cone value-set algebra, keyed on each element's value: a monomial's
+exponent, or minus a p-adic number's leading exponent.  The larger value
+dominates a sum, and a cancellation gives the open cone of every element of
+strictly smaller value, together with 0.  Monomials a*t^r add coefficients on a
+tie; exponents may be restricted to rationals or integers.  p-adic numbers are
+truncated to a fixed digit depth L and add digits on a tie unless the leading
+digits sum to p; any classical operation whose answer depends on digits beyond
+the truncation returns the Indeterminate marker rather than a wrong value.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of mnormalize or pnormalize,
-which the predicates and set-extended sums take as is; a monomial predicate may
-compare wider, and p-adic arithmetic is exact.
+which the predicates and set-extended sums take as is; a predicate may compare
+monomials wider, and p-adic values, being integers, compare exactly under any
+tolerance below 1.
 """
 from __future__ import annotations
 
@@ -24,9 +24,143 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .csets import InvalidSetError, RepresentationClosureError, match_parts
 from .tolerance import DEFAULT_TOL, Tolerance, fmt_num
+
+
+# ---------------------------------------------------------------------------
+# the shared cone algebra: an element has a `value` (None for 0, which lies
+# below every value) and `eq`; a cone (MCone, PCone) has a `value` and `times`
+
+
+@dataclass(frozen=True, slots=True)
+class VPoint:
+    elem: MonomialElem | PadicElem
+
+
+@dataclass(frozen=True, slots=True)
+class VUnion:
+    """A normal form of several components: the cone, if any, then points."""
+
+    parts: tuple
+
+
+def parts_of(s) -> list:
+    return list(s.parts) if isinstance(s, VUnion) else [s]
+
+
+# the per-family names of parts_of that perfbench/tracer.py reads
+mparts_of = pparts_of = parts_of
+
+_value = attrgetter("value")
+
+
+def _below(value, bound, eps) -> bool:
+    """Does an element of this value lie in the open cone below `bound`?"""
+    return value is None or value - bound < -eps
+
+
+def _same(x, y, tol: Tolerance) -> bool:
+    """Monomials compare within tol; p-adic numbers are exact."""
+    return x.eq(y, tol) if isinstance(x, MonomialElem) else x.eq(y)
+
+
+def _normalize(parts: list, key):
+    """Flatten, keep the cone of largest value (the first one on a tie), drop
+    the points it holds and repeated points, and sort the rest by `key`."""
+    flat = [c for p in parts for c in parts_of(p)]
+    if not flat:
+        raise InvalidSetError("valued set must be nonempty")
+    top = max((c for c in flat if not isinstance(c, VPoint)), key=_value, default=None)
+    kept: list = []
+    for c in flat:
+        if not isinstance(c, VPoint):
+            continue
+        x = c.elem
+        if top is not None and _below(x.value, top.value, DEFAULT_TOL.eps):
+            continue
+        if not any(x.eq(k) for k in kept):
+            kept.append(x)
+    out = ([top] if top is not None else []) + [VPoint(x) for x in sorted(kept, key=key)]
+    return out[0] if len(out) == 1 else VUnion(tuple(out))
+
+
+def member(x, s, tol: Tolerance = DEFAULT_TOL) -> bool:
+    for c in parts_of(s):
+        if isinstance(c, VPoint):
+            if _same(x, c.elem, tol):
+                return True
+        elif _below(x.value, c.value, tol.eps):
+            return True
+    return False
+
+
+def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Each point of s1 is a member of s2, and each cone of s1 lies in a cone
+    of s2 of no smaller value."""
+    for c in parts_of(s1):
+        if isinstance(c, VPoint):
+            if not member(c.elem, s2, tol):
+                return False
+        elif not any(
+            not isinstance(d, VPoint) and c.value - d.value <= tol.eps for d in parts_of(s2)
+        ):
+            return False
+    return True
+
+
+def _part_eq(c, d, tol: Tolerance) -> bool:
+    if isinstance(c, VPoint):
+        return isinstance(d, VPoint) and _same(c.elem, d.elem, tol)
+    return not isinstance(d, VPoint) and abs(c.value - d.value) <= tol.eps
+
+
+def set_eq(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return s1 == s2 or match_parts(parts_of(s1), parts_of(s2), _part_eq, tol)
+
+
+def _add_parts(s1, s2, add) -> list:
+    """The components of s1 + s2, given the family's addition of two elements."""
+    out: list = []
+    for c1 in parts_of(s1):
+        for c2 in parts_of(s2):
+            if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, VPoint):
+                out.extend(parts_of(add(c1.elem, c2.elem)))
+            elif not isinstance(c2, VPoint):
+                out.append(max(c1, c2, key=_value))
+            else:  # the cone absorbs a point below it; a point at or above it dominates
+                out.append(c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL.eps) else c2)
+    return out
+
+
+def _mul_parts(s1, s2, mul, step) -> list:
+    """The components of the pointwise product s1 * s2, given the family's
+    product of two elements; two cones multiply to the cone `step` below the
+    sum of their values."""
+    out: list = []
+    for c1 in parts_of(s1):
+        for c2 in parts_of(s2):
+            if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
+                c1, c2 = c2, c1
+            if isinstance(c1, VPoint):
+                out.append(VPoint(mul(c1.elem, c2.elem)))
+            elif not isinstance(c2, VPoint):
+                out.append(c1.times(c2, step))
+            elif c2.elem.value is None:  # 0 times a cone
+                out.append(c2)
+            else:
+                out.append(c1.times(c2.elem))
+    return out
+
+
+def format_set(s, format_elem) -> str:
+    return " | ".join(
+        f"point {format_elem(c.elem)}" if isinstance(c, VPoint) else str(c) for c in parts_of(s)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +181,12 @@ class MonomialElem:
             object.__setattr__(self, "exponent", 0)
         elif self.coeff == 0:
             raise InvalidSetError("nonzero monomial needs a nonzero coefficient")
+        elif not cmath.isfinite(self.coeff):
+            raise InvalidSetError(f"monomial coefficient {self.coeff} is not finite")
+
+    @property
+    def value(self) -> float | None:
+        return None if self.zero else float(self.exponent)
 
     def eq(self, other: "MonomialElem", tol: Tolerance = DEFAULT_TOL) -> bool:
         if self.zero or other.zero:
@@ -62,84 +202,31 @@ MONE = MonomialElem(1 + 0j, 0)
 
 
 @dataclass(frozen=True, slots=True)
-class MPoint:
-    elem: MonomialElem
-
-
-@dataclass(frozen=True, slots=True)
 class MCone:
     """All monomials with exponent strictly below `bound`, together with 0."""
 
     bound: float | Fraction | int
 
+    @property
+    def value(self) -> float:
+        return float(self.bound)
 
-@dataclass(frozen=True, slots=True)
-class MUnion:
-    parts: tuple
+    def times(self, other: MonomialElem | MCone, step=0) -> MCone:
+        """The product with a nonzero monomial, or with a cone lowered by `step`."""
+        e = other.bound if isinstance(other, MCone) else other.exponent
+        return MCone(self.bound + e - step)
+
+    def __str__(self) -> str:
+        return f"below t^{fmt_num(float(self.bound))}"
 
 
-MSet = MPoint | MCone | MUnion
-
-
-def mparts_of(s: MSet) -> list:
-    return list(s.parts) if isinstance(s, MUnion) else [s]
+MSet = VPoint | MCone | VUnion
 
 
 def mnormalize(parts: list) -> MSet:
-    flat: list = []
-    for p in parts:
-        flat.extend(mparts_of(p))
-    if not flat:
-        raise InvalidSetError("monomial value set must be nonempty")
-    cones = [c for c in flat if isinstance(c, MCone)]
-    bound = max((float(c.bound) for c in cones), default=None)
-    out: list = []
-    if cones:
-        top = max(cones, key=lambda c: float(c.bound))
-        out.append(top)
-    kept: list[MonomialElem] = []
-    for c in flat:
-        if not isinstance(c, MPoint):
-            continue
-        e = c.elem
-        if bound is not None and (e.zero or float(e.exponent) <= bound - DEFAULT_TOL.eps):
-            continue
-        if any(e.eq(k) for k in kept):
-            continue
-        kept.append(e)
-    out.extend(
-        MPoint(e)
-        for e in sorted(kept, key=lambda e: (float(e.exponent), e.coeff.real, e.coeff.imag))
-    )
-    if len(out) == 1:
-        return out[0]
-    return MUnion(tuple(out))
-
-
-def mmember(x: MonomialElem, s: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for c in mparts_of(s):
-        if isinstance(c, MPoint):
-            if x.eq(c.elem, tol):
-                return True
-        else:
-            if x.zero or float(x.exponent) < float(c.bound) + tol.eps:
-                return True
-    return False
-
-
-def msubset(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for c in mparts_of(s1):
-        if isinstance(c, MPoint):
-            if not mmember(c.elem, s2, tol):
-                return False
-        else:
-            ok = any(
-                isinstance(d, MCone) and float(c.bound) <= float(d.bound) + tol.eps
-                for d in mparts_of(s2)
-            )
-            if not ok:
-                return False
-    return True
+    """The normal form of a monomial set; points sort by exponent, then
+    coefficient."""
+    return _normalize(parts, lambda x: (float(x.exponent), x.coeff.real, x.coeff.imag))
 
 
 def random_coeff(rng) -> complex:
@@ -151,8 +238,8 @@ def mpick(s: MSet, rng, domain: str = "real") -> list:
     """Sample points of s: each point, and for a cone 0 plus monomials at three
     exponents of the domain strictly below its bound."""
     pts = []
-    for c in mparts_of(s):
-        if isinstance(c, MPoint):
+    for c in parts_of(s):
+        if isinstance(c, VPoint):
             pts.append(c.elem)
             continue
         pts.append(MZERO)
@@ -167,28 +254,18 @@ def mpick(s: MSet, rng, domain: str = "real") -> list:
     return pts
 
 
-def _mcomp_eq(c, d, tol: Tolerance) -> bool:
-    if isinstance(c, MCone) and isinstance(d, MCone):
-        return abs(float(c.bound) - float(d.bound)) <= tol.eps
-    return isinstance(c, MPoint) and isinstance(d, MPoint) and c.elem.eq(d.elem, tol)
-
-
-def mset_eq(s1: MSet, s2: MSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return match_parts(mparts_of(s1), mparts_of(s2), _mcomp_eq, tol)
-
-
 def mono_add(a: MonomialElem, b: MonomialElem, tol: Tolerance = DEFAULT_TOL) -> MSet:
     if a.zero:
-        return MPoint(b)
+        return VPoint(b)
     if b.zero:
-        return MPoint(a)
+        return VPoint(a)
     ra, rb = float(a.exponent), float(b.exponent)
     if abs(ra - rb) > tol.eps:
-        return MPoint(a if ra > rb else b)
+        return VPoint(a if ra > rb else b)
     c = a.coeff + b.coeff
     if abs(c) <= tol.eps * max(abs(a.coeff), abs(b.coeff)):
         return MCone(a.exponent)
-    return MPoint(MonomialElem(c, a.exponent))
+    return VPoint(MonomialElem(c, a.exponent))
 
 
 def mono_mul(a: MonomialElem, b: MonomialElem) -> MonomialElem:
@@ -212,50 +289,14 @@ def mono_neg(a: MonomialElem) -> MonomialElem:
     return MonomialElem(-a.coeff, a.exponent)
 
 
-def _mcone_point(c: MCone, p: MonomialElem) -> list:
-    if p.zero:
-        return [c]
-    e = float(p.exponent)
-    b = float(c.bound)
-    if e < b - DEFAULT_TOL.eps:
-        return [c]
-    return [MPoint(p)]
-
-
 def mono_add_sets(s1: MSet, s2: MSet) -> MSet:
-    out: list = []
-    for c1 in mparts_of(s1):
-        for c2 in mparts_of(s2):
-            if isinstance(c1, MPoint) and isinstance(c2, MCone):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, MPoint):
-                out.extend(mparts_of(mono_add(c1.elem, c2.elem)))
-            elif isinstance(c2, MPoint):
-                out.extend(_mcone_point(c1, c2.elem))
-            else:
-                out.append(MCone(max(c1.bound, c2.bound, key=float)))
-    return mnormalize(out)
+    return mnormalize(_add_parts(s1, s2, mono_add))
 
 
 def mono_mul_sets(s1: MSet, s2: MSet, domain: str = "real") -> MSet:
     """Pointwise product.  Two int-domain cones multiply to `below t^(b1+b2-1)`:
     their exponents are at most b1-1 and b2-1."""
-    out: list = []
-    for c1 in mparts_of(s1):
-        for c2 in mparts_of(s2):
-            if isinstance(c1, MPoint) and isinstance(c2, MCone):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, MPoint):
-                out.append(MPoint(mono_mul(c1.elem, c2.elem)))
-            elif isinstance(c2, MPoint):
-                if c2.elem.zero:
-                    out.append(MPoint(MZERO))
-                else:
-                    out.append(MCone(c1.bound + c2.elem.exponent))
-            else:
-                bound = c1.bound + c2.bound
-                out.append(MCone(bound - 1 if domain == "int" else bound))
-    return mnormalize(out)
+    return mnormalize(_mul_parts(s1, s2, mono_mul, 1 if domain == "int" else 0))
 
 
 def format_monomial(a: MonomialElem) -> str:
@@ -267,16 +308,6 @@ def format_monomial(a: MonomialElem) -> str:
     else:
         cs = f"({fmt_num(c.real)}{'+' if c.imag >= 0 else '-'}{fmt_num(abs(c.imag))}i)"
     return f"{cs}t^{fmt_num(float(a.exponent))}"
-
-
-def format_mset(s: MSet) -> str:
-    out = []
-    for c in mparts_of(s):
-        if isinstance(c, MPoint):
-            out.append(f"point {format_monomial(c.elem)}")
-        else:
-            out.append(f"below t^{fmt_num(float(c.bound))}")
-    return " | ".join(out)
 
 
 _MONO_RE = re.compile(r"^\s*(?P<coeff>.*?)\s*t\^(?P<exp>[-+0-9./]+)\s*$")
@@ -298,8 +329,6 @@ def parse_monomial(text: str, domain: str = "real") -> MonomialElem:
         from .csets import parse_celem
 
         coeff = parse_celem(cs).as_complex()
-    if not cmath.isfinite(coeff):
-        raise InvalidSetError(f"monomial coefficient must be finite: {text!r}")
     es = m.group("exp")
     try:
         if domain == "int":
@@ -363,6 +392,10 @@ class PadicElem:
     @property
     def depth(self) -> int:
         return len(self.digits)
+
+    @property
+    def value(self) -> int | None:
+        return None if self.is_zero else -self.e
 
     def norm(self) -> float:
         if self.is_zero:
@@ -442,77 +475,30 @@ def padic_classical_add(a: PadicElem, b: PadicElem):
 
 
 @dataclass(frozen=True, slots=True)
-class PPoint:
-    elem: PadicElem
-
-
-@dataclass(frozen=True, slots=True)
 class PCone:
     """All p-adic numbers of norm strictly below p**(-e), together with 0."""
 
     p: int
     e: int
 
+    @property
+    def value(self) -> int:
+        return -self.e
 
-@dataclass(frozen=True, slots=True)
-class PUnion:
-    parts: tuple
+    def times(self, other: PadicElem | PCone, step=0) -> PCone:
+        """The product with a nonzero number, or with a cone lowered by `step`."""
+        return PCone(self.p, self.e + other.e + step)
+
+    def __str__(self) -> str:
+        return f"below {self.p}^{-self.e}"
 
 
-PSet = PPoint | PCone | PUnion
-
-
-def pparts_of(s: PSet) -> list:
-    return list(s.parts) if isinstance(s, PUnion) else [s]
+PSet = VPoint | PCone | VUnion
 
 
 def pnormalize(parts: list) -> PSet:
-    flat: list = []
-    for p in parts:
-        flat.extend(pparts_of(p))
-    if not flat:
-        raise InvalidSetError("p-adic value set must be nonempty")
-    cones = [c for c in flat if isinstance(c, PCone)]
-    bound = min((c.e for c in cones), default=None)
-    out: list = []
-    if cones:
-        out.append(PCone(cones[0].p, bound))
-    kept: list[PadicElem] = []
-    for c in flat:
-        if not isinstance(c, PPoint):
-            continue
-        x = c.elem
-        if bound is not None and (x.is_zero or x.e > bound):
-            continue
-        if any(x.eq(k) for k in kept):
-            continue
-        kept.append(x)
-    out.extend(PPoint(x) for x in sorted(kept, key=lambda x: (x.e, x.digits)))
-    if len(out) == 1:
-        return out[0]
-    return PUnion(tuple(out))
-
-
-def pmember(x: PadicElem, s: PSet) -> bool:
-    for c in pparts_of(s):
-        if isinstance(c, PPoint):
-            if x.eq(c.elem):
-                return True
-        else:
-            if x.is_zero or x.e > c.e:
-                return True
-    return False
-
-
-def psubset(s1: PSet, s2: PSet) -> bool:
-    for c in pparts_of(s1):
-        if isinstance(c, PPoint):
-            if not pmember(c.elem, s2):
-                return False
-        else:
-            if not any(isinstance(d, PCone) and d.e <= c.e for d in pparts_of(s2)):
-                return False
-    return True
+    """The normal form of a p-adic set; points sort by exponent, then digits."""
+    return _normalize(parts, lambda x: (x.e, x.digits))
 
 
 def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
@@ -524,8 +510,8 @@ def ppick(s: PSet, rng, depth: int) -> list:
     """Sample points of s: each point, and for a cone 0 plus two elements of
     strictly smaller norm with `depth` digits."""
     pts = []
-    for c in pparts_of(s):
-        if isinstance(c, PPoint):
+    for c in parts_of(s):
+        if isinstance(c, VPoint):
             pts.append(c.elem)
             continue
         pts.append(padic_zero(c.p))
@@ -534,27 +520,22 @@ def ppick(s: PSet, rng, depth: int) -> list:
     return pts
 
 
-def pset_eq(s1: PSet, s2: PSet) -> bool:
-    """p-adic arithmetic is exact, so canonical sets are equal iff identical."""
-    return s1 == s2
-
-
 def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
     if a.p != b.p:
         raise ValueError("p-adic operands over different primes")
     if a.is_zero:
-        return PPoint(b)
+        return VPoint(b)
     if b.is_zero:
-        return PPoint(a)
+        return VPoint(a)
     if a.e != b.e:
-        return PPoint(a if a.e < b.e else b)  # smaller exponent = larger norm
+        return VPoint(a if a.e < b.e else b)  # smaller exponent = larger norm
     if a.digits[0] + b.digits[0] == a.p:
         return PCone(a.p, a.e)
     res = padic_classical_add(a, b)
     if res is INDETERMINATE:
         # leading digits do not cancel, so this cannot happen
         raise RepresentationClosureError("unexpected full cancellation")
-    return PPoint(res)
+    return VPoint(res)
 
 
 def padic_mul(a: PadicElem, b: PadicElem) -> PadicElem:
@@ -590,42 +571,13 @@ def padic_inv(a: PadicElem) -> PadicElem:
 
 
 def padic_add_sets(s1: PSet, s2: PSet) -> PSet:
-    out: list = []
-    for c1 in pparts_of(s1):
-        for c2 in pparts_of(s2):
-            if isinstance(c1, PPoint) and isinstance(c2, PCone):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, PPoint):
-                out.extend(pparts_of(padic_add(c1.elem, c2.elem)))
-            elif isinstance(c2, PPoint):
-                out.extend(_pcone_point(c1, c2.elem))
-            else:
-                out.append(PCone(c1.p, min(c1.e, c2.e)))
-    return pnormalize(out)
-
-
-def _pcone_point(c: PCone, x: PadicElem) -> list:
-    if x.is_zero or x.e > c.e:
-        return [c]
-    return [PPoint(x)]
+    return pnormalize(_add_parts(s1, s2, padic_add))
 
 
 def padic_mul_sets(s1: PSet, s2: PSet) -> PSet:
-    out: list = []
-    for c1 in pparts_of(s1):
-        for c2 in pparts_of(s2):
-            if isinstance(c1, PPoint) and isinstance(c2, PCone):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, PPoint):
-                out.append(PPoint(padic_mul(c1.elem, c2.elem)))
-            elif isinstance(c2, PPoint):
-                if c2.elem.is_zero:
-                    out.append(PPoint(padic_zero(c1.p)))
-                else:
-                    out.append(PCone(c1.p, c1.e + c2.elem.e))
-            else:
-                out.append(PCone(c1.p, c1.e + c2.e + 1))
-    return pnormalize(out)
+    """Pointwise product.  Two cones multiply to the cone one exponent deeper
+    than the sum of theirs: their elements have exponents at least e1+1 and e2+1."""
+    return pnormalize(_mul_parts(s1, s2, padic_mul, 1))
 
 
 def format_padic(a: PadicElem) -> str:
@@ -646,19 +598,26 @@ def format_padic(a: PadicElem) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def format_pset(s: PSet) -> str:
-    out = []
-    for c in pparts_of(s):
-        if isinstance(c, PPoint):
-            out.append(f"point {format_padic(c.elem)}")
-        else:
-            out.append(f"below {c.p}^{-c.e}")
-    return " | ".join(out)
-
-
 _PADIC_TERM = re.compile(
     r"^\s*(?:(?P<d>\d+)\s*\*\s*)?(?P<p>\d+)(?:\^(?P<e>-?\d+))?\s*$|^\s*(?P<const>\d+)\s*$"
 )
+
+
+def _strip_p(n: int, p: int, limit) -> tuple[int, int]:
+    """(n // p**k, k) for the largest k <= limit with p**k dividing n, found in
+    O(log k) divisions by p**(2**i) rather than k divisions by p; n = 0 gives
+    k = limit."""
+    if not n:
+        return 0, limit
+    powers = [p]  # p**(2**i), up to n and to the limit
+    while powers[-1] ** 2 <= n and 1 << len(powers) <= limit:
+        powers.append(powers[-1] ** 2)
+    k = 0
+    for i in reversed(range(len(powers))):
+        q, r = divmod(n, powers[i])
+        if not r and k + (1 << i) <= limit:
+            n, k = q, k + (1 << i)
+    return n, k
 
 
 def parse_padic(text: str, p: int, depth: int) -> PadicElem:
@@ -697,10 +656,14 @@ def parse_padic(text: str, p: int, depth: int) -> PadicElem:
     digits: list[int] = []
     carry, e = 0, terms[0][0]
     while len(digits) < depth and (carry or terms):
-        if not (carry or digits):  # skip the zero digits below the next term
-            e = terms[0][0]
         if terms and terms[0][0] == e:
             carry += terms.pop(0)[1]
+        if not digits:  # skip the zero digits below the leading one, up to the next term
+            gap = terms[0][0] - e if terms else math.inf
+            carry, k = _strip_p(carry, p, gap)
+            e += k
+            if k == gap:
+                continue
         carry, d = divmod(carry, p)
         if d or digits:
             digits.append(d)

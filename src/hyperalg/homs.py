@@ -29,6 +29,16 @@ def sign_map(x: float) -> int:
     return 0
 
 
+def sign_label(x: float) -> str:
+    """The sign map onto the element labels of the sign carrier S."""
+    return str(sign_map(x))
+
+
+def collapse_sign(label: str) -> str:
+    """The map S -> K: 0 stays 0 and either sign goes to 1."""
+    return "0" if label == "0" else "1"
+
+
 def phase_map(z: ComplexElem) -> ComplexElem:
     if z.modulus == 0.0:
         return CZERO
@@ -276,9 +286,6 @@ class HFPolynomial:
 
     structure: Structure
     terms: tuple[tuple[tuple[int, ...], object], ...]  # (exponent vector, coeff)
-
-    def arity(self) -> int:
-        return len(self.terms[0][0]) if self.terms else 0
 
 
 def hf_polynomial(structure: Structure, terms: list) -> HFPolynomial:

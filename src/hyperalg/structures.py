@@ -7,8 +7,9 @@ algorithm: membership, containment, sampling and normal forms.
 
 Carriers of one value-set family share a base binding the set algebra, the
 text forms and the classical multiplication once: ComplexCarrier (csets, for
-TC, Phi and C) and IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba,
-R and maxplus).  A subclass states its addition and only what else differs.
+TC, Phi and C), IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba, R
+and maxplus) and ValuedCarrier (the exotic cone algebra, for mono and
+padic).  A subclass states its addition and only what else differs.
 """
 from __future__ import annotations
 
@@ -465,7 +466,30 @@ class QuaternionTropical(Structure):
         return qsets.format_qset(s)
 
 
-class MonomialStructure(Structure):
+class ValuedCarrier(Structure):
+    """A carrier dominated by a valuation, with the exotic cone value-set
+    algebra: the monomials and the truncated p-adic numbers."""
+
+    def singleton(self, a):
+        return exotic.VPoint(a)
+
+    def eq(self, a, b):
+        return a.eq(b)
+
+    def member(self, x, s):
+        return exotic.member(x, s)
+
+    def set_eq(self, s1, s2):
+        return exotic.set_eq(s1, s2)
+
+    def subset(self, s1, s2):
+        return exotic.subset(s1, s2)
+
+    def format_set(self, s):
+        return exotic.format_set(s, self.format_elem)
+
+
+class MonomialStructure(ValuedCarrier):
     """Monomials coeff*t^exp with dominance by exponent.
 
     The exponent domain is `real`, `rational`, or `int`.
@@ -506,9 +530,6 @@ class MonomialStructure(Structure):
     def union_sets(self, s1, s2):
         return exotic.mnormalize([s1, s2])
 
-    def singleton(self, a):
-        return exotic.MPoint(a)
-
     def neg(self, a):
         return exotic.mono_neg(a)
 
@@ -521,18 +542,6 @@ class MonomialStructure(Structure):
     def mul_sets(self, s1, s2):
         return exotic.mono_mul_sets(s1, s2, self.domain)
 
-    def eq(self, a, b):
-        return a.eq(b)
-
-    def member(self, x, s):
-        return exotic.mmember(x, s)
-
-    def set_eq(self, s1, s2):
-        return exotic.mset_eq(s1, s2)
-
-    def subset(self, s1, s2):
-        return exotic.msubset(s1, s2)
-
     def pick(self, s, rng, count=4):
         return exotic.mpick(s, rng, self.domain)
 
@@ -542,11 +551,8 @@ class MonomialStructure(Structure):
     def parse_elem(self, text):
         return exotic.parse_monomial(text, self.domain)
 
-    def format_set(self, s):
-        return exotic.format_mset(s)
 
-
-class PadicStructure(Structure):
+class PadicStructure(ValuedCarrier):
     """Truncated p-adic numbers with dominant-norm tropical addition.
 
     The addition is not associative and its negation is not unique (see README).
@@ -591,9 +597,6 @@ class PadicStructure(Structure):
     def union_sets(self, s1, s2):
         return exotic.pnormalize([s1, s2])
 
-    def singleton(self, a):
-        return exotic.PPoint(a)
-
     def neg(self, a):
         return exotic.padic_neg(a)
 
@@ -606,18 +609,6 @@ class PadicStructure(Structure):
     def mul_sets(self, s1, s2):
         return exotic.padic_mul_sets(s1, s2)
 
-    def eq(self, a, b):
-        return a.eq(b)
-
-    def member(self, x, s):
-        return exotic.pmember(x, s)
-
-    def set_eq(self, s1, s2):
-        return exotic.pset_eq(s1, s2)
-
-    def subset(self, s1, s2):
-        return exotic.psubset(s1, s2)
-
     def pick(self, s, rng, count=4):
         return exotic.ppick(s, rng, self.depth)
 
@@ -626,9 +617,6 @@ class PadicStructure(Structure):
 
     def parse_elem(self, text):
         return exotic.parse_padic(text, self.p, self.depth)
-
-    def format_set(self, s):
-        return exotic.format_pset(s)
 
 
 class ComplexField(ComplexCarrier):

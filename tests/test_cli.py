@@ -95,6 +95,20 @@ class TestAdd:
         # the folded constant's only nonzero digit lies above depth + 2 digits
         assert run(capsys, "add", structure, literal, "0") == (0, expected + "\n", "")
 
+    def test_padic_literal_with_a_long_run_of_zero_digits(self, capsys):
+        # 10^99999 = 2^99999 * 5^99999 and 5^99999 = 1 + 2^2 (mod 2^3)
+        expected = "point 2^99999 + 2^100001\n"
+        assert run(capsys, "add", "padic:2:3", "10^99999", "0") == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["add", "mono", "1e308t^1", "1e308t^1"], ["poly", "mono", "X^1000", "--at", "10t^1"]],
+    )
+    def test_monomial_coefficient_overflow_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: monomial coefficient") and "not finite" in err
+
 
 class TestSum:
     def test_nary_disk(self, capsys):
@@ -453,7 +467,7 @@ LITERALS = [
     "0.5", "1e-3", "1e99999", "1@-1", "1∠-0.5", "1∠0", "2∠1", "1∠inf", "1@nan", "inf∠0",
     "1+1i", "(1+1i)", "i", "-i", "1,0,0,0", "0,-1,0,0", "-0,0,0,1", "nan,0,0,0", "1e400,0,0,0",
     "1t^1", "-1t^1", "1t^-2", "1t^1/0", "nant^1", "1t^" + "9" * 400, "-1t^-" + "9" * 400,
-    "1t^1" + "0" * 306,
+    "1t^1" + "0" * 306, "10t^1", "1e-320t^-1",
     "5", "2 + 3*5", "5^-1 * (1 + 2*5)", "3^2", "5^99999", "zzz", "{0}",
 ]
 STRUCTURES = [

@@ -1,30 +1,32 @@
 """Monomial and p-adic tropical additions."""
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from hyperalg.axioms import stratified_tuples
 from hyperalg.csets import ComplexElem, InvalidSetError, member as cmember
 from hyperalg.ctrop import ct_add
 from hyperalg.exotic import (
     INDETERMINATE,
     MCone,
-    MPoint,
     MZERO,
     MonomialElem,
     PCone,
-    PPoint,
     PadicElem,
+    VPoint,
+    VUnion,
     format_monomial,
     format_padic,
-    mmember,
+    member,
+    mnormalize,
     mono_add,
     mono_add_sets,
     mono_inv,
     mono_mul,
     mono_mul_sets,
     mono_neg,
-    mset_eq,
     padic_add,
     padic_add_sets,
     padic_classical_add,
@@ -36,8 +38,9 @@ from hyperalg.exotic import (
     padic_zero,
     parse_monomial,
     parse_padic,
-    pmember,
-    pset_eq,
+    pnormalize,
+    set_eq,
+    subset,
 )
 from hyperalg.realhf import check_seminorm, ultra_add
 from hyperalg.rsets import rmember
@@ -51,16 +54,16 @@ def mono(c, e):
 
 class TestMonomialAdd:
     def test_dominant_exponent(self):
-        assert mono_add(mono(3, 2), mono(4, 1)) == MPoint(mono(3, 2))
+        assert mono_add(mono(3, 2), mono(4, 1)) == VPoint(mono(3, 2))
 
     def test_tie_adds_coefficients(self):
-        assert mono_add(mono(1, 0), mono(1, 0)) == MPoint(mono(2, 0))
+        assert mono_add(mono(1, 0), mono(1, 0)) == VPoint(mono(2, 0))
 
     def test_cancellation_cone(self):
         assert mono_add(mono(2, 1), mono(-2, 1)) == MCone(1)
 
     def test_zero_neutral(self):
-        assert mono_add(MZERO, mono(5, 3)) == MPoint(mono(5, 3))
+        assert mono_add(MZERO, mono(5, 3)) == VPoint(mono(5, 3))
 
     def test_mul(self):
         assert mono_mul(mono(3, 2), mono(4, 1)) == mono(12, 3)
@@ -77,19 +80,27 @@ class TestMonomialAdd:
         with pytest.raises(InvalidSetError, match="float range"):
             mono_mul(mono(1, e), mono(1, e))
 
+    def test_coefficient_leaving_the_float_range_raises(self):
+        with pytest.raises(InvalidSetError, match="not finite"):
+            mono_add(mono(1e308, 1), mono(1e308, 1))
+        with pytest.raises(InvalidSetError, match="not finite"):
+            mono_mul(mono(1e200, 1), mono(1e200, 1))
+        with pytest.raises(InvalidSetError, match="not finite"):
+            mono_inv(mono(1e-320, 1))
+
 
 class TestMonomialSets:
     def test_cone_absorbs_deeper_point(self):
-        got = mono_add_sets(MCone(2.0), MPoint(mono(5, 1.0)))
-        assert mset_eq(got, MCone(2.0))
+        got = mono_add_sets(MCone(2.0), VPoint(mono(5, 1.0)))
+        assert set_eq(got, MCone(2.0))
 
     def test_cone_at_bound_yields_point(self):
-        got = mono_add_sets(MCone(1.0), MPoint(mono(5, 1.0)))
-        assert mset_eq(got, MPoint(mono(5, 1.0)))
+        got = mono_add_sets(MCone(1.0), VPoint(mono(5, 1.0)))
+        assert set_eq(got, VPoint(mono(5, 1.0)))
 
     def test_point_cancellation(self):
-        got = mono_add_sets(MPoint(mono(2, 1)), MPoint(mono(-2, 1)))
-        assert mset_eq(got, MCone(1))
+        got = mono_add_sets(VPoint(mono(2, 1)), VPoint(mono(-2, 1)))
+        assert set_eq(got, MCone(1))
 
     def test_associativity_cases(self, rng):
         # the full case analysis: dominant / tie / cancellation chains
@@ -110,9 +121,9 @@ class TestMonomialSets:
                 else MZERO,
             ]
             c = rng.choice(c_choices)
-            lhs = mono_add_sets(mono_add(a, b), MPoint(c))
-            rhs = mono_add_sets(MPoint(a), mono_add(b, c))
-            assert mset_eq(lhs, rhs), (a, b, c)
+            lhs = mono_add_sets(mono_add(a, b), VPoint(c))
+            rhs = mono_add_sets(VPoint(a), mono_add(b, c))
+            assert set_eq(lhs, rhs), (a, b, c)
 
     def test_distributivity(self, rng):
         for _ in range(150):
@@ -120,9 +131,9 @@ class TestMonomialSets:
             a = MonomialElem(complex(rng.gauss(0, 1) or 1, rng.gauss(0, 1)), rng.uniform(-2, 2))
             b = MonomialElem(complex(rng.gauss(0, 1) or 1, rng.gauss(0, 1)), u)
             c = rng.choice([mono_neg(b), MonomialElem(complex(rng.gauss(0, 1) or 1), u)])
-            lhs = mono_mul_sets(MPoint(a), mono_add(b, c))
-            rhs = mono_add_sets(MPoint(mono_mul(a, b)), MPoint(mono_mul(a, c)))
-            assert mset_eq(lhs, rhs)
+            lhs = mono_mul_sets(VPoint(a), mono_add(b, c))
+            rhs = mono_add_sets(VPoint(mono_mul(a, b)), VPoint(mono_mul(a, c)))
+            assert set_eq(lhs, rhs)
 
     def test_cone_product_in_each_domain(self):
         cases = [
@@ -171,8 +182,8 @@ class TestMonomialSets:
             )
             target = ct_add(fwd(a), fwd(b), Tolerance(1e-7))
             s = mono_add(a, b)
-            probes = [a] if isinstance(s, MPoint) else []
-            if isinstance(s, MPoint):
+            probes = [a] if isinstance(s, VPoint) else []
+            if isinstance(s, VPoint):
                 probes = [s.elem]
             else:
                 probes = [MZERO, MonomialElem(complex(1, 1), float(s.bound) - 0.3)]
@@ -182,35 +193,107 @@ class TestMonomialSets:
     def test_format_parse(self):
         m = parse_monomial("(1+2i)t^0.5")
         assert m.coeff == 1 + 2j and m.exponent == 0.5
-        assert mset_eq(MPoint(parse_monomial(format_monomial(m))), MPoint(m))
+        assert set_eq(VPoint(parse_monomial(format_monomial(m))), VPoint(m))
 
 
 def pe(p, e, digits, depth=8):
     return padic_from_digits(p, e, list(digits), depth)
 
 
+class TestCones:
+    def test_cones_are_open(self):
+        # an element at a cone's bound is not in the cone, in both families
+        assert not member(mono(1, 0), MCone(0))
+        assert not member(pe(5, 0, [1]), PCone(5, 0))
+        assert member(mono(1, -0.5), MCone(0)) and member(pe(5, 1, [1]), PCone(5, 0))
+        assert member(MZERO, MCone(0)) and member(padic_zero(5), PCone(5, 0))
+        s = mnormalize([MCone(0), VPoint(mono(1, 0))])
+        assert s == VUnion((MCone(0), VPoint(mono(1, 0))))
+        assert not subset(s, MCone(0)) and subset(MCone(0), s) and not set_eq(s, MCone(0))
+
+    @pytest.mark.parametrize(
+        "name", ["mono", "mono-int", "mono-rational", "padic:2:8", "padic:3:8", "padic:5:8"]
+    )
+    def test_equality_is_containment_both_ways(self, name):
+        X = get_structure(name)
+        for a, b, c in stratified_tuples(X, random.Random(3), 3, 300):
+            ab, bc = X.add(a, b), X.add(b, c)
+            outs = [
+                ab,
+                bc,
+                X.add_sets(ab, X.singleton(c)),
+                X.add_sets(X.singleton(a), bc),
+                X.union_sets(ab, bc),
+                X.union_sets(ab, X.singleton(c)),
+            ]
+            for s in outs:
+                for t in outs:
+                    assert X.set_eq(s, t) == (X.subset(s, t) and X.subset(t, s)), (s, t)
+
+
+class TestNormalForm:
+    """The normal form of a valued set: the top cone first, then the points it
+    does not absorb, deduplicated and sorted by the family's order."""
+
+    def test_monomial_cone_and_points(self):
+        parts = [
+            VPoint(mono(2, 1)), MCone(0.5), VPoint(mono(1, -1)), VPoint(mono(-1, 3)),
+            MCone(1.5), VPoint(mono(1, 1.5)), VPoint(MZERO), VPoint(mono(2, 1)),
+        ]
+        assert mnormalize(parts) == VUnion((MCone(1.5), VPoint(mono(1, 1.5)), VPoint(mono(-1, 3))))
+        nested = [VUnion((MCone(0), VPoint(mono(1, 1)))), VPoint(mono(1, 1)), MCone(-1), VPoint(mono(5, -2))]
+        assert mnormalize(nested) == VUnion((MCone(0), VPoint(mono(1, 1))))
+
+    def test_monomial_points_sort_by_exponent_then_coefficient(self):
+        ties = [mono(1 + 1j, 0), mono(1, 0), mono(-1, 0), mono(1 - 1j, 0), mono(1, 0)]
+        order = [mono(-1, 0), mono(1 - 1j, 0), mono(1, 0), mono(1 + 1j, 0)]
+        assert mnormalize([VPoint(x) for x in ties]) == VUnion(tuple(VPoint(x) for x in order))
+        # 0 sorts as exponent 0
+        got = mnormalize([VPoint(mono(1, 1)), VPoint(MZERO), VPoint(mono(1, -1))])
+        assert got == VUnion((VPoint(mono(1, -1)), VPoint(MZERO), VPoint(mono(1, 1))))
+
+    def test_monomial_top_cone_is_the_first_largest(self):
+        got = mnormalize([MCone(Fraction(1, 2)), MCone(0.5), MCone(-1)])
+        assert got == MCone(Fraction(1, 2)) and isinstance(got.bound, Fraction)
+
+    def test_padic_cone_and_points(self):
+        c = pe(5, -1, [3, 1])
+        parts = [
+            VPoint(pe(5, 1, [2])), PCone(5, 0), VPoint(pe(5, 0, [4, 1])), VPoint(c),
+            PCone(5, -1), VPoint(padic_zero(5)), VPoint(c),
+        ]
+        assert pnormalize(parts) == VUnion((PCone(5, -1), VPoint(c)))
+        parts = [PCone(5, 2), PCone(5, 3), VPoint(pe(5, 2, [1])), VPoint(pe(5, 3, [1]))]
+        assert pnormalize(parts) == VUnion((PCone(5, 2), VPoint(pe(5, 2, [1]))))
+
+    def test_padic_points_sort_by_exponent_then_digits(self):
+        xs = [pe(5, 0, [2]), pe(5, -1, [1]), pe(5, 0, [1, 3]), padic_zero(5), pe(5, 0, [1, 2])]
+        order = [pe(5, -1, [1]), padic_zero(5), pe(5, 0, [1, 2]), pe(5, 0, [1, 3]), pe(5, 0, [2])]
+        assert pnormalize([VPoint(x) for x in xs]) == VUnion(tuple(VPoint(x) for x in order))
+
+
 class TestPadicAdd:
     def test_dominant_norm(self):
         a = pe(5, -1, [1])  # 5^-1, norm 5
         b = pe(5, 0, [1])  # 1, norm 1
-        assert pset_eq(padic_add(a, b), PPoint(a))
+        assert set_eq(padic_add(a, b), VPoint(a))
 
     def test_digit_addition(self):
         a = pe(5, 0, [1])
         got = padic_add(a, a)
-        assert pset_eq(got, PPoint(pe(5, 0, [2])))
+        assert set_eq(got, VPoint(pe(5, 0, [2])))
 
     def test_leading_cancellation(self):
         a = pe(5, 0, [2])
         b = pe(5, 0, [3])
-        assert pset_eq(padic_add(a, b), PCone(5, 0))
+        assert set_eq(padic_add(a, b), PCone(5, 0))
 
     def test_carry_propagation(self):
         a = pe(5, 0, [3, 4])
         b = pe(5, 0, [3, 3])
         # 3+3=6 -> digit 1 carry 1; 4+3+1=8 -> digit 3 carry 1
         got = padic_add(a, b)
-        assert pset_eq(got, PPoint(pe(5, 0, [1, 3, 1])))
+        assert set_eq(got, VPoint(pe(5, 0, [1, 3, 1])))
 
     def test_prime_mismatch(self):
         with pytest.raises(ValueError):
@@ -221,7 +304,7 @@ class TestPadicAdd:
             a = pe(p, 1, [1, 0, p - 1, 1])
             s = padic_classical_add(a, padic_neg(a))
             assert s is INDETERMINATE  # full cancellation beyond truncation
-            assert pmember(padic_zero(p), padic_add(a, padic_neg(a)))
+            assert member(padic_zero(p), padic_add(a, padic_neg(a)))
 
     def test_mul_inv(self):
         a = pe(5, -2, [2, 3, 0, 1])
@@ -250,16 +333,16 @@ class TestPadicAdd:
 
 class TestPadicSets:
     def test_cone_absorbs_deeper(self):
-        got = padic_add_sets(PCone(5, 0), PPoint(pe(5, 1, [2])))
-        assert pset_eq(got, PCone(5, 0))
+        got = padic_add_sets(PCone(5, 0), VPoint(pe(5, 1, [2])))
+        assert set_eq(got, PCone(5, 0))
 
     def test_dominant_point_wins(self):
-        got = padic_add_sets(PCone(5, 0), PPoint(pe(5, 0, [2])))
-        assert pset_eq(got, PPoint(pe(5, 0, [2])))
+        got = padic_add_sets(PCone(5, 0), VPoint(pe(5, 0, [2])))
+        assert set_eq(got, VPoint(pe(5, 0, [2])))
 
     def test_cone_cone(self):
         got = padic_add_sets(PCone(5, 0), PCone(5, 2))
-        assert pset_eq(got, PCone(5, 0))
+        assert set_eq(got, PCone(5, 0))
 
     def test_formula_is_not_associative(self):
         """The literal leading-digit cancellation rule breaks associativity:
@@ -267,11 +350,11 @@ class TestPadicSets:
         Pinned here as a known property of the specified operation."""
         a = pe(2, 0, [1])
         c = pe(2, 0, [1, 1])
-        lhs = padic_add_sets(padic_add(a, a), PPoint(c))
-        rhs = padic_add_sets(PPoint(a), padic_add(a, c))
-        assert pset_eq(lhs, PPoint(c))
-        assert pset_eq(rhs, PPoint(a))
-        assert not pset_eq(lhs, rhs)
+        lhs = padic_add_sets(padic_add(a, a), VPoint(c))
+        rhs = padic_add_sets(VPoint(a), padic_add(a, c))
+        assert set_eq(lhs, VPoint(c))
+        assert set_eq(rhs, VPoint(a))
+        assert not set_eq(lhs, rhs)
 
     def test_negation_is_not_unique(self):
         """Any same-valuation element with complementary leading digit
@@ -279,7 +362,7 @@ class TestPadicSets:
         a = pe(5, 0, [2])
         x = pe(5, 0, [3, 4])  # not the digitwise negation of a
         assert not x.eq(padic_neg(a))
-        assert pmember(padic_zero(5), padic_add(a, x))
+        assert member(padic_zero(5), padic_add(a, x))
 
     def test_associativity_on_nondegenerate_strata(self, rng):
         # away from tie-cancellation chains the operation is associative
@@ -293,9 +376,9 @@ class TestPadicSets:
                     digits = [rng.randint(1, p - 1)] + [rng.randint(0, p - 1) for _ in range(7)]
                     elems.append(PadicElem(p, e, tuple(digits)))
                 a, b, c = elems
-                lhs = padic_add_sets(padic_add(a, b), PPoint(c))
-                rhs = padic_add_sets(PPoint(a), padic_add(b, c))
-                assert pset_eq(lhs, rhs)
+                lhs = padic_add_sets(padic_add(a, b), VPoint(c))
+                rhs = padic_add_sets(VPoint(a), padic_add(b, c))
+                assert set_eq(lhs, rhs)
 
     def test_distributivity(self, rng):
         for p in (3, 5):
@@ -311,10 +394,10 @@ class TestPadicSets:
                 b = relem()
                 c = rng.choice([relem(b.e), padic_neg(b)])
                 lhs = __import__("hyperalg.exotic", fromlist=["padic_mul_sets"]).padic_mul_sets(
-                    PPoint(a), padic_add(b, c)
+                    VPoint(a), padic_add(b, c)
                 )
-                rhs = padic_add_sets(PPoint(padic_mul(a, b)), PPoint(padic_mul(a, c)))
-                assert pset_eq(lhs, rhs), (a, b, c)
+                rhs = padic_add_sets(VPoint(padic_mul(a, b)), VPoint(padic_mul(a, c)))
+                assert set_eq(lhs, rhs), (a, b, c)
 
 
 class TestPadicText:
@@ -330,7 +413,18 @@ class TestPadicText:
         a = pe(5, -1, [1, 2, 0, 3])
         assert parse_padic(format_padic(a), 5, 8).eq(a)
 
-    @pytest.mark.parametrize("text,p,depth,e", [("3125", 5, 3, 5), ("1024", 2, 3, 10)])
+    @pytest.mark.parametrize(
+        "text,p,depth,e",
+        [
+            ("3125", 5, 3, 5),
+            ("1024", 2, 3, 10),
+            ("24 + 1", 5, 2, 2),
+            ("8 + 2^3", 2, 3, 4),
+            ("0*5 + 5^3", 5, 3, 3),
+            # the zero digits of 10^99999 are skipped up to the next term only
+            ("10^99999 + 2^5", 2, 3, 5),
+        ],
+    )
     def test_parse_keeps_the_top_carry(self, text, p, depth, e):
         assert parse_padic(text, p, depth) == PadicElem(p, e, (1,) + (0,) * (depth - 1))
 

@@ -199,14 +199,21 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
     assert qsets.qset_eq(quat_sum, _cset_on_h(complex_sum)), (complex_sum, quat_sum)
 
 
+def _valued_normal_form(s):
+    """mnormalize or pnormalize, by the family of the set's first component:
+    monomial and p-adic sets share their point and union types."""
+    first = exotic.parts_of(s)[0]
+    padic = isinstance(first, exotic.PCone) or isinstance(getattr(first, "elem", None), exotic.PadicElem)
+    return (exotic.pnormalize if padic else exotic.mnormalize)([s])
+
+
 # each value-set family's normalizer, keyed by the set types it produces
 NORMAL_FORMS = [
     ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), csets.normalize),
     ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
     ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
      lambda s: qsets.qnormalize([s])),
-    ((exotic.MPoint, exotic.MCone, exotic.MUnion), lambda s: exotic.mnormalize([s])),
-    ((exotic.PPoint, exotic.PCone, exotic.PUnion), lambda s: exotic.pnormalize([s])),
+    ((exotic.VPoint, exotic.MCone, exotic.PCone, exotic.VUnion), _valued_normal_form),
 ]
 
 CANONICAL_CARRIERS = [

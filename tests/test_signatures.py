@@ -23,7 +23,7 @@ PREDICATES = {
     "csets.ComplexElem.eq", "csets.CArc.contains_angle",
     "rsets.rmember", "rsets.rset_eq", "rsets.rsubset",
     "qsets.qmember", "qsets.qset_eq", "qsets.qsubset", "qsets.in_cone", "qsets.QuatElem.eq",
-    "exotic.mmember", "exotic.mset_eq", "exotic.msubset", "exotic.MonomialElem.eq",
+    "exotic.member", "exotic.set_eq", "exotic.subset", "exotic.MonomialElem.eq",
 }
 
 
