@@ -15,6 +15,7 @@ from hyperalg.axioms import (
     check_multigroup,
     check_multiring,
 )
+from hyperalg.cli import _budget
 from hyperalg.structures import get_structure
 
 SUITE = [
@@ -48,7 +49,7 @@ EXPECTED_RED = {
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--budget", type=int, default=4000)
+    parser.add_argument("--budget", type=_budget, default=4000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -63,9 +63,6 @@ class Structure:
     def add_sets(self, s1, s2):
         raise NotImplementedError
 
-    def union_sets(self, s1, s2):
-        raise NotImplementedError
-
     def singleton(self, a):
         raise NotImplementedError
 
@@ -144,10 +141,6 @@ class AxiomReport:
 
     def add(self, axiom: str, passed: bool, witness=None, witness_text="", detail=""):
         self.checks.append(Check(axiom, passed, witness, witness_text, detail))
-
-    def merge(self, other: "AxiomReport") -> None:
-        self.checks.extend(other.checks)
-        self.tuples_checked += other.tuples_checked
 
     def to_lines(self) -> list[str]:
         out = []
@@ -435,6 +428,50 @@ def axiom_no_zero_divisors(X: Structure, tup) -> bool:
     return not X.is_zero(X.mul(a, b))
 
 
+def _dd_sides(X: Structure, tup):
+    """a+b, x+y and the expansion ax+ay+bx+by of (a+b)(x+y)."""
+    a, b, x, y = tup
+    sab, sxy = X.add(a, b), X.add(x, y)
+    expansion = X.add_sets(
+        X.add_sets(X.add(X.mul(a, x), X.mul(a, y)), X.singleton(X.mul(b, x))),
+        X.singleton(X.mul(b, y)),
+    )
+    return sab, sxy, expansion
+
+
+def _expansion_inside_product(X: Structure, sides, rng: random.Random) -> bool:
+    """ax+ay+bx+by inside (a+b)(x+y): symbolic when the carrier multiplies
+    sets, else tested at 2 points of the expansion drawn from `rng`."""
+    sab, sxy, expansion = sides
+    product = X.mul_sets(sab, sxy)
+    if product is not None:
+        return X.subset(expansion, product)
+    return all(_member_via_factorization(X, w, sab, sxy, rng) for w in X.pick(expansion, rng, 2))
+
+
+def _member_via_factorization(X: Structure, w, sab, sxy, rng: random.Random) -> bool:
+    """Sampled membership of w in the pointwise product sab*sxy when the
+    product has no symbolic form: w = u*v iff inv(u)*w lands in sxy."""
+    for u in X.pick(sab, rng, 6):
+        if X.is_zero(u):
+            if X.is_zero(w):
+                return True
+            continue
+        try:
+            ui = X.inv(u)
+        except (ZeroDivisionError, NotImplementedError, ValueError):
+            continue
+        if X.member(X.mul(ui, w), sxy):
+            return True
+    return False
+
+
+def axiom_double_distributivity(X: Structure, tup) -> bool:
+    """The reverse half of double distributivity on (a, b, x, y); a carrier
+    without a symbolic set product samples it at a fixed seed."""
+    return _expansion_inside_product(X, _dd_sides(X, tup), random.Random(0))
+
+
 PREDICATES = {
     "associativity": axiom_associative,
     "weak-associativity": axiom_weak_associative,
@@ -455,6 +492,7 @@ PREDICATES = {
     "mul-commutative": axiom_mul_commutative,
     "units-group": axiom_units_group,
     "no-zero-divisors": axiom_no_zero_divisors,
+    "double-distributivity": axiom_double_distributivity,
 }
 
 
@@ -467,6 +505,37 @@ def replay(X: Structure, check: Check) -> bool:
 
 # ---------------------------------------------------------------------------
 # checkers
+
+# each level's suite: the denominator of its budget shares, then its axioms
+# as (name, arity, weight).  A sampled axiom runs on
+# max(8, budget * weight // denominator) tuples, and on one when its weight
+# is 0 (neg-zero has nothing to vary); a finite carrier runs every tuple.
+_RING = (
+    ("add-commutative", 2, 2),
+    ("mul-associative", 3, 1),
+    ("mul-unit", 1, 1),
+    ("zero-mul", 1, 1),
+)
+_SUITES = {
+    "full": (12, (
+        ("associativity", 3, 4),
+        ("neutral", 1, 1),
+        ("negation-exists", 1, 1),
+        ("negation-unique", 2, 2),
+        ("reversal", 3, 2),
+        ("neg-zero", 1, 0),
+        ("neg-involution", 1, 1),
+    )),
+    "minimal": (8, (("weak-associativity", 3, 4), ("right-neutral", 1, 1), ("reversibility", 3, 3))),
+    "multiring": (8, _RING + (("distributive-inclusion", 3, 2),)),
+    "hyperring": (8, _RING + (("distributive-equality", 3, 2),)),
+    "hyperfield": (8, _RING + (
+        ("distributive-equality", 3, 2),
+        ("mul-commutative", 2, 1),
+        ("units-group", 1, 1),
+        ("no-zero-divisors", 2, 1),
+    )),
+}
 
 
 def _run_axiom(
@@ -489,9 +558,11 @@ def _run_axiom(
     report.tuples_checked += count
 
 
-def _split_budget(budget: int, weights: dict[str, int]) -> dict[str, int]:
-    total = sum(weights.values())
-    return {k: max(8, budget * w // total) for k, w in weights.items()}
+def _run_suite(report: AxiomReport, X: Structure, suite: str, budget: int, rng: random.Random) -> None:
+    denominator, axioms = _SUITES[suite]
+    for axiom, arity, weight in axioms:
+        share = max(8, budget * weight // denominator) if weight else 1
+        _run_axiom(report, X, axiom, arity, share, rng)
 
 
 def check_multigroup(
@@ -508,35 +579,8 @@ def check_multigroup(
     """
     if mode not in ("full", "minimal"):
         raise ValueError(f"unknown mode {mode!r}")
-    rng = rng or random.Random(0)
     rep = AxiomReport(structure=X.name)
-    if mode == "full":
-        shares = _split_budget(
-            budget,
-            {
-                "associativity": 4,
-                "neutral": 1,
-                "negation-exists": 1,
-                "negation-unique": 2,
-                "reversal": 2,
-                "neg-zero": 1,
-                "neg-involution": 1,
-            },
-        )
-        _run_axiom(rep, X, "associativity", 3, shares["associativity"], rng)
-        _run_axiom(rep, X, "neutral", 1, shares["neutral"], rng)
-        _run_axiom(rep, X, "negation-exists", 1, shares["negation-exists"], rng)
-        _run_axiom(rep, X, "negation-unique", 2, shares["negation-unique"], rng)
-        _run_axiom(rep, X, "reversal", 3, shares["reversal"], rng)
-        _run_axiom(rep, X, "neg-zero", 1, 1, rng)
-        _run_axiom(rep, X, "neg-involution", 1, shares["neg-involution"], rng)
-    else:
-        shares = _split_budget(
-            budget, {"weak-associativity": 4, "right-neutral": 1, "reversibility": 3}
-        )
-        _run_axiom(rep, X, "weak-associativity", 3, shares["weak-associativity"], rng)
-        _run_axiom(rep, X, "right-neutral", 1, shares["right-neutral"], rng)
-        _run_axiom(rep, X, "reversibility", 3, shares["reversibility"], rng)
+    _run_suite(rep, X, mode, budget, rng or random.Random(0))
     return rep
 
 
@@ -548,22 +592,12 @@ def check_multiring(
 ) -> AxiomReport:
     """Check multiring axioms, upgrading distributivity to equality at the
     hyperring level and adding the multiplicative-group laws at hyperfield
-    level."""
+    level.  The full multigroup suite gets half the budget."""
     if level not in ("multiring", "hyperring", "hyperfield"):
         raise ValueError(f"unknown level {level!r}")
     rng = rng or random.Random(0)
     rep = check_multigroup(X, "full", budget // 2, rng)
-    rep.structure = X.name
-    _run_axiom(rep, X, "add-commutative", 2, budget // 4, rng)
-    _run_axiom(rep, X, "mul-associative", 3, budget // 8, rng)
-    _run_axiom(rep, X, "mul-unit", 1, budget // 8, rng)
-    _run_axiom(rep, X, "zero-mul", 1, budget // 8, rng)
-    dist = "distributive-equality" if level != "multiring" else "distributive-inclusion"
-    _run_axiom(rep, X, dist, 3, budget // 4, rng)
-    if level == "hyperfield":
-        _run_axiom(rep, X, "mul-commutative", 2, budget // 8, rng)
-        _run_axiom(rep, X, "units-group", 1, budget // 8, rng)
-        _run_axiom(rep, X, "no-zero-divisors", 2, budget // 8, rng)
+    _run_suite(rep, X, level, budget, rng)
     return rep
 
 
@@ -581,64 +615,26 @@ def check_double_distributivity(
     rng = rng or random.Random(0)
     rep = AxiomReport(structure=X.name)
     reverse_witness = None
-    count = 0
-    for a, b, x, y in _tuples(X, rng, 4, budget):
-        count += 1
-        sab = X.add(a, b)
-        sxy = X.add(x, y)
-        rhs = X.add_sets(
-            X.add_sets(X.add(X.mul(a, x), X.mul(a, y)), X.singleton(X.mul(b, x))),
-            X.singleton(X.mul(b, y)),
-        )
+    for tup in _tuples(X, rng, 4, budget):
+        rep.tuples_checked += 1
+        sides = sab, sxy, expansion = _dd_sides(X, tup)
         for u in X.pick(sab, rng, 2):
             for v in X.pick(sxy, rng, 2):
-                if not X.member(X.mul(u, v), rhs):
+                if not X.member(X.mul(u, v), expansion):
+                    a, b, x, y = (X.format_elem(t) for t in tup)
                     raise DoubleDistributivityViolation(
-                        f"{X.name}: ({X.format_elem(a)}+{X.format_elem(b)})"
-                        f"({X.format_elem(x)}+{X.format_elem(y)}) "
-                        f"not inside the expanded sum at "
+                        f"{X.name}: ({a}+{b})({x}+{y}) not inside the expanded sum at "
                         f"{X.format_elem(X.mul(u, v))}"
                     )
-        if reverse_witness is None:
-            lhs = X.mul_sets(sab, sxy)
-            if lhs is not None:
-                if not X.subset(rhs, lhs):
-                    reverse_witness = (a, b, x, y)
-            else:
-                for w in X.pick(rhs, rng, 2):
-                    if not _member_via_factorization(X, w, sab, sxy, rng):
-                        reverse_witness = (a, b, x, y)
-                        break
-    rep.tuples_checked = count
+        if reverse_witness is None and not _expansion_inside_product(X, sides, rng):
+            reverse_witness = tup
     rep.add("half-double-distributivity", True)
     if reverse_witness is None:
         rep.add("double-distributivity", True)
     else:
-        rep.add(
-            "double-distributivity",
-            False,
-            reverse_witness,
-            _wtext(X, reverse_witness),
-            detail="reverse inclusion failed",
-        )
+        rep.add("double-distributivity", False, reverse_witness, _wtext(X, reverse_witness),
+                detail="reverse inclusion failed")
     return rep
-
-
-def _member_via_factorization(X: Structure, w, sab, sxy, rng: random.Random) -> bool:
-    """Sampled membership of w in the pointwise product sab*sxy when the
-    product has no symbolic form: w = u*v iff inv(u)*w lands in sxy."""
-    for u in X.pick(sab, rng, 6):
-        if X.is_zero(u):
-            if X.is_zero(w):
-                return True
-            continue
-        try:
-            ui = X.inv(u)
-        except (ZeroDivisionError, NotImplementedError, ValueError):
-            continue
-        if X.member(X.mul(ui, w), sxy):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -647,9 +643,6 @@ class CharResult:
 
     value: int
     stabilized: bool
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def characteristic(X: Structure, cap: int = 64) -> CharResult:
@@ -693,55 +686,30 @@ def check_hom(
     """Verify f as a multiring homomorphism X -> Y on the checked domain.
 
     Additive containment is tested pointwise: every sampled c in a+b must map
-    into f(a) + f(b).  Strongness is exact for finite domains and sampled
-    otherwise.
+    into f(a) + f(b).  Strongness is coverage: every picked point of
+    f(a) + f(b) must be some f(c), which is exact when X and Y are finite
+    (`pick` then lists every element) and sampled otherwise.
     """
     rng = rng or random.Random(0)
-    rep = HomReport(name=name)
+    rep = HomReport(name=name, strong_exact=X.is_finite and Y.is_finite)
     rep.zero_preserved = Y.eq(f(X.zero), Y.zero)
     if X.has_one and Y.has_one:
         rep.one_preserved = Y.eq(f(X.one), Y.one)
-    if X.is_finite:
-        pairs = list(itertools.product(X.elements(), repeat=2))
-        domain = X.elements()
-    else:
-        pairs = list(stratified_tuples(X, rng, 2, budget))
-        seen = []
-        for a, b in pairs[: budget // 2]:
-            seen.extend([a, b])
-        domain = seen
+    pairs = list(_tuples(X, rng, 2, budget))
+    domain = X.elements() if X.is_finite else [e for pair in pairs[: budget // 2] for e in pair]
     for a, b in pairs:
         rep.pairs_checked += 1
         img = Y.add(f(a), f(b))
-        mapped = []
-        for c in X.pick(X.add(a, b), rng, 3):
-            fc = f(c)
-            mapped.append(fc)
-            if not Y.member(fc, img):
-                rep.additive = False
-                if rep.witness is None:
-                    rep.witness = (a, b)
-                    rep.witness_text = _wtext(X, (a, b))
-        if X.has_mul and Y.has_mul:
-            if not Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b))):
-                rep.multiplicative = False
-                if rep.witness is None:
-                    rep.witness = (a, b)
-                    rep.witness_text = _wtext(X, (a, b))
-        if rep.strong:
-            if X.is_finite:
-                img_parts = None
-                for fc in mapped:
-                    s = Y.singleton(fc)
-                    img_parts = s if img_parts is None else Y.union_sets(img_parts, s)
-                if img_parts is None or not Y.set_eq(img_parts, img):
-                    rep.strong = False
-            else:
-                rep.strong_exact = False
-                for d in Y.pick(img, rng, 3):
-                    if not any(Y.eq(d, fc) for fc in mapped):
-                        rep.strong = False
-                        break
+        mapped = [f(c) for c in X.pick(X.add(a, b), rng, 3)]
+        additive = all(Y.member(fc, img) for fc in mapped)
+        multiplicative = not (X.has_mul and Y.has_mul) or Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b)))
+        if not (additive and multiplicative) and rep.witness is None:
+            rep.witness, rep.witness_text = (a, b), _wtext(X, (a, b))
+        rep.additive &= additive
+        rep.multiplicative &= multiplicative
+        rep.strong = rep.strong and all(
+            any(Y.eq(d, fc) for fc in mapped) for d in Y.pick(img, rng, 3)
+        )
     kernel_seen: list = []
     mul_kernel_seen: list = []
     for a in domain:

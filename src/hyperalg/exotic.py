@@ -13,8 +13,8 @@ the truncation returns the Indeterminate marker rather than a wrong value.
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of mnormalize or pnormalize,
 which the predicates and set-extended sums take as is; a predicate may compare
-monomials wider, and p-adic values, being integers, compare exactly under any
-tolerance below 1.
+real-exponent monomials wider, while int and rational exponents and p-adic
+values compare exactly under any tolerance.
 """
 from __future__ import annotations
 
@@ -57,9 +57,19 @@ mparts_of = pparts_of = parts_of
 _value = attrgetter("value")
 
 
+def _order(x, y, eps) -> int:
+    """The sign of x - y for two values: exact for int and Fraction values (the
+    p-adic values, int and rational exponents), 0 within eps once a float is
+    involved."""
+    d = x - y
+    if isinstance(d, float) and -eps <= d <= eps:
+        return 0
+    return (d > 0) - (d < 0)
+
+
 def _below(value, bound, eps) -> bool:
     """Does an element of this value lie in the open cone below `bound`?"""
-    return value is None or value - bound < -eps
+    return value is None or _order(value, bound, eps) < 0
 
 
 def _same(x, y, tol: Tolerance) -> bool:
@@ -105,7 +115,8 @@ def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
             if not member(c.elem, s2, tol):
                 return False
         elif not any(
-            not isinstance(d, VPoint) and c.value - d.value <= tol.eps for d in parts_of(s2)
+            not isinstance(d, VPoint) and _order(c.value, d.value, tol.eps) <= 0
+            for d in parts_of(s2)
         ):
             return False
     return True
@@ -114,7 +125,7 @@ def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
 def _part_eq(c, d, tol: Tolerance) -> bool:
     if isinstance(c, VPoint):
         return isinstance(d, VPoint) and _same(c.elem, d.elem, tol)
-    return not isinstance(d, VPoint) and abs(c.value - d.value) <= tol.eps
+    return not isinstance(d, VPoint) and _order(c.value, d.value, tol.eps) == 0
 
 
 def set_eq(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -185,14 +196,14 @@ class MonomialElem:
             raise InvalidSetError(f"monomial coefficient {self.coeff} is not finite")
 
     @property
-    def value(self) -> float | None:
-        return None if self.zero else float(self.exponent)
+    def value(self) -> float | Fraction | int | None:
+        return None if self.zero else self.exponent
 
     def eq(self, other: "MonomialElem", tol: Tolerance = DEFAULT_TOL) -> bool:
         if self.zero or other.zero:
             return self.zero and other.zero
         return (
-            abs(float(self.exponent) - float(other.exponent)) <= tol.eps
+            _order(self.exponent, other.exponent, tol.eps) == 0
             and abs(self.coeff - other.coeff) <= tol.eps * max(1.0, abs(self.coeff))
         )
 
@@ -208,8 +219,8 @@ class MCone:
     bound: float | Fraction | int
 
     @property
-    def value(self) -> float:
-        return float(self.bound)
+    def value(self) -> float | Fraction | int:
+        return self.bound
 
     def times(self, other: MonomialElem | MCone, step=0) -> MCone:
         """The product with a nonzero monomial, or with a cone lowered by `step`."""
@@ -217,7 +228,7 @@ class MCone:
         return MCone(self.bound + e - step)
 
     def __str__(self) -> str:
-        return f"below t^{fmt_num(float(self.bound))}"
+        return f"below t^{_format_exponent(self.bound)}"
 
 
 MSet = VPoint | MCone | VUnion
@@ -226,7 +237,7 @@ MSet = VPoint | MCone | VUnion
 def mnormalize(parts: list) -> MSet:
     """The normal form of a monomial set; points sort by exponent, then
     coefficient."""
-    return _normalize(parts, lambda x: (float(x.exponent), x.coeff.real, x.coeff.imag))
+    return _normalize(parts, lambda x: (x.exponent, x.coeff.real, x.coeff.imag))
 
 
 def random_coeff(rng) -> complex:
@@ -245,7 +256,7 @@ def mpick(s: MSet, rng, domain: str = "real") -> list:
         pts.append(MZERO)
         for step in (1, 2, 4):
             if domain == "int":
-                e: float | Fraction | int = math.floor(float(c.bound)) - step
+                e: float | Fraction | int = math.floor(c.bound) - step
             elif domain == "rational":
                 e = Fraction(c.bound) - Fraction(step, 2)
             else:
@@ -259,9 +270,9 @@ def mono_add(a: MonomialElem, b: MonomialElem, tol: Tolerance = DEFAULT_TOL) -> 
         return VPoint(b)
     if b.zero:
         return VPoint(a)
-    ra, rb = float(a.exponent), float(b.exponent)
-    if abs(ra - rb) > tol.eps:
-        return VPoint(a if ra > rb else b)
+    order = _order(a.exponent, b.exponent, tol.eps)
+    if order:
+        return VPoint(a if order > 0 else b)
     c = a.coeff + b.coeff
     if abs(c) <= tol.eps * max(abs(a.coeff), abs(b.coeff)):
         return MCone(a.exponent)
@@ -307,7 +318,14 @@ def format_monomial(a: MonomialElem) -> str:
         cs = fmt_num(c.real)
     else:
         cs = f"({fmt_num(c.real)}{'+' if c.imag >= 0 else '-'}{fmt_num(abs(c.imag))}i)"
-    return f"{cs}t^{fmt_num(float(a.exponent))}"
+    return f"{cs}t^{_format_exponent(a.exponent)}"
+
+
+def _format_exponent(e) -> str:
+    """An int or integral Fraction exponent prints exactly, others by fmt_num."""
+    if isinstance(e, float) or e.denominator != 1:
+        return fmt_num(float(e))
+    return str(e.numerator)
 
 
 _MONO_RE = re.compile(r"^\s*(?P<coeff>.*?)\s*t\^(?P<exp>[-+0-9./]+)\s*$")

@@ -62,9 +62,6 @@ class FiniteStructure(Structure):
                 out |= self.table.add(a, b)
         return frozenset(out)
 
-    def union_sets(self, s1, s2):
-        return frozenset(s1) | frozenset(s2)
-
     def singleton(self, a):
         return frozenset([a])
 
@@ -131,9 +128,6 @@ class ComplexCarrier(Structure):
         if a.modulus == 0.0:
             return CZERO
         return ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
-
-    def union_sets(self, s1, s2):
-        return csets.union(s1, s2)
 
     def singleton(self, a):
         return csets.CPoint(a)
@@ -222,9 +216,6 @@ class IntervalCarrier(Structure):
     and finite literals only, besides the carrier's zero (-inf on trop)."""
 
     nonnegative = False  # an R+ carrier also rejects negative literals
-
-    def union_sets(self, s1, s2):
-        return rsets.runion(s1, s2)
 
     def singleton(self, a):
         return rsets.rpoint(a)
@@ -423,9 +414,6 @@ class QuaternionTropical(Structure):
     def add_sets(self, s1, s2):
         return ctrop.quat_add_sets(s1, s2)
 
-    def union_sets(self, s1, s2):
-        return qsets.qnormalize([s1, s2])
-
     def singleton(self, a):
         return qsets.QPoint(a)
 
@@ -527,9 +515,6 @@ class MonomialStructure(ValuedCarrier):
     def add_sets(self, s1, s2):
         return exotic.mono_add_sets(s1, s2)
 
-    def union_sets(self, s1, s2):
-        return exotic.mnormalize([s1, s2])
-
     def neg(self, a):
         return exotic.mono_neg(a)
 
@@ -593,9 +578,6 @@ class PadicStructure(ValuedCarrier):
 
     def add_sets(self, s1, s2):
         return exotic.padic_add_sets(s1, s2)
-
-    def union_sets(self, s1, s2):
-        return exotic.pnormalize([s1, s2])
 
     def neg(self, a):
         return exotic.padic_neg(a)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hyperalg import axioms
 from hyperalg.axioms import (
     DoubleDistributivityViolation,
     c_characteristic,
@@ -97,6 +98,27 @@ class TestMultiring:
         names = {c.axiom for c in rep.checks}
         assert "distributive-equality" in names
 
+    def test_small_budget_runs_every_sampled_axiom_on_eight_tuples(self, monkeypatch):
+        # at budget 7 the ring and field shares budget * weight // 8 are 0
+        # or 1; the floor of 8 keeps every sampled axiom evaluated
+        calls = {}
+
+        def counting(axiom, pred):
+            def run(X, tup):
+                calls[axiom] = calls.get(axiom, 0) + 1
+                return pred(X, tup)
+
+            return run
+
+        for axiom, pred in list(axioms.PREDICATES.items()):
+            monkeypatch.setitem(axioms.PREDICATES, axiom, counting(axiom, pred))
+        rep = check_multiring(get_structure("TC"), "hyperfield", budget=7, rng=random.Random(0))
+        assert rep.passed and len(rep.checks) == 15
+        for c in rep.checks:
+            if c.axiom != "neg-zero":  # a constant law, checked on one tuple
+                assert calls[c.axiom] >= 8, (c.axiom, calls)
+        assert calls["neg-zero"] == 1
+
 
 class TestDoubleDistributivity:
     def test_tr_doubly_distributive(self):
@@ -163,6 +185,18 @@ class TestDoubleDistributivity:
         assert rset_eq(rhs, rinterval(0, 9))
         rep = check_double_distributivity(tri, budget=500, rng=random.Random(5))
         assert not rep.passed
+
+    @pytest.mark.parametrize("name", ["TC", "Phi", "tri", "amoeba", "mono-int", "quat"])
+    def test_failing_witnesses_replay(self, name):
+        X = get_structure(name)
+        failures = []
+        for seed in range(6):
+            rep = check_double_distributivity(X, budget=400, rng=random.Random(seed))
+            failures += rep.failures()
+        assert failures
+        for check in failures:
+            assert check.axiom == "double-distributivity"
+            assert replay(X, check) is False, check.witness_text
 
     def test_forward_holds_across_structures(self):
         for name in ("K", "S", "F2", "TC", "TR", "tri", "ultra", "trop", "amoeba", "mono"):
@@ -233,7 +267,7 @@ class TestHoms:
         tr, s = get_structure("TR"), get_structure("S")
         f = lambda v: {1: "1", -1: "-1", 0: "0"}[sign_map(v)]
         rep = check_hom(f, tr, s, budget=250, rng=random.Random(2), name="sign")
-        assert rep.is_homomorphism
+        assert rep.is_homomorphism and not rep.strong_exact  # sampled source
         assert rep.kernel == ["0"]
 
     def test_sign_collapse_not_strong(self):

@@ -2,7 +2,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +98,12 @@ class TestAdd:
         # the folded constant's only nonzero digit lies above depth + 2 digits
         assert run(capsys, "add", structure, literal, "0") == (0, expected + "\n", "")
 
+    @pytest.mark.parametrize("structure", ["mono-int", "mono-rational"])
+    def test_exponents_beyond_float_precision_stay_exact(self, capsys, structure):
+        # 2^53 + 1 and 2^53 round to the same float; the exact sum is dominant
+        argv = ("add", structure, "--", "1t^9007199254740993", "-1t^9007199254740992")
+        assert run(capsys, *argv) == (0, "point 1t^9007199254740993\n", "")
+
     def test_padic_literal_with_a_long_run_of_zero_digits(self, capsys):
         # 10^99999 = 2^99999 * 5^99999 and 5^99999 = 1 + 2^2 (mod 2^3)
         expected = "point 2^99999 + 2^100001\n"
@@ -146,7 +155,7 @@ class TestVerify:
     def test_mono_int_dd_reports_failure(self, capsys):
         import random
 
-        from hyperalg.axioms import check_double_distributivity
+        from hyperalg.axioms import check_double_distributivity, replay
         from hyperalg.structures import get_structure
 
         argv = ("verify", "mono-int", "--level", "dd", "--seed", "0", "--budget", "300")
@@ -157,12 +166,7 @@ class TestVerify:
         X = get_structure("mono-int")
         rep = check_double_distributivity(X, 300, random.Random(0))
         (check,) = rep.failures()
-        a, b, x, y = check.witness
-        rhs = X.add_sets(
-            X.add_sets(X.add(X.mul(a, x), X.mul(a, y)), X.singleton(X.mul(b, x))),
-            X.singleton(X.mul(b, y)),
-        )
-        assert not X.subset(rhs, X.mul_sets(X.add(a, b), X.add(x, y)))
+        assert replay(X, check) is False
 
     def test_maxplus_without_negation_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "maxplus")
@@ -192,6 +196,19 @@ class TestVerify:
     def test_budget_below_one_exit_2(self, capsys, command, budget):
         code, out, err = run(capsys, *command, "--budget", budget)
         assert (code, out) == (2, "") and "--budget" in err
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_verify_all_budget_below_one_exit_2(self, budget):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "scripts", "verify_all.py"), "--budget", budget],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "") and "--budget" in proc.stderr
 
     @pytest.mark.parametrize(
         "edit,cell",

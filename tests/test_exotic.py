@@ -27,6 +27,7 @@ from hyperalg.exotic import (
     mono_mul,
     mono_mul_sets,
     mono_neg,
+    mpick,
     padic_add,
     padic_add_sets,
     padic_classical_add,
@@ -79,6 +80,16 @@ class TestMonomialAdd:
     def test_mul_exponent_leaving_the_float_range_raises(self, e):
         with pytest.raises(InvalidSetError, match="float range"):
             mono_mul(mono(1, e), mono(1, e))
+
+    @pytest.mark.parametrize("big", [2**53 + 1, Fraction(2**53 + 1)], ids=["int", "rational"])
+    def test_exponents_beyond_float_precision_compare_exactly(self, big):
+        # 2^53 + 1 and 2^53 round to the same float
+        a = mono(1, big)
+        assert mono_add(a, mono(-1, big - 1)) == VPoint(a)
+        assert mono_add(mono(-1, big - 1), a) == VPoint(a)
+        assert not a.eq(mono(1, big - 1)) and a.eq(mono(1, big))
+        assert format_monomial(a) == "1t^9007199254740993"
+        assert str(MCone(big)) == "below t^9007199254740993"
 
     def test_coefficient_leaving_the_float_range_raises(self):
         with pytest.raises(InvalidSetError, match="not finite"):
@@ -201,6 +212,14 @@ def pe(p, e, digits, depth=8):
 
 
 class TestCones:
+    @pytest.mark.parametrize("bound", [2**53 + 1, 2**53 + 3])
+    def test_int_cone_samples_below_an_exact_bound(self, bound):
+        cone = MCone(bound)
+        pts = mpick(cone, random.Random(0), "int")
+        assert pts[0] == MZERO
+        assert [p.exponent for p in pts[1:]] == [bound - 1, bound - 2, bound - 4]
+        assert all(member(p, cone) for p in pts)
+
     def test_cones_are_open(self):
         # an element at a cone's bound is not in the cone, in both families
         assert not member(mono(1, 0), MCone(0))
@@ -216,6 +235,7 @@ class TestCones:
     )
     def test_equality_is_containment_both_ways(self, name):
         X = get_structure(name)
+        normalize = mnormalize if name.startswith("mono") else pnormalize
         for a, b, c in stratified_tuples(X, random.Random(3), 3, 300):
             ab, bc = X.add(a, b), X.add(b, c)
             outs = [
@@ -223,8 +243,8 @@ class TestCones:
                 bc,
                 X.add_sets(ab, X.singleton(c)),
                 X.add_sets(X.singleton(a), bc),
-                X.union_sets(ab, bc),
-                X.union_sets(ab, X.singleton(c)),
+                normalize([ab, bc]),
+                normalize([ab, X.singleton(c)]),
             ]
             for s in outs:
                 for t in outs:

@@ -241,7 +241,6 @@ def test_operations_return_canonical_sets(name):
         outs = [
             ab,
             X.add_sets(ab, X.singleton(c)),
-            X.union_sets(ab, bc),
             X.scale(c, ab),
             X.mul_sets(ab, bc),
         ]
