@@ -220,6 +220,15 @@ def _merge_radius_arcs(radius: float, arcs: list) -> list:
 
 def normalize_parts(parts: list) -> CSet:
     eps = DEFAULT_TOL.eps
+    if len(parts) == 1:
+        # a lone point, non-degenerate disk or arc is already a fixed point
+        c = parts[0]
+        if (
+            isinstance(c, CPoint)
+            or (isinstance(c, CDisk) and c.radius > eps)
+            or (isinstance(c, CArc) and (c.full or c.sweep < TWO_PI - eps))
+        ):
+            return c
     flat: list = []
     for p in parts:
         flat.extend(parts_of(p))

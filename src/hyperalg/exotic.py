@@ -80,6 +80,8 @@ def _same(x, y, tol: Tolerance) -> bool:
 def _normalize(parts: list, key):
     """Flatten, keep the cone of largest value (the first one on a tie), drop
     the points it holds and repeated points, and sort the rest by `key`."""
+    if len(parts) == 1 and not isinstance(parts[0], VUnion):
+        return parts[0]
     flat = [c for p in parts for c in parts_of(p)]
     if not flat:
         raise InvalidSetError("valued set must be nonempty")
@@ -322,10 +324,9 @@ def format_monomial(a: MonomialElem) -> str:
 
 
 def _format_exponent(e) -> str:
-    """An int or integral Fraction exponent prints exactly, others by fmt_num."""
-    if isinstance(e, float) or e.denominator != 1:
-        return fmt_num(float(e))
-    return str(e.numerator)
+    """An int or Fraction exponent prints exactly, as `n` or `n/d` (which
+    parse_monomial reads back); a float exponent prints by fmt_num."""
+    return fmt_num(e) if isinstance(e, float) else str(e)
 
 
 _MONO_RE = re.compile(r"^\s*(?P<coeff>.*?)\s*t\^(?P<exp>[-+0-9./]+)\s*$")

@@ -244,6 +244,13 @@ def qmember(x: QuatElem, s: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def qnormalize(parts: list) -> QSet:
+    if len(parts) == 1:
+        # a lone point, arc, cone or non-degenerate ball is already a fixed point
+        c = parts[0]
+        if isinstance(c, (QPoint, QArc, QCone)) or (
+            isinstance(c, QBall) and c.radius > DEFAULT_TOL.eps
+        ):
+            return c
     flat: list = []
     for p in parts:
         flat.extend(qparts_of(p))
@@ -253,17 +260,18 @@ def qnormalize(parts: list) -> QSet:
     for c in flat:
         if isinstance(c, QBall):
             ball_r = max(ball_r, c.radius)
-    out: list = []
-    if ball_r >= 0.0:
-        if ball_r <= DEFAULT_TOL.eps:
-            flat.append(QPoint(QZERO))
-        else:
-            out.append(QBall(ball_r))
     rest = [
         c
         for c in flat
         if not isinstance(c, QBall) and _comp_radius(c) > ball_r + DEFAULT_TOL.eps
     ]
+    out: list = []
+    if ball_r >= 0.0:
+        if ball_r <= DEFAULT_TOL.eps:
+            # added after the filter above, which would drop it
+            rest.append(QPoint(QZERO))
+        else:
+            out.append(QBall(ball_r))
     # absorb points lying on arcs/cones, then dedup
     arcs = [c for c in rest if isinstance(c, (QArc, QCone))]
     points = [c.elem for c in rest if isinstance(c, QPoint)]

@@ -48,6 +48,10 @@ def rinterval(lo: float, hi: float) -> RSet:
 
 def rset(pairs: list[tuple[float, float]]) -> RSet:
     eps = DEFAULT_TOL.eps
+    if len(pairs) == 1:
+        lo, hi = pairs[0]
+        if lo <= hi:  # an inverted or NaN pair takes the full path
+            return RSet(((lo, hi),))
     cleaned = []
     for lo, hi in pairs:
         if math.isnan(lo) or math.isnan(hi):

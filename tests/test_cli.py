@@ -104,6 +104,13 @@ class TestAdd:
         argv = ("add", structure, "--", "1t^9007199254740993", "-1t^9007199254740992")
         assert run(capsys, *argv) == (0, "point 1t^9007199254740993\n", "")
 
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        [("1t^0", "1t^1/1000000000000", "point 1t^1/1000000000000"), ("1t^1/3", "0", "point 1t^1/3")],
+    )
+    def test_rational_exponents_print_exactly(self, capsys, a, b, expected):
+        assert run(capsys, "add", "mono-rational", a, b) == (0, expected + "\n", "")
+
     def test_padic_literal_with_a_long_run_of_zero_digits(self, capsys):
         # 10^99999 = 2^99999 * 5^99999 and 5^99999 = 1 + 2^2 (mod 2^3)
         expected = "point 2^99999 + 2^100001\n"

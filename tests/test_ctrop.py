@@ -26,11 +26,12 @@ from hyperalg.ctrop import (
     phase_add,
     quat_add,
     quat_add_sets,
+    quat_scale,
     rt_add,
     rt_add_sets,
     zero_in_sum,
 )
-from hyperalg.qsets import QArc, QBall, QPoint, QuatElem, qmember, qset_eq
+from hyperalg.qsets import QZERO, QArc, QBall, QPoint, QuatElem, qmember, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
 from hyperalg.tolerance import TWO_PI, Tolerance
 
@@ -415,6 +416,10 @@ class TestQuaternion:
     def test_dominant(self):
         got = quat_add(QuatElem(2, 0, 0, 0), self.I)
         assert got == QPoint(QuatElem(2, 0, 0, 0))
+
+    def test_scaling_a_ball_below_tolerance_gives_origin(self):
+        # as cset_scale(CDisk(1.0), ComplexElem(1e-10, 0)) gives point 0
+        assert quat_scale(QBall(1.0), QuatElem(1e-10, 0, 0, 0), "left") == QPoint(QZERO)
 
     def test_restriction_to_complex_plane(self, rng):
         # pairs in the (x, y) plane behave exactly like the complex carrier

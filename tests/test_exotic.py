@@ -206,6 +206,16 @@ class TestMonomialSets:
         assert m.coeff == 1 + 2j and m.exponent == 0.5
         assert set_eq(VPoint(parse_monomial(format_monomial(m))), VPoint(m))
 
+    @pytest.mark.parametrize(
+        "exponent,text",
+        [(Fraction(1, 3), "1/3"), (Fraction(-7, 2), "-7/2"), (Fraction(1, 10**12), "1/1000000000000")],
+    )
+    def test_rational_exponent_prints_exactly_and_parses_back(self, exponent, text):
+        m = MonomialElem(2 + 0j, exponent)
+        assert format_monomial(m) == f"2t^{text}"
+        assert parse_monomial(format_monomial(m), "rational") == m
+        assert str(MCone(exponent)) == f"below t^{text}"
+
 
 def pe(p, e, digits, depth=8):
     return padic_from_digits(p, e, list(digits), depth)

@@ -204,15 +204,17 @@ def _valued_normal_form(s):
     monomial and p-adic sets share their point and union types."""
     first = exotic.parts_of(s)[0]
     padic = isinstance(first, exotic.PCone) or isinstance(getattr(first, "elem", None), exotic.PadicElem)
-    return (exotic.pnormalize if padic else exotic.mnormalize)([s])
+    return (exotic.pnormalize if padic else exotic.mnormalize)([s, s])
 
 
-# each value-set family's normalizer, keyed by the set types it produces
+# each value-set family's normalizer, keyed by the set types it produces; each
+# is given the set twice, so that it takes its full path (a lone canonical
+# component is returned as is) and its deduplication gives back the normal form
 NORMAL_FORMS = [
-    ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), csets.normalize),
-    ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
+    ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), lambda s: csets.normalize_parts([s, s])),
+    ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals) * 2)),
     ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
-     lambda s: qsets.qnormalize([s])),
+     lambda s: qsets.qnormalize([s, s])),
     ((exotic.VPoint, exotic.MCone, exotic.PCone, exotic.VUnion), _valued_normal_form),
 ]
 

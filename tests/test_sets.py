@@ -26,7 +26,18 @@ from hyperalg.csets import (
     subset,
     union,
 )
-from hyperalg.qsets import QArc, QBall, QCone, QPoint, QuatElem, qmember, qset_eq, slerp
+from hyperalg.qsets import (
+    QZERO,
+    QArc,
+    QBall,
+    QCone,
+    QPoint,
+    QuatElem,
+    qmember,
+    qnormalize,
+    qset_eq,
+    slerp,
+)
 from hyperalg.rsets import (
     format_rset,
     parse_rset,
@@ -74,8 +85,13 @@ class TestNormalize:
         with pytest.raises(InvalidSetError):
             normalize_parts([])
 
-    def test_tiny_disk_becomes_origin(self):
-        assert normalize(CDisk(0.0)) == CPoint(CZERO)
+    @pytest.mark.parametrize("radius", [0.0, 5e-10])
+    def test_tiny_disk_becomes_origin(self, radius):
+        assert normalize(CDisk(radius)) == CPoint(CZERO)
+
+    def test_lone_near_full_arc_becomes_full_circle(self):
+        s = normalize_parts([CArc(1.0, 0.3, TWO_PI - 5e-10)])
+        assert s == full_circle(1.0) and s.full
 
 
 class TestMember:
@@ -198,6 +214,14 @@ class TestRSet:
         u = runion(rinterval(0, 2), rinterval(1, 5))
         assert u == rinterval(0, 5)
 
+    def test_lone_slightly_inverted_interval_becomes_point(self):
+        s = rset([(1.0, 1.0 - 5e-10)])
+        assert s.is_point() and s.lo == pytest.approx(1.0)
+
+    def test_lone_nan_interval_rejected(self):
+        with pytest.raises(InvalidSetError):
+            rset([(math.nan, 1.0)])
+
     def test_format_parse_roundtrip(self):
         s = rset([(1, 3), (5, 5)])
         assert rset_eq(parse_rset(format_rset(s)), s)
@@ -235,6 +259,9 @@ class TestQSet:
         i = QuatElem(0, 1, 0, 0)
         j = QuatElem(0, 0, 1, 0)
         assert qset_eq(QArc(i, j), QArc(j, i))
+
+    def test_tiny_ball_becomes_origin(self):
+        assert qnormalize([QBall(5e-10)]) == QPoint(QZERO)
 
 
 # -- text forms ---------------------------------------------------------------
