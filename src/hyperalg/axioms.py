@@ -186,19 +186,30 @@ class HomReport:
     witness_text: str = ""
     pairs_checked: int = 0
 
-    @property
-    def is_homomorphism(self) -> bool:
-        return self.zero_preserved and self.additive and self.multiplicative
-
-    def to_lines(self) -> list[str]:
-        rows = [
+    def _verdicts(self) -> list[tuple[str, bool]]:
+        return [
             ("zero-preserved", self.zero_preserved),
             ("one-preserved", self.one_preserved),
             ("additive-containment", self.additive),
             ("multiplicative", self.multiplicative),
             ("strong", self.strong),
         ]
-        out = [f"axiom={n} verdict={'pass' if v else 'fail'}" for n, v in rows]
+
+    def failures(self) -> list[Check]:
+        """The failed checks that make the map no homomorphism; one-preserved
+        and strong are reported but not required."""
+        return [
+            Check(n, False, self.witness, self.witness_text)
+            for n, ok in self._verdicts()
+            if not ok and n in ("zero-preserved", "additive-containment", "multiplicative")
+        ]
+
+    @property
+    def is_homomorphism(self) -> bool:
+        return not self.failures()
+
+    def to_lines(self) -> list[str]:
+        out = [f"axiom={n} verdict={'pass' if v else 'fail'}" for n, v in self._verdicts()]
         if self.witness_text:
             out.append(f"witness={self.witness_text}")
         out.append(f"kernel={{{','.join(self.kernel)}}}")

@@ -15,6 +15,7 @@ import sys
 
 from .axioms import (
     DoubleDistributivityViolation,
+    HomReport,
     c_characteristic,
     characteristic,
     check_double_distributivity,
@@ -150,18 +151,24 @@ HOM_TABLE = {
 }
 
 
-def cmd_hom(args) -> int:
+# pairs each homomorphism check samples, in `hom` and in scripts/verify_all.py
+HOM_BUDGET = 300
+
+
+def run_hom(name: str, budget: int, rng: random.Random) -> HomReport:
+    """Check the HOM_TABLE map `name` on `budget` sampled pairs."""
     from . import homs
 
-    rng = random.Random(_seed(args))
-    if args.name == "w":
-        rep = homs.check_w_hom(args.budget, rng)
-    else:
-        if args.name not in HOM_TABLE:
-            raise ValueError(f"unknown homomorphism {args.name!r}; try {sorted(HOM_TABLE)}")
-        src, dst, fn, _ = HOM_TABLE[args.name]
-        x, y = get_structure(src), get_structure(dst)
-        rep = check_hom(getattr(homs, fn), x, y, args.budget, rng, name=args.name)
+    if name not in HOM_TABLE:
+        raise ValueError(f"unknown homomorphism {name!r}; try {sorted(HOM_TABLE)}")
+    if name == "w":
+        return homs.check_w_hom(budget, rng)
+    src, dst, fn, _ = HOM_TABLE[name]
+    return check_hom(getattr(homs, fn), get_structure(src), get_structure(dst), budget, rng, name=name)
+
+
+def cmd_hom(args) -> int:
+    rep = run_hom(args.name, args.budget, random.Random(_seed(args)))
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -265,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="verify a named homomorphism")
     p.add_argument("name", help=f"one of {sorted(HOM_TABLE)}")
-    p.add_argument("--budget", type=_budget, default=300)
+    p.add_argument("--budget", type=_budget, default=HOM_BUDGET)
     p.add_argument("--seed", type=int)
     p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(fn=cmd_hom)

@@ -464,21 +464,3 @@ def parse_celem(text: str) -> ComplexElem:
     if not (math.isfinite(m) and math.isfinite(a)):
         raise InvalidSetError(f"complex literal {text!r} is not finite")
     return ComplexElem(m, a)
-
-
-def parse_cset(text: str) -> CSet:
-    parts: list = []
-    for chunk in text.split("|"):
-        tok = chunk.strip()
-        if tok.startswith("point "):
-            parts.append(CPoint(parse_celem(tok[6:])))
-        elif tok.startswith("disk "):
-            parts.append(CDisk(float(tok.split("r=", 1)[1])))
-        elif tok.startswith("circle "):
-            parts.append(full_circle(float(tok.split("r=", 1)[1])))
-        elif tok.startswith("arc "):
-            fields = dict(kv.split("=", 1) for kv in tok[4:].split())
-            parts.append(CArc(float(fields["r"]), float(fields["from"]), float(fields["sweep"])))
-        else:
-            raise InvalidSetError(f"cannot parse value-set chunk {tok!r}")
-    return normalize_parts(parts)

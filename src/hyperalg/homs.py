@@ -129,11 +129,6 @@ def format_poly(p: Polynomial) -> str:
     return " + ".join(chunks).replace("+ -", "- ")
 
 
-_TERM_RE = re.compile(
-    r"(?P<coeff>\([^)]*\)|[^X]*?)\s*(?P<var>X(?:\^(?:\{(?P<bexp>[-+0-9.eE/]+)\}|(?P<exp>[-+0-9.]+)))?)?$"
-)
-
-
 # a sign right after one of these belongs to the literal it is in (`X^-1`,
 # `1@-1`, `1∠-1`, `0,-1,0,0`, `1e-3`), not to the next term
 _SIGN_KEEPERS = "^@∠,eE"
@@ -165,50 +160,6 @@ def _split_terms(text: str) -> list[str]:
     if cur.strip():
         chunks.append(cur)
     return chunks
-
-
-def parse_poly(text: str) -> Polynomial:
-    """Parse `3X^2 + (1+2i)X - 5` or `2X^{0.5}` (real exponents in braces)."""
-    from .csets import parse_celem
-
-    acc: dict[float, complex] = {}
-    for chunk in _split_terms(text):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        m = _TERM_RE.fullmatch(chunk)
-        if not m or (not m.group("var") and not m.group("coeff")):
-            raise ValueError(f"cannot parse polynomial term {chunk!r}")
-        cs = (m.group("coeff") or "").replace(" ", "")
-        if cs.startswith("(") and cs.endswith(")"):
-            cs = cs[1:-1]
-        neg = False
-        if cs == "-":
-            cs, neg = "", True
-        if cs in ("", None):
-            coeff = complex(1)
-        else:
-            try:
-                coeff = complex(cs.replace("i", "j"))
-            except ValueError:
-                coeff = parse_celem(cs).as_complex()
-        if neg:
-            coeff = -coeff
-        if m.group("var"):
-            exp = 1.0
-            if m.group("exp") is not None:
-                exp = float(m.group("exp"))
-            elif m.group("bexp") is not None:
-                bexp = m.group("bexp")
-                exp = (
-                    float(bexp.split("/")[0]) / float(bexp.split("/")[1])
-                    if "/" in bexp
-                    else float(bexp)
-                )
-        else:
-            exp = 0.0
-        acc[exp] = acc.get(exp, 0) + coeff
-    return Polynomial.make(acc)
 
 
 def _random_poly(rng: random.Random, real_exponents: bool = False) -> Polynomial:
@@ -323,11 +274,6 @@ def hf_poly_eval(p: HFPolynomial, point: tuple) -> object:
         else:
             acc = x.add_sets(acc, x.singleton(val))
     return acc
-
-
-def zero_set_member(p: HFPolynomial, point: tuple) -> bool:
-    x = p.structure
-    return x.member(x.zero, hf_poly_eval(p, point))
 
 
 # evaluation multiplies once per unit of an exponent, so parsing caps them

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 
+from .axioms import AxiomReport
 from .rsets import RSet, rinterval, rmember, rpoint, rset
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
 
@@ -146,58 +146,47 @@ def amoeba_add_sets(s1: RSet, s2: RSet) -> RSet:
     return rset(out)
 
 
-@dataclass
-class SeminormReport:
-    """Verdicts for a candidate multiplicative seminorm on a sampled ring."""
-
-    kind: str
-    triangle_ok: bool = True
-    multiplicative_ok: bool = True
-    valuation_ok: bool = True
-    witness: tuple | None = None
-    checked: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.triangle_ok and self.multiplicative_ok and self.valuation_ok
-
-
 def check_seminorm(
     norm,
     sample: list,
     kind: str = "archimedean",
     add=operator.add,
     mul=operator.mul,
-) -> SeminormReport:
+) -> AxiomReport:
     """Verify |x+y| lands in the triangle (resp. ultratriangle) sum of |x|, |y|
     and that |xy| = |x||y|, over all pairs from `sample`.
 
     For the non-archimedean kind the log-composed map is also checked as a
-    containment into the tropical sum.
+    containment into the tropical sum (the valuation check).  Each failing
+    check carries the first pair that broke it.
     """
     if kind not in ("archimedean", "non-archimedean"):
         raise ValueError(f"unknown seminorm kind {kind!r}")
-    rep = SeminormReport(kind=kind)
+    witness: dict = {"triangle": None, "multiplicative": None}
+    if kind == "non-archimedean":
+        witness["valuation"] = None
+
+    def fail(check: str, pair: tuple) -> None:
+        witness[check] = witness[check] or pair
+
     for x in sample:
         for y in sample:
-            rep.checked += 1
             nx, ny, nxy = norm(x), norm(y), norm(add(x, y))
             target = tri_add(nx, ny) if kind == "archimedean" else ultra_add(nx, ny)
             # comparisons scale with the operands, so widen the tolerance
             wide = Tolerance(max(DEFAULT_TOL.eps, DEFAULT_TOL.eps * max(nx, ny, 1.0) * 8))
             if not rmember(nxy, target, wide):
-                rep.triangle_ok = False
-                rep.witness = rep.witness or (x, y)
+                fail("triangle", (x, y))
             prod = norm(mul(x, y))
             if abs(prod - nx * ny) > wide.eps * max(1.0, nx * ny):
-                rep.multiplicative_ok = False
-                rep.witness = rep.witness or (x, y)
+                fail("multiplicative", (x, y))
             if kind == "non-archimedean":
                 lx = NEG_INF if nx == 0.0 else math.log(nx)
                 ly = NEG_INF if ny == 0.0 else math.log(ny)
                 lxy = NEG_INF if nxy == 0.0 else math.log(nxy)
                 if not rmember(lxy, trop_add(lx, ly), wide):
-                    rep.valuation_ok = False
-                    rep.witness = rep.witness or (x, y)
+                    fail("valuation", (x, y))
+    rep = AxiomReport(structure=kind, tuples_checked=len(sample) ** 2)
+    for check, pair in witness.items():
+        rep.add(check, pair is None, pair, "" if pair is None else repr(pair))
     return rep

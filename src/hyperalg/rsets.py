@@ -34,9 +34,6 @@ class RSet:
     def hi(self) -> float:
         return self.intervals[-1][1]
 
-    def is_point(self) -> bool:
-        return len(self.intervals) == 1 and self.intervals[0][0] == self.intervals[0][1]
-
 
 def rpoint(x: float) -> RSet:
     return RSet(((x, x),))
@@ -70,10 +67,6 @@ def rset(pairs: list[tuple[float, float]]) -> RSet:
         else:
             merged.append([lo, hi])
     return RSet(tuple((lo, hi) for lo, hi in merged))
-
-
-def runion(s1: RSet, s2: RSet) -> RSet:
-    return rset(list(s1.intervals) + list(s2.intervals))
 
 
 def rmember(x: float, s: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -134,21 +127,3 @@ def format_rset(s: RSet) -> str:
         else:
             out.append(f"interval [{fmt_num(lo)},{fmt_num(hi)}]")
     return " | ".join(out)
-
-
-def parse_rset(text: str) -> RSet:
-    parts: list[tuple[float, float]] = []
-    for chunk in text.split("|"):
-        tok = chunk.strip()
-        if tok.startswith("point "):
-            v = float(tok[6:])
-            parts.append((v, v))
-        elif tok.startswith("interval "):
-            body = tok[len("interval ") :].strip()
-            if not (body.startswith("[") and body.endswith("]")):
-                raise InvalidSetError(f"cannot parse interval {tok!r}")
-            lo_s, hi_s = body[1:-1].split(",")
-            parts.append((float(lo_s), float(hi_s)))
-        else:
-            raise InvalidSetError(f"cannot parse real-set chunk {tok!r}")
-    return rset(parts)

@@ -12,7 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperalg.cli import HOM_TABLE, MAX_CAP, main
-from hyperalg.csets import member, parse_celem, parse_cset
+from hyperalg.csets import format_cset, parse_celem
+from hyperalg.ctrop import ct_add
+from hyperalg.structures import REGISTRY_NAMES
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _verify_all(*argv) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "verify_all.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 def run(capsys, *argv):
@@ -41,8 +57,7 @@ class TestAdd:
 
     def test_output_parses_back(self, capsys):
         code, out, _ = run(capsys, "add", "TC", "1∠0", "1∠1.0")
-        s = parse_cset(out.strip())
-        assert member(parse_celem("1∠0.5"), s)
+        assert out.strip() == format_cset(ct_add(parse_celem("1∠0"), parse_celem("1∠1.0")))
 
     @pytest.mark.parametrize(
         "structure,a,b",
@@ -206,16 +221,27 @@ class TestVerify:
 
     @pytest.mark.parametrize("budget", ["0", "-5"])
     def test_verify_all_budget_below_one_exit_2(self, budget):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, os.path.join(root, "scripts", "verify_all.py"), "--budget", budget],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = _verify_all("--budget", budget)
         assert (proc.returncode, proc.stdout) == (2, "") and "--budget" in proc.stderr
+
+    def test_verify_all_table(self):
+        proc = _verify_all("--budget", "200")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()[1:] if not line.startswith(" ")]
+        names = [row[0] for row in rows]
+        assert sorted(names) == sorted(
+            REGISTRY_NAMES + [f"hom:{name}" for name in HOM_TABLE] + ["dequantization", "seminorm"]
+        )
+        red = {row[0]: row[row.index("<-") + 1] for row in rows if row[2] == "FAIL"}
+        assert red == {
+            "M": "reversal",
+            **{f"padic:{p}:8": "associativity,negation-unique" for p in (2, 3, 5)},
+            "hom:modulus-maxplus": "additive-containment",
+        }
+        deq = rows[names.index("dequantization")]
+        assert deq[-1] == (
+            "checks=modulus-containment,log-transfer,limit-row,semiring-isomorphism,graph-limit"
+        )
 
     @pytest.mark.parametrize(
         "edit,cell",

@@ -358,7 +358,7 @@ class TestPadicAdd:
             return s
 
         rep = check_seminorm(norm, sample, kind="non-archimedean", add=add, mul=padic_mul)
-        assert rep.passed, rep.witness
+        assert rep.passed, rep.failures()
 
 
 class TestPadicSets:
