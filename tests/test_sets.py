@@ -278,8 +278,18 @@ class TestTextForms:
         assert format_cset(CArc(1, 0, PI / 2)) == "arc r=1 from=0 sweep=1.5707963268"
         assert format_cset(CDisk(1)) == "disk r=1"
         assert format_cset(full_circle(1)) == "circle r=1"
-        union = normalize_parts([CArc(1, 0, PI / 2), CPoint(ComplexElem(2, 1))])
-        assert format_cset(union) == "arc r=1 from=0 sweep=1.5707963268 | point 2∠1"
+
+    def test_cset_roundtrip(self):
+        s = normalize_parts([CArc(1, 0, PI / 2), CPoint(ComplexElem(2, 1))])
+        text = format_cset(s)
+        assert text == "arc r=1 from=0 sweep=1.5707963268 | point 2∠1"
+        arc_text, point_text = text.split(" | ")
+        fields = dict(f.split("=") for f in arc_text.split()[1:])
+        back = normalize_parts([
+            CArc(float(fields["r"]), float(fields["from"]), float(fields["sweep"])),
+            CPoint(parse_celem(point_text.split()[1])),
+        ])
+        assert set_eq(back, s)
 
 
 def format_celem_text(e):
