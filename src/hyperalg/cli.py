@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = success / all axioms hold; 1 = a verified mathematical
-counterexample was found; 2 = usage or parse error.
+counterexample was found; 2 = usage or parse error; 141 = the reader closed
+standard output early (128 + SIGPIPE), with nothing printed to stderr.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .structures import get_structure
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
+BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 # `char` folds 1 + 1 + ... up to --cap summands on carriers that never stabilize
 MAX_CAP = 10_000
@@ -305,7 +307,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout is gone: point it at devnull, so that the flush at interpreter
+        # exit raises nothing either (the recipe of the Python signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

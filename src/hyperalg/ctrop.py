@@ -34,9 +34,8 @@ from .qsets import (
     QUnion,
     QZERO,
     QuatElem,
-    _dot,
-    _scale,
-    _sub,
+    _factor,
+    _project,
     in_cone,
     qnormalize,
     qparts_of,
@@ -406,26 +405,27 @@ def _qarc_point(a: QArc, p: QuatElem) -> list:
     minus = tuple(-x for x in up)
     if in_cone(minus, [ua, ub], eps):
         return [QBall(r)]
-    # orthonormal basis (ua, e2) of the arc's plane, by Gram-Schmidt
-    w = _sub(ub, _scale(ua, _dot(ub, ua)))
-    wn = math.sqrt(_dot(w, w))
-    e2 = tuple(x / wn for x in w) if wn >= 1e-12 else (0.0, 0.0, 0.0, 0.0)
-    x_p, y_p = _dot(up, ua), _dot(up, e2)
-    res = tuple(up[i] - x_p * ua[i] - y_p * e2[i] for i in range(4))
-    if math.sqrt(_dot(res, res)) > max(eps, 1e-9):
+    # orthonormal basis of the arc's plane, or of ua alone for a degenerate arc
+    q, cols = _factor((ua, ub)) or _factor((ua,))
+    coords, res = _project(q, up)
+    if res > max(eps, 1e-9):
         return [QCone((a.a, a.b, QuatElem(*(x * r for x in up))))]
-    if wn < 1e-12:  # degenerate arc (a == b); treat as two points
+    if len(q) == 1:  # degenerate arc (ua, ub dependent); treat as two points
         return [QPoint(a.a), QPoint(QuatElem(*(x * r for x in up)))]
 
-    # p lies on the arc's great circle: apply the circle rule in its plane
+    # p lies on the arc's great circle: apply the circle rule in its plane,
+    # where ua lies at angle 0 and ub at the arc's sweep
+    e1, e2 = q
+    ub_e1, ub_e2 = cols[1]
+    p_e1, p_e2 = coords
+
     def at(theta: float) -> QuatElem:
         return QuatElem(
-            *(r * (math.cos(theta) * ua[i] + math.sin(theta) * e2[i]) for i in range(4))
+            *(r * (math.cos(theta) * e1[i] + math.sin(theta) * e2[i]) for i in range(4))
         )
 
-    th_a = math.atan2(_dot(ua, e2), _dot(ua, ua))
-    sweep = wrap_angle(math.atan2(_dot(ub, e2), _dot(ub, ua)) - th_a)
-    circle = _point_arc(ComplexElem(r, math.atan2(y_p, x_p)), CArc(r, th_a, sweep))
+    sweep = math.atan2(ub_e2, ub_e1)
+    circle = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, 0.0, sweep))
     out: list = []
     for c in parts_of(normalize_parts(circle)):
         if isinstance(c, CDisk):

@@ -5,7 +5,8 @@ origin-centred 3-spheres, closed balls, and (one level of set extension
 later) geodesic cones: the union of minor arcs from a point to every point
 of an arc).  A cone with generator set V is exactly the set of norm-r points
 whose direction is a nonnegative combination of the unit generators, which
-gives an exact membership test via small linear solves.
+gives an exact membership test: one modified Gram-Schmidt factorization of a
+generator subset whose size is the rank of the generators (see in_cone).
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of qnormalize, which the
@@ -89,52 +90,77 @@ def _scale(u, f):
     return (u[0] * f, u[1] * f, u[2] * f, u[3] * f)
 
 
-def _sub(u, v):
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2], u[3] - v[3])
+# a generator whose residual against the span of the generators before it
+# has a squared norm below this share of its own is taken as dependent on them
+_DEPENDENT = 1e-13
 
 
-def _solve(mat: list[list[float]], rhs: list[float]) -> list[float] | None:
-    """Gaussian elimination with partial pivoting; None on (near-)singularity."""
-    n = len(rhs)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[piv][col]) < 1e-13:
+def _factor(gens) -> tuple[list, list] | None:
+    """Modified Gram-Schmidt: orthonormal `q` and the upper-triangular `r`,
+    stored by columns (r[j] holds the coordinates of gens[j] along q[0..j]),
+    or None when the generators are (nearly) linearly dependent."""
+    q: list = []
+    r: list = []
+    for g in gens:
+        col = []
+        v = g
+        for qi in q:
+            d = _dot(qi, v)
+            col.append(d)
+            v = (v[0] - d * qi[0], v[1] - d * qi[1], v[2] - d * qi[2], v[3] - d * qi[3])
+        nn = _dot(v, v)
+        if nn <= _DEPENDENT * _dot(g, g):
             return None
-        a[col], a[piv] = a[piv], a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0.0:
-                f = a[r][col] / a[col][col]
-                for k in range(col, n + 1):
-                    a[r][k] -= f * a[col][k]
-    return [a[i][n] / a[i][i] for i in range(n)]
+        n = math.sqrt(nn)
+        col.append(n)
+        r.append(col)
+        q.append(_scale(v, 1.0 / n))
+    return q, r
+
+
+def _project(q: list, u) -> tuple[list, float]:
+    """Coordinates of `u` along the orthonormal `q`, taken one at a time, and
+    the norm of the residual u - sum_i <q_i, u> q_i."""
+    y = []
+    for qi in q:
+        d = _dot(qi, u)
+        y.append(d)
+        u = (u[0] - d * qi[0], u[1] - d * qi[1], u[2] - d * qi[2], u[3] - d * qi[3])
+    return y, math.sqrt(_dot(u, u))
 
 
 def in_cone(u: tuple, gens: list[tuple], eps: float) -> bool:
     """Is the unit 4-vector `u` a nonnegative combination of the generators?
 
-    By conic Caratheodory it suffices to test linearly independent subsets of
-    size <= 4; generator lists stay small (<= 6) in practice.
+    By conic Caratheodory, `u` is in the cone iff it is a nonnegative
+    combination of a linearly independent subset, and every independent
+    subset extends to one whose size is the rank of `gens`.  So only subsets
+    of that size are factored: one, when the generators are independent.
+    `u` is in the cone of such a subset iff its residual is at most
+    max(eps, 1e-9) and its back-substituted coefficients are all >= -1e-7.
     """
-    for k in (1, 2, 3, 4):
+    cut = max(eps, 1e-9)
+    for k in range(min(len(gens), 4), 0, -1):
+        factored = False
         for sub in itertools.combinations(gens, k):
-            gram = [[_dot(a, b) for b in sub] for a in sub]
-            rhs = [_dot(a, u) for a in sub]
-            coeffs = _solve(gram, rhs)
-            if coeffs is None:
+            f = _factor(sub)
+            if f is None:
                 continue
-            if any(c < -1e-7 for c in coeffs):
+            factored = True
+            q, r = f
+            y, res = _project(q, u)
+            if res > cut:
                 continue
-            recon = (0.0, 0.0, 0.0, 0.0)
-            for c, g in zip(coeffs, sub):
-                recon = (
-                    recon[0] + c * g[0],
-                    recon[1] + c * g[1],
-                    recon[2] + c * g[2],
-                    recon[3] + c * g[3],
-                )
-            if math.sqrt(_dot(_sub(u, recon), _sub(u, recon))) <= max(eps, 1e-9):
+            coeffs = y  # back substitution, in place
+            for j in range(k - 1, -1, -1):
+                c = coeffs[j]
+                for i in range(j + 1, k):
+                    c -= r[i][j] * coeffs[i]
+                coeffs[j] = c / r[j][j]
+            if all(c >= -1e-7 for c in coeffs):
                 return True
+        if factored:  # k is the rank of gens
+            return False
     return False
 
 

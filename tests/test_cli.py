@@ -20,14 +20,18 @@ from hyperalg.structures import REGISTRY_NAMES
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _verify_all(*argv) -> subprocess.CompletedProcess:
+def _child_env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _verify_all(*argv) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "verify_all.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
 
 
@@ -333,6 +337,25 @@ class TestHom:
     def test_w_map(self, capsys):
         code, out, _ = run(capsys, "hom", "w", "--budget", "150")
         assert code == 0
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("argv", [["add", "tri", "2", "1"], ["hom", "sign", "--budget", "120"]])
+    def test_closed_reader_exits_141_silently(self, argv):
+        """A reader that closed the pipe is no usage error: exit 128 + SIGPIPE
+        with an empty stderr, neither an `error:` line nor a traceback at
+        interpreter exit.  The read end is closed before the child starts, so
+        its first write fails every time."""
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperalg.cli", *argv],
+                stdout=w, stderr=subprocess.PIPE, text=True, env=_child_env(), timeout=60,
+            )
+        finally:
+            os.close(w)
+        assert (proc.returncode, proc.stderr) == (141, "")
 
 
 class TestPoly:

@@ -4,11 +4,12 @@ Values are drawn from coarse grids: exact ties (the measure-zero branches)
 arise from coinciding draws, while distinct draws stay far from the branch
 cutoffs, matching the declared tolerance policy.
 """
+import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperalg import csets, exotic, qsets, rsets
@@ -251,3 +252,106 @@ def test_operations_return_canonical_sets(name):
                 assert out == _normal_form(out), (a, b, c, out)
                 for p in X.pick(out, pick_rng):
                     assert X.member(p, out), (a, b, c, out, p)
+
+
+# -- quaternion cone membership ------------------------------------------------
+
+
+def _gram_solve(mat, rhs):
+    """Gaussian elimination with partial pivoting; None on (near-)singularity."""
+    n = len(rhs)
+    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(a[r][col]))
+        if abs(a[piv][col]) < 1e-13:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0.0:
+                f = a[r][col] / a[col][col]
+                for k in range(col, n + 1):
+                    a[r][k] -= f * a[col][k]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def _enumerated_in_cone(u, gens, eps):
+    """The earlier membership rule, kept as the oracle: one Gram solve for
+    every generator subset of size 1-4.  Returns (verdict, near), where `near`
+    says that some subset puts `u` within 1e-6 of a cutoff: a residual just
+    above max(eps, 1e-9) (u near, but not on, the subset's span), or, with a
+    residual at most 1e-6 above it, a coefficient within 1e-6 of -1e-7.  It
+    also marks a subset whose coefficients exceed 1e3 while `u` is within
+    1e-3 of its span: there `u` is reached only by near-cancelling generators,
+    and a Gram solve, which squares their conditioning, can misjudge the
+    residual by more than the cutoff."""
+    cut = max(eps, 1e-9)
+    verdict = near = False
+    for k in (1, 2, 3, 4):
+        for sub in itertools.combinations(gens, k):
+            gram = [[qsets._dot(a, b) for b in sub] for a in sub]
+            coeffs = _gram_solve(gram, [qsets._dot(a, u) for a in sub])
+            if coeffs is None:
+                continue
+            recon = [sum(c * g[i] for c, g in zip(coeffs, sub)) for i in range(4)]
+            res = math.sqrt(sum((u[i] - recon[i]) ** 2 for i in range(4)))
+            if 1e-12 < res <= cut + 1e-6:
+                near = True
+            if res <= cut + 1e-6 and any(abs(c + 1e-7) < 1e-6 for c in coeffs):
+                near = True
+            if res <= 1e-3 and max(map(abs, coeffs)) > 1e3:
+                near = True
+            if res <= cut and all(c >= -1e-7 for c in coeffs):
+                verdict = True
+    return verdict, near
+
+
+def _unit4(v):
+    n = math.sqrt(qsets._dot(v, v))
+    return tuple(x / n for x in v)
+
+
+_vec4 = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda v: qsets._dot(v, v) > 0.01)
+
+
+@st.composite
+def _cone_case(draw):
+    """1-6 unit generators, each fresh, an exact duplicate, the exact sum of
+    two earlier ones (a rank drop) or an earlier one perturbed by 10^-k for k
+    in 2..8; and a point: a positive combination of the generators, one with
+    a single negative weight, or a free unit vector."""
+    gens = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "duplicate", "sum", "perturbed"]) if gens else st.just("fresh"))
+        if kind == "fresh":
+            g = _unit4(draw(_vec4))
+        elif kind == "duplicate":
+            g = draw(st.sampled_from(gens))
+        elif kind == "sum":
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            s = tuple(x + y for x, y in zip(a, b))
+            g = _unit4(s) if qsets._dot(s, s) > 0.01 else a
+        else:
+            a, d = draw(st.sampled_from(gens)), _unit4(draw(_vec4))
+            size = 10.0 ** -draw(st.integers(2, 8))
+            g = _unit4(tuple(x + size * y for x, y in zip(a, d)))
+        gens.append(g)
+    point = draw(st.sampled_from(["positive", "one-negative", "free"]))
+    if point == "free":
+        return gens, _unit4(draw(_vec4))
+    weights = [draw(st.integers(1, 20)) / 20 for _ in gens]
+    if point == "one-negative":
+        weights[draw(st.integers(0, len(gens) - 1))] *= -1
+    u = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(4))
+    assume(qsets._dot(u, u) > 1e-6)
+    return gens, _unit4(u)
+
+
+@given(_cone_case(), st.sampled_from([0.0, 1e-9, 1e-7]))
+@settings(max_examples=400, deadline=None)
+def test_in_cone_agrees_with_subset_enumeration(case, eps):
+    """The rank-subset rule of qsets.in_cone gives the verdict of trying every
+    generator subset of size 1-4, for points away from the cutoffs."""
+    gens, u = case
+    verdict, near = _enumerated_in_cone(u, gens, eps)
+    assume(not near)
+    assert qsets.in_cone(u, gens, eps) == verdict

@@ -32,6 +32,7 @@ from hyperalg.qsets import (
     QCone,
     QPoint,
     QuatElem,
+    in_cone,
     qmember,
     qnormalize,
     qset_eq,
@@ -250,6 +251,25 @@ class TestQSet:
         assert qmember(QuatElem(1 / n, 1 / n, 1 / n, 0), cone)
         assert not qmember(QuatElem(0, 0, 0, 1), cone)
         assert not qmember(QuatElem(-1, 0, 0, 0), cone)
+
+    def test_interior_of_ill_conditioned_cone(self):
+        """Four generators within 1.5e-4 of one direction: their Gram matrix
+        has condition number above 1e8, so a membership rule that inverts it
+        (a dual basis) misses this point whose weights are all 1/4 by a
+        residual of about 2e-8."""
+        d = 1.5e-4
+        gens = [QuatElem(1, 0, 0, 0), QuatElem(1, d, 0, 0), QuatElem(1, 0, d, 0), QuatElem(1, d, d, d)]
+        units = [g.unit() for g in gens]
+
+        def rayleigh(w):  # w.G.w / w.w for the Gram matrix G of the units
+            v = [sum(wi * g[k] for wi, g in zip(w, units)) for k in range(4)]
+            return sum(x * x for x in v) / sum(x * x for x in w)
+
+        # largest eigenvalue >= rayleigh(x) and smallest <= rayleigh(y)
+        assert rayleigh((1, 1, 1, 1)) / rayleigh((1, -1, 0, 0)) >= 1e8
+        mean = QuatElem(*(sum(g[k] for g in units) / 4 for k in range(4)))
+        assert in_cone(mean.unit(), units, 1e-9)
+        assert qmember(QuatElem(*mean.unit()), QCone(tuple(QuatElem(*u) for u in units)))
 
     def test_set_eq_unordered(self):
         i = QuatElem(0, 1, 0, 0)
