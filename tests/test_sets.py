@@ -253,7 +253,7 @@ class TestQSet:
         assert not qmember(QuatElem(-1, 0, 0, 0), cone)
 
     def test_interior_of_ill_conditioned_cone(self):
-        """Four generators within 1.5e-4 of one direction: their Gram matrix
+        """Four generators within 3e-4 rad of one direction: their Gram matrix
         has condition number above 1e8, so a membership rule that inverts it
         (a dual basis) misses this point whose weights are all 1/4 by a
         residual of about 2e-8."""
