@@ -405,13 +405,15 @@ def _qarc_point(a: QArc, p: QuatElem) -> list:
     minus = tuple(-x for x in up)
     if in_cone(minus, [ua, ub], eps):
         return [QBall(r)]
-    # orthonormal basis of the arc's plane, or of ua alone for a degenerate arc
-    q, cols = _factor((ua, ub)) or _factor((ua,))
+    f = _factor((ua, ub))  # orthonormal basis of the arc's plane
+    if f is None:
+        # a degenerate arc: in_cone sees only its two ends, so p is added to each
+        pr = QuatElem(*(x * r for x in up))
+        return [c for end in (a.a, a.b) for c in qparts_of(quat_add(end, pr))]
+    q, cols = f
     coords, res = _project(q, up)
     if res > max(eps, 1e-9):
         return [QCone((a.a, a.b, QuatElem(*(x * r for x in up))))]
-    if len(q) == 1:  # degenerate arc (ua, ub dependent); treat as two points
-        return [QPoint(a.a), QPoint(QuatElem(*(x * r for x in up)))]
 
     # p lies on the arc's great circle: apply the circle rule in its plane,
     # where ua lies at angle 0 and ub at the arc's sweep

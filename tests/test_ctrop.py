@@ -417,6 +417,18 @@ class TestQuaternion:
         got = quat_add(QuatElem(2, 0, 0, 0), self.I)
         assert got == QPoint(QuatElem(2, 0, 0, 0))
 
+    @pytest.mark.parametrize("r, theta", [(1.0, 2e-8), (1.0, 2e-7), (1000.0, 1e-7)])
+    def test_nearly_degenerate_arc_plus_its_ends(self, r, theta):
+        """An arc whose ends are too close in direction to span a plane, yet
+        farther apart than eps: adding either end gives the arc back, with
+        neither end lost."""
+        a = QuatElem(r, 0, 0, 0)
+        b = QuatElem(r * math.cos(theta), r * math.sin(theta), 0, 0)
+        arc = quat_add(a, b)
+        assert isinstance(arc, QArc)
+        for end in (a, b):
+            assert qset_eq(quat_add_sets(arc, QPoint(end)), arc)
+
     def test_scaling_a_ball_below_tolerance_gives_origin(self):
         # as cset_scale(CDisk(1.0), ComplexElem(1e-10, 0)) gives point 0
         assert quat_scale(QBall(1.0), QuatElem(1e-10, 0, 0, 0), "left") == QPoint(QZERO)
