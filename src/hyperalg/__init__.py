@@ -18,10 +18,8 @@ from .csets import (
     InvalidSetError,
     RepresentationClosureError,
     member,
-    normalize,
     set_eq,
     subset,
-    union,
 )
 from .rsets import RSet, rinterval, rmember, rpoint, rset, rset_eq
 from .qsets import QArc, QBall, QCone, QPoint, QSet, QuatElem
@@ -34,7 +32,6 @@ from .ctrop import (
     phase_add,
     quat_add,
     rt_add,
-    zero_in_sum,
 )
 from .axioms import (
     AxiomReport,

@@ -294,12 +294,8 @@ def normalize_parts(parts: list) -> CSet:
     return CUnion(tuple(out))
 
 
-def normalize(s: CSet) -> CSet:
-    return normalize_parts([s])
-
-
 # ---------------------------------------------------------------------------
-# membership / union / equality / containment
+# membership / equality / containment
 
 
 def member(x: ComplexElem, s: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -316,10 +312,6 @@ def member(x: ComplexElem, s: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
             if abs(x.modulus - c.radius) <= tol.eps and c.contains_angle(x.argument, tol.eps):
                 return True
     return False
-
-
-def union(s1: CSet, s2: CSet) -> CSet:
-    return normalize_parts(parts_of(s1) + parts_of(s2))
 
 
 def _comp_eq(c1, c2, tol: Tolerance) -> bool:

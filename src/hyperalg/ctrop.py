@@ -5,6 +5,15 @@ the shortest arc between them on their common circle when moduli tie, and the
 whole closed disk when the operands cancel.  Set-extended sums are computed by
 closed-form component rules, never by discretization, so set equalities can
 be certified exactly.
+
+One dispatcher per carrier family decides the branch of a component pair:
+`_ct_add_comps` over C and `_quat_add_comps` over H.  Point pairs go to
+`ct_add` and `quat_add`.  Otherwise the component of larger radius wins by
+more than eps; on a tie a disk or ball absorbs the other component, and the
+remaining tied pairs go to the circle rules (`_point_arc`, `_arc_arc`,
+`_qarc_point`, `_qcone_point`).  `deq.c_add_0`, the h -> 0 limit of the
+complex dequantization family, reads its branch from the type of `ct_add`
+and takes the arc's midpoint on a tie.
 """
 from __future__ import annotations
 
@@ -15,10 +24,8 @@ from .csets import (
     CDisk,
     CPoint,
     CSet,
-    CUnion,
     CZERO,
     ComplexElem,
-    InvalidSetError,
     RepresentationClosureError,
     arc,
     full_circle,
@@ -31,7 +38,6 @@ from .qsets import (
     QCone,
     QPoint,
     QSet,
-    QUnion,
     QZERO,
     QuatElem,
     _factor,
@@ -75,16 +81,9 @@ def _arc_angles(a: CArc) -> tuple[float, float]:
     return a.start, a.start + a.sweep
 
 
-def _point_point(p: ComplexElem, q: ComplexElem) -> list:
-    return parts_of(ct_add(p, q))
-
-
 def _point_arc(p: ComplexElem, a: CArc) -> list:
+    """The circle rule for a point and an arc of tied radius."""
     eps = DEFAULT_TOL.eps
-    if p.modulus > a.radius + eps:
-        return [CPoint(p)]
-    if p.modulus < a.radius - eps:
-        return [a]
     r = max(p.modulus, a.radius)
     if a.full:
         return [CDisk(r)]
@@ -97,18 +96,11 @@ def _point_arc(p: ComplexElem, a: CArc) -> list:
     return out
 
 
-def _point_disk(p: ComplexElem, d: CDisk) -> list:
-    if p.modulus > d.radius + DEFAULT_TOL.eps:
-        return [CPoint(p)]
-    return [d]
-
-
 def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
     """Does a2 contain -x for some x in a1 (same radius assumed)?"""
     if a1.full or a2.full:
         return True
     s2 = wrap_angle(a2.start + math.pi)  # a2 rotated by pi
-    e2 = s2 + a2.sweep
     # circular interval intersection of [a1.start, +sweep] and [s2, +sweep]
     off = wrap_angle(s2 - a1.start)
     if off <= a1.sweep + DEFAULT_TOL.eps:
@@ -118,11 +110,7 @@ def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
 
 
 def _arc_arc(a1: CArc, a2: CArc) -> list:
-    eps = DEFAULT_TOL.eps
-    if a1.radius > a2.radius + eps:
-        return [a1]
-    if a2.radius > a1.radius + eps:
-        return [a2]
+    """The circle rule for two arcs of tied radius."""
     r = max(a1.radius, a2.radius)
     if _arcs_have_antipodes(a1, a2):
         return [CDisk(r)]
@@ -135,35 +123,26 @@ def _arc_arc(a1: CArc, a2: CArc) -> list:
     return out
 
 
-def _disk_any(d: CDisk, other) -> list:
-    eps = DEFAULT_TOL.eps
-    if isinstance(other, CPoint):
-        return _point_disk(other.elem, d)
-    if isinstance(other, CDisk):
-        return [CDisk(max(d.radius, other.radius))]
-    if isinstance(other, CArc):
-        if other.radius > d.radius + eps:
-            return [other]
-        return [CDisk(d.radius)]
-    raise RepresentationClosureError(f"disk + {type(other).__name__}")
+# order of component kinds in _ct_add_comps: the lower rank comes first
+_CRANK = {CDisk: 0, CArc: 1, CPoint: 2}
 
 
 def _ct_add_comps(c1, c2) -> list:
+    """Sum of two components: the larger radius wins by more than eps; on a
+    tie a disk absorbs the other component, else the circle rule applies."""
+    if _CRANK[type(c2)] < _CRANK[type(c1)]:  # the sum is commutative
+        c1, c2 = c2, c1
+    if isinstance(c1, CPoint):
+        return parts_of(ct_add(c1.elem, c2.elem))
+    r1 = c1.radius
+    r2 = c2.elem.modulus if isinstance(c2, CPoint) else c2.radius
+    if abs(r1 - r2) > DEFAULT_TOL.eps:
+        return [c1 if r1 > r2 else c2]
     if isinstance(c1, CDisk):
-        return _disk_any(c1, c2)
-    if isinstance(c2, CDisk):
-        return _disk_any(c2, c1)
-    if isinstance(c1, CPoint) and isinstance(c2, CPoint):
-        return _point_point(c1.elem, c2.elem)
-    if isinstance(c1, CPoint) and isinstance(c2, CArc):
-        return _point_arc(c1.elem, c2)
-    if isinstance(c1, CArc) and isinstance(c2, CPoint):
+        return [c2 if isinstance(c2, CDisk) and r2 > r1 else c1]
+    if isinstance(c2, CPoint):
         return _point_arc(c2.elem, c1)
-    if isinstance(c1, CArc) and isinstance(c2, CArc):
-        return _arc_arc(c1, c2)
-    raise RepresentationClosureError(
-        f"unsupported component pair {type(c1).__name__} + {type(c2).__name__}"
-    )
+    return _arc_arc(c1, c2)
 
 
 def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
@@ -240,18 +219,6 @@ def zero_in_convex_hull(points: list[ComplexElem]) -> bool:
     gaps = [b - a for a, b in zip(angles, angles[1:])]
     gaps.append(angles[0] + TWO_PI - angles[-1])
     return max(gaps) <= math.pi + eps
-
-
-def zero_in_sum(values: list[ComplexElem]) -> bool:
-    """0 lies in the tropical sum iff it lies in the convex hull of the
-    summands of greatest modulus."""
-    if not values:
-        raise ValueError("empty sum")
-    rmax = max(v.modulus for v in values)
-    if rmax <= DEFAULT_TOL.eps:
-        return True
-    tops = [v for v in values if v.modulus >= rmax - DEFAULT_TOL.eps]
-    return zero_in_convex_hull(tops)
 
 
 def ct_sum_n(values: list[ComplexElem]) -> CSet:
@@ -397,10 +364,6 @@ def quat_add(a: QuatElem, b: QuatElem, tol: Tolerance = DEFAULT_TOL) -> QSet:
 def _qarc_point(a: QArc, p: QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = a.radius
-    if p.norm > r + eps:
-        return [QPoint(p)]
-    if p.norm < r - eps:
-        return [a]
     ua, ub, up = a.a.unit(), a.b.unit(), p.unit()
     minus = tuple(-x for x in up)
     if in_cone(minus, [ua, ub], eps):
@@ -446,10 +409,6 @@ def _qarc_point(a: QArc, p: QuatElem) -> list:
 def _qcone_point(c: QCone, p: QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = c.radius
-    if p.norm > r + eps:
-        return [QPoint(p)]
-    if p.norm < r - eps:
-        return [c]
     up = p.unit()
     gens = [v.unit() for v in c.vertices]
     minus = tuple(-x for x in up)
@@ -460,29 +419,24 @@ def _qcone_point(c: QCone, p: QuatElem) -> list:
     return [QCone(c.vertices + (QuatElem(*(x * r for x in up)),))]
 
 
-def _qball_any(b: QBall, other) -> list:
-    if isinstance(other, QPoint):
-        if other.elem.norm > b.radius + DEFAULT_TOL.eps:
-            return [QPoint(other.elem)]
-        return [b]
-    r_other = other.radius
-    if r_other > b.radius + DEFAULT_TOL.eps:
-        return [other]
-    return [QBall(b.radius)]
-
-
 # order of component kinds in _quat_add_comps: the lower rank comes first
 _QRANK = {QBall: 0, QArc: 1, QCone: 1, QPoint: 2}
 
 
 def _quat_add_comps(c1, c2) -> list:
+    """The rule of _ct_add_comps over H; two tied arcs or cones have no
+    closed form."""
     if _QRANK[type(c2)] < _QRANK[type(c1)]:  # the sum is commutative
         c1, c2 = c2, c1
+    if isinstance(c1, QPoint):
+        return qparts_of(quat_add(c1.elem, c2.elem))
+    r1 = c1.radius
+    r2 = c2.elem.norm if isinstance(c2, QPoint) else c2.radius
+    if abs(r1 - r2) > DEFAULT_TOL.eps:
+        return [c1 if r1 > r2 else c2]
     if isinstance(c1, QBall):
-        return _qball_any(c1, c2)
+        return [c2 if isinstance(c2, QBall) and r2 > r1 else c1]
     if isinstance(c2, QPoint):
-        if isinstance(c1, QPoint):
-            return qparts_of(quat_add(c1.elem, c2.elem))
         if isinstance(c1, QArc):
             return _qarc_point(c1, c2.elem)
         return _qcone_point(c1, c2.elem)

@@ -10,7 +10,7 @@ import math
 import random
 
 from .axioms import AxiomReport
-from .csets import CArc, CZERO, ComplexElem, member as cmember
+from .csets import CArc, CDisk, CPoint, CZERO, ComplexElem, member as cmember
 from .ctrop import ct_add
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, rinterval, rmember, rpoint
@@ -101,19 +101,15 @@ def c_add_h(a: ComplexElem, b: ComplexElem, h: float) -> ComplexElem:
 
 
 def c_add_0(a: ComplexElem, b: ComplexElem) -> ComplexElem:
-    """Pointwise limit of +_h: dominant operand, or the bisector direction at
-    tied moduli, or 0 on cancellation.  Not associative."""
-    eps = DEFAULT_TOL.eps
-    ra, rb = a.modulus, b.modulus
-    if abs(ra - rb) > eps:
-        return a if ra > rb else b
-    if max(ra, rb) <= eps:
+    """Pointwise limit of +_h, a point of the tropical sum: the dominant
+    operand, the arc's midpoint at tied moduli, or 0 on cancellation.  Not
+    associative."""
+    s = ct_add(a, b)
+    if isinstance(s, CPoint):
+        return s.elem
+    if isinstance(s, CDisk):
         return CZERO
-    zx = math.cos(a.argument) + math.cos(b.argument)
-    zy = math.sin(a.argument) + math.sin(b.argument)
-    if math.hypot(zx, zy) <= eps:
-        return CZERO
-    return ComplexElem(max(ra, rb), math.atan2(zy, zx))
+    return ComplexElem(s.radius, s.start + s.sweep / 2)
 
 
 def graph_witness(
@@ -123,29 +119,24 @@ def graph_witness(
 
     Arc targets use the scaling witness (lam^h a, mu^h b) with c = lam a + mu b,
     exact inside the arc; at an endpoint the zero coefficient is replaced by
-    e^(-1/sqrt(h)), so c_add_h(a_h, b_h, h) only tends to c.  Dominant targets
-    keep (a, b); cancellation targets use (a +_h c, -a), which reproduces c
-    exactly for every h.
+    e^(-1/sqrt(h)), so c_add_h(a_h, b_h, h) only tends to c.  The branch is
+    the type of ct_add(a, b): a point sum (dominant, zero or a degenerate
+    tie) keeps (a, b); a disk (cancellation) uses (a +_h c, -a), which
+    reproduces c exactly for every h.
     """
     if h <= 0.0:
         raise ValueError("graph_witness needs h > 0")
-    if not cmember(c, ct_add(a, b)):
+    s = ct_add(a, b)
+    if not cmember(c, s):
         raise ValueError("target must lie in the tropical sum of a and b")
-    eps = DEFAULT_TOL.eps
-    ra, rb = a.modulus, b.modulus
-    if abs(ra - rb) > eps:
+    if isinstance(s, CPoint):
         return (a, b)
-    if max(ra, rb) <= eps:
-        return (a, b)
-    z = a.as_complex() + b.as_complex()
-    if abs(z) < eps * max(ra, rb):  # cancellation: target anywhere in the disk
+    if isinstance(s, CDisk):  # cancellation: target anywhere in the disk
         return (c_add_h(a, c, h), -a)
     # arc target: solve c = lam*a + mu*b in real coordinates
     ax, ay = a.re, a.im
     bx, by = b.re, b.im
     det = ax * by - ay * bx
-    if abs(det) <= eps * max(ra, rb) ** 2:  # a and b parallel: degenerate arc
-        return (a, b)
     lam = (c.re * by - c.im * bx) / det
     mu = (ax * c.im - ay * c.re) / det
     # at an arc endpoint one coefficient is 0, and 0^h = 0 would pin that
@@ -155,8 +146,8 @@ def graph_witness(
     lam = lam if lam > 0.0 else floor
     mu = mu if mu > 0.0 else floor
     return (
-        ComplexElem(lam**h * ra, a.argument),
-        ComplexElem(mu**h * rb, b.argument),
+        ComplexElem(lam**h * a.modulus, a.argument),
+        ComplexElem(mu**h * b.modulus, b.argument),
     )
 
 

@@ -11,6 +11,7 @@ from hyperalg.csets import (
     CPoint,
     CZERO,
     ComplexElem,
+    RepresentationClosureError,
     format_cset,
     member,
     parts_of,
@@ -29,9 +30,8 @@ from hyperalg.ctrop import (
     quat_scale,
     rt_add,
     rt_add_sets,
-    zero_in_sum,
 )
-from hyperalg.qsets import QZERO, QArc, QBall, QPoint, QuatElem, qmember, qset_eq
+from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
 from hyperalg.tolerance import TWO_PI, Tolerance
 
@@ -119,6 +119,17 @@ class TestAppendixRules:
         a2 = CArc(1, 1.0, 0.3)
         got = ct_add_sets(a1, a2)
         assert set_eq(got, CArc(1, 0, 1.3))
+
+    @pytest.mark.parametrize("dr", [0.0, 5e-10, -5e-10])
+    def test_point_on_disk_boundary_gives_disk(self, dr):
+        p = CPoint(cp(1 + dr, 0.7))
+        assert ct_add_sets(CDisk(1), p) == CDisk(1)
+        assert ct_add_sets(p, CDisk(1)) == CDisk(1)
+
+    def test_tied_disks_give_the_larger(self):
+        small, large = CDisk(1), CDisk(1 + 5e-10)
+        assert ct_add_sets(small, large) == large
+        assert ct_add_sets(large, small) == large
 
 
 def _stratified_pairs(rng, n):
@@ -270,9 +281,11 @@ class TestSumN:
         assert set_eq(acc, CDisk(1))
 
     def test_zero_in_sum_goldens(self):
-        assert not zero_in_sum([cp(1, 0), cp(1, PI / 2)])
-        assert zero_in_sum([cp(1, 0), cp(1, PI)])
-        assert zero_in_sum([cp(1, 2 * PI * k / 3) for k in range(3)])
+        assert not member(CZERO, ct_sum_n([cp(1, 0), cp(1, PI / 2)]))
+        assert member(CZERO, ct_sum_n([cp(1, 0), cp(1, PI)]))
+        assert member(CZERO, ct_sum_n([cp(1, 2 * PI * k / 3) for k in range(3)]))
+        # a smaller summand opposite the top one does not reach 0
+        assert not member(CZERO, ct_sum_n([cp(2, 0), cp(1, PI)]))
 
     def test_zero_in_sum_matches_membership(self, rng):
         for _ in range(200):
@@ -287,7 +300,11 @@ class TestSumN:
                     vals.append(-vals[-1])
                 else:
                     vals.append(cp(math.exp(rng.uniform(-1, 1)), rng.uniform(0, TWO_PI)))
-            assert zero_in_sum(vals) == member(CZERO, ct_sum_n(vals))
+            # the closed form holds 0 exactly when the binary fold does
+            acc = CPoint(vals[0])
+            for v in vals[1:]:
+                acc = ct_add_sets(acc, CPoint(v))
+            assert member(CZERO, ct_sum_n(vals)) == member(CZERO, acc)
 
     def test_order_independence(self, rng):
         for _ in range(40):
@@ -428,6 +445,36 @@ class TestQuaternion:
         assert isinstance(arc, QArc)
         for end in (a, b):
             assert qset_eq(quat_add_sets(arc, QPoint(end)), arc)
+
+    def _cone(self, r):
+        return QCone(
+            (QuatElem(r, 0, 0, 0), QuatElem(0, r, 0, 0), QuatElem(0, 0, r, 0))
+        )
+
+    def test_dominant_arc_or_cone_wins(self):
+        big = quat_add(QuatElem(2, 0, 0, 0), QuatElem(0, 2, 0, 0))
+        small = quat_add(QuatElem(0, 0, 1, 0), QuatElem(0, 0, 0, 1))
+        for x, y in ((big, small), (self._cone(2), small), (big, self._cone(1))):
+            assert quat_add_sets(x, y) == x
+            assert quat_add_sets(y, x) == x
+
+    def test_tied_arc_pair_is_not_closed(self):
+        arc1 = quat_add(QuatElem(1, 0, 0, 0), QuatElem(0, 1, 0, 0))
+        arc2 = quat_add(QuatElem(0, 0, 1, 0), QuatElem(0, 0, 0, 1 + 5e-10))
+        for x, y in ((arc1, arc2), (arc1, self._cone(1))):
+            with pytest.raises(RepresentationClosureError):
+                quat_add_sets(x, y)
+
+    @pytest.mark.parametrize("dr", [0.0, 5e-10, -5e-10])
+    def test_point_on_ball_boundary_gives_ball(self, dr):
+        p = QPoint(QuatElem(0, 0, 1 + dr, 0))
+        assert quat_add_sets(QBall(1), p) == QBall(1)
+        assert quat_add_sets(p, QBall(1)) == QBall(1)
+
+    def test_tied_balls_give_the_larger(self):
+        small, large = QBall(1), QBall(1 + 5e-10)
+        assert quat_add_sets(small, large) == large
+        assert quat_add_sets(large, small) == large
 
     def test_scaling_a_ball_below_tolerance_gives_origin(self):
         # as cset_scale(CDisk(1.0), ComplexElem(1e-10, 0)) gives point 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from hyperalg import csets, exotic, qsets, rsets
 from hyperalg.axioms import stratified_tuples
-from hyperalg.csets import CDisk, CPoint, ComplexElem, parts_of, set_eq
+from hyperalg.csets import CDisk, CPoint, CZERO, ComplexElem, parts_of, set_eq
 from hyperalg.ctrop import (
     ct_add,
     ct_add_sets,
@@ -24,6 +24,7 @@ from hyperalg.ctrop import (
     rt_add,
     rt_add_sets,
 )
+from hyperalg.deq import c_add_0, c_add_h
 from hyperalg.realhf import (
     amoeba_add,
     amoeba_add_sets,
@@ -36,7 +37,7 @@ from hyperalg.realhf import (
 )
 from hyperalg.rsets import rpoint, rset_eq
 from hyperalg.structures import get_structure
-from hyperalg.tolerance import Tolerance
+from hyperalg.tolerance import Tolerance, circ_dist
 
 WIDE = Tolerance(1e-7)
 
@@ -141,6 +142,26 @@ def test_complex_distributivity(ma, mb, ta, tb, tc, tie):
     lhs = cset_scale(ct_add(b, c), a)
     rhs = ct_add(a.times(b), a.times(c))
     assert set_eq(lhs, rhs, WIDE)
+
+
+@given(moduli, moduli, angles, angles, st.sampled_from(["dominant", "tie", "cancel", "zero", "zeros"]))
+@settings(max_examples=300, deadline=None)
+def test_limit_of_h_sum_is_a_point_of_the_tropical_sum(ma, mb, ta, tb, kind):
+    """The limit of +_h picks a point of a ∔ b; at tied moduli it is the
+    midpoint of the arc, the direction of S_h(a) + S_h(b) for every h."""
+    a = CZERO if kind == "zeros" else ComplexElem(ma, ta)
+    b = {
+        "dominant": ComplexElem(ma + mb, tb),
+        "tie": ComplexElem(ma, tb),
+        "cancel": -a,
+    }.get(kind, CZERO)
+    s = ct_add(a, b)
+    z = c_add_0(a, b)
+    assert csets.member(z, s)
+    if isinstance(s, csets.CArc):
+        assert z.modulus == s.radius
+        assert circ_dist(z.argument, s.start + s.sweep / 2) <= 1e-10
+        assert circ_dist(z.argument, c_add_h(a, b, 0.01).argument) <= 1e-10
 
 
 @given(reals, reals, reals, st.integers(0, 7))

@@ -1,9 +1,11 @@
-"""Every public function and class of the library is used outside the tests.
+"""Every public function and class of the library is used outside the tests,
+and every module-level import of a library module is used in that module.
 
 A name counts as used when a non-test file under src/, scripts/ or
 perfbench/ refers to it: as a name, an attribute, an imported name, or a
 string constant equal to it (cli.HOM_TABLE names its maps by string).  A
-definition's own body does not count.
+definition's own body does not count, and neither does a re-export from a
+package's `__init__.py`.
 """
 import ast
 import pathlib
@@ -39,7 +41,7 @@ def _used_names() -> set:
     used = set()
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
-            if path.name.startswith("test_"):
+            if path.name.startswith("test_") or path.name == "__init__.py":
                 continue
             for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
                 refs = _refs(stmt)
@@ -64,3 +66,29 @@ def test_every_public_definition_is_used_outside_tests():
     assert unreached - ALLOWED_UNREACHED == set()
     # an allowlist entry that is gone or now used must be dropped
     assert ALLOWED_UNREACHED <= unreached
+
+
+_IMPORTS = (ast.Import, ast.ImportFrom)
+
+
+def _unused_imports(path: pathlib.Path) -> set:
+    body = ast.parse(path.read_text(encoding="utf-8")).body
+    bound = {
+        alias.asname or alias.name.split(".", 1)[0]
+        for stmt in body
+        if isinstance(stmt, _IMPORTS) and getattr(stmt, "module", None) != "__future__"
+        for alias in stmt.names
+    }
+    named = set()
+    for stmt in body:
+        if not isinstance(stmt, _IMPORTS):
+            named |= {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+    return {f"{path.stem}.{name}" for name in bound - named}
+
+
+def test_every_module_level_import_is_used():
+    unused = set()
+    for path in LIBRARY.glob("*.py"):
+        if path.name != "__init__.py":
+            unused |= _unused_imports(path)
+    assert unused == set()
