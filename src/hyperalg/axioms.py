@@ -423,8 +423,8 @@ def axiom_mul_commutative(X: Structure, tup) -> bool:
 
 def axiom_units_group(X: Structure, tup) -> bool:
     (a,) = tup
-    if X.is_zero(a):
-        return True
+    if X.is_zero(a):  # the nonzero elements form a group, so 1 is not 0
+        return X.one != X.zero  # each carrier's zero and one are canonical values
     try:
         ai = X.inv(a)
     except (ZeroDivisionError, ValueError, NotImplementedError):

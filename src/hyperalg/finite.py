@@ -16,11 +16,17 @@ class InvalidStructureError(ValueError):
     pass
 
 
+_NO_INVERSE = object()  # the inverse-row entry of an element without one
+
+
 @dataclass
 class FiniteMultistructure:
     """Explicit carrier with a set-valued addition table.
 
     mul_table is None for bare multigroups; neg is derived or supplied.
+    The index tables are the definition; add, mul, neg and inv answer by
+    label from label tables built once per table, at construction (equal
+    sum cells share one frozenset of labels).
     """
 
     elements: tuple
@@ -32,6 +38,10 @@ class FiniteMultistructure:
     commutative_add: bool = True
     name: str = ""
     _index: dict = field(default_factory=dict, repr=False)
+    _sums: tuple = field(default=(), repr=False)  # [i][j] -> frozenset of labels
+    _products: tuple = field(default=(), repr=False)  # [i][j] -> label
+    _negs: tuple = field(default=(), repr=False)  # [i] -> label
+    _invs: tuple = field(default=(), repr=False)  # [i] -> label or _NO_INVERSE
 
     def __post_init__(self) -> None:
         self._index = {e: i for i, e in enumerate(self.elements)}
@@ -59,6 +69,7 @@ class FiniteMultistructure:
                     )
         if self.neg_map is None:
             self.neg_map = self._derive_neg()
+        self._build_label_tables()
 
     def _derive_neg(self) -> tuple:
         n = len(self.elements)
@@ -72,7 +83,26 @@ class FiniteMultistructure:
             neg.append(cands[0])
         return tuple(neg)
 
-    # label-level operations
+    def _build_label_tables(self) -> None:
+        """The label-level rows that add, mul, neg and inv read."""
+        els, n = self.elements, len(self.elements)
+        cells = [[self.add_table[(i, j)] for j in range(n)] for i in range(n)]
+        distinct = {cell for row in cells for cell in row}
+        labels = {cell: frozenset(els[k] for k in cell) for cell in distinct}
+        self._sums = tuple(tuple(labels[cell] for cell in row) for row in cells)
+        self._negs = tuple(els[k] for k in self.neg_map)
+        if self.mul_table is None:
+            return
+        rows = [[self.mul_table[(i, j)] for j in range(n)] for i in range(n)]
+        self._products = tuple(tuple(els[k] for k in row) for row in rows)
+        one = self.one_idx
+        self._invs = tuple(
+            next((els[j] for j, k in enumerate(row) if k == one and rows[j][i] == one), _NO_INVERSE)
+            for i, row in enumerate(rows)
+        )
+
+    # label-level operations: one lookup in a label table; on an unknown
+    # label the KeyError falls back to idx, which names it
     def idx(self, label) -> int:
         try:
             return self._index[label]
@@ -80,16 +110,24 @@ class FiniteMultistructure:
             raise InvalidStructureError(f"unknown element {label!r}") from None
 
     def add(self, a, b) -> frozenset:
-        cell = self.add_table[(self.idx(a), self.idx(b))]
-        return frozenset(self.elements[k] for k in cell)
+        try:
+            return self._sums[self._index[a]][self._index[b]]
+        except KeyError:
+            return self._sums[self.idx(a)][self.idx(b)]
 
     def mul(self, a, b):
         if self.mul_table is None:
             raise InvalidStructureError(f"{self.name or 'structure'} has no multiplication")
-        return self.elements[self.mul_table[(self.idx(a), self.idx(b))]]
+        try:
+            return self._products[self._index[a]][self._index[b]]
+        except KeyError:
+            return self._products[self.idx(a)][self.idx(b)]
 
     def neg(self, a):
-        return self.elements[self.neg_map[self.idx(a)]]
+        try:
+            return self._negs[self._index[a]]
+        except KeyError:
+            return self._negs[self.idx(a)]
 
     @property
     def zero(self):
@@ -102,13 +140,16 @@ class FiniteMultistructure:
         return self.elements[self.one_idx]
 
     def inv(self, a):
+        """The first j with a*j = j*a = 1."""
         if self.mul_table is None or self.one_idx is None:
             raise InvalidStructureError("no multiplicative structure")
-        i = self.idx(a)
-        for j in range(len(self.elements)):
-            if self.mul_table[(i, j)] == self.one_idx and self.mul_table[(j, i)] == self.one_idx:
-                return self.elements[j]
-        raise ZeroDivisionError(f"{a!r} has no multiplicative inverse")
+        try:
+            b = self._invs[self._index[a]]
+        except KeyError:
+            b = self._invs[self.idx(a)]
+        if b is _NO_INVERSE:
+            raise ZeroDivisionError(f"{a!r} has no multiplicative inverse")
+        return b
 
     def to_json(self) -> str:
         data = {

@@ -211,6 +211,18 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "no univalued multiplication admits hyperfield"
 
+    def test_zero_ring_is_not_a_hyperfield(self, capsys):
+        from hyperalg.axioms import check_multiring, replay
+        from hyperalg.structures import get_structure
+
+        code, out, _ = run(capsys, "verify", "zmod:1", "--level", "hyperfield")
+        assert code == 1
+        assert "axiom=units-group verdict=fail witness=(0)" in out
+        assert out.count("verdict=fail") == 1
+        X = get_structure("zmod:1")
+        (check,) = check_multiring(X, "hyperfield").failures()
+        assert check.axiom == "units-group" and replay(X, check) is False
+
     def test_deterministic_under_seed(self, capsys):
         args = ("verify", "TC", "--level", "multigroup", "--budget", "300", "--seed", "9")
         _, out1, _ = run(capsys, *args)

@@ -1,5 +1,6 @@
 """Finite constructors, quotients, ideals, and exhaustive verification."""
 import itertools
+import math
 
 import pytest
 
@@ -74,6 +75,110 @@ class TestTables:
 
 def _bare(x: FiniteMultistructure) -> FiniteMultistructure:
     return FiniteMultistructure(x.elements, x.add_table, x.zero_idx, neg_map=x.neg_map)
+
+
+class TestUnknownLabels:
+    @pytest.mark.parametrize("op", ["add", "mul"])
+    def test_binary_op_names_the_unknown_label(self, op):
+        s = make_sign()
+        for args, bad in ((("2", "1"), "'2'"), (("1", "x"), "'x'"), ((0, "1"), "0")):
+            with pytest.raises(InvalidStructureError, match=f"unknown element {bad}"):
+                getattr(s, op)(*args)
+
+    @pytest.mark.parametrize("op", ["neg", "inv", "idx"])
+    def test_unary_op_names_the_unknown_label(self, op):
+        with pytest.raises(InvalidStructureError, match="unknown element '5'"):
+            getattr(make_zmod(5), op)("5")
+
+    def test_mul_without_multiplication(self):
+        chain = make_linear_order(3)
+        for args in (("1", "2"), ("1", "nosuch")):
+            with pytest.raises(InvalidStructureError, match="has no multiplication"):
+                chain.mul(*args)
+        with pytest.raises(InvalidStructureError, match="no multiplicative structure"):
+            chain.inv("1")
+
+
+def _zmod_quotients() -> list:
+    """Z/n for n = 1..12, with its quotients by each unit subgroup and by
+    each additive subgroup."""
+    out = []
+    for n in range(1, 13):
+        z = make_zmod(n)
+        out.append(z)
+        units = [i for i in range(1, n) if math.gcd(i, n) == 1]
+        for r in range(1, len(units) + 1):
+            for sub in itertools.combinations(units, r):
+                if all(a * b % n in sub for a in sub for b in sub):
+                    out.append(mul_quotient(z, [str(a) for a in sub]))
+        for d in range(1, n + 1):
+            if n % d == 0:
+                out.append(quotient_by_normal(_bare(z), [str(k) for k in range(0, n, d)]))
+    return out
+
+
+def _one_sided_inverse() -> FiniteMultistructure:
+    """Z/4's addition with a product in which x*y = 1 but y*x = x, so x has a
+    right inverse and no two-sided one."""
+    z4 = make_zmod(4)
+    products = {(2, 3): 1, (3, 2): 2, (2, 2): 2, (3, 3): 3}
+
+    def mul(i, j):
+        return 0 if 0 in (i, j) else j if i == 1 else i if j == 1 else products[(i, j)]
+
+    mul_table = {(i, j): mul(i, j) for i in range(4) for j in range(4)}
+    return FiniteMultistructure(("0", "1", "x", "y"), z4.add_table, 0, mul_table, 1, name="1sided")
+
+
+_ORACLE_FAMILIES = {
+    "one-sided": lambda: [_one_sided_inverse()],
+    "named": lambda: [make() for make in (make_krasner, make_sign, make_f2, make_q1, make_M)],
+    "chains": lambda: [make_linear_order(n, s) for n in range(1, 5) for s in (False, True)],
+    "zmod": _zmod_quotients,
+    "double-cosets": lambda: [
+        make_double_coset(g, h) for g in small_groups(8) for h in all_subgroups(g)
+    ],
+    "powers": lambda: [make_powers_quotient(p, d) for p in (2, 3, 5) for d in (2, 4, 6)],
+    "normal-quotients": lambda: [
+        quotient_by_normal(x, [x.zero]) for x in (make_sign(), make_M(), make_krasner())
+    ],
+}
+
+
+def test_equal_sum_cells_share_one_label_set():
+    x = make_powers_quotient(2, 8)
+    els = x.elements
+    sums = [x.add(a, b) for a in els for b in els]
+    assert len({id(s) for s in sums}) == len(set(x.add_table.values())) < len(sums)
+
+
+@pytest.mark.parametrize("json_roundtrip", [False, True], ids=["built", "json"])
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_label_results_match_index_tables(family, json_roundtrip):
+    """add, mul, neg and inv by label agree with add_table, mul_table and
+    neg_map by index, in every cell of every table of the family."""
+    for x in _ORACLE_FAMILIES[family]():
+        if json_roundtrip:
+            x = FiniteMultistructure.from_json(x.to_json())
+        els, n = x.elements, len(x.elements)
+        for i, j in itertools.product(range(n), repeat=2):
+            cell = (x.name, els[i], els[j])
+            assert x.add(els[i], els[j]) == frozenset(els[k] for k in x.add_table[(i, j)]), cell
+            if x.mul_table is not None:
+                assert x.mul(els[i], els[j]) == els[x.mul_table[(i, j)]], cell
+        for i in range(n):
+            assert x.neg(els[i]) == els[x.neg_map[i]], (x.name, els[i])
+            if x.mul_table is None or x.one_idx is None:
+                continue
+            inverses = [
+                j for j in range(n)
+                if x.mul_table[(i, j)] == x.one_idx and x.mul_table[(j, i)] == x.one_idx
+            ]
+            if inverses:
+                assert x.inv(els[i]) == els[inverses[0]], (x.name, els[i])
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x.inv(els[i])
 
 
 class TestExhaustiveAxioms:
