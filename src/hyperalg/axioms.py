@@ -37,14 +37,10 @@ class Structure:
     has_mul = True
     has_one = True
 
-    # carrier
-    @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
-    def one(self):
-        raise NotImplementedError
+    # carrier: a subclass sets `zero` and `one` as class attributes, as
+    # instance attributes at construction, or as properties
+    zero: object
+    one: object
 
     def elements(self) -> list:
         raise NotImplementedError(f"{self.name} has no finite element list")

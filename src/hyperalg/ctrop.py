@@ -32,22 +32,12 @@ from .csets import (
     normalize_parts,
     parts_of,
 )
-from .qsets import (
-    QArc,
-    QBall,
-    QCone,
-    QPoint,
-    QSet,
-    QZERO,
-    QuatElem,
-    _factor,
-    _project,
-    in_cone,
-    qnormalize,
-    qparts_of,
-)
-from .rsets import RSet, rinterval, rpoint, rset
+from . import _Deferred
 from .tolerance import DEFAULT_TOL, TWO_PI, Tolerance, wrap_angle
+
+# imported at their first use, so that a complex sum imports neither
+qsets = _Deferred(globals(), "qsets")
+rsets = _Deferred(globals(), "rsets")
 
 
 # ---------------------------------------------------------------------------
@@ -254,19 +244,19 @@ def ct_sum_n(values: list[ComplexElem]) -> CSet:
 # real tropical hyperfield
 
 
-def rt_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
+def rt_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> rsets.RSet:
     ma, mb = abs(a), abs(b)
     if max(ma, mb) <= tol.eps:
-        return rpoint(0.0)
+        return rsets.rpoint(0.0)
     if abs(ma - mb) > tol.eps:
-        return rpoint(a if ma > mb else b)
+        return rsets.rpoint(a if ma > mb else b)
     m = max(ma, mb)
     if abs(a + b) <= tol.eps * m:
-        return rinterval(-m, m)
-    return rpoint(a if ma >= mb else b)
+        return rsets.rinterval(-m, m)
+    return rsets.rpoint(a if ma >= mb else b)
 
 
-def rt_add_sets(s1: RSet, s2: RSet) -> RSet:
+def rt_add_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
     """Set extension over the real tropical carrier.
 
     Components are points and symmetric intervals [-m, m]; nothing else can
@@ -295,16 +285,16 @@ def rt_add_sets(s1: RSet, s2: RSet) -> RSet:
             # two symmetric intervals: the larger absorbs the smaller
             m = max(hi1, hi2)
             out.append((-m, m))
-    return rset(out)
+    return rsets.rset(out)
 
 
-def rt_mul_sets(s1: RSet, s2: RSet) -> RSet:
+def rt_mul_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:
             prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
             out.append((min(prods), max(prods)))
-    return rset(out)
+    return rsets.rset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -346,37 +336,37 @@ def phase_add_sets(s1: CSet, s2: CSet) -> CSet:
 # quaternions
 
 
-def quat_add(a: QuatElem, b: QuatElem, tol: Tolerance = DEFAULT_TOL) -> QSet:
+def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL) -> qsets.QSet:
     na, nb = a.norm, b.norm
     if abs(na - nb) > tol.eps:
-        return QPoint(a if na > nb else b)
+        return qsets.QPoint(a if na > nb else b)
     if max(na, nb) <= tol.eps:
-        return QPoint(QZERO)
+        return qsets.QPoint(qsets.QZERO)
     r = max(na, nb)
     s = a.add(b)
     if s.norm < tol.eps * r:
-        return QBall(r)
+        return qsets.QBall(r)
     if a.dist(b) <= tol.eps:
-        return QPoint(a)
-    return QArc(a, b)
+        return qsets.QPoint(a)
+    return qsets.QArc(a, b)
 
 
-def _qarc_point(a: QArc, p: QuatElem) -> list:
+def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = a.radius
     ua, ub, up = a.a.unit(), a.b.unit(), p.unit()
     minus = tuple(-x for x in up)
-    if in_cone(minus, [ua, ub], eps):
-        return [QBall(r)]
-    f = _factor((ua, ub))  # orthonormal basis of the arc's plane
+    if qsets.in_cone(minus, [ua, ub], eps):
+        return [qsets.QBall(r)]
+    f = qsets._factor((ua, ub))  # orthonormal basis of the arc's plane
     if f is None:
         # a degenerate arc: in_cone sees only its two ends, so p is added to each
-        pr = QuatElem(*(x * r for x in up))
-        return [c for end in (a.a, a.b) for c in qparts_of(quat_add(end, pr))]
+        pr = qsets.QuatElem(*(x * r for x in up))
+        return [c for end in (a.a, a.b) for c in qsets.qparts_of(quat_add(end, pr))]
     q, cols = f
-    coords, res = _project(q, up)
+    coords, res = qsets._project(q, up)
     if res > max(eps, 1e-9):
-        return [QCone((a.a, a.b, QuatElem(*(x * r for x in up))))]
+        return [qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))]
 
     # p lies on the arc's great circle: apply the circle rule in its plane,
     # where ua lies at angle 0 and ub at the arc's sweep
@@ -384,8 +374,8 @@ def _qarc_point(a: QArc, p: QuatElem) -> list:
     ub_e1, ub_e2 = cols[1]
     p_e1, p_e2 = coords
 
-    def at(theta: float) -> QuatElem:
-        return QuatElem(
+    def at(theta: float) -> qsets.QuatElem:
+        return qsets.QuatElem(
             *(r * (math.cos(theta) * e1[i] + math.sin(theta) * e2[i]) for i in range(4))
         )
 
@@ -394,50 +384,51 @@ def _qarc_point(a: QArc, p: QuatElem) -> list:
     out: list = []
     for c in parts_of(normalize_parts(circle)):
         if isinstance(c, CDisk):
-            out.append(QBall(c.radius))
+            out.append(qsets.QBall(c.radius))
         elif isinstance(c, CPoint):
-            out.append(QPoint(at(c.elem.argument)))
+            out.append(qsets.QPoint(at(c.elem.argument)))
         elif c.full:
             raise RepresentationClosureError("full great circle in quaternion sum")
         elif c.sweep <= eps:
-            out.append(QPoint(at(c.start)))
+            out.append(qsets.QPoint(at(c.start)))
         else:
-            out.append(QArc(at(c.start), at(c.start + c.sweep)))
+            out.append(qsets.QArc(at(c.start), at(c.start + c.sweep)))
     return out
 
 
-def _qcone_point(c: QCone, p: QuatElem) -> list:
+def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = c.radius
     up = p.unit()
     gens = [v.unit() for v in c.vertices]
     minus = tuple(-x for x in up)
-    if in_cone(minus, gens, eps):
-        return [QBall(r)]
-    if in_cone(up, gens, eps):
+    if qsets.in_cone(minus, gens, eps):
+        return [qsets.QBall(r)]
+    if qsets.in_cone(up, gens, eps):
         return [c]
-    return [QCone(c.vertices + (QuatElem(*(x * r for x in up)),))]
+    return [qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))]
 
 
-# order of component kinds in _quat_add_comps: the lower rank comes first
-_QRANK = {QBall: 0, QArc: 1, QCone: 1, QPoint: 2}
+# order of component kinds in _quat_add_comps, by class name (naming the
+# classes here would import qsets): the lower rank comes first
+_QRANK = {"QBall": 0, "QArc": 1, "QCone": 1, "QPoint": 2}
 
 
 def _quat_add_comps(c1, c2) -> list:
     """The rule of _ct_add_comps over H; two tied arcs or cones have no
     closed form."""
-    if _QRANK[type(c2)] < _QRANK[type(c1)]:  # the sum is commutative
+    if _QRANK[type(c2).__name__] < _QRANK[type(c1).__name__]:  # the sum is commutative
         c1, c2 = c2, c1
-    if isinstance(c1, QPoint):
-        return qparts_of(quat_add(c1.elem, c2.elem))
+    if isinstance(c1, qsets.QPoint):
+        return qsets.qparts_of(quat_add(c1.elem, c2.elem))
     r1 = c1.radius
-    r2 = c2.elem.norm if isinstance(c2, QPoint) else c2.radius
+    r2 = c2.elem.norm if isinstance(c2, qsets.QPoint) else c2.radius
     if abs(r1 - r2) > DEFAULT_TOL.eps:
         return [c1 if r1 > r2 else c2]
-    if isinstance(c1, QBall):
-        return [c2 if isinstance(c2, QBall) and r2 > r1 else c1]
-    if isinstance(c2, QPoint):
-        if isinstance(c1, QArc):
+    if isinstance(c1, qsets.QBall):
+        return [c2 if isinstance(c2, qsets.QBall) and r2 > r1 else c1]
+    if isinstance(c2, qsets.QPoint):
+        if isinstance(c1, qsets.QArc):
             return _qarc_point(c1, c2.elem)
         return _qcone_point(c1, c2.elem)
     raise RepresentationClosureError(
@@ -445,34 +436,34 @@ def _quat_add_comps(c1, c2) -> list:
     )
 
 
-def quat_add_sets(s1: QSet, s2: QSet) -> QSet:
+def quat_add_sets(s1: qsets.QSet, s2: qsets.QSet) -> qsets.QSet:
     out: list = []
-    for c1 in qparts_of(s1):
-        for c2 in qparts_of(s2):
+    for c1 in qsets.qparts_of(s1):
+        for c2 in qsets.qparts_of(s2):
             out.extend(_quat_add_comps(c1, c2))
-    return qnormalize(out)
+    return qsets.qnormalize(out)
 
 
-def quat_scale(s: QSet, f: QuatElem, side: str) -> QSet:
+def quat_scale(s: qsets.QSet, f: qsets.QuatElem, side: str) -> qsets.QSet:
     """Pointwise left or right multiplication of a set by a quaternion.
 
     Multiplication by a fixed quaternion is a similarity of H, so each
     component maps to a component of the same kind.
     """
     if f.norm == 0.0:
-        return QPoint(QZERO)
+        return qsets.QPoint(qsets.QZERO)
 
-    def mp(q: QuatElem) -> QuatElem:
+    def mp(q: qsets.QuatElem) -> qsets.QuatElem:
         return f.times(q) if side == "left" else q.times(f)
 
     out: list = []
-    for c in qparts_of(s):
-        if isinstance(c, QPoint):
-            out.append(QPoint(mp(c.elem)))
-        elif isinstance(c, QBall):
-            out.append(QBall(c.radius * f.norm))
-        elif isinstance(c, QArc):
-            out.append(QArc(mp(c.a), mp(c.b)))
+    for c in qsets.qparts_of(s):
+        if isinstance(c, qsets.QPoint):
+            out.append(qsets.QPoint(mp(c.elem)))
+        elif isinstance(c, qsets.QBall):
+            out.append(qsets.QBall(c.radius * f.norm))
+        elif isinstance(c, qsets.QArc):
+            out.append(qsets.QArc(mp(c.a), mp(c.b)))
         else:
-            out.append(QCone(tuple(mp(v) for v in c.vertices)))
-    return qnormalize(out)
+            out.append(qsets.QCone(tuple(mp(v) for v in c.vertices)))
+    return qsets.qnormalize(out)

@@ -9,8 +9,6 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .qsets import QuatElem
-
 
 class InvalidStructureError(ValueError):
     pass
@@ -67,8 +65,20 @@ class FiniteMultistructure:
                         f"mul table cell {(i, j)} is missing or not in 0..{n - 1}: "
                         f"{mul.get((i, j))!r}"
                     )
+        # every n x n cell is present, so a longer table has a cell outside
+        for what, table in (("add", self.add_table), ("mul", mul)):
+            if table is not None and len(table) > n * n:
+                inside = set(itertools.product(range(n), repeat=2))
+                cell = next(ij for ij in table if ij not in inside)
+                raise InvalidStructureError(
+                    f"{what} table cell {cell!r} is outside the carrier 0..{n - 1}"
+                )
         if self.neg_map is None:
             self.neg_map = self._derive_neg()
+        elif len(self.neg_map) != n or not set(self.neg_map) <= valid:
+            raise InvalidStructureError(
+                f"neg_map must give one index in 0..{n - 1} per element, got {self.neg_map!r}"
+            )
         self._build_label_tables()
 
     def _derive_neg(self) -> tuple:
@@ -449,6 +459,8 @@ def dihedral_group(n: int) -> Group:
 
 def quaternion_group() -> Group:
     """Q8 as signed units {±1, ±i, ±j, ±k}, multiplied as quaternions."""
+    from .qsets import QuatElem
+
     names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
     units = [
         QuatElem(*(sign * (axis == k) for k in range(4))) for axis in range(4) for sign in (1, -1)

@@ -10,18 +10,24 @@ text forms and the classical multiplication once: ComplexCarrier (csets, for
 TC, Phi and C), IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba, R
 and maxplus) and ValuedCarrier (the exotic cone algebra, for mono and
 padic).  A subclass states its addition and only what else differs.
+
+A family module is imported at its first use, so a command that touches one
+carrier imports only that carrier's modules.  A carrier whose zero and one
+live in its family module sets them at construction.
 """
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 
-from . import csets, ctrop, exotic, finite, qsets, realhf, rsets
+from . import _Deferred
 from .axioms import Structure
-from .csets import CZERO, CONE, ComplexElem
-from .qsets import QONE, QZERO, QuatElem
 from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, fmt_num
+
+csets, ctrop, exotic, finite, qsets, realhf, rsets = (
+    _Deferred(globals(), name)
+    for name in ("csets", "ctrop", "exotic", "finite", "qsets", "realhf", "rsets")
+)
 
 
 class FiniteStructure(Structure):
@@ -115,19 +121,20 @@ class FiniteStructure(Structure):
 class ComplexCarrier(Structure):
     """C with its usual multiplication and the csets value-set algebra."""
 
-    zero = CZERO
-    one = CONE
+    def __init__(self):
+        self.zero = csets.CZERO
+        self.one = csets.CONE
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
-            return CZERO
+            return self.zero
         m = math.exp(rng.uniform(-1.5, 1.5))
-        return ComplexElem(m, rng.uniform(0.0, TWO_PI))
+        return csets.ComplexElem(m, rng.uniform(0.0, TWO_PI))
 
     def peer(self, a, rng):
         if a.modulus == 0.0:
-            return CZERO
-        return ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
+            return self.zero
+        return csets.ComplexElem(a.modulus, rng.uniform(0.0, TWO_PI))
 
     def singleton(self, a):
         return csets.CPoint(a)
@@ -191,13 +198,13 @@ class PhaseStructure(ComplexTropical):
 
     def random_elem(self, rng):
         if rng.random() < 0.08:
-            return CZERO
-        return ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
+            return self.zero
+        return csets.ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
 
     def peer(self, a, rng):
         if a.modulus == 0.0:
-            return CZERO
-        return ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
+            return self.zero
+        return csets.ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
 
     def add(self, a, b):
         return ctrop.phase_add(a, b)
@@ -389,23 +396,25 @@ class QuaternionTropical(Structure):
     """
 
     name = "quat"
-    zero = QZERO
-    one = QONE
+
+    def __init__(self):
+        self.zero = qsets.QZERO
+        self.one = qsets.QONE
 
     @staticmethod
     def _on_sphere(radius, rng):
         v = [rng.gauss(0.0, 1.0) for _ in range(4)]
         n = math.sqrt(sum(x * x for x in v)) or 1.0
-        return QuatElem(*(x * radius / n for x in v))
+        return qsets.QuatElem(*(x * radius / n for x in v))
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
-            return QZERO
+            return self.zero
         return self._on_sphere(math.exp(rng.uniform(-1.0, 1.0)), rng)
 
     def peer(self, a, rng):
         if a.norm == 0.0:
-            return QZERO
+            return self.zero
         return self._on_sphere(a.norm, rng)
 
     def add(self, a, b):
@@ -488,20 +497,21 @@ class MonomialStructure(ValuedCarrier):
             raise ValueError(f"unknown exponent domain {domain!r}")
         self.domain = domain
         self.name = "mono" if domain == "real" else f"mono-{domain}"
-
-    zero = exotic.MZERO
-    one = exotic.MONE
+        self.zero = exotic.MZERO
+        self.one = exotic.MONE
 
     def _rand_exp(self, rng):
         if self.domain == "int":
             return rng.randint(-4, 4)
         if self.domain == "rational":
+            from fractions import Fraction
+
             return Fraction(rng.randint(-8, 8), rng.randint(1, 4))
         return rng.uniform(-3.0, 3.0)
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
-            return exotic.MZERO
+            return self.zero
         return exotic.MonomialElem(exotic.random_coeff(rng), self._rand_exp(rng))
 
     def peer(self, a, rng):
@@ -551,20 +561,12 @@ class PadicStructure(ValuedCarrier):
         self.p = p
         self.depth = depth
         self.name = f"padic:{p}:{depth}"
-        self._zero = exotic.padic_zero(p)
-        self._one = exotic.padic_one(p, depth)
-
-    @property
-    def zero(self):
-        return self._zero
-
-    @property
-    def one(self):
-        return self._one
+        self.zero = exotic.padic_zero(p)
+        self.one = exotic.padic_one(p, depth)
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
-            return self._zero
+            return self.zero
         e = rng.randint(-3, 3)
         return exotic.PadicElem(self.p, e, exotic.random_digits(self.p, self.depth, rng))
 
@@ -607,7 +609,7 @@ class ComplexField(ComplexCarrier):
     name = "C"
 
     def add(self, a, b):
-        return csets.CPoint(ComplexElem.from_complex(a.as_complex() + b.as_complex()))
+        return csets.CPoint(csets.ComplexElem.from_complex(a.as_complex() + b.as_complex()))
 
     def add_sets(self, s1, s2):
         parts = []

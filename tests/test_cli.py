@@ -265,10 +265,12 @@ class TestVerify:
             (lambda t: t["add"].update({"1,1": [0, 5]}), "add table cell (1, 1)"),
             (lambda t: t["mul"].update({"1,1": 7}), "mul table cell (1, 1)"),
             (lambda t: t["mul"].pop("0,1"), "mul table cell (0, 1)"),
+            (lambda t: t["add"].update({"5,5": [9]}), "add table cell (5, 5) is outside"),
+            (lambda t: t["mul"].update({"7,0": 3}), "mul table cell (7, 0) is outside"),
             (lambda t: t.update(zero=2), "zero index 2"),
             (lambda t: t.update(one=-1), "one index -1"),
         ],
-        ids=["add-index", "mul-index", "mul-missing", "zero", "one"],
+        ids=["add-index", "mul-index", "mul-missing", "add-outside", "mul-outside", "zero", "one"],
     )
     def test_finite_table_out_of_range_exit_2(self, capsys, tmp_path, edit, cell):
         from hyperalg.finite import make_krasner

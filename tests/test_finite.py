@@ -73,6 +73,31 @@ class TestTables:
             assert y.mul_table == x.mul_table
 
 
+class TestTableShape:
+    """Tables are checked at construction, so a bad one never half-loads."""
+
+    @pytest.mark.parametrize("table", ["add_table", "mul_table"])
+    def test_cell_outside_the_carrier(self, table):
+        k = make_krasner()
+        extra = {(5, 5): frozenset([0])} if table == "add_table" else {(1, 7): 0}
+        fields = {"add_table": k.add_table, "mul_table": k.mul_table}
+        fields[table] = {**fields[table], **extra}
+        cell = next(iter(extra))
+        with pytest.raises(InvalidStructureError, match=rf"cell \({cell[0]}, {cell[1]}\) is outside"):
+            FiniteMultistructure(k.elements, zero_idx=0, one_idx=1, **fields)
+
+    @pytest.mark.parametrize("neg_map", [(0, 7), (0,), (0, 1, 1), (0, -1)])
+    def test_bad_neg_map(self, neg_map):
+        k = make_krasner()
+        with pytest.raises(InvalidStructureError, match="neg_map"):
+            FiniteMultistructure(k.elements, k.add_table, 0, k.mul_table, 1, neg_map=neg_map)
+
+    def test_supplied_neg_map_is_used(self):
+        k = make_krasner()
+        x = FiniteMultistructure(k.elements, k.add_table, 0, k.mul_table, 1, neg_map=(0, 1))
+        assert x.neg("1") == "1"
+
+
 def _bare(x: FiniteMultistructure) -> FiniteMultistructure:
     return FiniteMultistructure(x.elements, x.add_table, x.zero_idx, neg_map=x.neg_map)
 

@@ -1,0 +1,95 @@
+"""The import footprint of the CLI and the lazily resolved package API.
+
+A cold CLI start compiles every module it imports, so each subcommand should
+import only the modules its carrier uses.  A stray module-level import undoes
+that without changing any output; these tests see it.
+"""
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import hyperalg
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# the names hyperalg/__init__.py exported when it imported them eagerly
+EXPORTED = {
+    "tolerance": ["DEFAULT_TOL", "NEG_INF", "Tolerance"],
+    "csets": ["CArc", "CDisk", "CPoint", "CSet", "CUnion", "ComplexElem", "CZERO", "CONE",
+              "InvalidSetError", "RepresentationClosureError", "member", "set_eq", "subset"],
+    "rsets": ["RSet", "rinterval", "rmember", "rpoint", "rset", "rset_eq"],
+    "qsets": ["QArc", "QBall", "QCone", "QPoint", "QSet", "QuatElem"],
+    "realhf": ["amoeba_add", "tri_add", "tri_sum_n", "trop_add", "ultra_add"],
+    "ctrop": ["ct_add", "ct_add_sets", "ct_mul_sets", "ct_sum_n", "phase_add", "quat_add",
+              "rt_add"],
+    "axioms": ["AxiomReport", "CharResult", "HomReport", "Structure", "c_characteristic",
+               "characteristic", "check_double_distributivity", "check_hom",
+               "check_multigroup", "check_multiring"],
+    "finite": ["FiniteMultistructure"],
+    "structures": ["get_structure"],
+}
+
+# a child that runs one command through cli.main and prints the hyperalg
+# modules it has imported
+_CHILD = """
+import contextlib, io, json, sys
+from hyperalg import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m[len("hyperalg."):] for m in sys.modules if m.startswith("hyperalg."))))
+"""
+
+_CORE = ["axioms", "cli", "structures", "tolerance"]
+
+
+def _modules_after(*argv) -> list:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv,modules",
+    [
+        ((), _CORE),
+        (("add", "TC", "1∠0", "1∠1.5707963268"), _CORE + ["csets", "ctrop"]),
+        (("add", "tri", "2", "1"), _CORE + ["csets", "realhf", "rsets"]),
+        (("verify", "S"), _CORE + ["finite"]),
+    ],
+    ids=["import-cli", "add-TC", "add-tri", "verify-S"],
+)
+def test_cli_imports_only_what_the_command_uses(argv, modules):
+    assert _modules_after(*argv) == sorted(modules)
+
+
+def test_exported_names_resolve_to_their_definitions():
+    listed = dir(hyperalg)
+    for module, names in EXPORTED.items():
+        for name in names:
+            assert getattr(hyperalg, name) is getattr(getattr(hyperalg, module), name), name
+            assert name in listed, name
+
+
+def test_package_api_is_exactly_the_exported_names():
+    assert sorted(hyperalg.__all__) == sorted(n for names in EXPORTED.values() for n in names)
+    assert hyperalg.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", ["cli", "deq", "exotic", "homs", *EXPORTED])
+def test_submodule_resolves_as_attribute(module):
+    assert getattr(hyperalg, module).__name__ == f"hyperalg.{module}"
+    assert module in dir(hyperalg)
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "normalize_parts"])
+def test_unknown_name_raises_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(hyperalg, name)
