@@ -6,10 +6,11 @@ constructions, homomorphism verification, and dequantization traces.
 
 Importing the package imports no submodule.  A public name below, or a
 submodule read as `hyperalg.<module>`, is imported at its first use (PEP 562),
-so a command pays only for the modules it calls.
+so a command pays only for the modules it calls.  Those imports go through
+the builtin `__import__`, which `python -X importtime` logs.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -40,12 +41,20 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
+def _submodule(name: str):
+    """Import `hyperalg.<name>` through `__import__`, so that `-X importtime`
+    logs it (Python 3.11 does not log `importlib.import_module`)."""
+    full = f"{__name__}.{name}"
+    __import__(full)
+    return sys.modules[full]
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
-        return importlib.import_module(f"{__name__}.{name}")
+        return _submodule(name)
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    value = getattr(_submodule(_EXPORTS[name]), name)
     globals()[name] = value
     return value
 
@@ -65,6 +74,6 @@ class _Deferred:
         self._name = name
 
     def __getattr__(self, attr: str):
-        module = importlib.import_module(f"{__name__}.{self._name}")
+        module = _submodule(self._name)
         self._namespace[self._name] = module
         return getattr(module, attr)

@@ -9,6 +9,14 @@ and containment can be decided componentwise.
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
 predicates and set-extended sums take as is; a predicate may compare wider.
+
+A component is canonical from its constructor on.  ComplexElem and CArc
+validate their fields and set each one once: a modulus or radius as a float,
+the argument of 0 as 0, and an argument or arc start in [0, 2*pi), wrapped
+only when it lies outside.  So a lone point, a minor arc or a disk of radius
+above eps is already a fixed point, and a sum or comparison of two single
+components (ct_add_sets of two points, set_eq of two non-unions) skips the
+union machinery.
 """
 from __future__ import annotations
 
@@ -34,18 +42,23 @@ class RepresentationClosureError(RuntimeError):
 # carrier elements
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ComplexElem:
     """A complex number in polar form; zero is canonically 0∠0."""
 
     modulus: float
     argument: float
 
-    def __post_init__(self) -> None:
-        m = float(self.modulus)
+    def __init__(self, modulus: float, argument: float) -> None:
+        m = float(modulus)
         if m < 0.0 or math.isnan(m):
             raise InvalidSetError(f"modulus must be nonnegative, got {m}")
-        a = 0.0 if m == 0.0 else wrap_angle(float(self.argument))
+        if m == 0.0:
+            a = 0.0
+        else:
+            a = float(argument)
+            if not 0.0 <= a < TWO_PI:  # wrap_angle returns such an angle as is
+                a = wrap_angle(a)
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "argument", a)
 
@@ -100,7 +113,7 @@ class CPoint:
     elem: ComplexElem
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CArc:
     """Arc of the circle |z| = radius from `start`, counterclockwise by `sweep`.
 
@@ -112,19 +125,23 @@ class CArc:
     sweep: float
     full: bool = False
 
-    def __post_init__(self) -> None:
-        r = float(self.radius)
+    def __init__(self, radius: float, start: float, sweep: float, full: bool = False) -> None:
+        r = float(radius)
         if not r > 0.0:
             raise InvalidSetError(f"arc of nonpositive radius {r}")
-        if self.full:
-            object.__setattr__(self, "start", 0.0)
-            object.__setattr__(self, "sweep", TWO_PI)
+        if full:
+            start, sweep = 0.0, TWO_PI
         else:
-            sw = float(self.sweep)
+            sw = float(sweep)
             if not 0.0 < sw < TWO_PI:
                 raise InvalidSetError(f"arc sweep must lie in (0, 2*pi), got {sw}")
-            object.__setattr__(self, "start", wrap_angle(float(self.start)))
+            start = float(start)
+            if not 0.0 <= start < TWO_PI:
+                start = wrap_angle(start)
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "sweep", sweep)
+        object.__setattr__(self, "full", full)
 
     @property
     def end(self) -> float:
@@ -344,6 +361,8 @@ def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
 
 
 def set_eq(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    if not isinstance(s1, CUnion) and not isinstance(s2, CUnion):
+        return _comp_eq(s1, s2, tol)
     return match_parts(parts_of(s1), parts_of(s2), _comp_eq, tol)
 
 

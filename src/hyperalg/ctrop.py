@@ -24,6 +24,7 @@ from .csets import (
     CDisk,
     CPoint,
     CSet,
+    CUnion,
     CZERO,
     ComplexElem,
     RepresentationClosureError,
@@ -123,7 +124,7 @@ def _ct_add_comps(c1, c2) -> list:
     if _CRANK[type(c2)] < _CRANK[type(c1)]:  # the sum is commutative
         c1, c2 = c2, c1
     if isinstance(c1, CPoint):
-        return parts_of(ct_add(c1.elem, c2.elem))
+        return [ct_add(c1.elem, c2.elem)]
     r1 = c1.radius
     r2 = c2.elem.modulus if isinstance(c2, CPoint) else c2.radius
     if abs(r1 - r2) > DEFAULT_TOL.eps:
@@ -136,9 +137,12 @@ def _ct_add_comps(c1, c2) -> list:
 
 
 def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
+    if isinstance(s1, CPoint) and isinstance(s2, CPoint):
+        # already canonical: a point, a minor arc or a disk of radius > eps
+        return ct_add(s1.elem, s2.elem)
     out: list = []
-    for c1 in parts_of(s1):
-        for c2 in parts_of(s2):
+    for c1 in s1.parts if isinstance(s1, CUnion) else (s1,):
+        for c2 in s2.parts if isinstance(s2, CUnion) else (s2,):
             out.extend(_ct_add_comps(c1, c2))
     return normalize_parts(out)
 

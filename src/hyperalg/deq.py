@@ -9,12 +9,15 @@ from __future__ import annotations
 import math
 import random
 
+from . import _Deferred
 from .axioms import AxiomReport
 from .csets import CArc, CDisk, CPoint, CZERO, ComplexElem, member as cmember
-from .ctrop import ct_add
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
+
+# imported at its first use, so that the real families do not import it
+ctrop = _Deferred(globals(), "ctrop")
 
 H_SCHEDULE = (1.0, 0.1, 0.01, 0.001)
 
@@ -104,7 +107,7 @@ def c_add_0(a: ComplexElem, b: ComplexElem) -> ComplexElem:
     """Pointwise limit of +_h, a point of the tropical sum: the dominant
     operand, the arc's midpoint at tied moduli, or 0 on cancellation.  Not
     associative."""
-    s = ct_add(a, b)
+    s = ctrop.ct_add(a, b)
     if isinstance(s, CPoint):
         return s.elem
     if isinstance(s, CDisk):
@@ -126,7 +129,7 @@ def graph_witness(
     """
     if h <= 0.0:
         raise ValueError("graph_witness needs h > 0")
-    s = ct_add(a, b)
+    s = ctrop.ct_add(a, b)
     if not cmember(c, s):
         raise ValueError("target must lie in the tropical sum of a and b")
     if isinstance(s, CPoint):
@@ -208,7 +211,7 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomR
     for _ in range(budget):
         a, b = sample_pair()
         x, y = a.modulus, b.modulus
-        s = ct_add(a, b)
+        s = ctrop.ct_add(a, b)
         c = ComplexElem(s.radius, s.start + rng.uniform(0.0, 1.0) * s.sweep) if isinstance(s, CArc) else None
         drift_prev = math.inf
         for h in H_SCHEDULE:

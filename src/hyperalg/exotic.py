@@ -399,7 +399,7 @@ class PadicElem:
         if self.digits:
             if self.digits[0] == 0:
                 raise InvalidSetError("leading p-adic digit must be nonzero")
-            if any(not 0 <= d < self.p for d in self.digits):
+            if min(self.digits) < 0 or max(self.digits) >= self.p:
                 raise InvalidSetError("digit out of range")
         else:
             object.__setattr__(self, "e", 0)

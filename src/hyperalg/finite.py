@@ -9,6 +9,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
+from .tolerance import is_prime
+
 
 class InvalidStructureError(ValueError):
     pass
@@ -623,12 +625,6 @@ def mul_quotient(x: FiniteMultistructure, s_labels) -> FiniteMultistructure:
         one_idx=one_idx,
         name=f"{x.name}/mS",
     )
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
 
 
 def make_powers_quotient(p: int, depth: int) -> FiniteMultistructure:

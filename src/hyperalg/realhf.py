@@ -42,6 +42,10 @@ def tri_sum_n(values: list[float]) -> RSet:
 
 
 def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
+    if len(s1.intervals) == 1 and len(s2.intervals) == 1:
+        # one interval each: gap <= hi1 + hi2, so rset would return the pair as is
+        (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+        return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi1 + hi2),))
     out = []
     for lo1, hi1 in s1.intervals:
         for lo2, hi2 in s2.intervals:

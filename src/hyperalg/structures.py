@@ -22,7 +22,7 @@ import operator
 
 from . import _Deferred
 from .axioms import Structure
-from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, fmt_num
+from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, fmt_num, is_prime
 
 csets, ctrop, exotic, finite, qsets, realhf, rsets = (
     _Deferred(globals(), name)
@@ -554,7 +554,7 @@ class PadicStructure(ValuedCarrier):
     """
 
     def __init__(self, p: int = 5, depth: int = 8):
-        if not finite.is_prime(p):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if depth < 1:
             raise ValueError(f"p-adic depth must be >= 1, got {depth}")

@@ -5,6 +5,9 @@ absolute library tolerance DEFAULT_TOL, so that the branch structure of the
 multivalued additions (dominant / tie / antipodal) is deterministic.  The
 membership and equality predicates take a Tolerance argument, so a checker may
 compare with a wider one.
+
+The module also holds the small numeric helpers that several carrier modules
+share, so that none of them imports another carrier's module for one of them.
 """
 from __future__ import annotations
 
@@ -64,3 +67,11 @@ def fmt_num(x: float) -> str:
     if s in ("-0", ""):
         s = "0"
     return s
+
+
+def is_prime(p: int) -> bool:
+    """Primality by trial division; the p-adic carriers and the powers
+    quotients take small primes only."""
+    if p < 2:
+        return False
+    return all(p % d for d in range(2, int(p**0.5) + 1))

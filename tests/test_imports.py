@@ -46,14 +46,17 @@ print(json.dumps(sorted(m[len("hyperalg."):] for m in sys.modules if m.startswit
 _CORE = ["axioms", "cli", "structures", "tolerance"]
 
 
-def _modules_after(*argv) -> list:
+def _run_child(argv, *flags) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], capture_output=True,
+    return subprocess.run([sys.executable, *flags, "-c", _CHILD, *argv], capture_output=True,
                           text=True, env=env, timeout=60, check=True)
-    return json.loads(proc.stdout)
+
+
+def _modules_after(*argv) -> list:
+    return json.loads(_run_child(argv).stdout)
 
 
 @pytest.mark.parametrize(
@@ -63,11 +66,38 @@ def _modules_after(*argv) -> list:
         (("add", "TC", "1∠0", "1∠1.5707963268"), _CORE + ["csets", "ctrop"]),
         (("add", "tri", "2", "1"), _CORE + ["csets", "realhf", "rsets"]),
         (("verify", "S"), _CORE + ["finite"]),
+        (("char", "powers:2:8"), _CORE + ["finite"]),
+        (("add", "padic:2:3", "1", "1"), _CORE + ["csets", "exotic"]),
+        (("deq", "lm", "1", "2"), _CORE + ["csets", "deq", "realhf", "rsets"]),
+        (("deq", "tri", "2", "1"), _CORE + ["csets", "deq", "realhf", "rsets"]),
     ],
-    ids=["import-cli", "add-TC", "add-tri", "verify-S"],
+    ids=["import-cli", "add-TC", "add-tri", "verify-S", "char-powers", "add-padic", "deq-lm",
+         "deq-tri"],
 )
 def test_cli_imports_only_what_the_command_uses(argv, modules):
     assert _modules_after(*argv) == sorted(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "S"),
+        ("add", "quat", "1,0,0,0", "0,1,0,0"),
+        ("deq", "complex", "-1", "i"),
+    ],
+    ids=["verify-S", "add-quat", "deq-complex"],
+)
+def test_importtime_logs_every_loaded_module(argv):
+    """A module imported at its first use is still logged by `-X importtime`,
+    so its import cost is visible like that of any other module."""
+    proc = _run_child(argv, "-X", "importtime")
+    logged = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    loaded = {"hyperalg"} | {f"hyperalg.{m}" for m in json.loads(proc.stdout)}
+    assert loaded - logged == set()
 
 
 def test_exported_names_resolve_to_their_definitions():

@@ -4,8 +4,10 @@ Values are drawn from coarse grids: exact ties (the measure-zero branches)
 arise from coinciding draws, while distinct draws stay far from the branch
 cutoffs, matching the declared tolerance policy.
 """
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from hyperalg import csets, exotic, qsets, rsets
 from hyperalg.axioms import stratified_tuples
 from hyperalg.csets import CDisk, CPoint, CZERO, ComplexElem, parts_of, set_eq
 from hyperalg.ctrop import (
+    _ct_add_comps,
     ct_add,
     ct_add_sets,
     cset_scale,
@@ -37,7 +40,7 @@ from hyperalg.realhf import (
 )
 from hyperalg.rsets import rpoint, rset_eq
 from hyperalg.structures import get_structure
-from hyperalg.tolerance import Tolerance, circ_dist
+from hyperalg.tolerance import TWO_PI, Tolerance, circ_dist, wrap_angle
 
 WIDE = Tolerance(1e-7)
 
@@ -376,3 +379,150 @@ def test_in_cone_agrees_with_subset_enumeration(case, eps):
     verdict, near = _enumerated_in_cone(u, gens, eps)
     assume(not near)
     assert qsets.in_cone(u, gens, eps) == verdict
+
+
+# -- single-component sums, equality and construction --------------------------
+
+EPS = csets.DEFAULT_TOL.eps
+# how the second component's radius relates to the first one's
+RADIUS_MODES = {
+    "tie": lambda r: r,
+    "eps-up": lambda r: r + 0.5 * EPS,
+    "eps-down": lambda r: r - 0.5 * EPS,
+    "beyond-eps": lambda r: r + 2 * EPS,
+    "dominant": lambda r: 2 * r,
+    "dominated": lambda r: 0.5 * r,
+}
+sweeps = st.integers(1, 6282).map(lambda k: k * 1e-3)
+
+
+def _component(kind: str, r: float, start: float, sweep: float):
+    if kind == "point":
+        return CPoint(ComplexElem(r, start))
+    if kind == "arc":
+        return csets.CArc(r, start, sweep)
+    if kind == "circle":
+        return csets.full_circle(r)
+    return CDisk(r)
+
+
+@st.composite
+def _component_pair(draw):
+    """Two single components with tied, eps-offset or dominant radii and
+    equal, antipodal or free start angles."""
+    kinds = st.sampled_from(["point", "point", "arc", "arc", "circle", "disk"])
+    r = draw(moduli)
+    t1 = draw(angles)
+    t2 = draw(st.one_of(st.sampled_from([t1, t1 + math.pi, t1 - math.pi + 1e-3]), angles))
+    r2 = RADIUS_MODES[draw(st.sampled_from(sorted(RADIUS_MODES)))](r)
+    c1 = _component(draw(kinds), r, t1, draw(sweeps))
+    c2 = _component(draw(kinds), r2, t2, draw(sweeps))
+    return c1, c2
+
+
+@given(_component_pair())
+@settings(max_examples=600, deadline=None)
+def test_single_component_sum_is_the_normalized_component_rule(pair):
+    """ct_add_sets of two components is exactly (==, not set_eq) the
+    normalized union of the component rule, also where it skips it."""
+    c1, c2 = pair
+    for a, b in (pair, pair[::-1]):
+        assert ct_add_sets(a, b) == csets.normalize_parts(_ct_add_comps(a, b)), (a, b)
+    if isinstance(c1, CPoint) and isinstance(c2, CPoint):
+        assert ct_add_sets(c1, c2) == ct_add(c1.elem, c2.elem)
+
+
+@given(_component_pair())
+@settings(max_examples=600, deadline=None)
+def test_set_eq_agrees_with_component_matching(pair):
+    c1, c2 = pair
+    sets = [c1, c2, ct_add_sets(c1, c2), ct_add_sets(c2, c1)]
+    for s1, s2 in itertools.product(sets, repeat=2):
+        for tol in (csets.DEFAULT_TOL, WIDE):
+            expected = csets.match_parts(parts_of(s1), parts_of(s2), csets._comp_eq, tol)
+            assert set_eq(s1, s2, tol) == expected, (s1, s2, tol)
+
+
+@given(st.tuples(pos, pos), st.tuples(pos, pos))
+@settings(max_examples=300, deadline=None)
+def test_single_interval_triangle_sum_is_the_normalized_rule(i1, i2):
+    (lo1, hi1), (lo2, hi2) = sorted(i1), sorted(i2)
+    s1, s2 = rsets.rset([(lo1, hi1)]), rsets.rset([(lo2, hi2)])
+    expected = rsets.rset([(max(0.0, lo1 - hi2, lo2 - hi1), hi1 + hi2)])
+    assert tri_add_sets(s1, s2) == expected
+
+
+SEAM_ANGLES = [
+    0.0, -0.0, math.pi, TWO_PI, -TWO_PI, 2 * TWO_PI,
+    math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0),
+    math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0),
+    math.nextafter(-TWO_PI, 0.0), math.nextafter(-TWO_PI, -7.0), -1e3, 1e3,
+]
+seam_or_free = st.one_of(st.sampled_from(SEAM_ANGLES), st.floats(-1e3, 1e3))
+
+
+def _bits(x: float) -> str:
+    """Exact float identity, telling -0.0 from 0.0."""
+    return float(x).hex()
+
+
+@given(st.sampled_from([0.0, -0.0, 1e-300, 0.25, 3.0, 1e300]), seam_or_free)
+@settings(max_examples=400, deadline=None)
+def test_complex_elem_canonicalises_like_wrap_angle(m, theta):
+    e = ComplexElem(m, theta)
+    assert _bits(e.modulus) == _bits(float(m))
+    expected = 0.0 if m == 0.0 else wrap_angle(theta)
+    assert _bits(e.argument) == _bits(expected)
+    assert 0.0 <= e.argument < TWO_PI
+
+
+@given(st.sampled_from([1e-300, 0.25, 3, 1e300]), seam_or_free, sweeps, st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_carc_canonicalises_like_wrap_angle(r, start, sweep, full):
+    a = csets.CArc(r, start, sweep, full)
+    assert _bits(a.radius) == _bits(float(r))
+    assert a.full is full
+    if full:
+        assert (a.start, a.sweep) == (0.0, TWO_PI)
+    else:
+        assert _bits(a.start) == _bits(wrap_angle(start))
+        assert a.sweep == sweep
+        assert 0.0 <= a.start < TWO_PI
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ComplexElem(math.nan, 0.0),
+        lambda: ComplexElem(-1.0, 0.0),
+        lambda: ComplexElem(-1e-300, 0.0),
+        lambda: csets.CArc(0.0, 0.0, 1.0),
+        lambda: csets.CArc(-1.0, 0.0, 1.0),
+        lambda: csets.CArc(math.nan, 0.0, 1.0),
+        lambda: csets.CArc(1.0, 0.0, 0.0),
+        lambda: csets.CArc(1.0, 0.0, -1.0),
+        lambda: csets.CArc(1.0, 0.0, TWO_PI),
+        lambda: csets.CArc(1.0, 0.0, math.nan),
+        lambda: csets.CArc(0.0, 0.0, 0.0, full=True),
+    ],
+)
+def test_malformed_components_raise(build):
+    with pytest.raises(csets.InvalidSetError):
+        build()
+
+
+def test_components_build_by_keyword_and_replace():
+    e = ComplexElem(modulus=2, argument=-1.0)
+    assert e == ComplexElem(2.0, TWO_PI - 1.0)
+    assert dataclasses.replace(e, argument=TWO_PI + 1.0) == ComplexElem(2.0, 1.0)
+    assert dataclasses.replace(e, modulus=0.0) == CZERO
+    a = csets.CArc(radius=1, start=-1.0, sweep=0.5)
+    assert a == csets.CArc(1.0, TWO_PI - 1.0, 0.5, False)
+    assert dataclasses.replace(a, start=7.0) == csets.CArc(1.0, 7.0 - TWO_PI, 0.5)
+    assert dataclasses.replace(a, full=True) == csets.full_circle(1.0)
+    with pytest.raises(csets.InvalidSetError):
+        dataclasses.replace(csets.full_circle(1.0), full=False)
+    for obj in (e, a, csets.full_circle(2.0)):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.modulus = 3.0
