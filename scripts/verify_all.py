@@ -22,28 +22,10 @@ from hyperalg.cli import HOM_BUDGET, HOM_TABLE, _budget, run_hom
 from hyperalg.deq import check_diagram
 from hyperalg.exotic import INDETERMINATE, PadicElem, padic_classical_add, padic_mul, padic_zero
 from hyperalg.realhf import check_seminorm
-from hyperalg.structures import get_structure
+from hyperalg.structures import REGISTRY_NAMES, get_structure
 
-SUITE = [
-    # (name, level); level None means multigroup only
-    ("K", "hyperfield"),
-    ("Q1", "hyperfield"),
-    ("S", "hyperfield"),
-    ("F2", "hyperfield"),
-    ("M", None),
-    ("TC", "hyperfield"),
-    ("TR", "hyperfield"),
-    ("Phi", "hyperfield"),
-    ("tri", "hyperfield"),
-    ("ultra", "hyperfield"),
-    ("trop", "hyperfield"),
-    ("amoeba", "hyperfield"),
-    ("quat", None),
-    ("mono", "hyperfield"),
-    ("padic:2:8", "hyperfield"),
-    ("padic:3:8", "hyperfield"),
-    ("padic:5:8", "hyperfield"),
-]
+# (name, level) for every registry structure; level None means multigroup only
+SUITE = [(name, None if name in ("M", "quat") else "hyperfield") for name in REGISTRY_NAMES]
 
 # rows expected red, with the exact checks each fails; such a row that passes
 # or fails elsewhere is unexpected

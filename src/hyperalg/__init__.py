@@ -23,9 +23,8 @@ _SUBMODULES = frozenset(
 _EXPORTS = {
     name: module
     for module, names in (
-        ("tolerance", "DEFAULT_TOL NEG_INF Tolerance"),
-        ("csets", "CArc CDisk CPoint CSet CUnion ComplexElem CZERO CONE InvalidSetError "
-                  "RepresentationClosureError member set_eq subset"),
+        ("tolerance", "DEFAULT_TOL NEG_INF Tolerance InvalidSetError RepresentationClosureError"),
+        ("csets", "CArc CDisk CPoint CSet CUnion ComplexElem CZERO CONE member set_eq subset"),
         ("rsets", "RSet rinterval rmember rpoint rset rset_eq"),
         ("qsets", "QArc QBall QCone QPoint QSet QuatElem"),
         ("realhf", "amoeba_add tri_add tri_sum_n trop_add ultra_add"),

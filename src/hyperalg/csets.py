@@ -4,7 +4,8 @@ Every set that arises from the tropical additions over C is a finite union of
 three primitives: a single point, an arc of a circle centred at the origin
 (traversed counterclockwise, full circles flagged), and a closed disk centred
 at the origin.  Sets are normalized to a canonical component list so equality
-and containment can be decided componentwise.
+and containment can be decided componentwise; equality of unions goes through
+tolerance.match_parts, the component matcher every value-set family shares.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
@@ -23,19 +24,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tolerance import DEFAULT_TOL, TWO_PI, Tolerance, circ_dist, fmt_num, wrap_angle
-
-
-class InvalidSetError(ValueError):
-    """A value-set component is malformed (e.g. an arc of zero radius)."""
+from .tolerance import (
+    DEFAULT_TOL, TWO_PI, InvalidSetError, Tolerance, circ_dist, fmt_num, match_parts, wrap_angle,
+)
 
 
 class CarrierMismatchError(TypeError):
     """Operands belong to different carriers."""
-
-
-class RepresentationClosureError(RuntimeError):
-    """A set-extended operation produced a set outside the symbolic vocabulary."""
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +137,6 @@ class CArc:
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "sweep", sweep)
         object.__setattr__(self, "full", full)
-
-    @property
-    def end(self) -> float:
-        return wrap_angle(self.start + self.sweep)
 
     def contains_angle(self, theta: float, eps: float) -> bool:
         if self.full:
@@ -343,21 +334,6 @@ def _comp_eq(c1, c2, tol: Tolerance) -> bool:
     if isinstance(c1, CPoint) and isinstance(c2, CPoint):
         return c1.elem.eq(c2.elem, tol)
     return False
-
-
-def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
-    """Is there a one-to-one matching of the components under comp_eq?"""
-    if len(p1) != len(p2):
-        return False
-    remaining = list(p2)
-    for c in p1:
-        for i, d in enumerate(remaining):
-            if comp_eq(c, d, tol):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
 
 
 def set_eq(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -27,14 +27,13 @@ from .csets import (
     CUnion,
     CZERO,
     ComplexElem,
-    RepresentationClosureError,
     arc,
     full_circle,
     normalize_parts,
     parts_of,
 )
 from . import _Deferred
-from .tolerance import DEFAULT_TOL, TWO_PI, Tolerance, wrap_angle
+from .tolerance import DEFAULT_TOL, TWO_PI, RepresentationClosureError, Tolerance, wrap_angle
 
 # imported at their first use, so that a complex sum imports neither
 qsets = _Deferred(globals(), "qsets")

@@ -11,9 +11,9 @@ import random
 
 from . import _Deferred
 from .axioms import AxiomReport
-from .csets import CArc, CDisk, CPoint, CZERO, ComplexElem, member as cmember
+from .csets import CArc, CDisk, CPoint, CZERO, ComplexElem, format_celem, member as cmember
 from .realhf import trop_add, ultra_add
-from .rsets import RSet, rinterval, rmember, rpoint
+from .rsets import RSet, format_rset, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
 
 # imported at its first use, so that the real families do not import it
@@ -243,8 +243,6 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomR
 def _fmt3(w) -> str:
     if w is None:
         return ""
-    from .csets import format_celem
-
     a, b, h = w
     return f"({format_celem(a)}, {format_celem(b)}, h={h})"
 
@@ -258,8 +256,6 @@ _TRACE_CARRIERS = {"lm": "trop", "tri": "tri", "complex": "C"}
 
 
 def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> list[dict]:
-    from .csets import format_celem
-    from .rsets import format_rset
     from .structures import get_structure
 
     if family not in _TRACE_CARRIERS:

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .csets import InvalidSetError, RepresentationClosureError, match_parts
-from .tolerance import DEFAULT_TOL, Tolerance, fmt_num
+from .tolerance import (
+    DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num, match_parts,
+)
 
 
 # ---------------------------------------------------------------------------

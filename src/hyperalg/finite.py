@@ -729,13 +729,16 @@ def quotient_by_normal(x: FiniteMultistructure, y_labels) -> FiniteMultistructur
 # ideals and isomorphisms
 
 
-def ideals(x: FiniteMultistructure, max_size: int = 12) -> list[frozenset]:
+_IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are enumerated
+
+
+def ideals(x: FiniteMultistructure) -> list[frozenset]:
     """All ideals (as label sets) of a commutative multiring, brute force."""
     if x.mul_table is None:
         raise InvalidStructureError("ideals need a multiplication")
     n = len(x.elements)
-    if n > max_size:
-        raise InvalidStructureError(f"carrier too large for enumeration ({n} > {max_size})")
+    if n > _IDEALS_MAX_SIZE:
+        raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
     rest = [i for i in range(n) if i != x.zero_idx]
     out = []
     for r in range(len(rest) + 1):
@@ -760,7 +763,7 @@ def ideals(x: FiniteMultistructure, max_size: int = 12) -> list[frozenset]:
     return out
 
 
-def prime_ideals(x: FiniteMultistructure, max_size: int = 12) -> list[dict]:
+def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     """Prime ideals with their characteristic-function maps onto K.
 
     Each entry holds the ideal's labels and the map `to_K` sending members to
@@ -768,7 +771,7 @@ def prime_ideals(x: FiniteMultistructure, max_size: int = 12) -> list[dict]:
     """
     out = []
     n = len(x.elements)
-    for members in ideals(x, max_size):
+    for members in ideals(x):
         idx = {x.idx(lbl) for lbl in members}
         if x.one_idx in idx:
             continue

@@ -88,9 +88,6 @@ class Polynomial:
             acc[e] = acc.get(e, 0) + c
         return Polynomial.make(acc)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple((e, -c) for e, c in self.terms))
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         acc: dict[float, complex] = {}
         for e1, c1 in self.terms:

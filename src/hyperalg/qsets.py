@@ -19,8 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .csets import InvalidSetError, match_parts
-from .tolerance import DEFAULT_TOL, Tolerance, fmt_num
+from .tolerance import DEFAULT_TOL, InvalidSetError, Tolerance, fmt_num, match_parts
 
 
 @dataclass(frozen=True, slots=True)

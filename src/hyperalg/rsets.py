@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .csets import InvalidSetError
-from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance, fmt_num
+from .tolerance import DEFAULT_TOL, NEG_INF, InvalidSetError, Tolerance, fmt_num
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,17 +75,11 @@ def rmember(x: float, s: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
-def _ends_close(a: float, b: float, tol: Tolerance) -> bool:
-    if a == b:
-        return True
-    return abs(a - b) <= tol.eps
-
-
 def rset_eq(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     if len(s1.intervals) != len(s2.intervals):
         return False
     return all(
-        _ends_close(i[0], j[0], tol) and _ends_close(i[1], j[1], tol)
+        tol.close(i[0], j[0]) and tol.close(i[1], j[1])
         for i, j in zip(s1.intervals, s2.intervals)
     )
 
@@ -101,9 +94,12 @@ def rsubset(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return True
 
 
-def rpick(s: RSet, rng, count: int = 4, floor: float = -40.0) -> list[float]:
+_PICK_FLOOR = -40.0  # lowest finite sample of an unbounded-below interval
+
+
+def rpick(s: RSet, rng, count: int = 4) -> list[float]:
     """Sample points from each interval; unbounded-below intervals sample down
-    to `floor` plus the -inf endpoint itself."""
+    to _PICK_FLOOR plus the -inf endpoint itself."""
     pts: list[float] = []
     for lo, hi in s.intervals:
         if lo == NEG_INF:
@@ -111,7 +107,7 @@ def rpick(s: RSet, rng, count: int = 4, floor: float = -40.0) -> list[float]:
             base = min(hi, 0.0)
             pts.extend([hi, base - 1.0, base - 5.0])
             for _ in range(count):
-                pts.append(hi - abs(rng.uniform(0.0, base - floor)))
+                pts.append(hi - abs(rng.uniform(0.0, base - _PICK_FLOOR)))
         else:
             pts.extend([lo, hi, 0.5 * (lo + hi)])
             for _ in range(count):

@@ -22,7 +22,7 @@ import operator
 
 from . import _Deferred
 from .axioms import Structure
-from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, fmt_num, is_prime
+from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, RepresentationClosureError, fmt_num, is_prime
 
 csets, ctrop, exotic, finite, qsets, realhf, rsets = (
     _Deferred(globals(), name)
@@ -51,12 +51,6 @@ class FiniteStructure(Structure):
 
     def elements(self) -> list:
         return list(self.table.elements)
-
-    def random_elem(self, rng):
-        return rng.choice(self.table.elements)
-
-    def peer(self, a, rng):
-        return rng.choice(self.table.elements)
 
     def add(self, a, b):
         return self.table.add(a, b)
@@ -616,7 +610,7 @@ class ComplexField(ComplexCarrier):
         for c1 in csets.parts_of(s1):
             for c2 in csets.parts_of(s2):
                 if not isinstance(c1, csets.CPoint) or not isinstance(c2, csets.CPoint):
-                    raise csets.RepresentationClosureError("classical sums are pointwise")
+                    raise RepresentationClosureError("classical sums are pointwise")
                 parts.append(self.add(c1.elem, c2.elem))
         return csets.normalize_parts(parts)
 

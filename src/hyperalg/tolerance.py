@@ -6,8 +6,10 @@ multivalued additions (dominant / tie / antipodal) is deterministic.  The
 membership and equality predicates take a Tolerance argument, so a checker may
 compare with a wider one.
 
-The module also holds the small numeric helpers that several carrier modules
-share, so that none of them imports another carrier's module for one of them.
+The module also holds what the value-set families (csets, rsets, qsets and
+exotic) share: the errors they raise, the one-to-one component matcher their
+set equalities use, and small numeric helpers.  So no family imports another
+family's module, and a command on one carrier compiles only that family.
 """
 from __future__ import annotations
 
@@ -39,6 +41,29 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+
+
+class InvalidSetError(ValueError):
+    """A value-set component is malformed (e.g. an arc of zero radius)."""
+
+
+class RepresentationClosureError(RuntimeError):
+    """A set-extended operation produced a set outside the symbolic vocabulary."""
+
+
+def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
+    """Is there a one-to-one matching of the components under comp_eq?"""
+    if len(p1) != len(p2):
+        return False
+    remaining = list(p2)
+    for c in p1:
+        for i, d in enumerate(remaining):
+            if comp_eq(c, d, tol):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
 
 
 def wrap_angle(theta: float) -> float:

@@ -11,7 +11,6 @@ from hyperalg.csets import (
     CPoint,
     CZERO,
     ComplexElem,
-    RepresentationClosureError,
     format_cset,
     member,
     parts_of,
@@ -33,7 +32,7 @@ from hyperalg.ctrop import (
 )
 from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
-from hyperalg.tolerance import TWO_PI, Tolerance
+from hyperalg.tolerance import TWO_PI, RepresentationClosureError, Tolerance
 
 PI = math.pi
 

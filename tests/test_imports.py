@@ -17,9 +17,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # the names hyperalg/__init__.py exported when it imported them eagerly
 EXPORTED = {
-    "tolerance": ["DEFAULT_TOL", "NEG_INF", "Tolerance"],
+    "tolerance": ["DEFAULT_TOL", "NEG_INF", "Tolerance", "InvalidSetError",
+                  "RepresentationClosureError"],
     "csets": ["CArc", "CDisk", "CPoint", "CSet", "CUnion", "ComplexElem", "CZERO", "CONE",
-              "InvalidSetError", "RepresentationClosureError", "member", "set_eq", "subset"],
+              "member", "set_eq", "subset"],
     "rsets": ["RSet", "rinterval", "rmember", "rpoint", "rset", "rset_eq"],
     "qsets": ["QArc", "QBall", "QCone", "QPoint", "QSet", "QuatElem"],
     "realhf": ["amoeba_add", "tri_add", "tri_sum_n", "trop_add", "ultra_add"],
@@ -64,15 +65,17 @@ def _modules_after(*argv) -> list:
     [
         ((), _CORE),
         (("add", "TC", "1∠0", "1∠1.5707963268"), _CORE + ["csets", "ctrop"]),
-        (("add", "tri", "2", "1"), _CORE + ["csets", "realhf", "rsets"]),
+        (("add", "tri", "2", "1"), _CORE + ["realhf", "rsets"]),
+        (("add", "ultra", "1", "2"), _CORE + ["realhf", "rsets"]),
         (("verify", "S"), _CORE + ["finite"]),
         (("char", "powers:2:8"), _CORE + ["finite"]),
-        (("add", "padic:2:3", "1", "1"), _CORE + ["csets", "exotic"]),
+        (("add", "padic:2:3", "1", "1"), _CORE + ["exotic"]),
+        (("add", "mono", "1t^1", "1t^2"), _CORE + ["exotic"]),
         (("deq", "lm", "1", "2"), _CORE + ["csets", "deq", "realhf", "rsets"]),
         (("deq", "tri", "2", "1"), _CORE + ["csets", "deq", "realhf", "rsets"]),
     ],
-    ids=["import-cli", "add-TC", "add-tri", "verify-S", "char-powers", "add-padic", "deq-lm",
-         "deq-tri"],
+    ids=["import-cli", "add-TC", "add-tri", "add-ultra", "verify-S", "char-powers", "add-padic",
+         "add-mono", "deq-lm", "deq-tri"],
 )
 def test_cli_imports_only_what_the_command_uses(argv, modules):
     assert _modules_after(*argv) == sorted(modules)

@@ -1,5 +1,6 @@
 """Every public function and class of the library is used outside the tests,
-and every module-level import of a library module is used in that module.
+every module-level import of a library module is used in that module, and
+no value-set family imports another family's module.
 
 A name counts as used when a non-test file under src/, scripts/ or
 perfbench/ refers to it: as a name, an attribute, an imported name, or a
@@ -92,3 +93,24 @@ def test_every_module_level_import_is_used():
         if path.name != "__init__.py":
             unused |= _unused_imports(path)
     assert unused == set()
+
+
+# the value-set families; what they share lives in tolerance
+FAMILIES = ("csets", "rsets", "qsets", "exotic")
+
+
+def _library_imports(path: pathlib.Path) -> set:
+    """The hyperalg modules a module imports at module level, by full name;
+    `from . import x` reads as `hyperalg.`, the package itself."""
+    out = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.ImportFrom):
+            out.add(f"hyperalg.{stmt.module or ''}" if stmt.level else stmt.module)
+        elif isinstance(stmt, ast.Import):
+            out |= {alias.name for alias in stmt.names}
+    return {name for name in out if name.startswith("hyperalg")}
+
+
+def test_value_set_families_import_only_tolerance():
+    imports = {name: _library_imports(LIBRARY / f"{name}.py") for name in FAMILIES}
+    assert imports == {name: {"hyperalg.tolerance"} for name in FAMILIES}

@@ -8,10 +8,10 @@ position to classify each call's branch.
 """
 import inspect
 
-from hyperalg import axioms, csets, ctrop, deq, exotic, homs, qsets, realhf, rsets
+from hyperalg import axioms, csets, ctrop, deq, exotic, homs, qsets, realhf, rsets, tolerance
 from hyperalg.tolerance import DEFAULT_TOL
 
-MODULES = [csets, rsets, qsets, ctrop, realhf, exotic, deq, homs, axioms]
+MODULES = [tolerance, csets, rsets, qsets, ctrop, realhf, exotic, deq, homs, axioms]
 
 ADDITIONS = [
     ctrop.ct_add, ctrop.rt_add, ctrop.phase_add, ctrop.quat_add,
@@ -19,7 +19,8 @@ ADDITIONS = [
 ]
 
 PREDICATES = {
-    "csets.member", "csets.set_eq", "csets.subset", "csets.match_parts",
+    "tolerance.match_parts",
+    "csets.member", "csets.set_eq", "csets.subset",
     "csets.ComplexElem.eq", "csets.CArc.contains_angle",
     "rsets.rmember", "rsets.rset_eq", "rsets.rsubset",
     "qsets.qmember", "qsets.qset_eq", "qsets.qsubset", "qsets.in_cone", "qsets.QuatElem.eq",
