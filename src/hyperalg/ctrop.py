@@ -51,10 +51,14 @@ def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet
     if max(ra, rb) <= tol.eps:
         return CPoint(CZERO)
     r = max(ra, rb)
-    z = a.as_complex() + b.as_complex()
+    alpha, beta = a.argument, b.argument
+    # |a + b| bit for bit as abs(a.as_complex() + b.as_complex()); math.hypot
+    # rounds differently and could flip the antipodal cutoff
+    z = complex(ra * math.cos(alpha) + rb * math.cos(beta),
+                ra * math.sin(alpha) + rb * math.sin(beta))
     if abs(z) < tol.eps * r:  # antipodal cutoff: discontinuous branch
         return CDisk(r)
-    return _minor_arc_parts(r, a.argument, b.argument)[0]
+    return _minor_arc_parts(r, alpha, beta)[0]
 
 
 def _minor_arc_parts(radius: float, alpha: float, beta: float) -> list:

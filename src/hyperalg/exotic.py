@@ -382,28 +382,31 @@ class Indeterminate:
 INDETERMINATE = Indeterminate()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PadicElem:
     """Truncated p-adic number: digits[k] multiplies p**(e+k); digits[0] != 0.
 
     The norm is p**(-e): smaller leading exponents mean larger norm.  The zero
-    element has empty digits.
+    element has empty digits and exponent 0.
     """
 
     p: int
     e: int
     digits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise InvalidSetError(f"prime must be >= 2, got {self.p}")
-        if self.digits:
-            if self.digits[0] == 0:
+    def __init__(self, p: int, e: int, digits: tuple[int, ...]) -> None:
+        if p < 2:
+            raise InvalidSetError(f"prime must be >= 2, got {p}")
+        if digits:
+            if digits[0] == 0:
                 raise InvalidSetError("leading p-adic digit must be nonzero")
-            if min(self.digits) < 0 or max(self.digits) >= self.p:
+            if min(digits) < 0 or max(digits) >= p:
                 raise InvalidSetError("digit out of range")
         else:
-            object.__setattr__(self, "e", 0)
+            e = 0
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "digits", digits)
 
     @property
     def is_zero(self) -> bool:
@@ -523,7 +526,8 @@ def pnormalize(parts: list) -> PSet:
 
 def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
     """`depth` random base-p digits with a nonzero leading digit."""
-    return (rng.randint(1, p - 1),) + tuple(rng.randint(0, p - 1) for _ in range(depth - 1))
+    # the draws of randint(1, p - 1) and randint(0, p - 1), one call each
+    return (1 + rng.randrange(p - 1),) + tuple(rng.randrange(p) for _ in range(depth - 1))
 
 
 def ppick(s: PSet, rng, depth: int) -> list:
@@ -558,22 +562,35 @@ def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
     return VPoint(res)
 
 
+def _unit(a: PadicElem) -> int:
+    """The digits of a nonzero number read as an integer, least significant first."""
+    n = 0
+    for d in reversed(a.digits):
+        n = n * a.p + d
+    return n
+
+
+def _low_digits(n: int, p: int, depth: int) -> list[int]:
+    """The `depth` lowest base-p digits of n >= 0, least significant first."""
+    digits = []
+    for _ in range(depth):
+        n, d = divmod(n, p)
+        digits.append(d)
+    return digits
+
+
 def padic_mul(a: PadicElem, b: PadicElem) -> PadicElem:
+    """Multiply the unit parts modulo p**depth: the digit product with the
+    carry out of the top digit dropped.  The leading digit is the nonzero
+    product of the two leading digits modulo p."""
     if a.p != b.p:
         raise ValueError("p-adic operands over different primes")
     if a.is_zero or b.is_zero:
         return padic_zero(a.p)
     p = a.p
-    depth = max(a.depth, b.depth)
-    acc = [0] * depth
-    for i, da in enumerate(a.digits):
-        if da == 0:
-            continue
-        for j, db in enumerate(b.digits):
-            if i + j < depth:
-                acc[i + j] += da * db
-    _carry(acc, p)
-    return padic_from_digits(p, a.e + b.e, acc, depth)
+    depth = max(len(a.digits), len(b.digits))
+    digits = _low_digits(_unit(a) * _unit(b), p, depth)
+    return PadicElem(p, a.e + b.e, tuple(digits))
 
 
 def padic_inv(a: PadicElem) -> PadicElem:
@@ -581,13 +598,8 @@ def padic_inv(a: PadicElem) -> PadicElem:
     if a.is_zero:
         raise ZeroDivisionError("zero has no p-adic inverse")
     p, depth = a.p, a.depth
-    unit = sum(d * p**k for k, d in enumerate(a.digits))
-    inv = pow(unit, -1, p**depth)
-    digits = []
-    for _ in range(depth):
-        digits.append(inv % p)
-        inv //= p
-    return padic_from_digits(p, -a.e, digits, depth)
+    inv = pow(_unit(a), -1, p**depth)
+    return padic_from_digits(p, -a.e, _low_digits(inv, p, depth), depth)
 
 
 def padic_add_sets(s1: PSet, s2: PSet) -> PSet:

@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from .tolerance import DEFAULT_TOL, NEG_INF, InvalidSetError, Tolerance, fmt_num
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RSet:
     """Sorted, pairwise-separated closed intervals (lo, hi); lo may be -inf."""
 
     intervals: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.intervals:
+    def __init__(self, intervals: tuple[tuple[float, float], ...]) -> None:
+        if not intervals:
             raise InvalidSetError("real value set must be nonempty")
+        object.__setattr__(self, "intervals", intervals)
 
     @property
     def lo(self) -> float:

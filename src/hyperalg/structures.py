@@ -97,6 +97,9 @@ class FiniteStructure(Structure):
     def pick(self, s, rng, count=4):
         return sorted(s)
 
+    def components(self, s):
+        return [frozenset([e]) for e in sorted(s)]
+
     def format_elem(self, a):
         return str(a)
 
@@ -159,6 +162,9 @@ class ComplexCarrier(Structure):
 
     def pick(self, s, rng, count=4):
         return csets.pick(s, rng, count)
+
+    def components(self, s):
+        return csets.parts_of(s)
 
     def format_elem(self, a):
         return csets.format_celem(a)
@@ -250,6 +256,9 @@ class IntervalCarrier(Structure):
 
     def pick(self, s, rng, count=4):
         return rsets.rpick(s, rng, count)
+
+    def components(self, s):
+        return [rsets.RSet((iv,)) for iv in s.intervals]
 
     def format_elem(self, a):
         return fmt_num(a)
@@ -475,6 +484,9 @@ class ValuedCarrier(Structure):
 
     def subset(self, s1, s2):
         return exotic.subset(s1, s2)
+
+    def components(self, s):
+        return exotic.parts_of(s)
 
     def format_set(self, s):
         return exotic.format_set(s, self.format_elem)

@@ -219,6 +219,24 @@ class TestDoubleDistributivity:
         with pytest.raises(DoubleDistributivityViolation):
             check_double_distributivity(FiniteStructure(bad), budget=50)
 
+    def test_symbolic_forward_violation_names_the_component(self):
+        # a scratch carrier whose set product adds a point outside every expansion
+        from hyperalg import rsets
+        from hyperalg.structures import RealTropical
+
+        class LoosePoint(RealTropical):
+            name = "loose-TR"
+
+            def mul_sets(self, s1, s2):
+                product = super().mul_sets(s1, s2)
+                return rsets.rset([*product.intervals, (12345.0, 12345.0)])
+
+        with pytest.raises(DoubleDistributivityViolation) as exc:
+            check_double_distributivity(LoosePoint(), budget=50, rng=random.Random(3))
+        text = str(exc.value)
+        assert text.startswith("loose-TR: (") and "not inside the expanded sum" in text
+        assert text.endswith(" at point 12345")
+
 
 class TestCharacteristic:
     def test_krasner(self):

@@ -40,7 +40,7 @@ from hyperalg.realhf import (
 )
 from hyperalg.rsets import rpoint, rset_eq
 from hyperalg.structures import get_structure
-from hyperalg.tolerance import TWO_PI, Tolerance, circ_dist, wrap_angle
+from hyperalg.tolerance import TWO_PI, InvalidSetError, Tolerance, circ_dist, wrap_angle
 
 WIDE = Tolerance(1e-7)
 
@@ -526,3 +526,80 @@ def test_components_build_by_keyword_and_replace():
         assert pickle.loads(pickle.dumps(obj)) == obj
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.modulus = 3.0
+
+
+def test_rset_and_padic_elem_build_by_keyword_and_replace():
+    s = rsets.RSet(intervals=((0.0, 1.0),))
+    assert s == rsets.rinterval(0.0, 1.0)
+    assert dataclasses.replace(s, intervals=((2.0, 2.0),)) == rpoint(2.0)
+    with pytest.raises(InvalidSetError):
+        rsets.RSet(())
+    with pytest.raises(InvalidSetError):
+        dataclasses.replace(s, intervals=())
+    a = exotic.PadicElem(p=5, e=-1, digits=(2, 0, 4))
+    assert a == exotic.PadicElem(5, -1, (2, 0, 4))
+    assert dataclasses.replace(a, digits=()) == exotic.padic_zero(5)  # zero has e = 0
+    for build in (
+        lambda: exotic.PadicElem(1, 0, (1,)),
+        lambda: exotic.PadicElem(5, 0, (0, 1)),
+        lambda: exotic.PadicElem(5, 0, (1, 5)),
+        lambda: exotic.PadicElem(5, 0, (1, -1)),
+        lambda: dataclasses.replace(a, p=3),
+    ):
+        with pytest.raises(InvalidSetError):
+            build()
+    for obj in (s, a, exotic.padic_zero(3)):
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.e = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.intervals = ()
+
+
+def _schoolbook_padic_mul(a, b):
+    """Digit-by-digit product of the unit parts, the carry out of the top
+    digit dropped: the reference for exotic.padic_mul."""
+    if a.is_zero or b.is_zero:
+        return exotic.padic_zero(a.p)
+    depth = max(a.depth, b.depth)
+    acc = [0] * depth
+    for i, da in enumerate(a.digits):
+        for j, db in enumerate(b.digits):
+            if i + j < depth:
+                acc[i + j] += da * db
+    carry = 0
+    for k in range(depth):
+        carry, acc[k] = divmod(acc[k] + carry, a.p)
+    return exotic.padic_from_digits(a.p, a.e + b.e, acc, depth)
+
+
+@st.composite
+def _padic_pair(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+
+    def elem():
+        if draw(st.integers(0, 9)) == 0:
+            return exotic.padic_zero(p)
+        depth = draw(st.integers(1, 9))
+        lead = draw(st.integers(1, p - 1))
+        rest = draw(st.lists(st.integers(0, p - 1), min_size=depth - 1, max_size=depth - 1))
+        return exotic.PadicElem(p, draw(st.integers(-6, 6)), (lead, *rest))
+
+    return elem(), elem()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_padic_pair())
+def test_padic_mul_matches_schoolbook(pair):
+    a, b = pair
+    assert exotic.padic_mul(a, b) == _schoolbook_padic_mul(a, b)
+    assert exotic.padic_mul(b, a) == exotic.padic_mul(a, b)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+@pytest.mark.parametrize("depth", [1, 2, 8])
+def test_random_digits_draw_like_randint(p, depth):
+    old, new = random.Random(p * 100 + depth), random.Random(p * 100 + depth)
+    want = (old.randint(1, p - 1),) + tuple(old.randint(0, p - 1) for _ in range(depth - 1))
+    assert exotic.random_digits(p, depth, new) == want
+    assert new.getstate() == old.getstate()
