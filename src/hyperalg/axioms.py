@@ -617,8 +617,8 @@ def _product_outside_expansion(X: Structure, sides, rng: random.Random) -> str |
 
     A carrier with a symbolic set product is decided by one `subset`, and a
     breach names a component of the product; `quat` tests the products of
-    2x2 points picked from a+b and x+y.  Both make the same draws, so the
-    rng stream does not depend on the carrier's set product."""
+    the points `pick` draws from a+b and x+y.  Both make the same draws, so
+    the rng stream does not depend on the carrier's set product."""
     sab, sxy, expansion, product = sides
     pairs = [(u, v) for u in X.pick(sab, rng, 2) for v in X.pick(sxy, rng, 2)]
     if product is None:
