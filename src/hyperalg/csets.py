@@ -286,8 +286,6 @@ def normalize_parts(parts: list) -> CSet:
         )
         if absorbed:
             continue
-        if kept and p.eq(kept[-1]):
-            continue
         if any(p.eq(q) for q in kept):
             continue
         kept.append(p)

@@ -154,44 +154,40 @@ def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
 # pointwise multiplication of value sets (rotation/scaling closed forms)
 
 
+def _scale_comp(c, f: ComplexElem):
+    """A component times a nonzero factor: scaled by |f| and turned by arg f."""
+    if isinstance(c, CPoint):
+        return CPoint(c.elem.times(f))
+    if isinstance(c, CDisk):
+        return CDisk(c.radius * f.modulus)
+    if c.full:
+        return full_circle(c.radius * f.modulus)
+    return CArc(c.radius * f.modulus, c.start + f.argument, c.sweep)
+
+
 def cset_scale(s: CSet, f: ComplexElem) -> CSet:
     if f.modulus == 0.0:
         return CPoint(CZERO)
-    out: list = []
-    for c in parts_of(s):
-        if isinstance(c, CPoint):
-            out.append(CPoint(c.elem.times(f)))
-        elif isinstance(c, CDisk):
-            out.append(CDisk(c.radius * f.modulus))
-        elif c.full:
-            out.append(full_circle(c.radius * f.modulus))
-        else:
-            out.append(CArc(c.radius * f.modulus, c.start + f.argument, c.sweep))
-    return normalize_parts(out)
+    return normalize_parts([_scale_comp(c, f) for c in parts_of(s)])
 
 
-def _cmul_comps(c1, c2) -> list:
+def _cmul_comps(c1, c2):
+    """The product of two components, itself one component."""
+    if isinstance(c2, CPoint) and not isinstance(c1, CPoint):  # commutative
+        c1, c2 = c2, c1
     if isinstance(c1, CPoint):
-        return parts_of(cset_scale(c2, c1.elem))
-    if isinstance(c2, CPoint):
-        return parts_of(cset_scale(c1, c2.elem))
+        return CPoint(CZERO) if c1.elem.modulus == 0.0 else _scale_comp(c2, c1.elem)
     if isinstance(c1, CDisk) or isinstance(c2, CDisk):
-        r1 = c1.radius
-        r2 = c2.radius
-        return [CDisk(r1 * r2)]
+        return CDisk(c1.radius * c2.radius)
     # arc times arc: moduli multiply, angle intervals add
     r = c1.radius * c2.radius
     if c1.full or c2.full:
-        return [full_circle(r)]
-    return [arc(r, c1.start + c2.start, c1.sweep + c2.sweep)]
+        return full_circle(r)
+    return arc(r, c1.start + c2.start, c1.sweep + c2.sweep)
 
 
 def ct_mul_sets(s1: CSet, s2: CSet) -> CSet:
-    out: list = []
-    for c1 in parts_of(s1):
-        for c2 in parts_of(s2):
-            out.extend(_cmul_comps(c1, c2))
-    return normalize_parts(out)
+    return normalize_parts([_cmul_comps(c1, c2) for c1 in parts_of(s1) for c2 in parts_of(s2)])
 
 
 # ---------------------------------------------------------------------------
@@ -269,39 +265,29 @@ def rt_add_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
     Components are points and symmetric intervals [-m, m]; nothing else can
     arise from rt_add.
     """
-    eps = DEFAULT_TOL.eps
-    out: list[tuple[float, float]] = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            p1 = lo1 == hi1
-            p2 = lo2 == hi2
-            if p1 and p2:
-                out.extend(rt_add(lo1, lo2).intervals)
-                continue
-            if p1 or p2:
-                point, (lo, hi) = (lo1, (lo2, hi2)) if p1 else (lo2, (lo1, hi1))
-                if abs(lo + hi) > eps * max(abs(lo), abs(hi), 1.0):
-                    raise RepresentationClosureError(
-                        f"asymmetric interval [{lo},{hi}] in real tropical sum"
-                    )
-                if abs(point) > hi + eps:
-                    out.append((point, point))
-                else:
-                    out.append((lo, hi))
-                continue
-            # two symmetric intervals: the larger absorbs the smaller
-            m = max(hi1, hi2)
-            out.append((-m, m))
-    return rsets.rset(out)
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    p1 = lo1 == hi1
+    p2 = lo2 == hi2
+    if p1 and p2:
+        return rt_add(lo1, lo2)
+    if p1 or p2:
+        point, lo, hi = (lo1, lo2, hi2) if p1 else (lo2, lo1, hi1)
+        if abs(lo + hi) > DEFAULT_TOL.eps * max(abs(lo), abs(hi), 1.0):
+            raise RepresentationClosureError(
+                f"asymmetric interval [{lo},{hi}] in real tropical sum"
+            )
+        if abs(point) > hi + DEFAULT_TOL.eps:
+            return rsets.rpoint(point)
+        return s2 if p1 else s1
+    # two symmetric intervals: the larger absorbs the smaller
+    m = max(hi1, hi2)
+    return rsets.RSet(((-m, m),))
 
 
 def rt_mul_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
-    out = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
-            out.append((min(prods), max(prods)))
-    return rsets.rset(out)
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
+    return rsets.RSet(((min(prods), max(prods)),))
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ truncated to a fixed digit depth L and add digits on a tie unless the leading
 digits sum to p; any classical operation whose answer depends on digits beyond
 the truncation returns the Indeterminate marker rather than a wrong value.
 
-Canonical form is a contract: every operation builds its set under the library
-tolerance DEFAULT_TOL and returns a fixed point of mnormalize or pnormalize,
-which the predicates and set-extended sums take as is; a predicate may compare
-real-exponent monomials wider, while int and rational exponents and p-adic
-values compare exactly under any tolerance.
+A value set is one component: a point (VPoint) or the cone of one family
+(MCone, PCone).  A sum or product of two components is again one component,
+and mnormalize and pnormalize, which every set sum and product goes through,
+reject anything else.  Every operation builds its set under the library
+tolerance DEFAULT_TOL; a predicate may compare real-exponent monomials wider,
+while int and rational exponents and p-adic values compare exactly under any
+tolerance.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from .tolerance import (
-    DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num, match_parts,
+    DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num,
 )
 
 
@@ -41,15 +43,8 @@ class VPoint:
     elem: MonomialElem | PadicElem
 
 
-@dataclass(frozen=True, slots=True)
-class VUnion:
-    """A normal form of several components: the cone, if any, then points."""
-
-    parts: tuple
-
-
 def parts_of(s) -> list:
-    return list(s.parts) if isinstance(s, VUnion) else [s]
+    return [s]
 
 
 # the per-family names of parts_of that perfbench/tracer.py reads
@@ -78,103 +73,62 @@ def _same(x, y, tol: Tolerance) -> bool:
     return x.eq(y, tol) if isinstance(x, MonomialElem) else x.eq(y)
 
 
-def _normalize(parts: list, key):
-    """Flatten, keep the cone of largest value (the first one on a tie), drop
-    the points it holds and repeated points, and sort the rest by `key`."""
-    if len(parts) == 1 and not isinstance(parts[0], VUnion):
-        return parts[0]
-    flat = [c for p in parts for c in parts_of(p)]
-    if not flat:
-        raise InvalidSetError("valued set must be nonempty")
-    top = max((c for c in flat if not isinstance(c, VPoint)), key=_value, default=None)
-    kept: list = []
-    for c in flat:
-        if not isinstance(c, VPoint):
-            continue
-        x = c.elem
-        if top is not None and _below(x.value, top.value, DEFAULT_TOL.eps):
-            continue
-        if not any(x.eq(k) for k in kept):
-            kept.append(x)
-    out = ([top] if top is not None else []) + [VPoint(x) for x in sorted(kept, key=key)]
-    return out[0] if len(out) == 1 else VUnion(tuple(out))
+def _only(parts: list):
+    """The one component of a valued set sum or product."""
+    if len(parts) != 1:
+        raise RepresentationClosureError(f"valued set of {len(parts)} components")
+    return parts[0]
 
 
 def member(x, s, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for c in parts_of(s):
-        if isinstance(c, VPoint):
-            if _same(x, c.elem, tol):
-                return True
-        elif _below(x.value, c.value, tol.eps):
-            return True
-    return False
+    if isinstance(s, VPoint):
+        return _same(x, s.elem, tol)
+    return _below(x.value, s.value, tol.eps)
 
 
 def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Each point of s1 is a member of s2, and each cone of s1 lies in a cone
-    of s2 of no smaller value."""
-    for c in parts_of(s1):
-        if isinstance(c, VPoint):
-            if not member(c.elem, s2, tol):
-                return False
-        elif not any(
-            not isinstance(d, VPoint) and _order(c.value, d.value, tol.eps) <= 0
-            for d in parts_of(s2)
-        ):
-            return False
-    return True
-
-
-def _part_eq(c, d, tol: Tolerance) -> bool:
-    if isinstance(c, VPoint):
-        return isinstance(d, VPoint) and _same(c.elem, d.elem, tol)
-    return not isinstance(d, VPoint) and _order(c.value, d.value, tol.eps) == 0
+    """A point of s1 is a member of s2; a cone of s1 lies in a cone of s2 of
+    no smaller value."""
+    if isinstance(s1, VPoint):
+        return member(s1.elem, s2, tol)
+    return not isinstance(s2, VPoint) and _order(s1.value, s2.value, tol.eps) <= 0
 
 
 def set_eq(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return s1 == s2 or match_parts(parts_of(s1), parts_of(s2), _part_eq, tol)
+    if isinstance(s1, VPoint):
+        return isinstance(s2, VPoint) and _same(s1.elem, s2.elem, tol)
+    return not isinstance(s2, VPoint) and _order(s1.value, s2.value, tol.eps) == 0
 
 
-def _add_parts(s1, s2, add) -> list:
-    """The components of s1 + s2, given the family's addition of two elements."""
-    out: list = []
-    for c1 in parts_of(s1):
-        for c2 in parts_of(s2):
-            if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, VPoint):
-                out.extend(parts_of(add(c1.elem, c2.elem)))
-            elif not isinstance(c2, VPoint):
-                out.append(max(c1, c2, key=_value))
-            else:  # the cone absorbs a point below it; a point at or above it dominates
-                out.append(c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL.eps) else c2)
-    return out
+def _add_comps(c1, c2, add):
+    """The sum of two components, given the family's addition of two elements."""
+    if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
+        c1, c2 = c2, c1
+    if isinstance(c1, VPoint):
+        return add(c1.elem, c2.elem)
+    if not isinstance(c2, VPoint):
+        return max(c1, c2, key=_value)
+    # the cone absorbs a point below it; a point at or above it dominates
+    return c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL.eps) else c2
 
 
-def _mul_parts(s1, s2, mul, step) -> list:
-    """The components of the pointwise product s1 * s2, given the family's
-    product of two elements; two cones multiply to the cone `step` below the
-    sum of their values."""
-    out: list = []
-    for c1 in parts_of(s1):
-        for c2 in parts_of(s2):
-            if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
-                c1, c2 = c2, c1
-            if isinstance(c1, VPoint):
-                out.append(VPoint(mul(c1.elem, c2.elem)))
-            elif not isinstance(c2, VPoint):
-                out.append(c1.times(c2, step))
-            elif c2.elem.value is None:  # 0 times a cone
-                out.append(c2)
-            else:
-                out.append(c1.times(c2.elem))
-    return out
+def _mul_comps(c1, c2, mul, step):
+    """The product of two components, given the family's product of two
+    elements; two cones multiply to the cone `step` below the sum of their
+    values."""
+    if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
+        c1, c2 = c2, c1
+    if isinstance(c1, VPoint):
+        return VPoint(mul(c1.elem, c2.elem))
+    if not isinstance(c2, VPoint):
+        return c1.times(c2, step)
+    if c2.elem.value is None:  # 0 times a cone
+        return c2
+    return c1.times(c2.elem)
 
 
 def format_set(s, format_elem) -> str:
-    return " | ".join(
-        f"point {format_elem(c.elem)}" if isinstance(c, VPoint) else str(c) for c in parts_of(s)
-    )
+    return f"point {format_elem(s.elem)}" if isinstance(s, VPoint) else str(s)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +188,12 @@ class MCone:
         return f"below t^{_format_exponent(self.bound)}"
 
 
-MSet = VPoint | MCone | VUnion
+MSet = VPoint | MCone
 
 
 def mnormalize(parts: list) -> MSet:
-    """The normal form of a monomial set; points sort by exponent, then
-    coefficient."""
-    return _normalize(parts, lambda x: (x.exponent, x.coeff.real, x.coeff.imag))
+    """The one component of a monomial set sum or product."""
+    return _only(parts)
 
 
 def random_coeff(rng) -> complex:
@@ -249,22 +202,19 @@ def random_coeff(rng) -> complex:
 
 
 def mpick(s: MSet, rng, domain: str = "real") -> list:
-    """Sample points of s: each point, and for a cone 0 plus monomials at three
+    """Sample points of s: the point, or for a cone 0 plus monomials at three
     exponents of the domain strictly below its bound."""
-    pts = []
-    for c in parts_of(s):
-        if isinstance(c, VPoint):
-            pts.append(c.elem)
-            continue
-        pts.append(MZERO)
-        for step in (1, 2, 4):
-            if domain == "int":
-                e: float | Fraction | int = math.floor(c.bound) - step
-            elif domain == "rational":
-                e = Fraction(c.bound) - Fraction(step, 2)
-            else:
-                e = float(c.bound) - 0.5 * step
-            pts.append(MonomialElem(random_coeff(rng), e))
+    if isinstance(s, VPoint):
+        return [s.elem]
+    pts = [MZERO]
+    for step in (1, 2, 4):
+        if domain == "int":
+            e: float | Fraction | int = math.floor(s.bound) - step
+        elif domain == "rational":
+            e = Fraction(s.bound) - Fraction(step, 2)
+        else:
+            e = float(s.bound) - 0.5 * step
+        pts.append(MonomialElem(random_coeff(rng), e))
     return pts
 
 
@@ -304,13 +254,13 @@ def mono_neg(a: MonomialElem) -> MonomialElem:
 
 
 def mono_add_sets(s1: MSet, s2: MSet) -> MSet:
-    return mnormalize(_add_parts(s1, s2, mono_add))
+    return mnormalize([_add_comps(s1, s2, mono_add)])
 
 
 def mono_mul_sets(s1: MSet, s2: MSet, domain: str = "real") -> MSet:
     """Pointwise product.  Two int-domain cones multiply to `below t^(b1+b2-1)`:
     their exponents are at most b1-1 and b2-1."""
-    return mnormalize(_mul_parts(s1, s2, mono_mul, 1 if domain == "int" else 0))
+    return mnormalize([_mul_comps(s1, s2, mono_mul, 1 if domain == "int" else 0)])
 
 
 def format_monomial(a: MonomialElem) -> str:
@@ -516,12 +466,12 @@ class PCone:
         return f"below {self.p}^{-self.e}"
 
 
-PSet = VPoint | PCone | VUnion
+PSet = VPoint | PCone
 
 
 def pnormalize(parts: list) -> PSet:
-    """The normal form of a p-adic set; points sort by exponent, then digits."""
-    return _normalize(parts, lambda x: (x.e, x.digits))
+    """The one component of a p-adic set sum or product."""
+    return _only(parts)
 
 
 def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
@@ -531,17 +481,13 @@ def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
 
 
 def ppick(s: PSet, rng, depth: int) -> list:
-    """Sample points of s: each point, and for a cone 0 plus two elements of
+    """Sample points of s: the point, or for a cone 0 plus two elements of
     strictly smaller norm with `depth` digits."""
-    pts = []
-    for c in parts_of(s):
-        if isinstance(c, VPoint):
-            pts.append(c.elem)
-            continue
-        pts.append(padic_zero(c.p))
-        for delta in (1, 2):
-            pts.append(PadicElem(c.p, c.e + delta, random_digits(c.p, depth, rng)))
-    return pts
+    if isinstance(s, VPoint):
+        return [s.elem]
+    return [padic_zero(s.p)] + [
+        PadicElem(s.p, s.e + delta, random_digits(s.p, depth, rng)) for delta in (1, 2)
+    ]
 
 
 def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
@@ -603,13 +549,13 @@ def padic_inv(a: PadicElem) -> PadicElem:
 
 
 def padic_add_sets(s1: PSet, s2: PSet) -> PSet:
-    return pnormalize(_add_parts(s1, s2, padic_add))
+    return pnormalize([_add_comps(s1, s2, padic_add)])
 
 
 def padic_mul_sets(s1: PSet, s2: PSet) -> PSet:
     """Pointwise product.  Two cones multiply to the cone one exponent deeper
     than the sum of theirs: their elements have exponents at least e1+1 and e2+1."""
-    return pnormalize(_mul_parts(s1, s2, padic_mul, 1))
+    return pnormalize([_mul_comps(s1, s2, padic_mul, 1)])
 
 
 def format_padic(a: PadicElem) -> str:

@@ -122,7 +122,9 @@ def format_poly(p: Polynomial) -> str:
         else:
             es = f"X^{e:g}" if float(e).is_integer() else f"X^{{{e:g}}}"
             es = "X" if e == 1 else es
-            chunks.append(f"{cs}{es}" if cs not in ("1",) else es)
+            if cs in ("1", "-1"):
+                cs = cs[:-1]  # a unit coefficient shows only its sign
+            chunks.append(f"{cs}{es}")
     return " + ".join(chunks).replace("+ -", "- ")
 
 

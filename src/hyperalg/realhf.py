@@ -15,7 +15,7 @@ import math
 import operator
 
 from .axioms import AxiomReport
-from .rsets import RSet, rinterval, rmember, rpoint, rset
+from .rsets import RSet, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
 
 
@@ -42,16 +42,8 @@ def tri_sum_n(values: list[float]) -> RSet:
 
 
 def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
-    if len(s1.intervals) == 1 and len(s2.intervals) == 1:
-        # one interval each: gap <= hi1 + hi2, so rset would return the pair as is
-        (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
-        return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi1 + hi2),))
-    out = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            gap = max(0.0, lo1 - hi2, lo2 - hi1)
-            out.append((gap, hi1 + hi2))
-    return rset(out)
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi1 + hi2),))
 
 
 def ultra_add(a: float, b: float) -> RSet:
@@ -63,17 +55,13 @@ def ultra_add(a: float, b: float) -> RSet:
 
 def _max_add_sets(s1: RSet, s2: RSet, floor: float) -> RSet:
     """Set sum for a max addition whose tie gives the down-set to `floor`."""
-    out = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            # down-sets and points only; a tie between touching components
-            # produces the down-set below the tied value
-            if hi2 < lo1 - DEFAULT_TOL.eps or hi1 < lo2 - DEFAULT_TOL.eps:
-                m = max(hi1, hi2)
-                out.append((m, m))
-            else:
-                out.append((floor, max(hi1, hi2)))
-    return rset(out)
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    m = max(hi1, hi2)
+    # a point or a down-set each: apart, the larger dominates; touching, a
+    # tie produces the down-set below the larger top
+    if hi2 < lo1 - DEFAULT_TOL.eps or hi1 < lo2 - DEFAULT_TOL.eps:
+        return RSet(((m, m),))
+    return RSet(((floor, m),))
 
 
 def ultra_add_sets(s1: RSet, s2: RSet) -> RSet:
@@ -135,19 +123,15 @@ def amoeba_add(a: float, b: float) -> RSet:
 
 
 def amoeba_add_sets(s1: RSet, s2: RSet) -> RSet:
-    out = []
-    for lo1, hi1 in s1.intervals:
-        for lo2, hi2 in s2.intervals:
-            hi = _log_exp_sum(hi1, hi2)
-            # gap between the exp-images decides the lower endpoint
-            if lo1 > hi2 + DEFAULT_TOL.eps:
-                lo = _log_exp_diff(lo1, hi2)
-            elif lo2 > hi1 + DEFAULT_TOL.eps:
-                lo = _log_exp_diff(lo2, hi1)
-            else:
-                lo = NEG_INF
-            out.append((lo, hi))
-    return rset(out)
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    # the gap between the exp-images decides the lower endpoint
+    if lo1 > hi2 + DEFAULT_TOL.eps:
+        lo = _log_exp_diff(lo1, hi2)
+    elif lo2 > hi1 + DEFAULT_TOL.eps:
+        lo = _log_exp_diff(lo2, hi1)
+    else:
+        lo = NEG_INF
+    return RSet(((lo, _log_exp_sum(hi1, hi2)),))
 
 
 def check_seminorm(

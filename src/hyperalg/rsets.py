@@ -1,7 +1,9 @@
-"""Finite unions of closed real intervals (points are degenerate intervals).
+"""One closed real interval (a point is a degenerate interval).
 
 Used for every R-like carrier: nonnegative reals, the real line, and the
 tropical line R ∪ {-inf} where a down-set {x <= a} is the interval [-inf, a].
+Every addition of these carriers gives a point or one interval, and set sums
+and products of intervals stay one interval, so a value set is one component.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of rset, which the predicates
@@ -17,13 +19,13 @@ from .tolerance import DEFAULT_TOL, NEG_INF, InvalidSetError, Tolerance, fmt_num
 
 @dataclass(frozen=True, slots=True, init=False)
 class RSet:
-    """Sorted, pairwise-separated closed intervals (lo, hi); lo may be -inf."""
+    """One closed interval (lo, hi), held as a one-pair tuple; lo may be -inf."""
 
-    intervals: tuple[tuple[float, float], ...]
+    intervals: tuple[tuple[float, float]]
 
-    def __init__(self, intervals: tuple[tuple[float, float], ...]) -> None:
-        if not intervals:
-            raise InvalidSetError("real value set must be nonempty")
+    def __init__(self, intervals: tuple[tuple[float, float]]) -> None:
+        if len(intervals) != 1:
+            raise InvalidSetError(f"real value set is one interval, got {len(intervals)}")
         object.__setattr__(self, "intervals", intervals)
 
     @property
@@ -32,7 +34,7 @@ class RSet:
 
     @property
     def hi(self) -> float:
-        return self.intervals[-1][1]
+        return self.intervals[0][1]
 
 
 def rpoint(x: float) -> RSet:
@@ -44,83 +46,55 @@ def rinterval(lo: float, hi: float) -> RSet:
 
 
 def rset(pairs: list[tuple[float, float]]) -> RSet:
-    eps = DEFAULT_TOL.eps
-    if len(pairs) == 1:
-        lo, hi = pairs[0]
-        if lo <= hi:  # an inverted or NaN pair takes the full path
-            return RSet(((lo, hi),))
-    cleaned = []
-    for lo, hi in pairs:
-        if math.isnan(lo) or math.isnan(hi):
-            raise InvalidSetError("interval endpoint is NaN")
-        if lo > hi:
-            if lo - hi <= eps:
-                lo = hi = 0.5 * (lo + hi)
-            else:
-                raise InvalidSetError(f"inverted interval [{lo}, {hi}]")
-        cleaned.append((lo, hi))
-    cleaned.sort()
-    merged: list[list[float]] = []
-    for lo, hi in cleaned:
-        if merged and lo <= merged[-1][1] + eps:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return RSet(tuple((lo, hi) for lo, hi in merged))
+    """The set of one (lo, hi) pair; an inversion within eps is the point at
+    its midpoint."""
+    if len(pairs) != 1:
+        raise InvalidSetError(f"real value set is one interval, got {len(pairs)}")
+    lo, hi = pairs[0]
+    if lo <= hi:
+        return RSet(((lo, hi),))
+    if math.isnan(lo) or math.isnan(hi):
+        raise InvalidSetError("interval endpoint is NaN")
+    if lo - hi > DEFAULT_TOL.eps:
+        raise InvalidSetError(f"inverted interval [{lo}, {hi}]")
+    mid = 0.5 * (lo + hi)
+    return RSet(((mid, mid),))
 
 
 def rmember(x: float, s: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for lo, hi in s.intervals:
-        if (x >= lo - tol.eps or x == lo) and (x <= hi + tol.eps or x == hi):
-            return True
-    return False
+    lo, hi = s.intervals[0]
+    return lo - tol.eps <= x <= hi + tol.eps
 
 
 def rset_eq(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if len(s1.intervals) != len(s2.intervals):
-        return False
-    return all(
-        tol.close(i[0], j[0]) and tol.close(i[1], j[1])
-        for i, j in zip(s1.intervals, s2.intervals)
-    )
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    return tol.close(lo1, lo2) and tol.close(hi1, hi2)
 
 
 def rsubset(s1: RSet, s2: RSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    for lo, hi in s1.intervals:
-        if not any(
-            (lo >= lo2 - tol.eps or lo == lo2) and (hi <= hi2 + tol.eps or hi == hi2)
-            for lo2, hi2 in s2.intervals
-        ):
-            return False
-    return True
+    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+    return lo1 >= lo2 - tol.eps and hi1 <= hi2 + tol.eps
 
 
 _PICK_FLOOR = -40.0  # lowest finite sample of an unbounded-below interval
 
 
 def rpick(s: RSet, rng, count: int = 4) -> list[float]:
-    """Sample points from each interval; unbounded-below intervals sample down
+    """Sample points of the interval; an unbounded-below interval samples down
     to _PICK_FLOOR plus the -inf endpoint itself."""
-    pts: list[float] = []
-    for lo, hi in s.intervals:
-        if lo == NEG_INF:
-            pts.append(NEG_INF)
-            base = min(hi, 0.0)
-            pts.extend([hi, base - 1.0, base - 5.0])
-            for _ in range(count):
-                pts.append(hi - abs(rng.uniform(0.0, base - _PICK_FLOOR)))
-        else:
-            pts.extend([lo, hi, 0.5 * (lo + hi)])
-            for _ in range(count):
-                pts.append(rng.uniform(lo, hi))
+    lo, hi = s.intervals[0]
+    if lo == NEG_INF:
+        base = min(hi, 0.0)
+        pts = [NEG_INF, hi, base - 1.0, base - 5.0]
+        pts.extend(hi - abs(rng.uniform(0.0, base - _PICK_FLOOR)) for _ in range(count))
+    else:
+        pts = [lo, hi, 0.5 * (lo + hi)]
+        pts.extend(rng.uniform(lo, hi) for _ in range(count))
     return pts
 
 
 def format_rset(s: RSet) -> str:
-    out = []
-    for lo, hi in s.intervals:
-        if lo == hi:
-            out.append(f"point {fmt_num(lo)}")
-        else:
-            out.append(f"interval [{fmt_num(lo)},{fmt_num(hi)}]")
-    return " | ".join(out)
+    lo, hi = s.intervals[0]
+    if lo == hi:
+        return f"point {fmt_num(lo)}"
+    return f"interval [{fmt_num(lo)},{fmt_num(hi)}]"

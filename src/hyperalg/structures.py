@@ -219,7 +219,7 @@ class PhaseStructure(ComplexTropical):
 
 
 class IntervalCarrier(Structure):
-    """An R-like carrier: rsets interval unions, the real product by default,
+    """An R-like carrier: one rsets interval, the real product by default,
     and finite literals only, besides the carrier's zero (-inf on trop)."""
 
     nonnegative = False  # an R+ carrier also rejects negative literals
@@ -236,11 +236,10 @@ class IntervalCarrier(Structure):
         return 1.0 / a
 
     def _endpointwise(self, s1, s2, f):
-        """The set of [f(lo1, lo2), f(hi1, hi2)] over all interval pairs, for
-        an f monotone in both arguments."""
-        return rsets.rset(
-            [(f(lo1, lo2), f(hi1, hi2)) for lo1, hi1 in s1.intervals for lo2, hi2 in s2.intervals]
-        )
+        """The interval [f(lo1, lo2), f(hi1, hi2)], for an f monotone in both
+        arguments."""
+        (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+        return rsets.rset([(f(lo1, lo2), f(hi1, hi2))])
 
     def eq(self, a, b):
         return DEFAULT_TOL.close(a, b)
@@ -258,7 +257,7 @@ class IntervalCarrier(Structure):
         return rsets.rpick(s, rng, count)
 
     def components(self, s):
-        return [rsets.RSet((iv,)) for iv in s.intervals]
+        return [s]
 
     def format_elem(self, a):
         return fmt_num(a)

@@ -93,6 +93,12 @@ class TestMultiring:
 
         assert search_hyperfield_multiplications(make_M()) == []
 
+    def test_K_admits_exactly_its_own_multiplication(self):
+        from hyperalg.finite import search_hyperfield_multiplications
+
+        K = make_krasner()
+        assert search_hyperfield_multiplications(K) == [K.mul_table]
+
     def test_hyperring_distributivity_is_equality(self):
         rep = check_multiring(get_structure("K"), level="hyperring")
         names = {c.axiom for c in rep.checks}
@@ -220,7 +226,7 @@ class TestDoubleDistributivity:
             check_double_distributivity(FiniteStructure(bad), budget=50)
 
     def test_symbolic_forward_violation_names_the_component(self):
-        # a scratch carrier whose set product adds a point outside every expansion
+        # a scratch carrier whose set product reaches outside every expansion
         from hyperalg import rsets
         from hyperalg.structures import RealTropical
 
@@ -229,13 +235,13 @@ class TestDoubleDistributivity:
 
             def mul_sets(self, s1, s2):
                 product = super().mul_sets(s1, s2)
-                return rsets.rset([*product.intervals, (12345.0, 12345.0)])
+                return rsets.rinterval(product.lo, 12345.0)
 
         with pytest.raises(DoubleDistributivityViolation) as exc:
             check_double_distributivity(LoosePoint(), budget=50, rng=random.Random(3))
         text = str(exc.value)
         assert text.startswith("loose-TR: (") and "not inside the expanded sum" in text
-        assert text.endswith(" at point 12345")
+        assert " at interval [" in text and text.endswith(",12345]")
 
 
 class TestCharacteristic:

@@ -211,6 +211,14 @@ class TestVerify:
         assert code == 0
         assert out.strip() == "no univalued multiplication admits hyperfield"
 
+    def test_s_hyperfield_search(self, capsys):
+        code, out, _ = run(capsys, "verify", "S", "--level", "hyperfield-search")
+        assert (code, out) == (0, "2 univalued multiplications admit a hyperfield\n")
+
+    def test_continuous_hyperfield_search_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "TR", "--level", "hyperfield-search")
+        assert (code, out, err) == (2, "", "error: hyperfield-search needs a finite structure\n")
+
     def test_zero_ring_is_not_a_hyperfield(self, capsys):
         from hyperalg.axioms import check_multiring, replay
         from hyperalg.structures import get_structure

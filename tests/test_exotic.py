@@ -16,7 +16,6 @@ from hyperalg.exotic import (
     PCone,
     PadicElem,
     VPoint,
-    VUnion,
     format_monomial,
     format_padic,
     member,
@@ -46,7 +45,7 @@ from hyperalg.exotic import (
 from hyperalg.realhf import check_seminorm, ultra_add
 from hyperalg.rsets import rmember
 from hyperalg.structures import get_structure
-from hyperalg.tolerance import Tolerance
+from hyperalg.tolerance import RepresentationClosureError, Tolerance
 
 
 def mono(c, e):
@@ -236,16 +235,15 @@ class TestCones:
         assert not member(pe(5, 0, [1]), PCone(5, 0))
         assert member(mono(1, -0.5), MCone(0)) and member(pe(5, 1, [1]), PCone(5, 0))
         assert member(MZERO, MCone(0)) and member(padic_zero(5), PCone(5, 0))
-        s = mnormalize([MCone(0), VPoint(mono(1, 0))])
-        assert s == VUnion((MCone(0), VPoint(mono(1, 0))))
-        assert not subset(s, MCone(0)) and subset(MCone(0), s) and not set_eq(s, MCone(0))
+        at_bound = VPoint(mono(1, 0))
+        assert not subset(at_bound, MCone(0)) and not set_eq(at_bound, MCone(0))
+        assert subset(MCone(-1), MCone(0)) and not subset(MCone(0), MCone(-1))
 
     @pytest.mark.parametrize(
         "name", ["mono", "mono-int", "mono-rational", "padic:2:8", "padic:3:8", "padic:5:8"]
     )
     def test_equality_is_containment_both_ways(self, name):
         X = get_structure(name)
-        normalize = mnormalize if name.startswith("mono") else pnormalize
         for a, b, c in stratified_tuples(X, random.Random(3), 3, 300):
             ab, bc = X.add(a, b), X.add(b, c)
             outs = [
@@ -253,8 +251,7 @@ class TestCones:
                 bc,
                 X.add_sets(ab, X.singleton(c)),
                 X.add_sets(X.singleton(a), bc),
-                normalize([ab, bc]),
-                normalize([ab, X.singleton(c)]),
+                X.mul_sets(ab, bc),
             ]
             for s in outs:
                 for t in outs:
@@ -262,44 +259,44 @@ class TestCones:
 
 
 class TestNormalForm:
-    """The normal form of a valued set: the top cone first, then the points it
-    does not absorb, deduplicated and sorted by the family's order."""
+    """The normal form of a valued set is one component, a point or a cone: a
+    cone absorbs the points below it, a point at or above it dominates, and
+    the normalizers reject anything other than one component."""
 
     def test_monomial_cone_and_points(self):
-        parts = [
-            VPoint(mono(2, 1)), MCone(0.5), VPoint(mono(1, -1)), VPoint(mono(-1, 3)),
-            MCone(1.5), VPoint(mono(1, 1.5)), VPoint(MZERO), VPoint(mono(2, 1)),
-        ]
-        assert mnormalize(parts) == VUnion((MCone(1.5), VPoint(mono(1, 1.5)), VPoint(mono(-1, 3))))
-        nested = [VUnion((MCone(0), VPoint(mono(1, 1)))), VPoint(mono(1, 1)), MCone(-1), VPoint(mono(5, -2))]
-        assert mnormalize(nested) == VUnion((MCone(0), VPoint(mono(1, 1))))
-
-    def test_monomial_points_sort_by_exponent_then_coefficient(self):
-        ties = [mono(1 + 1j, 0), mono(1, 0), mono(-1, 0), mono(1 - 1j, 0), mono(1, 0)]
-        order = [mono(-1, 0), mono(1 - 1j, 0), mono(1, 0), mono(1 + 1j, 0)]
-        assert mnormalize([VPoint(x) for x in ties]) == VUnion(tuple(VPoint(x) for x in order))
-        # 0 sorts as exponent 0
-        got = mnormalize([VPoint(mono(1, 1)), VPoint(MZERO), VPoint(mono(1, -1))])
-        assert got == VUnion((VPoint(mono(1, -1)), VPoint(MZERO), VPoint(mono(1, 1))))
-
-    def test_monomial_top_cone_is_the_first_largest(self):
-        got = mnormalize([MCone(Fraction(1, 2)), MCone(0.5), MCone(-1)])
-        assert got == MCone(Fraction(1, 2)) and isinstance(got.bound, Fraction)
+        cone = MCone(0.5)
+        for below in (VPoint(mono(1, -1)), VPoint(MZERO), VPoint(mono(-1, 0.5 - 1e-3))):
+            assert mono_add_sets(cone, below) == cone and mono_add_sets(below, cone) == cone
+        for above in (VPoint(mono(1, 0.5)), VPoint(mono(2, 1)), VPoint(mono(-1, 3))):
+            assert mono_add_sets(cone, above) == above and mono_add_sets(above, cone) == above
+        with pytest.raises(RepresentationClosureError):
+            mnormalize([cone, VPoint(mono(1, 1.5))])
 
     def test_padic_cone_and_points(self):
-        c = pe(5, -1, [3, 1])
-        parts = [
-            VPoint(pe(5, 1, [2])), PCone(5, 0), VPoint(pe(5, 0, [4, 1])), VPoint(c),
-            PCone(5, -1), VPoint(padic_zero(5)), VPoint(c),
-        ]
-        assert pnormalize(parts) == VUnion((PCone(5, -1), VPoint(c)))
-        parts = [PCone(5, 2), PCone(5, 3), VPoint(pe(5, 2, [1])), VPoint(pe(5, 3, [1]))]
-        assert pnormalize(parts) == VUnion((PCone(5, 2), VPoint(pe(5, 2, [1]))))
+        cone = PCone(5, -1)  # norm below 5
+        for below in (VPoint(pe(5, 0, [4, 1])), VPoint(padic_zero(5)), VPoint(pe(5, 1, [2]))):
+            assert padic_add_sets(cone, below) == cone and padic_add_sets(below, cone) == cone
+        for above in (VPoint(pe(5, -1, [3, 1])), VPoint(pe(5, -2, [1]))):
+            assert padic_add_sets(cone, above) == above and padic_add_sets(above, cone) == above
+        with pytest.raises(RepresentationClosureError):
+            pnormalize([cone, VPoint(pe(5, -1, [3, 1]))])
 
-    def test_padic_points_sort_by_exponent_then_digits(self):
-        xs = [pe(5, 0, [2]), pe(5, -1, [1]), pe(5, 0, [1, 3]), padic_zero(5), pe(5, 0, [1, 2])]
-        order = [pe(5, -1, [1]), padic_zero(5), pe(5, 0, [1, 2]), pe(5, 0, [1, 3]), pe(5, 0, [2])]
-        assert pnormalize([VPoint(x) for x in xs]) == VUnion(tuple(VPoint(x) for x in order))
+    def test_monomial_top_cone_is_the_first_largest(self):
+        got = mono_add_sets(MCone(Fraction(1, 2)), MCone(0.5))
+        assert got == MCone(Fraction(1, 2)) and isinstance(got.bound, Fraction)
+        assert mono_add_sets(MCone(-1), MCone(0.5)) == MCone(0.5)
+
+    def test_two_part_mnormalize_raises(self):
+        for parts in ([MCone(0.5), VPoint(mono(1, 1))], [VPoint(mono(1, 0)), VPoint(mono(-1, 0))], []):
+            with pytest.raises(RepresentationClosureError):
+                mnormalize(parts)
+        assert mnormalize([MCone(0)]) == MCone(0)
+
+    def test_two_part_pnormalize_raises(self):
+        for parts in ([PCone(5, -1), VPoint(pe(5, -1, [3, 1]))], [VPoint(padic_zero(5))] * 2, []):
+            with pytest.raises(RepresentationClosureError):
+                pnormalize(parts)
+        assert pnormalize([PCone(5, 2)]) == PCone(5, 2)
 
 
 class TestPadicAdd:

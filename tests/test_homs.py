@@ -55,6 +55,14 @@ class TestPolynomial:
         p = Polynomial.make({1: 1, 0: 1})
         assert (p * p).terms == ((2.0, 1 + 0j), (1.0, 2 + 0j), (0.0, 1 + 0j))
 
+    def test_text_elides_unit_coefficients_with_their_sign(self):
+        assert str(Polynomial.make({2: 1, 1: -1, 0: 1})) == "X^2 - X + 1"
+        assert str(Polynomial.make({1: -1})) == "-X"
+        assert str(Polynomial.make({3: -2, 0: -1})) == "-2X^3 - 1"
+        assert str(Polynomial.make({1.5: -1.0, 0.5: 1.0})) == "-X^{1.5} + X^{0.5}"
+        assert str(Polynomial.make({2: 1 - 2j, 1: -1 + 0j, 0: 3j})) == "(1-2i)X^2 - X + (0+3i)"
+        assert str(Polynomial.make({})) == "0"
+
 
 class TestWMap:
     def test_golden_values(self):

@@ -224,23 +224,18 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
     assert qsets.qset_eq(quat_sum, _cset_on_h(complex_sum)), (complex_sum, quat_sum)
 
 
-def _valued_normal_form(s):
-    """mnormalize or pnormalize, by the family of the set's first component:
-    monomial and p-adic sets share their point and union types."""
-    first = exotic.parts_of(s)[0]
-    padic = isinstance(first, exotic.PCone) or isinstance(getattr(first, "elem", None), exotic.PadicElem)
-    return (exotic.pnormalize if padic else exotic.mnormalize)([s, s])
-
-
-# each value-set family's normalizer, keyed by the set types it produces; each
-# is given the set twice, so that it takes its full path (a lone canonical
-# component is returned as is) and its deduplication gives back the normal form
+# each value-set family's normalizer, keyed by the set types it produces.  A
+# complex or quaternion set is given twice, so that its normalizer takes its
+# full path (a lone canonical component is returned as is) and its
+# deduplication gives back the normal form.  A real or valued set is one
+# component, which its normalizer returns as is.
 NORMAL_FORMS = [
     ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), lambda s: csets.normalize_parts([s, s])),
-    ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals) * 2)),
+    ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
     ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
      lambda s: qsets.qnormalize([s, s])),
-    ((exotic.VPoint, exotic.MCone, exotic.PCone, exotic.VUnion), _valued_normal_form),
+    ((exotic.VPoint, exotic.MCone), lambda s: exotic.mnormalize([s])),
+    ((exotic.PCone,), lambda s: exotic.pnormalize([s])),
 ]
 
 CANONICAL_CARRIERS = [

@@ -36,7 +36,9 @@ from hyperalg.qsets import (
     qset_eq,
     slerp,
 )
+from hyperalg.realhf import trop_add_sets, tri_add, tri_add_sets, ultra_add_sets
 from hyperalg.rsets import (
+    RSet,
     format_rset,
     rinterval,
     rmember,
@@ -189,12 +191,31 @@ def test_subset_of_union(p1, p2):
 
 
 class TestRSet:
-    def test_interval_merge(self):
-        assert rset([(0, 1), (1, 2)]) == rinterval(0, 2)
+    # touching, disjoint, overlapping and no pairs: a real set is one interval
+    OTHER_THAN_ONE = ([(0, 1), (1, 2)], [(0, 1), (2, 3)], [(0, 2), (1, 5)], [])
 
-    def test_disjoint_stay_separate(self):
-        s = rset([(0, 1), (2, 3)])
-        assert len(s.intervals) == 2
+    def test_rset_of_other_than_one_pair_raises(self):
+        for pairs in self.OTHER_THAN_ONE:
+            with pytest.raises(InvalidSetError):
+                rset(pairs)
+
+    def test_constructor_of_other_than_one_pair_raises(self):
+        for pairs in self.OTHER_THAN_ONE:
+            with pytest.raises(InvalidSetError):
+                RSet(tuple(pairs))
+
+    def test_interval_merge(self):
+        # the ultra set sum of touching intervals: the tie at 1 gives [0,1]
+        # and dominance gives [1,2]; they merge into one interval
+        assert ultra_add_sets(rinterval(0, 1), rinterval(1, 2)) == rinterval(0, 2)
+        assert trop_add_sets(rinterval(NEG_INF, 1), rinterval(1, 2)) == rinterval(NEG_INF, 2)
+
+    def test_union_merges_overlap(self):
+        # 2 + b over b in [1,3] is [|2-b|, 2+b]: overlapping pieces whose union is [0,5]
+        u = tri_add_sets(rpoint(2), rinterval(1, 3))
+        assert u == rinterval(0, 5)
+        for b in (1.0, 1.5, 2.0, 2.5, 3.0):
+            assert rsubset(tri_add(2.0, b), u)
 
     def test_member_with_neg_inf(self):
         s = rinterval(NEG_INF, 2.0)
@@ -206,10 +227,6 @@ class TestRSet:
         assert rsubset(rinterval(1, 2), rinterval(0, 3))
         assert not rsubset(rinterval(0, 4), rinterval(0, 3))
 
-    def test_union_merges_overlap(self):
-        u = rset([(0, 2), (1, 5)])
-        assert u == rinterval(0, 5)
-
     def test_lone_slightly_inverted_interval_becomes_point(self):
         s = rset([(1.0, 1.0 - 5e-10)])
         assert len(s.intervals) == 1 and s.lo == s.hi == pytest.approx(1.0)
@@ -219,7 +236,7 @@ class TestRSet:
             rset([(math.nan, 1.0)])
 
     def test_format_golden(self):
-        assert format_rset(rset([(1, 3), (5, 5)])) == "interval [1,3] | point 5"
+        assert format_rset(rset([(5, 5)])) == "point 5"
         assert format_rset(rinterval(1, 3)) == "interval [1,3]"
 
 
