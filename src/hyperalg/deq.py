@@ -11,12 +11,12 @@ import random
 
 from . import _Deferred
 from .axioms import AxiomReport
-from .csets import CArc, CDisk, CPoint, CZERO, ComplexElem, format_celem, member as cmember
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, format_rset, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
 
-# imported at its first use, so that the real families do not import it
+# imported at their first use, so that the real families do not import them
+csets = _Deferred(globals(), "csets")
 ctrop = _Deferred(globals(), "ctrop")
 
 H_SCHEDULE = (1.0, 0.1, 0.01, 0.001)
@@ -75,7 +75,7 @@ def tri_add_h(a: float, b: float, h: float) -> RSet:
     return rinterval(lo, hi)
 
 
-def c_add_h(a: ComplexElem, b: ComplexElem, h: float) -> ComplexElem:
+def c_add_h(a: csets.ComplexElem, b: csets.ComplexElem, h: float) -> csets.ComplexElem:
     """Ordinary complex addition conjugated by the modulus rescaling
     S_h(z) = |z|^(1/h) e^(i arg z): the result is S_h^-1(S_h(a) + S_h(b)),
     computed without forming S_h, which overflows already at h = 1e-3.
@@ -99,25 +99,25 @@ def c_add_h(a: ComplexElem, b: ComplexElem, h: float) -> ComplexElem:
     wy = ta * math.sin(a.argument) + tb * math.sin(b.argument)
     wmod = math.hypot(wx, wy)
     if wmod <= 1e-12 * (ta + tb):
-        return CZERO
-    return ComplexElem(m * wmod**h, math.atan2(wy, wx))
+        return csets.CZERO
+    return csets.ComplexElem(m * wmod**h, math.atan2(wy, wx))
 
 
-def c_add_0(a: ComplexElem, b: ComplexElem) -> ComplexElem:
+def c_add_0(a: csets.ComplexElem, b: csets.ComplexElem) -> csets.ComplexElem:
     """Pointwise limit of +_h, a point of the tropical sum: the dominant
     operand, the arc's midpoint at tied moduli, or 0 on cancellation.  Not
     associative."""
     s = ctrop.ct_add(a, b)
-    if isinstance(s, CPoint):
+    if isinstance(s, csets.CPoint):
         return s.elem
-    if isinstance(s, CDisk):
-        return CZERO
-    return ComplexElem(s.radius, s.start + s.sweep / 2)
+    if isinstance(s, csets.CDisk):
+        return csets.CZERO
+    return csets.ComplexElem(s.radius, s.start + s.sweep / 2)
 
 
 def graph_witness(
-    a: ComplexElem, b: ComplexElem, c: ComplexElem, h: float
-) -> tuple[ComplexElem, ComplexElem]:
+    a: csets.ComplexElem, b: csets.ComplexElem, c: csets.ComplexElem, h: float
+) -> tuple[csets.ComplexElem, csets.ComplexElem]:
     """A pair (a_h, b_h) with c_add_h(a_h, b_h, h) = c, converging to (a, b).
 
     Arc targets use the scaling witness (lam^h a, mu^h b) with c = lam a + mu b,
@@ -130,11 +130,11 @@ def graph_witness(
     if h <= 0.0:
         raise ValueError("graph_witness needs h > 0")
     s = ctrop.ct_add(a, b)
-    if not cmember(c, s):
+    if not csets.member(c, s):
         raise ValueError("target must lie in the tropical sum of a and b")
-    if isinstance(s, CPoint):
+    if isinstance(s, csets.CPoint):
         return (a, b)
-    if isinstance(s, CDisk):  # cancellation: target anywhere in the disk
+    if isinstance(s, csets.CDisk):  # cancellation: target anywhere in the disk
         return (c_add_h(a, c, h), -a)
     # arc target: solve c = lam*a + mu*b in real coordinates
     ax, ay = a.re, a.im
@@ -149,8 +149,8 @@ def graph_witness(
     lam = lam if lam > 0.0 else floor
     mu = mu if mu > 0.0 else floor
     return (
-        ComplexElem(lam**h * a.modulus, a.argument),
-        ComplexElem(mu**h * b.modulus, b.argument),
+        csets.ComplexElem(lam**h * a.modulus, a.argument),
+        csets.ComplexElem(mu**h * b.modulus, b.argument),
     )
 
 
@@ -189,16 +189,16 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomR
     rng = rng or random.Random(0)
     wide = Tolerance(1e-7)
 
-    def sample_pair() -> tuple[ComplexElem, ComplexElem]:
+    def sample_pair() -> tuple[csets.ComplexElem, csets.ComplexElem]:
         m = math.exp(rng.uniform(-1.0, 1.0))
-        a = ComplexElem(m, rng.uniform(0.0, 2 * math.pi))
+        a = csets.ComplexElem(m, rng.uniform(0.0, 2 * math.pi))
         mode = rng.random()
         if mode < 0.4:
-            b = ComplexElem(m, rng.uniform(0.0, 2 * math.pi))
+            b = csets.ComplexElem(m, rng.uniform(0.0, 2 * math.pi))
         elif mode < 0.5:
             b = -a
         else:
-            b = ComplexElem(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
+            b = csets.ComplexElem(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
         return a, b
 
     witness: dict = dict.fromkeys(
@@ -212,7 +212,7 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomR
         a, b = sample_pair()
         x, y = a.modulus, b.modulus
         s = ctrop.ct_add(a, b)
-        c = ComplexElem(s.radius, s.start + rng.uniform(0.0, 1.0) * s.sweep) if isinstance(s, CArc) else None
+        c = csets.ComplexElem(s.radius, s.start + rng.uniform(0.0, 1.0) * s.sweep) if isinstance(s, csets.CArc) else None
         drift_prev = math.inf
         for h in H_SCHEDULE:
             tri_h = tri_add_h(x, y, h)
@@ -244,7 +244,7 @@ def _fmt3(w) -> str:
     if w is None:
         return ""
     a, b, h = w
-    return f"({format_celem(a)}, {format_celem(b)}, h={h})"
+    return f"({csets.format_celem(a)}, {csets.format_celem(b)}, h={h})"
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +289,8 @@ def trace_rows(family: str, a_text: str, b_text: str, schedule: list[float]) -> 
                     "h": h,
                     "a": a_text,
                     "b": b_text,
-                    "result": format_celem(val),
-                    "reference": format_celem(ref),
+                    "result": csets.format_celem(val),
+                    "reference": csets.format_celem(ref),
                     "error": err,
                 }
             )

@@ -5,10 +5,11 @@ one cone value-set algebra, keyed on each element's value: a monomial's
 exponent, or minus a p-adic number's leading exponent.  The larger value
 dominates a sum, and a cancellation gives the open cone of every element of
 strictly smaller value, together with 0.  Monomials a*t^r add coefficients on a
-tie; exponents may be restricted to rationals or integers.  p-adic numbers are
-truncated to a fixed digit depth L and add digits on a tie unless the leading
-digits sum to p; any classical operation whose answer depends on digits beyond
-the truncation returns the Indeterminate marker rather than a wrong value.
+tie; exponents may be restricted to rationals or integers.  A p-adic number
+p^e * unit keeps its unit modulo p^L for a fixed digit depth L, and two add
+their units on a tie unless the leading digits sum to p; any classical
+operation whose answer depends on digits beyond the truncation returns the
+Indeterminate marker rather than a wrong value.
 
 A value set is one component: a point (VPoint) or the cone of one family
 (MCone, PCone).  A sum or product of two components is again one component,
@@ -334,37 +335,45 @@ INDETERMINATE = Indeterminate()
 
 @dataclass(frozen=True, slots=True, init=False)
 class PadicElem:
-    """Truncated p-adic number: digits[k] multiplies p**(e+k); digits[0] != 0.
+    """Truncated p-adic number p**e * unit, the unit known modulo p**depth:
+    p does not divide it and 0 < unit < p**depth.
 
     The norm is p**(-e): smaller leading exponents mean larger norm.  The zero
-    element has empty digits and exponent 0.
+    element has unit 0, exponent 0 and depth 0.
     """
 
     p: int
     e: int
-    digits: tuple[int, ...]
+    unit: int
+    depth: int
 
-    def __init__(self, p: int, e: int, digits: tuple[int, ...]) -> None:
+    def __init__(self, p: int, e: int, unit: int, depth: int) -> None:
         if p < 2:
             raise InvalidSetError(f"prime must be >= 2, got {p}")
-        if digits:
-            if digits[0] == 0:
+        if unit:
+            if unit % p == 0:
                 raise InvalidSetError("leading p-adic digit must be nonzero")
-            if min(digits) < 0 or max(digits) >= p:
-                raise InvalidSetError("digit out of range")
+            if not 0 < unit < p**depth:
+                raise InvalidSetError(f"p-adic unit {unit} out of range for depth {depth}")
         else:
-            e = 0
+            e = depth = 0
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def is_zero(self) -> bool:
-        return not self.digits
+        return not self.unit
 
     @property
-    def depth(self) -> int:
-        return len(self.digits)
+    def digits(self) -> tuple[int, ...]:
+        """The `depth` base-p digits of the unit, least significant first."""
+        n, digits = self.unit, []
+        for _ in range(self.depth):
+            n, d = divmod(n, self.p)
+            digits.append(d)
+        return tuple(digits)
 
     @property
     def value(self) -> int | None:
@@ -376,45 +385,31 @@ class PadicElem:
         return float(self.p) ** (-self.e)
 
     def eq(self, other: "PadicElem") -> bool:
-        return self.p == other.p and self.e == other.e and self.digits == other.digits
+        return self == other
 
 
 def padic_zero(p: int) -> PadicElem:
-    return PadicElem(p, 0, ())
+    return PadicElem(p, 0, 0, 0)
 
 
 def padic_one(p: int, depth: int) -> PadicElem:
-    return PadicElem(p, 0, (1,) + (0,) * (depth - 1))
+    return PadicElem(p, 0, 1, depth)
 
 
 def padic_from_digits(p: int, e: int, digits: list[int], depth: int) -> PadicElem:
-    """Canonicalize raw digits: strip leading zeros, pad/cut to depth."""
-    ds = list(digits)
-    lead = 0
-    while lead < len(ds) and ds[lead] == 0:
-        lead += 1
-    if lead == len(ds):
+    """The number sum(d * p**(e+k)) of base-p digits, least significant first,
+    kept to `depth` digits from its leading nonzero one."""
+    n = sum(d * p**k for k, d in enumerate(digits))
+    if not n:
         return padic_zero(p)
-    ds = ds[lead:]
-    e = e + lead
-    ds = (ds + [0] * depth)[:depth]
-    return PadicElem(p, e, tuple(ds))
+    n, k = _strip_p(n, p, math.inf)
+    return PadicElem(p, e + k, n % p**depth, depth)
 
 
 def padic_neg(a: PadicElem) -> PadicElem:
     if a.is_zero:
         return a
-    p = a.p
-    ds = [p - a.digits[0]] + [p - 1 - d for d in a.digits[1:]]
-    return PadicElem(p, a.e, tuple(ds))
-
-
-def _carry(acc: list[int], p: int) -> None:
-    """Reduce digit sums to base-p digits in place, least significant first;
-    the carry out of the last digit is dropped."""
-    carry = 0
-    for i, v in enumerate(acc):
-        carry, acc[i] = divmod(v + carry, p)
+    return PadicElem(a.p, a.e, -a.unit % a.p**a.depth, a.depth)
 
 
 def padic_classical_add(a: PadicElem, b: PadicElem):
@@ -430,21 +425,14 @@ def padic_classical_add(a: PadicElem, b: PadicElem):
     if b.is_zero:
         return a
     p = a.p
-    depth = max(a.depth, b.depth)
     e0 = min(a.e, b.e)
-    top = min(a.e + a.depth, b.e + b.depth)  # digits are exact below this exponent
-    size = top - e0
-    acc = [0] * size
-    for k, d in enumerate(a.digits):
-        if a.e + k < top:
-            acc[a.e + k - e0] += d
-    for k, d in enumerate(b.digits):
-        if b.e + k < top:
-            acc[b.e + k - e0] += d
-    _carry(acc, p)
-    if all(d == 0 for d in acc):
+    size = min(a.e + a.depth, b.e + b.depth) - e0  # digits are exact below e0 + size
+    window = p**size
+    n = (a.unit * pow(p, a.e - e0, window) + b.unit * pow(p, b.e - e0, window)) % window
+    if not n:
         return INDETERMINATE
-    return padic_from_digits(p, e0, acc, depth)
+    n, k = _strip_p(n, p, size)
+    return PadicElem(p, e0 + k, n, max(a.depth, b.depth))
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,10 +462,14 @@ def pnormalize(parts: list) -> PSet:
     return _only(parts)
 
 
-def random_digits(p: int, depth: int, rng) -> tuple[int, ...]:
-    """`depth` random base-p digits with a nonzero leading digit."""
-    # the draws of randint(1, p - 1) and randint(0, p - 1), one call each
-    return (1 + rng.randrange(p - 1),) + tuple(rng.randrange(p) for _ in range(depth - 1))
+def random_unit(p: int, depth: int, rng) -> int:
+    """A random unit of `depth` base-p digits: the draws of randint(1, p - 1)
+    for the leading digit and randint(0, p - 1) for each next one, folded."""
+    unit, scale = 1 + rng.randrange(p - 1), 1
+    for _ in range(depth - 1):
+        scale *= p
+        unit += rng.randrange(p) * scale
+    return unit
 
 
 def ppick(s: PSet, rng, depth: int) -> list:
@@ -486,7 +478,7 @@ def ppick(s: PSet, rng, depth: int) -> list:
     if isinstance(s, VPoint):
         return [s.elem]
     return [padic_zero(s.p)] + [
-        PadicElem(s.p, s.e + delta, random_digits(s.p, depth, rng)) for delta in (1, 2)
+        PadicElem(s.p, s.e + delta, random_unit(s.p, depth, rng), depth) for delta in (1, 2)
     ]
 
 
@@ -499,7 +491,7 @@ def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
         return VPoint(a)
     if a.e != b.e:
         return VPoint(a if a.e < b.e else b)  # smaller exponent = larger norm
-    if a.digits[0] + b.digits[0] == a.p:
+    if (a.unit + b.unit) % a.p == 0:  # the leading digits sum to p
         return PCone(a.p, a.e)
     res = padic_classical_add(a, b)
     if res is INDETERMINATE:
@@ -508,44 +500,22 @@ def padic_add(a: PadicElem, b: PadicElem, tol: Tolerance = DEFAULT_TOL) -> PSet:
     return VPoint(res)
 
 
-def _unit(a: PadicElem) -> int:
-    """The digits of a nonzero number read as an integer, least significant first."""
-    n = 0
-    for d in reversed(a.digits):
-        n = n * a.p + d
-    return n
-
-
-def _low_digits(n: int, p: int, depth: int) -> list[int]:
-    """The `depth` lowest base-p digits of n >= 0, least significant first."""
-    digits = []
-    for _ in range(depth):
-        n, d = divmod(n, p)
-        digits.append(d)
-    return digits
-
-
 def padic_mul(a: PadicElem, b: PadicElem) -> PadicElem:
-    """Multiply the unit parts modulo p**depth: the digit product with the
-    carry out of the top digit dropped.  The leading digit is the nonzero
+    """Multiply the units modulo p**depth.  The leading digit is the nonzero
     product of the two leading digits modulo p."""
     if a.p != b.p:
         raise ValueError("p-adic operands over different primes")
     if a.is_zero or b.is_zero:
         return padic_zero(a.p)
-    p = a.p
-    depth = max(len(a.digits), len(b.digits))
-    digits = _low_digits(_unit(a) * _unit(b), p, depth)
-    return PadicElem(p, a.e + b.e, tuple(digits))
+    depth = max(a.depth, b.depth)
+    return PadicElem(a.p, a.e + b.e, a.unit * b.unit % a.p**depth, depth)
 
 
 def padic_inv(a: PadicElem) -> PadicElem:
-    """Invert the unit part as an integer modulo p**depth."""
+    """Invert the unit modulo p**depth."""
     if a.is_zero:
         raise ZeroDivisionError("zero has no p-adic inverse")
-    p, depth = a.p, a.depth
-    inv = pow(_unit(a), -1, p**depth)
-    return padic_from_digits(p, -a.e, _low_digits(inv, p, depth), depth)
+    return PadicElem(a.p, -a.e, pow(a.unit, -1, a.p**a.depth), a.depth)
 
 
 def padic_add_sets(s1: PSet, s2: PSet) -> PSet:

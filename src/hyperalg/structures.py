@@ -573,12 +573,13 @@ class PadicStructure(ValuedCarrier):
         if rng.random() < 0.05:
             return self.zero
         e = rng.randint(-3, 3)
-        return exotic.PadicElem(self.p, e, exotic.random_digits(self.p, self.depth, rng))
+        return exotic.PadicElem(self.p, e, exotic.random_unit(self.p, self.depth, rng), self.depth)
 
     def peer(self, a, rng):
         if a.is_zero:
             return a
-        return exotic.PadicElem(self.p, a.e, exotic.random_digits(self.p, self.depth, rng))
+        unit = exotic.random_unit(self.p, self.depth, rng)
+        return exotic.PadicElem(self.p, a.e, unit, self.depth)
 
     def add(self, a, b):
         return exotic.padic_add(a, b)

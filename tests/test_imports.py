@@ -71,8 +71,8 @@ def _modules_after(*argv) -> list:
         (("char", "powers:2:8"), _CORE + ["finite"]),
         (("add", "padic:2:3", "1", "1"), _CORE + ["exotic"]),
         (("add", "mono", "1t^1", "1t^2"), _CORE + ["exotic"]),
-        (("deq", "lm", "1", "2"), _CORE + ["csets", "deq", "realhf", "rsets"]),
-        (("deq", "tri", "2", "1"), _CORE + ["csets", "deq", "realhf", "rsets"]),
+        (("deq", "lm", "1", "2"), _CORE + ["deq", "realhf", "rsets"]),
+        (("deq", "tri", "2", "1"), _CORE + ["deq", "realhf", "rsets"]),
     ],
     ids=["import-cli", "add-TC", "add-tri", "add-ultra", "verify-S", "char-powers", "add-padic",
          "add-mono", "deq-lm", "deq-tri"],

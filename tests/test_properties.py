@@ -531,14 +531,15 @@ def test_rset_and_padic_elem_build_by_keyword_and_replace():
         rsets.RSet(())
     with pytest.raises(InvalidSetError):
         dataclasses.replace(s, intervals=())
-    a = exotic.PadicElem(p=5, e=-1, digits=(2, 0, 4))
-    assert a == exotic.PadicElem(5, -1, (2, 0, 4))
-    assert dataclasses.replace(a, digits=()) == exotic.padic_zero(5)  # zero has e = 0
+    a = exotic.PadicElem(p=5, e=-1, unit=102, depth=3)  # digits 2, 0, 4
+    assert a == exotic.PadicElem(5, -1, 102, 3) == exotic.padic_from_digits(5, -1, [2, 0, 4], 3)
+    assert a.digits == (2, 0, 4)
+    assert dataclasses.replace(a, unit=0) == exotic.padic_zero(5)  # zero has e = depth = 0
     for build in (
-        lambda: exotic.PadicElem(1, 0, (1,)),
-        lambda: exotic.PadicElem(5, 0, (0, 1)),
-        lambda: exotic.PadicElem(5, 0, (1, 5)),
-        lambda: exotic.PadicElem(5, 0, (1, -1)),
+        lambda: exotic.PadicElem(1, 0, 1, 1),
+        lambda: exotic.PadicElem(5, 0, 5, 2),  # leading digit 0
+        lambda: exotic.PadicElem(5, 0, 26, 2),  # beyond depth 2
+        lambda: exotic.PadicElem(5, 0, -1, 2),
         lambda: dataclasses.replace(a, p=3),
     ):
         with pytest.raises(InvalidSetError):
@@ -549,6 +550,14 @@ def test_rset_and_padic_elem_build_by_keyword_and_replace():
         a.e = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.intervals = ()
+
+
+def _carry(acc, p):
+    """Reduce digit sums to base-p digits in place, least significant first;
+    the carry out of the last digit is dropped."""
+    carry = 0
+    for i, v in enumerate(acc):
+        carry, acc[i] = divmod(v + carry, p)
 
 
 def _schoolbook_padic_mul(a, b):
@@ -562,25 +571,57 @@ def _schoolbook_padic_mul(a, b):
         for j, db in enumerate(b.digits):
             if i + j < depth:
                 acc[i + j] += da * db
-    carry = 0
-    for k in range(depth):
-        carry, acc[k] = divmod(acc[k] + carry, a.p)
+    _carry(acc, a.p)
     return exotic.padic_from_digits(a.p, a.e + b.e, acc, depth)
+
+
+def _digit_padic_add(a, b):
+    """Digit-by-digit sum of the digits exact in both operands, the carry out
+    of the top one dropped: the reference for exotic.padic_classical_add."""
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    e0 = min(a.e, b.e)
+    top = min(a.e + a.depth, b.e + b.depth)  # digits are exact below this exponent
+    acc = [0] * (top - e0)
+    for x in (a, b):
+        for k, d in enumerate(x.digits):
+            if x.e + k < top:
+                acc[x.e + k - e0] += d
+    _carry(acc, a.p)
+    if not any(acc):
+        return exotic.INDETERMINATE
+    return exotic.padic_from_digits(a.p, e0, acc, max(a.depth, b.depth))
+
+
+def _digit_padic_neg(a):
+    """The complement digits: p - d for the leading one, p - 1 - d after."""
+    if a.is_zero:
+        return a
+    p = a.p
+    digits = [p - a.digits[0]] + [p - 1 - d for d in a.digits[1:]]
+    return exotic.padic_from_digits(p, a.e, digits, a.depth)
+
+
+@st.composite
+def _padic_elem(draw, p):
+    if draw(st.integers(0, 9)) == 0:
+        return exotic.padic_zero(p)
+    depth = draw(st.integers(1, 9))
+    lead = draw(st.integers(1, p - 1))
+    rest = draw(st.lists(st.integers(0, p - 1), min_size=depth - 1, max_size=depth - 1))
+    return exotic.padic_from_digits(p, draw(st.integers(-6, 6)), [lead, *rest], depth)
 
 
 @st.composite
 def _padic_pair(draw):
     p = draw(st.sampled_from([2, 3, 5, 7, 11]))
-
-    def elem():
-        if draw(st.integers(0, 9)) == 0:
-            return exotic.padic_zero(p)
-        depth = draw(st.integers(1, 9))
-        lead = draw(st.integers(1, p - 1))
-        rest = draw(st.lists(st.integers(0, p - 1), min_size=depth - 1, max_size=depth - 1))
-        return exotic.PadicElem(p, draw(st.integers(-6, 6)), (lead, *rest))
-
-    return elem(), elem()
+    a = draw(_padic_elem(p))
+    if draw(st.booleans()):  # a tie, often one that cancels in full
+        b = draw(st.sampled_from([a, _digit_padic_neg(a)]))
+        return a, exotic.padic_from_digits(p, b.e, list(b.digits), draw(st.integers(1, 9)))
+    return a, draw(_padic_elem(p))
 
 
 @settings(max_examples=400, deadline=None)
@@ -591,10 +632,31 @@ def test_padic_mul_matches_schoolbook(pair):
     assert exotic.padic_mul(b, a) == exotic.padic_mul(a, b)
 
 
+@settings(max_examples=400, deadline=None)
+@given(_padic_pair())
+def test_padic_add_neg_inv_match_the_digits(pair):
+    a, b = pair
+    assert exotic.padic_classical_add(a, b) == _digit_padic_add(a, b)
+    assert exotic.padic_classical_add(b, a) == exotic.padic_classical_add(a, b)
+    assert exotic.padic_neg(a) == _digit_padic_neg(a)
+    if not a.is_zero:  # the inverse is the number of a's depth whose product with a is 1
+        inv = exotic.padic_inv(a)
+        assert inv.depth == a.depth
+        assert _schoolbook_padic_mul(a, inv) == exotic.padic_one(a.p, a.depth)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_padic_pair())
+def test_padic_digits_round_trip(pair):
+    for a in pair:
+        assert exotic.padic_from_digits(a.p, a.e, list(a.digits), a.depth) == a
+        assert exotic.parse_padic(exotic.format_padic(a), a.p, a.depth) == a
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
 @pytest.mark.parametrize("depth", [1, 2, 8])
 def test_random_digits_draw_like_randint(p, depth):
     old, new = random.Random(p * 100 + depth), random.Random(p * 100 + depth)
-    want = (old.randint(1, p - 1),) + tuple(old.randint(0, p - 1) for _ in range(depth - 1))
-    assert exotic.random_digits(p, depth, new) == want
+    digits = [old.randint(1, p - 1)] + [old.randint(0, p - 1) for _ in range(depth - 1)]
+    assert exotic.random_unit(p, depth, new) == sum(d * p**k for k, d in enumerate(digits))
     assert new.getstate() == old.getstate()
