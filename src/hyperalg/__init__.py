@@ -29,10 +29,10 @@ _EXPORTS = {
         ("qsets", "QArc QBall QCone QPoint QSet QuatElem"),
         ("realhf", "amoeba_add tri_add tri_sum_n trop_add ultra_add"),
         ("ctrop", "ct_add ct_add_sets ct_mul_sets ct_sum_n phase_add quat_add rt_add"),
-        ("axioms", "AxiomReport CharResult HomReport Structure c_characteristic characteristic "
+        ("axioms", "AxiomReport CharResult HomReport c_characteristic characteristic "
                    "check_double_distributivity check_hom check_multigroup check_multiring"),
         ("finite", "FiniteMultistructure"),
-        ("structures", "get_structure"),
+        ("structures", "Structure get_structure"),
     )
     for name in names.split()
 }

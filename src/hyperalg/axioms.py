@@ -10,107 +10,14 @@ and every failing verdict carries a witness that replays to the same failure.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
+
+from .structures import Structure
 
 
 class DoubleDistributivityViolation(RuntimeError):
     """The guaranteed half of double distributivity failed: a structural bug."""
-
-
-# ---------------------------------------------------------------------------
-# structure handle
-
-
-class Structure:
-    """Uniform interface over finite and continuous hyperfield-like carriers.
-
-    Subclasses fill in the carrier-specific operations; the axiom checkers
-    only ever talk to this interface.  `scale` has a default, the product of
-    the singleton {a} with the set, which a commutative carrier with a
-    symbolic `mul_sets` need not override.
-    """
-
-    name = "structure"
-    is_finite = False
-    has_mul = True
-    has_one = True
-
-    # carrier: a subclass sets `zero` and `one` as class attributes, as
-    # instance attributes at construction, or as properties
-    zero: object
-    one: object
-
-    def elements(self) -> list:
-        raise NotImplementedError(f"{self.name} has no finite element list")
-
-    def random_elem(self, rng: random.Random):
-        raise NotImplementedError
-
-    def peer(self, a, rng: random.Random):
-        """An element tied with `a` for the dominance order of the addition."""
-        return a
-
-    # operations
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def add_sets(self, s1, s2):
-        raise NotImplementedError
-
-    def singleton(self, a):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def scale(self, a, s, side: str = "left"):
-        """Pointwise multiplication of the set `s` by the element `a`."""
-        return self.mul_sets(self.singleton(a), s)
-
-    def mul_sets(self, s1, s2):
-        """Pointwise product of two sets, or None when not representable."""
-        return None
-
-    # predicates
-    def eq(self, a, b) -> bool:
-        raise NotImplementedError
-
-    def member(self, x, s) -> bool:
-        raise NotImplementedError
-
-    def set_eq(self, s1, s2) -> bool:
-        raise NotImplementedError
-
-    def subset(self, s1, s2) -> bool:
-        raise NotImplementedError
-
-    def pick(self, s, rng: random.Random, count: int = 4) -> list:
-        raise NotImplementedError
-
-    def components(self, s) -> list:
-        """The components of a value set, each a value set itself."""
-        raise NotImplementedError
-
-    # text forms
-    def format_elem(self, a) -> str:
-        return str(a)
-
-    def parse_elem(self, text: str):
-        raise NotImplementedError
-
-    def format_set(self, s) -> str:
-        return str(s)
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +59,8 @@ class AxiomReport:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "structure": self.structure,
@@ -217,6 +126,8 @@ class HomReport:
         return out
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "hom": self.name,

@@ -7,24 +7,15 @@ standard output early (128 + SIGPIPE), with nothing printed to stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import random
 import sys
 
-from .axioms import (
-    DoubleDistributivityViolation,
-    HomReport,
-    c_characteristic,
-    characteristic,
-    check_double_distributivity,
-    check_hom,
-    check_multigroup,
-    check_multiring,
-)
+from . import _Deferred
 from .structures import get_structure
+
+axioms = _Deferred(globals(), "axioms")
 
 USAGE_ERROR = 2
 MATH_FAIL = 1
@@ -96,16 +87,16 @@ def cmd_verify(args) -> int:
         print("no univalued multiplication admits hyperfield")
         return 0
     if args.level == "multigroup":
-        rep = check_multigroup(x, args.mode, args.budget, rng)
+        rep = axioms.check_multigroup(x, args.mode, args.budget, rng)
     elif args.level == "dd":
         try:
-            rep = check_double_distributivity(x, args.budget, rng)
-        except DoubleDistributivityViolation as exc:
+            rep = axioms.check_double_distributivity(x, args.budget, rng)
+        except axioms.DoubleDistributivityViolation as exc:
             # the violated tuple is itself the counterexample
             print(f"error: {exc}", file=sys.stderr)
             return MATH_FAIL
     else:
-        rep = check_multiring(x, args.level, args.budget, rng)
+        rep = axioms.check_multiring(x, args.level, args.budget, rng)
     if args.format == "json":
         print(rep.to_json())
     else:
@@ -127,8 +118,8 @@ def cmd_quotient(args) -> int:
 
 def cmd_char(args) -> int:
     x = get_structure(args.structure)
-    ch = characteristic(x, args.cap)
-    cch = c_characteristic(x, args.cap)
+    ch = axioms.characteristic(x, args.cap)
+    cch = axioms.c_characteristic(x, args.cap)
     flag = "" if (ch.value or ch.stabilized) else f" (no stabilization below cap {args.cap})"
     print(f"characteristic={ch.value}{flag}")
     flag2 = "" if (cch.value or cch.stabilized) else f" (no stabilization below cap {args.cap})"
@@ -157,7 +148,7 @@ HOM_TABLE = {
 HOM_BUDGET = 300
 
 
-def run_hom(name: str, budget: int, rng: random.Random) -> HomReport:
+def run_hom(name: str, budget: int, rng: random.Random) -> axioms.HomReport:
     """Check the HOM_TABLE map `name` on `budget` sampled pairs."""
     from . import homs
 
@@ -166,7 +157,8 @@ def run_hom(name: str, budget: int, rng: random.Random) -> HomReport:
     if name == "w":
         return homs.check_w_hom(budget, rng)
     src, dst, fn, _ = HOM_TABLE[name]
-    return check_hom(getattr(homs, fn), get_structure(src), get_structure(dst), budget, rng, name=name)
+    return axioms.check_hom(getattr(homs, fn), get_structure(src), get_structure(dst), budget, rng,
+                            name=name)
 
 
 def cmd_hom(args) -> int:
@@ -196,8 +188,12 @@ def cmd_deq(args) -> int:
 
     rows = trace_rows(args.family, args.a, args.b, parse_h_schedule(args.h))
     if args.format == "json":
+        import json
+
         print(json.dumps(rows, indent=2))
     else:
+        import csv
+
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["h", "a", "b", "result", "reference", "error"])
         writer.writeheader()

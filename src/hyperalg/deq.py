@@ -10,12 +10,12 @@ import math
 import random
 
 from . import _Deferred
-from .axioms import AxiomReport
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, format_rset, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
 
-# imported at their first use, so that the real families do not import them
+# imported at their first use: only the checker and the complex family need them
+axioms = _Deferred(globals(), "axioms")
 csets = _Deferred(globals(), "csets")
 ctrop = _Deferred(globals(), "ctrop")
 
@@ -175,7 +175,7 @@ _GRAPH_LIMIT_SCOPE = (
 )
 
 
-def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomReport:
+def check_diagram(budget: int = 200, rng: random.Random | None = None) -> axioms.AxiomReport:
     """Verify the dequantization of C into TC on sampled pairs (a, b).
 
     At every h in H_SCHEDULE: the complex family commutes with the modulus
@@ -234,7 +234,7 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> AxiomR
                 drift_prev = drift
         if not rmember(c_add_0(a, b).modulus, ultra_add(x, y), wide):
             fail("limit-row", (a, b, 0.0))
-    rep = AxiomReport(structure="dequantization-diagram", tuples_checked=budget)
+    rep = axioms.AxiomReport(structure="dequantization-diagram", tuples_checked=budget)
     for name, w in witness.items():
         rep.add(name, w is None, w, _fmt3(w), _GRAPH_LIMIT_SCOPE if name == "graph-limit" else "")
     return rep

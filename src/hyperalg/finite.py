@@ -6,7 +6,6 @@ tables are kept by index internally and exposed by label.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 from .tolerance import is_prime
@@ -164,6 +163,8 @@ class FiniteMultistructure:
         return b
 
     def to_json(self) -> str:
+        import json
+
         data = {
             "elements": [str(e) for e in self.elements],
             "add": {
@@ -184,6 +185,8 @@ class FiniteMultistructure:
     def from_json(cls, text: str) -> "FiniteMultistructure":
         """Parse a table written by to_json; the shape is checked first, so a
         malformed table raises InvalidStructureError naming the key."""
+        import json
+
         data = json.loads(text)
         if not isinstance(data, dict):
             raise InvalidStructureError("the table must be a JSON object")

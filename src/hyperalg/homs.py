@@ -15,10 +15,11 @@ import random
 import re
 from dataclasses import dataclass
 
-from .axioms import HomReport, Structure
-from .csets import CZERO, ComplexElem, member as cmember
-from .ctrop import ct_add
+from . import _Deferred
+from .structures import Structure
 from .tolerance import NEG_INF, Tolerance
+
+axioms, csets, ctrop = (_Deferred(globals(), name) for name in ("axioms", "csets", "ctrop"))
 
 
 def sign_map(x: float) -> int:
@@ -39,17 +40,17 @@ def collapse_sign(label: str) -> str:
     return "0" if label == "0" else "1"
 
 
-def phase_map(z: ComplexElem) -> ComplexElem:
+def phase_map(z: csets.ComplexElem) -> csets.ComplexElem:
     if z.modulus == 0.0:
-        return CZERO
-    return ComplexElem(1.0, z.argument)
+        return csets.CZERO
+    return csets.ComplexElem(1.0, z.argument)
 
 
-def abs_map(z: ComplexElem) -> float:
+def abs_map(z: csets.ComplexElem) -> float:
     return z.modulus
 
 
-def log_abs(z: ComplexElem) -> float:
+def log_abs(z: csets.ComplexElem) -> float:
     if z.modulus == 0.0:
         return NEG_INF
     return math.log(z.modulus)
@@ -100,12 +101,12 @@ class Polynomial:
         return format_poly(self)
 
 
-def w_map(p: Polynomial) -> ComplexElem:
+def w_map(p: Polynomial) -> csets.ComplexElem:
     """Leading-term map: a*X^r + (lower)  ->  (a/|a|) * e^r."""
     if p.is_zero:
-        return CZERO
+        return csets.CZERO
     r, a = p.leading()
-    return ComplexElem(math.exp(r), cmath.phase(a))
+    return csets.ComplexElem(math.exp(r), cmath.phase(a))
 
 
 def format_poly(p: Polynomial) -> str:
@@ -174,12 +175,12 @@ def check_w_hom(
     budget: int = 300,
     rng: random.Random | None = None,
     real_exponents: bool = False,
-) -> HomReport:
+) -> axioms.HomReport:
     """Verify w(p+q) ∈ w(p) ∔ w(q) and w(pq) = w(p)w(q) over three strata:
     generic pairs, equal-degree non-cancelling pairs, and engineered
     leading-term cancellations."""
     rng = rng or random.Random(0)
-    rep = HomReport(name="w: C[X] -> TC")
+    rep = axioms.HomReport(name="w: C[X] -> TC")
     rep.strong = False  # the additive image is a single point, never the set
     rep.strong_exact = True
     wide = Tolerance(1e-7)  # atan2/exp noise on engineered cancellations
@@ -187,7 +188,7 @@ def check_w_hom(
     def one_pair(p: Polynomial, q: Polynomial) -> None:
         rep.pairs_checked += 1
         wp, wq, wpq = w_map(p), w_map(q), w_map(p + q)
-        if not cmember(wpq, ct_add(wp, wq), wide):
+        if not csets.member(wpq, ctrop.ct_add(wp, wq), wide):
             rep.additive = False
             if rep.witness is None:
                 rep.witness = (p, q)

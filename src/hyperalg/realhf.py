@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 import operator
 
-from .axioms import AxiomReport
+from . import _Deferred
 from .rsets import RSet, rinterval, rmember, rpoint
 from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
+
+axioms = _Deferred(globals(), "axioms")
 
 
 def _require_nonneg(*vals: float) -> None:
@@ -140,7 +142,7 @@ def check_seminorm(
     kind: str = "archimedean",
     add=operator.add,
     mul=operator.mul,
-) -> AxiomReport:
+) -> axioms.AxiomReport:
     """Verify |x+y| lands in the triangle (resp. ultratriangle) sum of |x|, |y|
     and that |xy| = |x||y|, over all pairs from `sample`.
 
@@ -174,7 +176,7 @@ def check_seminorm(
                 lxy = NEG_INF if nxy == 0.0 else math.log(nxy)
                 if not rmember(lxy, trop_add(lx, ly), wide):
                     fail("valuation", (x, y))
-    rep = AxiomReport(structure=kind, tuples_checked=len(sample) ** 2)
+    rep = axioms.AxiomReport(structure=kind, tuples_checked=len(sample) ** 2)
     for check, pair in witness.items():
         rep.add(check, pair is None, pair, "" if pair is None else repr(pair))
     return rep

@@ -26,25 +26,27 @@ EXPORTED = {
     "realhf": ["amoeba_add", "tri_add", "tri_sum_n", "trop_add", "ultra_add"],
     "ctrop": ["ct_add", "ct_add_sets", "ct_mul_sets", "ct_sum_n", "phase_add", "quat_add",
               "rt_add"],
-    "axioms": ["AxiomReport", "CharResult", "HomReport", "Structure", "c_characteristic",
+    "axioms": ["AxiomReport", "CharResult", "HomReport", "c_characteristic",
                "characteristic", "check_double_distributivity", "check_hom",
                "check_multigroup", "check_multiring"],
     "finite": ["FiniteMultistructure"],
-    "structures": ["get_structure"],
+    "structures": ["Structure", "get_structure"],
 }
 
-# a child that runs one command through cli.main and prints the hyperalg
-# modules it has imported
+# a child that runs one command through cli.main and prints every module it
+# has imported, listed before the child imports json to print them
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from hyperalg import cli
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m[len("hyperalg."):] for m in sys.modules if m.startswith("hyperalg."))))
+loaded = sorted(sys.modules)
+import json
+print(json.dumps(loaded))
 """
 
-_CORE = ["axioms", "cli", "structures", "tolerance"]
+_CORE = ["cli", "structures", "tolerance"]
 
 
 def _run_child(argv, *flags) -> subprocess.CompletedProcess:
@@ -56,8 +58,13 @@ def _run_child(argv, *flags) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=60, check=True)
 
 
-def _modules_after(*argv) -> list:
+def _loaded_after(*argv) -> list:
     return json.loads(_run_child(argv).stdout)
+
+
+def _modules_after(*argv) -> list:
+    """The hyperalg submodules loaded after running `argv`."""
+    return [m[len("hyperalg."):] for m in _loaded_after(*argv) if m.startswith("hyperalg.")]
 
 
 @pytest.mark.parametrize(
@@ -65,20 +72,32 @@ def _modules_after(*argv) -> list:
     [
         ((), _CORE),
         (("add", "TC", "1∠0", "1∠1.5707963268"), _CORE + ["csets", "ctrop"]),
+        (("sum", "TC", "--", "1∠0", "i", "-i", "1"), _CORE + ["csets", "ctrop"]),
         (("add", "tri", "2", "1"), _CORE + ["realhf", "rsets"]),
         (("add", "ultra", "1", "2"), _CORE + ["realhf", "rsets"]),
-        (("verify", "S"), _CORE + ["finite"]),
-        (("char", "powers:2:8"), _CORE + ["finite"]),
+        (("verify", "S"), _CORE + ["axioms", "finite"]),
+        (("verify", "TC", "--level", "dd", "--budget", "10"), _CORE + ["axioms", "csets", "ctrop"]),
+        (("char", "powers:2:8"), _CORE + ["axioms", "finite"]),
+        (("hom", "sign"), _CORE + ["axioms", "finite", "homs", "rsets"]),
         (("add", "padic:2:3", "1", "1"), _CORE + ["exotic"]),
         (("add", "mono", "1t^1", "1t^2"), _CORE + ["exotic"]),
         (("deq", "lm", "1", "2"), _CORE + ["deq", "realhf", "rsets"]),
         (("deq", "tri", "2", "1"), _CORE + ["deq", "realhf", "rsets"]),
     ],
-    ids=["import-cli", "add-TC", "add-tri", "add-ultra", "verify-S", "char-powers", "add-padic",
-         "add-mono", "deq-lm", "deq-tri"],
+    ids=["import-cli", "add-TC", "sum-TC", "add-tri", "add-ultra", "verify-S", "verify-TC-dd",
+         "char-powers", "hom-sign", "add-padic", "add-mono", "deq-lm", "deq-tri"],
 )
 def test_cli_imports_only_what_the_command_uses(argv, modules):
     assert _modules_after(*argv) == sorted(modules)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("add", "TC", "1∠0", "1∠1.5707963268"), ("add", "tri", "2", "1")],
+    ids=["add-TC", "add-tri"],
+)
+def test_cli_add_loads_no_json_or_csv(argv):
+    assert {"json", "csv"} & set(_loaded_after(*argv)) == set()
 
 
 @pytest.mark.parametrize(
@@ -99,7 +118,7 @@ def test_importtime_logs_every_loaded_module(argv):
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
     }
-    loaded = {"hyperalg"} | {f"hyperalg.{m}" for m in json.loads(proc.stdout)}
+    loaded = {m for m in json.loads(proc.stdout) if m.partition(".")[0] == "hyperalg"}
     assert loaded - logged == set()
 
 
