@@ -25,7 +25,8 @@ class FiniteMultistructure:
     mul_table is None for bare multigroups; neg is derived or supplied.
     The index tables are the definition; add, mul, neg and inv answer by
     label from label tables built once per table, at construction (equal
-    sum cells share one frozenset of labels).
+    sum cells share one frozenset of labels).  Labels must differ in their
+    text forms, because the CLI reads and prints elements by their text.
     """
 
     elements: tuple
@@ -47,6 +48,12 @@ class FiniteMultistructure:
         if len(self._index) != len(self.elements):
             raise InvalidStructureError("duplicate element labels")
         n = len(self.elements)
+        texts = {}
+        for e in self.elements:
+            if texts.setdefault(str(e), e) is not e:
+                raise InvalidStructureError(
+                    f"element labels {texts[str(e)]!r} and {e!r} print alike as {str(e)!r}"
+                )
         valid = frozenset(range(n))
         mul = self.mul_table
         for what, idx in (("zero", self.zero_idx), ("one", self.one_idx)):
@@ -679,7 +686,7 @@ def make_powers_quotient(p: int, depth: int) -> FiniteMultistructure:
         mul_table=mul_table,
         one_idx=1,
         neg_map=tuple(range(n)),
-        name=f"powers{p}",
+        name=f"powers:{p}:{depth}",
     )
 
 

@@ -11,6 +11,10 @@ TC, Phi and C), IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba, R
 and maxplus) and ValuedCarrier (the exotic cone algebra, for mono and
 padic).  A subclass states its addition and only what else differs.
 
+A finite value set is a frozenset of labels.  FiniteStructure builds the
+zero and each singleton once, with the adapter, and looks every table
+operation up on the table at call time.
+
 A family module is imported at its first use, so a command that touches one
 carrier imports only that carrier's modules.  A carrier whose zero and one
 live in its family module sets them at construction.
@@ -120,7 +124,14 @@ class Structure:
 
 
 class FiniteStructure(Structure):
-    """Adapter exposing a FiniteMultistructure through the checker interface."""
+    """Adapter exposing a FiniteMultistructure through the checker interface.
+
+    Value sets are frozensets of labels.  The zero and the singletons are
+    built once, at construction, and a sum of two singletons is the table's
+    own cell.  Each table operation is looked up on the table at call time,
+    never bound on the adapter, so a patch of FiniteMultistructure.add or
+    .mul applies to every adapter already built.
+    """
 
     is_finite = True
 
@@ -129,10 +140,8 @@ class FiniteStructure(Structure):
         self.name = table.name or "finite"
         self.has_mul = table.mul_table is not None
         self.has_one = table.one_idx is not None
-
-    @property
-    def zero(self):
-        return self.table.zero
+        self.zero = table.zero
+        self._singletons = {e: frozenset([e]) for e in table.elements}
 
     @property
     def one(self):
@@ -145,14 +154,22 @@ class FiniteStructure(Structure):
         return self.table.add(a, b)
 
     def add_sets(self, s1, s2):
+        add = self.table.add
+        if len(s1) == 1 and len(s2) == 1:
+            (a,) = s1
+            (b,) = s2
+            return add(a, b)
         out = set()
         for a in s1:
             for b in s2:
-                out |= self.table.add(a, b)
+                out |= add(a, b)
         return frozenset(out)
 
     def singleton(self, a):
-        return frozenset([a])
+        try:
+            return self._singletons[a]
+        except KeyError:
+            return frozenset([a])
 
     def neg(self, a):
         return self.table.neg(a)
@@ -164,12 +181,14 @@ class FiniteStructure(Structure):
         return self.table.inv(a)
 
     def scale(self, a, s, side="left"):
+        mul = self.table.mul
         if side == "left":
-            return frozenset(self.table.mul(a, x) for x in s)
-        return frozenset(self.table.mul(x, a) for x in s)
+            return frozenset([mul(a, x) for x in s])
+        return frozenset([mul(x, a) for x in s])
 
     def mul_sets(self, s1, s2):
-        return frozenset(self.table.mul(a, b) for a in s1 for b in s2)
+        mul = self.table.mul
+        return frozenset([mul(a, b) for a in s1 for b in s2])
 
     def eq(self, a, b):
         return a == b
@@ -183,11 +202,15 @@ class FiniteStructure(Structure):
     def subset(self, s1, s2):
         return frozenset(s1) <= frozenset(s2)
 
+    def _in_table_order(self, s) -> list:
+        # labels may mix types that do not compare, so no sorted()
+        return [e for e in self.table.elements if e in s]
+
     def pick(self, s, rng, count=4):
-        return sorted(s)
+        return self._in_table_order(s)
 
     def components(self, s):
-        return [frozenset([e]) for e in sorted(s)]
+        return [self._singletons[e] for e in self._in_table_order(s)]
 
     def format_elem(self, a):
         return str(a)
@@ -200,8 +223,7 @@ class FiniteStructure(Structure):
         raise ValueError(f"{t!r} is not an element of {self.name}")
 
     def format_set(self, s):
-        ordered = [e for e in self.table.elements if e in s]
-        return "{" + ",".join(str(e) for e in ordered) + "}"
+        return "{" + ",".join(str(e) for e in self._in_table_order(s)) + "}"
 
 
 class ComplexCarrier(Structure):

@@ -298,6 +298,12 @@ class TestVerify:
         data = json.loads(out)
         assert data["structure"] == "K" and data["passed"] is True
 
+    @pytest.mark.parametrize("name", ["powers:2:3", "powers:2:8", "powers:5:4"])
+    def test_powers_named_by_depth(self, capsys, name):
+        """Each depth is its own table, named the way the CLI spells it."""
+        code, out, _ = run(capsys, "verify", name, "--format", "json")
+        assert code == 0 and json.loads(out)["structure"] == name
+
 
 class TestQuotient:
     def test_f3_by_units_is_krasner(self, capsys, tmp_path):
@@ -545,6 +551,31 @@ class TestTables:
     def test_error_names_the_key(self, capsys, tmp_path, shape, key):
         code, _, err = run(capsys, "add", f"finite:{_write_table(tmp_path, shape)}", "1", "1")
         assert code == 2 and key in err
+
+    @staticmethod
+    def _relabelled_z3(directory, elements) -> str:
+        from hyperalg.finite import make_zmod
+
+        table = json.loads(make_zmod(3).to_json())
+        table["elements"] = elements
+        path = directory / "Z3.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_mixed_labels_dd_exits_cleanly(self, capsys, tmp_path, fmt):
+        """Labels that mix ints and strings do not compare; dd lists the
+        points of a value set in table order instead of sorting them."""
+        path = self._relabelled_z3(tmp_path, [0, "a", "b"])
+        code, out, err = run(capsys, "verify", f"finite:{path}", "--level", "dd", "--format", fmt)
+        assert code in (0, 1) and out
+        assert "Traceback" not in err
+
+    def test_labels_that_print_alike_exit_2(self, capsys, tmp_path):
+        path = self._relabelled_z3(tmp_path, [0, 1, "1"])
+        code, out, err = run(capsys, "add", f"finite:{path}", "1", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and "print alike" in err
 
     def test_load_round_trips(self, tmp_path):
         from hyperalg.finite import FiniteMultistructure, make_sign

@@ -92,6 +92,14 @@ class TestTableShape:
         with pytest.raises(InvalidStructureError, match="neg_map"):
             FiniteMultistructure(k.elements, k.add_table, 0, k.mul_table, 1, neg_map=neg_map)
 
+    @pytest.mark.parametrize("labels", [(0, 1, "1"), ("0", 1, "1"), (0.5, "a", "0.5")])
+    def test_labels_that_print_alike(self, labels):
+        """Elements are parsed and printed by their text, so two labels with
+        one text form would be one element to the CLI."""
+        z3 = make_zmod(3)
+        with pytest.raises(InvalidStructureError, match="print alike"):
+            FiniteMultistructure(labels, z3.add_table, 0)
+
     def test_supplied_neg_map_is_used(self):
         k = make_krasner()
         x = FiniteMultistructure(k.elements, k.add_table, 0, k.mul_table, 1, neg_map=(0, 1))
@@ -204,6 +212,97 @@ def test_label_results_match_index_tables(family, json_roundtrip):
             else:
                 with pytest.raises(ZeroDivisionError):
                     x.inv(els[i])
+
+
+def _adapter_sets(x: FiniteMultistructure) -> list:
+    """Every distinct sum cell and every singleton, as index sets."""
+    return sorted(
+        set(x.add_table.values()) | {frozenset([i]) for i in range(len(x.elements))},
+        key=sorted,
+    )
+
+
+@pytest.mark.parametrize("json_roundtrip", [False, True], ids=["built", "json"])
+@pytest.mark.parametrize("family", sorted(_ORACLE_FAMILIES))
+def test_adapter_matches_index_tables(family, json_roundtrip):
+    """FiniteStructure's set operations agree with add_table, mul_table and
+    zero_idx over every pair of sum cells and singletons of every table."""
+    for x in _ORACLE_FAMILIES[family]():
+        if json_roundtrip:
+            x = FiniteMultistructure.from_json(x.to_json())
+        X = FiniteStructure(x)
+        els, n = x.elements, len(x.elements)
+
+        def labels(idx):
+            return frozenset(els[k] for k in idx)
+
+        assert X.zero == els[x.zero_idx], x.name
+        assert X.singleton(("not", "a", "label")) == {("not", "a", "label")}, x.name
+        for i in range(n):
+            assert X.singleton(els[i]) == {els[i]}, (x.name, els[i])
+            assert X.is_zero(els[i]) == (i == x.zero_idx), (x.name, els[i])
+        sets = _adapter_sets(x)
+        for s1, s2 in itertools.product(sets, repeat=2):
+            cell = (x.name, sorted(s1), sorted(s2))
+            union = frozenset().union(*(x.add_table[(i, j)] for i in s1 for j in s2))
+            assert X.add_sets(labels(s1), labels(s2)) == labels(union), cell
+            assert X.set_eq(labels(s1), labels(s2)) == (s1 == s2), cell
+            assert X.subset(labels(s1), labels(s2)) == (s1 <= s2), cell
+            if x.mul_table is not None:
+                product = {x.mul_table[(i, j)] for i in s1 for j in s2}
+                assert X.mul_sets(labels(s1), labels(s2)) == labels(product), cell
+        for i, s in itertools.product(range(n), sets):
+            cell = (x.name, els[i], sorted(s))
+            assert X.member(els[i], labels(s)) == (i in s), cell
+            if x.mul_table is not None:
+                left = {x.mul_table[(i, k)] for k in s}
+                right = {x.mul_table[(k, i)] for k in s}
+                assert X.scale(els[i], labels(s), "left") == labels(left), cell
+                assert X.scale(els[i], labels(s), "right") == labels(right), cell
+
+
+def test_adapter_reads_the_table_operations_at_call_time(monkeypatch):
+    """A patch of FiniteMultistructure.add or .mul made after an adapter is
+    built (as a call tracer installs it) sees every table call the adapter
+    makes: no adapter binds a table operation once."""
+    X = FiniteStructure(make_sign())
+    seen = []
+
+    def spy(name):
+        original = getattr(FiniteMultistructure, name)
+
+        def patched(self, a, b):
+            seen.append(name)
+            return original(self, a, b)
+
+        return patched
+
+    monkeypatch.setattr(FiniteMultistructure, "add", spy("add"))
+    monkeypatch.setattr(FiniteMultistructure, "mul", spy("mul"))
+    one, both = frozenset(["1"]), frozenset(["-1", "1"])
+    calls = [
+        (lambda: X.add("1", "-1"), ["add"]),
+        (lambda: X.add_sets(one, one), ["add"]),
+        (lambda: X.add_sets(both, one), ["add"] * 2),
+        (lambda: X.scale("-1", both, "left"), ["mul"] * 2),
+        (lambda: X.scale("-1", both, "right"), ["mul"] * 2),
+        (lambda: X.mul_sets(both, both), ["mul"] * 4),
+    ]
+    for call, expected in calls:
+        seen.clear()
+        call()
+        assert seen == expected
+
+
+def test_pick_and_components_follow_table_order():
+    """Labels of mixed types do not compare, so a finite value set is listed
+    in table order, as format_set prints it."""
+    x = FiniteMultistructure((0, "a", "b"), make_zmod(3).add_table, 0)
+    X = FiniteStructure(x)
+    everything = frozenset(x.elements)
+    assert X.pick(everything, rng=None) == [0, "a", "b"]
+    assert X.components(everything) == [{0}, {"a"}, {"b"}]
+    assert X.format_set(everything) == "{0,a,b}"
 
 
 class TestExhaustiveAxioms:
