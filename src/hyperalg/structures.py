@@ -11,9 +11,8 @@ TC, Phi and C), IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba, R
 and maxplus) and ValuedCarrier (the exotic cone algebra, for mono and
 padic).  A subclass states its addition and only what else differs.
 
-A finite value set is a frozenset of labels.  FiniteStructure builds the
-zero and each singleton once, with the adapter, and looks every table
-operation up on the table at call time.
+A finite value set is a frozenset of labels; FiniteStructure builds the
+zero and each singleton once, with the adapter.
 
 A family module is imported at its first use, so a command that touches one
 carrier imports only that carrier's modules.  A carrier whose zero and one
@@ -126,11 +125,10 @@ class Structure:
 class FiniteStructure(Structure):
     """Adapter exposing a FiniteMultistructure through the checker interface.
 
-    Value sets are frozensets of labels.  The zero and the singletons are
-    built once, at construction, and a sum of two singletons is the table's
-    own cell.  Each table operation is looked up on the table at call time,
-    never bound on the adapter, so a patch of FiniteMultistructure.add or
-    .mul applies to every adapter already built.
+    A sum of two singletons is the table's own cell.  Each table operation
+    is looked up on the table at call time, never bound on the adapter, so
+    a patch of FiniteMultistructure.add or .mul made later (as a call tracer
+    makes it) applies to every adapter already built.
     """
 
     is_finite = True
