@@ -214,7 +214,7 @@ def cmd_spectrum(args) -> int:
         x = s.table
     entries = prime_ideals(x)
     for entry in entries:
-        members = ",".join(sorted(str(m) for m in entry["ideal"]))
+        members = ",".join(str(m) for m in x.elements if m in entry["ideal"])
         print(f"prime-ideal={{{members}}}")
     print(f"count={len(entries)}")
     return 0

@@ -165,12 +165,6 @@ def _scale_comp(c, f: ComplexElem):
     return CArc(c.radius * f.modulus, c.start + f.argument, c.sweep)
 
 
-def cset_scale(s: CSet, f: ComplexElem) -> CSet:
-    if f.modulus == 0.0:
-        return CPoint(CZERO)
-    return normalize_parts([_scale_comp(c, f) for c in parts_of(s)])
-
-
 def _cmul_comps(c1, c2):
     """The product of two components, itself one component."""
     if isinstance(c2, CPoint) and not isinstance(c1, CPoint):  # commutative
@@ -282,12 +276,6 @@ def rt_add_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
     # two symmetric intervals: the larger absorbs the smaller
     m = max(hi1, hi2)
     return rsets.RSet(((-m, m),))
-
-
-def rt_mul_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
-    (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
-    prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
-    return rsets.RSet(((min(prods), max(prods)),))
 
 
 # ---------------------------------------------------------------------------

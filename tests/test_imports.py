@@ -33,14 +33,16 @@ EXPORTED = {
     "structures": ["Structure", "get_structure"],
 }
 
-# a child that runs one command through cli.main and prints every module it
-# has imported, listed before the child imports json to print them
+# a child that runs one command through cli.main, checks its exit code (the
+# first argument) and prints every module it has imported, listed before the
+# child imports json to print them
 _CHILD = """
 import contextlib, io, sys
 from hyperalg import cli
-if sys.argv[1:]:
+code, argv = int(sys.argv[1]), sys.argv[2:]
+if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(sys.argv[1:]) == 0
+        assert cli.main(argv) == code
 loaded = sorted(sys.modules)
 import json
 print(json.dumps(loaded))
@@ -49,22 +51,23 @@ print(json.dumps(loaded))
 _CORE = ["cli", "structures", "tolerance"]
 
 
-def _run_child(argv, *flags) -> subprocess.CompletedProcess:
+def _run_child(argv, *flags, code=0) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p
     )
-    return subprocess.run([sys.executable, *flags, "-c", _CHILD, *argv], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
+    return subprocess.run([sys.executable, *flags, "-c", _CHILD, str(code), *argv],
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
 
 
-def _loaded_after(*argv) -> list:
-    return json.loads(_run_child(argv).stdout)
+def _loaded_after(*argv, code=0) -> list:
+    return json.loads(_run_child(argv, code=code).stdout)
 
 
-def _modules_after(*argv) -> list:
-    """The hyperalg submodules loaded after running `argv`."""
-    return [m[len("hyperalg."):] for m in _loaded_after(*argv) if m.startswith("hyperalg.")]
+def _modules_after(*argv, code=0) -> list:
+    """The hyperalg submodules loaded after running `argv` to exit `code`."""
+    loaded = _loaded_after(*argv, code=code)
+    return [m[len("hyperalg."):] for m in loaded if m.startswith("hyperalg.")]
 
 
 @pytest.mark.parametrize(
@@ -89,6 +92,13 @@ def _modules_after(*argv) -> list:
 )
 def test_cli_imports_only_what_the_command_uses(argv, modules):
     assert _modules_after(*argv) == sorted(modules)
+
+
+def test_real_interval_product_loads_no_complex_modules():
+    # tri fails double distributivity, so verify exits 1; its set product is
+    # the real interval product of structures, which needs no csets or ctrop
+    argv = ("verify", "tri", "--level", "dd", "--budget", "10")
+    assert _modules_after(*argv, code=1) == sorted(_CORE + ["axioms", "realhf", "rsets"])
 
 
 @pytest.mark.parametrize(

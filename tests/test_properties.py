@@ -21,7 +21,7 @@ from hyperalg.ctrop import (
     _ct_add_comps,
     ct_add,
     ct_add_sets,
-    cset_scale,
+    ct_mul_sets,
     quat_add,
     quat_add_sets,
     rt_add,
@@ -39,7 +39,7 @@ from hyperalg.realhf import (
     ultra_add_sets,
 )
 from hyperalg.rsets import rpoint, rset_eq
-from hyperalg.structures import get_structure
+from hyperalg.structures import REGISTRY_NAMES, get_structure
 from hyperalg.tolerance import TWO_PI, InvalidSetError, Tolerance, circ_dist, wrap_angle
 
 WIDE = Tolerance(1e-7)
@@ -142,7 +142,7 @@ def test_complex_distributivity(ma, mb, ta, tb, tc, tie):
     a = ComplexElem(ma, ta)
     b = ComplexElem(mb, tb)
     c = -b if tie else ComplexElem(mb, tc)
-    lhs = cset_scale(ct_add(b, c), a)
+    lhs = ct_mul_sets(CPoint(a), ct_add(b, c))
     rhs = ct_add(a.times(b), a.times(c))
     assert set_eq(lhs, rhs, WIDE)
 
@@ -271,6 +271,52 @@ def test_operations_return_canonical_sets(name):
                 assert out == _normal_form(out), (a, b, c, out)
                 for p in X.pick(out, pick_rng):
                     assert X.member(p, out), (a, b, c, out, p)
+
+
+# every carrier that multiplies: M has no multiplication, and quat's products
+# of arcs have no closed form
+SET_PRODUCT_CARRIERS = [
+    n for n in (*REGISTRY_NAMES, "C", "R", "maxplus", "mono-int", "mono-rational")
+    if n not in ("M", "quat")
+]
+
+
+@pytest.mark.parametrize("name", SET_PRODUCT_CARRIERS)
+def test_every_multiplying_carrier_but_quat_has_a_set_product(name):
+    """{a}{b} is symbolic and holds ab, so `scale` and double distributivity
+    are decided by set algebra rather than sampled."""
+    X = get_structure(name)
+    assert X.has_mul
+    if X.is_finite:
+        pairs = list(itertools.product(X.elements(), repeat=2))
+    else:
+        rng = random.Random(3)
+        pairs = [(X.random_elem(rng), X.random_elem(rng)) for _ in range(200)]
+        pairs += [(X.zero, X.one), (X.one, X.zero), (X.zero, X.zero)]
+    for a, b in pairs:
+        prod = X.mul_sets(X.singleton(a), X.singleton(b))
+        assert prod is not None, (a, b)
+        assert X.member(X.mul(a, b), prod), (a, b, prod)
+
+
+@pytest.mark.parametrize("name", ["TR", "R", "tri", "ultra", "maxplus"])
+@given(st.tuples(reals, reals, reals, reals), st.booleans(), st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_interval_product_holds_every_product_of_points(name, values, tie, seed):
+    """The shared real interval product of two sums holds every product of
+    points drawn from them, and its endpoints are products of endpoints."""
+    X = get_structure(name)
+    a, b, c, d = (abs(v) for v in values) if X.nonnegative else values
+    if tie:  # a tied or cancelling pair, so the sum is an interval
+        b = a if X.nonnegative else -a
+    s1, s2 = X.add(a, b), X.add(c, d)
+    prod = X.mul_sets(s1, s2)
+    rng = random.Random(seed)
+    for u in X.pick(s1, rng):
+        for v in X.pick(s2, rng):
+            assert X.member(X.mul(u, v), prod), (s1, s2, prod, u, v)
+    corners = {x * y for x in s1.intervals[0] for y in s2.intervals[0]}
+    assert set(prod.intervals[0]) <= corners, (s1, s2, prod)
 
 
 # -- quaternion cone membership ------------------------------------------------
