@@ -180,11 +180,13 @@ def _emit(letter: str, X: Structure, first, prev, rng: random.Random):
 
 
 def stratified_tuples(X: Structure, rng: random.Random, arity: int, count: int):
-    """Yield `count` element tuples cycling through all letter patterns."""
+    """Yield `count` element tuples cycling through all letter patterns; a
+    carrier without negation gets no negation letters."""
+    rest_letters = _REST if X.has_neg else _REST.replace("N", "").replace("M", "")
     patterns = [
         f + "".join(rest)
         for f in _FIRST
-        for rest in itertools.product(_REST, repeat=arity - 1)
+        for rest in itertools.product(rest_letters, repeat=arity - 1)
     ]
     emitted = 0
     while emitted < count:

@@ -42,13 +42,14 @@ class FiniteMultistructure:
     _products: tuple = field(default=(), repr=False)  # [i][j] -> label
     _negs: tuple = field(default=(), repr=False)  # [i] -> label
     _invs: tuple = field(default=(), repr=False)  # [i] -> label or _NO_INVERSE
+    _by_text: dict = field(default_factory=dict, repr=False)  # str(label) -> label
 
     def __post_init__(self) -> None:
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidStructureError("duplicate element labels")
         n = len(self.elements)
-        texts = {}
+        texts = self._by_text = {}
         for e in self.elements:
             if texts.setdefault(str(e), e) is not e:
                 raise InvalidStructureError(
@@ -263,19 +264,23 @@ def _partition(n: int, key) -> tuple[list, dict]:
     return list(number), class_of
 
 
-def _induced_add(x: FiniteMultistructure, members: list, class_of: dict) -> tuple[dict, tuple]:
-    """The add table that x induces on the classes `members` (index
-    collections), and their `[a,b]` labels."""
-    m = len(members)
-    add_table = {
+def _induced(members: list, class_of: dict, op) -> dict:
+    """The table that `op` (two indices -> indices) induces on the classes
+    `members` (index collections): cell (ci, cj) holds the class of every
+    index in op(a, b) for a in class ci and b in class cj."""
+    m = range(len(members))
+    return {
         (ci, cj): frozenset(
-            class_of[k] for a in members[ci] for b in members[cj] for k in x.add_table[(a, b)]
+            class_of[k] for a in members[ci] for b in members[cj] for k in op(a, b)
         )
-        for ci in range(m)
-        for cj in range(m)
+        for ci in m
+        for cj in m
     }
-    labels = tuple("[" + ",".join(str(x.elements[i]) for i in sorted(c)) + "]" for c in members)
-    return add_table, labels
+
+
+def _bracket_labels(x: FiniteMultistructure, members: list) -> tuple:
+    """`[a,b]` labels of classes of x's indices."""
+    return tuple("[" + ",".join(str(x.elements[i]) for i in sorted(c)) + "]" for c in members)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +309,7 @@ def make_krasner() -> FiniteMultistructure:
 
 def make_sign() -> FiniteMultistructure:
     """S = {-1, 0, 1}: idempotent, with (-1) + 1 = {-1, 0, 1}."""
-    els = ("0", "1", "-1")
+    vals = (0, 1, -1)
 
     def add(i, j):
         if i == 0:
@@ -315,14 +320,14 @@ def make_sign() -> FiniteMultistructure:
             return {i}
         return {0, 1, 2}
 
-    mul = {}
-    vals = {0: 0, 1: 1, 2: -1}
-    rev = {0: 0, 1: 1, -1: 2}
-    for i in range(3):
-        for j in range(3):
-            mul[(i, j)] = rev[vals[i] * vals[j]]
+    mul = {(i, j): vals.index(vals[i] * vals[j]) for i in range(3) for j in range(3)}
     return FiniteMultistructure(
-        elements=els, add_table=_table(3, add), zero_idx=0, mul_table=mul, one_idx=1, name="S"
+        elements=tuple(map(str, vals)),
+        add_table=_table(3, add),
+        zero_idx=0,
+        mul_table=mul,
+        one_idx=1,
+        name="S",
     )
 
 
@@ -373,16 +378,10 @@ def make_linear_order(n: int, strict: bool = False) -> FiniteMultistructure:
 
 
 def make_f2() -> FiniteMultistructure:
-    """The field F2 presented with singleton sums."""
-    s = make_linear_order(2, strict=True)
-    return FiniteMultistructure(
-        elements=("0", "1"),
-        add_table=s.add_table,
-        zero_idx=0,
-        mul_table={(i, j): (1 if i == 1 and j == 1 else 0) for i in range(2) for j in range(2)},
-        one_idx=1,
-        name="F2",
-    )
+    """The field F2 presented with singleton sums: Z/2 named F2."""
+    f = make_zmod(2)
+    f.name = "F2"
+    return f
 
 
 def make_q1() -> FiniteMultistructure:
@@ -411,6 +410,12 @@ def make_zmod(n: int) -> FiniteMultistructure:
 
 @dataclass(frozen=True)
 class Group:
+    """A finite group by its index multiplication table.
+
+    The identity is index 0: every constructor here puts it first, and
+    `inverse`, `all_subgroups` and `make_double_coset` rely on it.
+    """
+
     name: str
     elements: tuple
     table: dict  # (i, j) -> k
@@ -422,16 +427,9 @@ class Group:
     def mul(self, i: int, j: int) -> int:
         return self.table[(i, j)]
 
-    def identity(self) -> int:
-        for e in range(self.order):
-            if all(self.mul(e, x) == x and self.mul(x, e) == x for x in range(self.order)):
-                return e
-        raise InvalidStructureError("group has no identity")
-
     def inverse(self, i: int) -> int:
-        e = self.identity()
         for j in range(self.order):
-            if self.mul(i, j) == e:
+            if self.mul(i, j) == 0:
                 return j
         raise InvalidStructureError("group element has no inverse")
 
@@ -509,11 +507,10 @@ def small_groups(max_order: int = 8) -> list[Group]:
 
 def all_subgroups(g: Group) -> list[frozenset]:
     """Every subgroup, found by closing each subset seed (order <= 8)."""
-    e = g.identity()
-    found = {frozenset([e])}
+    found = {frozenset([0])}
     for seed_size in (1, 2, 3):
         for seed in itertools.combinations(range(g.order), seed_size):
-            cur = set(seed) | {e}
+            cur = set(seed) | {0}
             while True:
                 nxt = set(cur)
                 for a in cur:
@@ -528,10 +525,10 @@ def all_subgroups(g: Group) -> list[frozenset]:
 
 
 def make_double_coset(g: Group, subgroup: frozenset) -> FiniteMultistructure:
-    """Multigroup of double cosets HgH with (HaH)(HbH) = {HahbH : h in H}."""
-    e = g.identity()
+    """Multigroup of double cosets HgH with (HaH)(HbH) = {HahbH : h in H},
+    the group product induced on the double-coset partition."""
     hs = sorted(subgroup)
-    if e not in subgroup:
+    if 0 not in subgroup:
         raise InvalidStructureError("subgroup must contain the identity")
     for a in hs:
         if g.inverse(a) not in subgroup:
@@ -544,20 +541,10 @@ def make_double_coset(g: Group, subgroup: frozenset) -> FiniteMultistructure:
         return frozenset(g.mul(g.mul(h1, x), h2) for h1 in hs for h2 in hs)
 
     cosets, coset_of = _partition(g.order, coset)
-    reps = [min(c) for c in cosets]
-    n = len(cosets)
-    add_table = {}
-    for i in range(n):
-        for j in range(n):
-            a, b = reps[i], reps[j]
-            add_table[(i, j)] = frozenset(coset_of[g.mul(g.mul(a, h), b)] for h in hs)
-    labels = tuple("{" + ",".join(str(x) for x in sorted(c)) + "}" for c in cosets)
-    neg = tuple(coset_of[g.inverse(reps[i])] for i in range(n))
     return FiniteMultistructure(
-        elements=labels,
-        add_table=add_table,
-        zero_idx=coset_of[e],
-        neg_map=neg,
+        elements=tuple("{" + ",".join(str(x) for x in sorted(c)) + "}" for c in cosets),
+        add_table=_induced(cosets, coset_of, lambda a, b: (g.mul(a, b),)),
+        zero_idx=coset_of[0],
         commutative_add=False,
         name=f"{g.name}//H{len(hs)}",
     )
@@ -615,23 +602,15 @@ def mul_quotient(x: FiniteMultistructure, s_labels) -> FiniteMultistructure:
     members: list[list[int]] = [[] for _ in roots]
     for i in range(n):
         members[class_of[i]].append(i)
-    m = len(roots)
-    add_table, labels = _induced_add(x, members, class_of)
-    mul_table = {}
-    for ci in range(m):
-        for cj in range(m):
-            results = {
-                class_of[x.mul_table[(a, b)]] for a in members[ci] for b in members[cj]
-            }
-            if len(results) != 1:
-                raise InvalidStructureError("quotient multiplication not well defined")
-            mul_table[(ci, cj)] = results.pop()
+    products = _induced(members, class_of, lambda a, b: (x.mul_table[(a, b)],))
+    if any(len(cell) != 1 for cell in products.values()):
+        raise InvalidStructureError("quotient multiplication not well defined")
     one_idx = class_of[x.one_idx] if x.one_idx is not None else None
     return FiniteMultistructure(
-        elements=labels,
-        add_table=add_table,
+        elements=_bracket_labels(x, members),
+        add_table=_induced(members, class_of, lambda a, b: x.add_table[(a, b)]),
         zero_idx=class_of[x.zero_idx],
-        mul_table=mul_table,
+        mul_table={ij: k for ij, (k,) in products.items()},
         one_idx=one_idx,
         name=f"{x.name}/mS",
     )
@@ -672,18 +651,15 @@ def make_powers_quotient(p: int, depth: int) -> FiniteMultistructure:
             return {min(i, j)}
         return below(i, strict=(p == 2))
 
-    mul_table = {}
-    for i in range(n):
-        for j in range(n):
-            if i == 0 or j == 0:
-                mul_table[(i, j)] = 0
-            else:
-                mul_table[(i, j)] = min((i - 1) + (j - 1), depth - 1) + 1
     return FiniteMultistructure(
         elements=labels,
         add_table=_table(n, add),
         zero_idx=0,
-        mul_table=mul_table,
+        mul_table={
+            (i, j): 0 if i == 0 or j == 0 else min(i + j - 2, depth - 1) + 1
+            for i in range(n)
+            for j in range(n)
+        },
         one_idx=1,
         neg_map=tuple(range(n)),
         name=f"powers:{p}:{depth}",
@@ -704,32 +680,22 @@ def quotient_by_normal(x: FiniteMultistructure, y_labels) -> FiniteMultistructur
                 raise InvalidStructureError(
                     f"not a strong submultigroup: {x.elements[i]}+{x.elements[j]} leaves Y"
                 )
+
+    def orbit(a: int) -> frozenset:
+        return frozenset(k for i in y for k in x.add_table[(a, i)])
+
     # normality as two-sided coset agreement: a + Y == Y + a for every a.
     # (The conjugation form (-a)+Y+a inflates in a multigroup: already in the
     # sign carrier (-1)+0+1 covers everything, which would reject Y = {0}
     # while kernels are supposed to be normal.)
     for a in range(n):
-        left = set()
-        right = set()
-        for i in y:
-            left.update(x.add_table[(a, i)])
-            right.update(x.add_table[(i, a)])
-        if left != right:
-            raise InvalidStructureError(
-                f"submultigroup not normal at {x.elements[a]!r}"
-            )
-
-    def orbit(a: int) -> frozenset:
-        out = set()
-        for i in y:
-            out.update(x.add_table[(a, i)])
-        return frozenset(out)
+        if orbit(a) != {k for i in y for k in x.add_table[(i, a)]}:
+            raise InvalidStructureError(f"submultigroup not normal at {x.elements[a]!r}")
 
     classes, class_of = _partition(n, orbit)
-    add_table, labels = _induced_add(x, classes, class_of)
     return FiniteMultistructure(
-        elements=labels,
-        add_table=add_table,
+        elements=_bracket_labels(x, classes),
+        add_table=_induced(classes, class_of, lambda a, b: x.add_table[(a, b)]),
         zero_idx=class_of[x.zero_idx],
         name=f"{x.name}/Y",
     )
@@ -754,21 +720,9 @@ def ideals(x: FiniteMultistructure) -> list[frozenset]:
     for r in range(len(rest) + 1):
         for extra in itertools.combinations(rest, r):
             cand = frozenset((x.zero_idx,) + extra)
-            ok = True
-            for a in cand:
-                for b in cand:
-                    if not x.add_table[(a, b)] <= cand:
-                        ok = False
-                        break
-                if not ok:
-                    break
-                for c in range(n):
-                    if x.mul_table[(c, a)] not in cand:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(x.add_table[(a, b)] <= cand for a in cand for b in cand) and all(
+                x.mul_table[(c, a)] in cand for a in cand for c in range(n)
+            ):
                 out.append(frozenset(x.elements[i] for i in cand))
     return out
 
@@ -780,20 +734,12 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     "0" and everything else to "1".
     """
     out = []
-    n = len(x.elements)
     for members in ideals(x):
         idx = {x.idx(lbl) for lbl in members}
         if x.one_idx in idx:
             continue
-        prime = True
-        for a in range(n):
-            for b in range(n):
-                if x.mul_table[(a, b)] in idx and a not in idx and b not in idx:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
+        # prime: a*b in the ideal puts a or b in it
+        if all(a in idx or b in idx for (a, b), k in x.mul_table.items() if k in idx):
             to_k = {e: ("0" if e in members else "1") for e in x.elements}
             out.append({"ideal": members, "to_K": to_k})
     return out

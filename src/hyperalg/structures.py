@@ -46,6 +46,7 @@ class Structure:
     is_finite = False
     has_mul = True
     has_one = True
+    has_neg = True
 
     # carrier: a subclass sets `zero` and `one` as class attributes, as
     # instance attributes at construction, or as properties
@@ -217,10 +218,10 @@ class FiniteStructure(Structure):
 
     def parse_elem(self, text):
         t = text.strip()
-        for e in self.table.elements:
-            if str(e) == t:
-                return e
-        raise ValueError(f"{t!r} is not an element of {self.name}")
+        try:
+            return self.table._by_text[t]
+        except KeyError:
+            raise ValueError(f"{t!r} is not an element of {self.name}") from None
 
     def format_set(self, s):
         return "{" + ",".join(str(e) for e in self._in_table_order(s)) + "}"
@@ -743,6 +744,7 @@ class MaxPlusReals(IntervalCarrier):
 
     name = "maxplus"
     nonnegative = True
+    has_neg = False
 
     def random_elem(self, rng):
         return math.exp(rng.uniform(-1.5, 1.5))

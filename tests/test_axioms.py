@@ -225,6 +225,18 @@ class TestDoubleDistributivity:
         with pytest.raises(DoubleDistributivityViolation):
             check_double_distributivity(FiniteStructure(bad), budget=50)
 
+    def test_maxplus_tuples_never_negate(self, monkeypatch):
+        # max-plus has no negation, so its tuples take no N or M letter
+        from hyperalg.structures import MaxPlusReals
+
+        negated = []
+        monkeypatch.setattr(MaxPlusReals, "neg", lambda self, a: negated.append(a) or a)
+        X = get_structure("maxplus")
+        for arity in (1, 2, 3, 4):
+            tuples = list(axioms.stratified_tuples(X, random.Random(arity), arity, 500))
+            assert len(tuples) == 500
+        assert negated == []
+
     def test_symbolic_forward_violation_names_the_component(self):
         # a scratch carrier whose set product reaches outside every expansion
         from hyperalg import rsets

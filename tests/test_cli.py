@@ -198,6 +198,31 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "maxplus")
         assert (code, out, err) == (2, "", "error: max-plus has no negation\n")
 
+    def test_maxplus_dd_needs_no_negation(self, capsys):
+        code, out, err = run(capsys, "verify", "maxplus", "--level", "dd", "--budget", "300")
+        assert (code, err) == (0, "")
+        assert out == (
+            "axiom=half-double-distributivity verdict=pass\n"
+            "axiom=double-distributivity verdict=pass\n"
+            "checked 300 tuples\n"
+        )
+
+    # the README documents HYPERALG_SEED as the default seed
+    SEEDED = ("verify", "TC", "--level", "dd", "--budget", "1000")
+
+    def test_seed_variable_is_the_default_seed(self, capsys, monkeypatch):
+        monkeypatch.delenv("HYPERALG_SEED", raising=False)
+        explicit = run(capsys, *self.SEEDED, "--seed", "5")
+        assert explicit != run(capsys, *self.SEEDED)  # seed 0 finds another witness
+        monkeypatch.setenv("HYPERALG_SEED", "5")
+        assert run(capsys, *self.SEEDED) == explicit
+
+    def test_explicit_seed_wins_over_the_variable(self, capsys, monkeypatch):
+        monkeypatch.delenv("HYPERALG_SEED", raising=False)
+        seed0 = run(capsys, *self.SEEDED, "--seed", "0")
+        monkeypatch.setenv("HYPERALG_SEED", "5")
+        assert run(capsys, *self.SEEDED, "--seed", "0") == seed0
+
     def test_padic_dd_violation_exit_1(self, capsys):
         code, out, err = run(
             capsys, "verify", "padic:3:8", "--level", "dd", "--budget", "400", "--seed", "0"

@@ -60,6 +60,12 @@ class TestTables:
         chain = make_linear_order(3, strict=True)
         assert chain.add("2", "2") == {"0", "1"}
 
+    def test_f2_is_z2_named_f2(self):
+        f2, z2 = make_f2(), make_zmod(2)
+        assert f2.name == "F2"
+        z2.name = "F2"
+        assert f2 == z2 and f2.to_json() == z2.to_json()
+
     def test_linear_order_invalid(self):
         with pytest.raises(InvalidStructureError):
             make_linear_order(0)
@@ -417,6 +423,41 @@ class TestGroups:
         dc = make_double_coset(cyclic_group(4), frozenset({0, 2}))
         assert len(dc.elements) == 2
         assert find_isomorphism(dc, make_linear_order(2, strict=True)) is not None
+
+    def test_double_coset_tables_follow_their_definition(self):
+        # (HaH)(HbH) = {HahbH : h in H} and -(HaH) = Ha^-1H, for every
+        # representative a and b of every double coset
+        for g in small_groups(8):
+            for h in all_subgroups(g):
+                hs = sorted(h)
+
+                def label(x):
+                    coset = {g.mul(g.mul(h1, x), h2) for h1 in hs for h2 in hs}
+                    return "{" + ",".join(str(k) for k in sorted(coset)) + "}"
+
+                dc = make_double_coset(g, h)
+                assert set(dc.elements) == {label(x) for x in range(g.order)}
+                for a in range(g.order):
+                    assert dc.neg(label(a)) == label(g.inverse(a)), (g.name, hs, a)
+                    for b in range(g.order):
+                        want = {label(g.mul(g.mul(a, k), b)) for k in hs}
+                        assert dc.add(label(a), label(b)) == want, (g.name, hs, a, b)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            *small_groups(8),
+            dihedral_group(5),
+            direct_product(symmetric3(), cyclic_group(2)),
+            direct_product(quaternion_group(), cyclic_group(3)),
+        ],
+        ids=lambda g: g.name,
+    )
+    def test_identity_is_index_0_and_inverses_are_two_sided(self, g):
+        for x in range(g.order):
+            assert g.mul(0, x) == x and g.mul(x, 0) == x
+            y = g.inverse(x)
+            assert g.mul(x, y) == 0 and g.mul(y, x) == 0
 
     def test_all_double_cosets_are_multigroups(self):
         for g in small_groups(8):

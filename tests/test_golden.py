@@ -1,8 +1,9 @@
 """Golden CLI outputs: verdicts, witnesses, JSON text and printed value sets
 stay byte-identical.
 
-Each case runs `hyperalg verify`, `hom`, `add`, `sum`, `char` or `poly`
-in-process and compares stdout and the exit code with `tests/golden/cli.json`.
+Each case runs `hyperalg verify`, `hom`, `add`, `sum`, `char`, `poly` or
+`spectrum` in-process and compares stdout and the exit code with
+`tests/golden/cli.json`.
 Regenerate the file (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -45,7 +46,12 @@ def cases() -> list[list[str]]:
         out.append(["hom", hom, "--format", "json", "--budget", "200", "--seed", "2"])
     out += SET_CASES
     out += [["char", name] for name in REGISTRY_NAMES if get_structure(name).has_one]
+    out += [["spectrum", name] for name in SPECTRUM_NAMES]
     return out
+
+
+# `spectrum` prints ideals and prime ideals: a ring, a power quotient and S
+SPECTRUM_NAMES = ["zmod:12", "powers:3:4", "S"]
 
 
 PI = "3.141592653589793"
