@@ -601,3 +601,176 @@ class TestInheritance:
         induced = p2.add("2^0", "2^0") & sub
         assert induced == {"0"}
         assert p2.add("0", "2^0") & sub == {"2^0"}
+
+
+# ---------------------------------------------------------------------------
+# the answers of the searches, pinned against brute-force references
+
+
+def _relabelled(x: FiniteMultistructure, rng, one_idx="keep") -> FiniteMultistructure:
+    """An isomorphic copy of x with its elements stored in a random order
+    (its unity index given by `one_idx` unless that is "keep")."""
+    n = len(x.elements)
+    perm = list(range(n))
+    rng.shuffle(perm)  # old index i -> new index perm[i]
+    elements = [None] * n
+    for i, e in enumerate(x.elements):
+        elements[perm[i]] = e
+    mul = None
+    if x.mul_table is not None:
+        mul = {(perm[i], perm[j]): perm[k] for (i, j), k in x.mul_table.items()}
+    if one_idx == "keep":
+        one_idx = None if x.one_idx is None else perm[x.one_idx]
+    return FiniteMultistructure(
+        elements=tuple(elements),
+        add_table={
+            (perm[i], perm[j]): frozenset(perm[k] for k in cell)
+            for (i, j), cell in x.add_table.items()
+        },
+        zero_idx=perm[x.zero_idx],
+        mul_table=mul,
+        one_idx=one_idx,
+        name=x.name,
+    )
+
+
+def _first_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict | None:
+    """The first bijection in `itertools.permutations` order that maps a's
+    tables onto b's, zero to zero and, when both multiply and both declare
+    a unity, one to one."""
+    n = len(a.elements)
+    if n != len(b.elements) or (a.mul_table is None) != (b.mul_table is None):
+        return None
+    units = a.mul_table is not None and a.one_idx is not None and b.one_idx is not None
+    cells = list(itertools.product(range(n), repeat=2))
+    for p in itertools.permutations(range(n)):
+        if p[a.zero_idx] != b.zero_idx or (units and p[a.one_idx] != b.one_idx):
+            continue
+        if all(
+            frozenset(p[t] for t in a.add_table[i, j]) == b.add_table[p[i], p[j]]
+            and (a.mul_table is None or p[a.mul_table[i, j]] == b.mul_table[p[i], p[j]])
+            for i, j in cells
+        ):
+            return {a.elements[i]: b.elements[p[i]] for i in range(n)}
+    return None
+
+
+def _search_tables(max_size: int) -> list:
+    """Every table of the oracle families with at most max_size elements,
+    plus the chains of 5 and 6 elements."""
+    tables = [x for family in _ORACLE_FAMILIES.values() for x in family()]
+    tables += [make_linear_order(n, s) for n in (5, 6) for s in (False, True)]
+    return [x for x in tables if len(x.elements) <= max_size]
+
+
+class TestIsomorphismAnswer:
+    """find_isomorphism returns the first isomorphism in permutation order."""
+
+    def test_relabelled_tables_map_back_by_the_first_isomorphism(self):
+        import random
+
+        rng = random.Random(26)
+        for x in _search_tables(6):
+            for _ in range(2):
+                y = _relabelled(x, rng)
+                for a, b in ((y, x), (x, y)):
+                    want = _first_isomorphism(a, b)
+                    assert want is not None, x.name
+                    assert find_isomorphism(a, b) == want, (x.name, a.elements, b.elements)
+
+    def test_same_size_pairs_agree_with_the_reference(self):
+        tables = _search_tables(6)
+        for a, b in itertools.product(tables, repeat=2):
+            if len(a.elements) == len(b.elements):
+                assert find_isomorphism(a, b) == _first_isomorphism(a, b), (a.name, b.name)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (make_krasner, make_f2),
+            (lambda: make_linear_order(2), lambda: make_linear_order(2, strict=True)),
+            (lambda: make_linear_order(3), lambda: make_linear_order(3, strict=True)),
+            (make_sign, lambda: make_zmod(3)),
+            (lambda: make_zmod(4), lambda: make_powers_quotient(2, 3)),
+        ],
+    )
+    def test_non_isomorphic_pairs(self, a, b):
+        assert find_isomorphism(a(), b()) is None
+        assert find_isomorphism(b(), a()) is None
+
+    def test_unity_binds_only_when_both_tables_declare_one(self):
+        import random
+
+        z5 = make_zmod(5)
+        wrong_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table, one_idx=2)
+        no_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table)
+        identity = {e: e for e in z5.elements}
+        # Z/5 has no ring automorphism but the identity, which sends 2 to 2
+        assert find_isomorphism(wrong_one, z5) is None
+        assert find_isomorphism(wrong_one, no_one) == identity
+        assert find_isomorphism(no_one, wrong_one) == identity
+        rng = random.Random(5)
+        for x in _search_tables(6):
+            if x.one_idx is None:
+                continue
+            y = _relabelled(x, rng, one_idx=None)
+            assert find_isomorphism(y, x) == _first_isomorphism(y, x), x.name
+            assert find_isomorphism(x, y) == _first_isomorphism(x, y), x.name
+
+    def test_a_unity_without_multiplication_binds_nothing(self):
+        klein = make_double_coset(direct_product(cyclic_group(2), cyclic_group(2)), frozenset([0]))
+        a = FiniteMultistructure(klein.elements, klein.add_table, 0, one_idx=1)
+        b = FiniteMultistructure(klein.elements, klein.add_table, 0, one_idx=2)
+        assert find_isomorphism(a, b) == {e: e for e in klein.elements}
+
+
+def _ideals_by_subsets(x: FiniteMultistructure) -> list:
+    """Every ideal, by testing each subset that holds zero, in the order of
+    itertools.combinations over the non-zero indices."""
+    n = len(x.elements)
+    rest = [i for i in range(n) if i != x.zero_idx]
+    out = []
+    for r in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, r):
+            cand = frozenset((x.zero_idx,) + extra)
+            if all(x.add_table[a, b] <= cand for a in cand for b in cand) and all(
+                x.mul_table[c, a] in cand for a in cand for c in range(n)
+            ):
+                out.append(frozenset(x.elements[i] for i in cand))
+    return out
+
+
+def _prime_ideals_by_subsets(x: FiniteMultistructure) -> list:
+    out = []
+    for members in _ideals_by_subsets(x):
+        idx = {x.idx(lbl) for lbl in members}
+        if x.one_idx in idx:
+            continue
+        if all(a in idx or b in idx for (a, b), k in x.mul_table.items() if k in idx):
+            to_k = {e: ("0" if e in members else "1") for e in x.elements}
+            out.append({"ideal": members, "to_K": to_k})
+    return out
+
+
+def _ideal_tables() -> list:
+    """K, S, F2, Q1, Z/1-Z/12, every power quotient of at most 12 elements
+    and the quotients of Z/n by its unit subgroups."""
+    tables = [make_krasner(), make_sign(), make_f2(), make_q1()]
+    tables += [x for x in _zmod_quotients() if x.mul_table is not None]
+    tables += [make_powers_quotient(p, d) for p in (2, 3, 5, 7) for d in range(2, 12)]
+    return tables
+
+
+class TestIdealsAnswer:
+    """ideals and prime_ideals answer as the subset enumeration, in order."""
+
+    @pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])
+    def test_ideals_and_prime_ideals_in_order(self, relabel):
+        import random
+
+        rng = random.Random(12)
+        for x in _ideal_tables():
+            if relabel:
+                x = _relabelled(x, rng)
+            assert ideals(x) == _ideals_by_subsets(x), x.name
+            assert prime_ideals(x) == _prime_ideals_by_subsets(x), x.name
