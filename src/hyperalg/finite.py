@@ -705,26 +705,55 @@ def quotient_by_normal(x: FiniteMultistructure, y_labels) -> FiniteMultistructur
 # ideals and isomorphisms
 
 
-_IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are enumerated
+_IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are listed
+_SEARCH_MAX_SIZE = 4  # largest carrier whose multiplications are searched
+
+
+def _flat(table, at) -> list:
+    return list(map(table.__getitem__, at))  # the cells at the index pairs `at`
+
+
+def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
+    """Every ideal of x as an index set, by closure: the least ideal holding
+    each index, then the least holding an ideal found and one of those."""
+    if x.mul_table is None:
+        raise InvalidStructureError("ideals need a multiplication")
+    n, r = len(x.elements), range(len(x.elements))
+    if n > _IDEALS_MAX_SIZE:
+        raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
+    at = list(itertools.product(r, r))  # cell (i, j) at i * n + j
+    add, mul = _flat(x.add_table, at), _flat(x.mul_table, at)
+    sums = [(add[a * n : a * n + n], add[a::n]) for a in r]  # [a] -> a+b and b+a by b
+    left = [set(mul[a::n]) for a in r]  # [a] -> every c*a
+
+    def close(ideal: set, todo: list) -> frozenset:
+        # every cell among members of `ideal` outside `todo` is inside it
+        while todo and len(ideal) < n:
+            row, col = sums[a := todo.pop()]
+            new = left[a].union(*map(row.__getitem__, ideal), *map(col.__getitem__, ideal))
+            todo += new - ideal
+            ideal |= new
+        return frozenset(ideal)
+
+    zero = close({x.zero_idx}, [x.zero_idx])
+    principal = [close({a, *zero}, [a]) for a in r]
+    found = list(dict.fromkeys(principal))
+    for ideal in found:
+        for p in principal:
+            bigger = ideal | p
+            if bigger not in found and (bigger := close(set(bigger), list(p - ideal))) not in found:
+                found.append(bigger)
+    # every ideal holds zero, so sorted indices order them as the non-zero ones do
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
 def ideals(x: FiniteMultistructure) -> list[frozenset]:
-    """All ideals (as label sets) of a commutative multiring, brute force."""
-    if x.mul_table is None:
-        raise InvalidStructureError("ideals need a multiplication")
-    n = len(x.elements)
-    if n > _IDEALS_MAX_SIZE:
-        raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
-    rest = [i for i in range(n) if i != x.zero_idx]
-    out = []
-    for r in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, r):
-            cand = frozenset((x.zero_idx,) + extra)
-            if all(x.add_table[(a, b)] <= cand for a in cand for b in cand) and all(
-                x.mul_table[(c, a)] in cand for a in cand for c in range(n)
-            ):
-                out.append(frozenset(x.elements[i] for i in cand))
-    return out
+    """All ideals (as label sets) of a commutative multiring: the sets
+    holding zero that hold every sum of two members and every product c*a
+    of a member a, in the order of itertools.combinations over the non-zero
+    indices.  Closure finds them without trying every subset, but their
+    number can still grow exponentially with the carrier, hence the cap."""
+    return [frozenset(x.elements[i] for i in s) for s in _ideal_indices(x)]
 
 
 def prime_ideals(x: FiniteMultistructure) -> list[dict]:
@@ -734,78 +763,85 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     "0" and everything else to "1".
     """
     out = []
-    for members in ideals(x):
-        idx = {x.idx(lbl) for lbl in members}
-        if x.one_idx in idx:
+    for s in _ideal_indices(x):
+        rest = [a for a in range(len(x.elements)) if a not in s]
+        # prime: no product of two non-members is a member
+        if x.one_idx in s or not s.isdisjoint(_flat(x.mul_table, itertools.product(rest, rest))):
             continue
-        # prime: a*b in the ideal puts a or b in it
-        if all(a in idx or b in idx for (a, b), k in x.mul_table.items() if k in idx):
-            to_k = {e: ("0" if e in members else "1") for e in x.elements}
-            out.append({"ideal": members, "to_K": to_k})
+        to_k = {e: ("0" if i in s else "1") for i, e in enumerate(x.elements)}
+        out.append({"ideal": frozenset(x.elements[i] for i in s), "to_K": to_k})
     return out
 
 
+def _shape(x: FiniteMultistructure, at: list, units: bool) -> tuple:
+    """x's add cells and products (None without a multiplication) at the
+    index pairs `at`, and per index c what every isomorphism keeps: being
+    zero (and one, when `units`), |c+c|, whether 0 is in c+c and whether
+    c*c is c, 0 or 1."""
+    n, z, one = len(x.elements), x.zero_idx, x.one_idx if units else None
+    add = _flat(x.add_table, at)
+    if x.mul_table is None:
+        return add, None, [(c == z, len(s), z in s) for c, s in enumerate(add[:: n + 1])]
+    mul = _flat(x.mul_table, at)
+    return add, mul, [
+        (c == z, c == one, len(s), z in s, m == c, m == z, m == one)
+        for c, (s, m) in enumerate(zip(add[:: n + 1], mul[:: n + 1]))
+    ]
+
+
 def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict | None:
-    """Backtracking search for a structure isomorphism (labels map a -> b)."""
+    """The first isomorphism a -> b in permutation order (a label map), or
+    None.  Zero maps to zero, and one to one when both multiply and declare
+    a unity.  Depth first over a's indices in ascending order, each trying
+    b's unused indices of equal `_shape` invariants in ascending order; a
+    choice among several is dropped as soon as a cell among mapped indices
+    disagrees, and every complete map is verified in full."""
     n = len(a.elements)
-    if n != len(b.elements):
+    if n != len(b.elements) or (a.mul_table is None) != (b.mul_table is None):
         return None
-    has_mul = a.mul_table is not None and b.mul_table is not None
-    if (a.mul_table is None) != (b.mul_table is None):
+    units = a.mul_table is not None and a.one_idx is not None and b.one_idx is not None
+    at = [(i, j) for i in range(n) for j in range(n)]  # cell (i, j) at i * n + j
+    (add_a, mul_a, key_a), (add_b, mul_b, key_b) = _shape(a, at, units), _shape(b, at, units)
+    if sorted(key_a) != sorted(key_b):
         return None
+    images: dict = {}
+    for j, key in enumerate(key_b):
+        images.setdefault(key, []).append(j)
+    # perm[i]: the image of a's index i; seen[j]: j once b's j is an image;
+    # both -1 while unmapped
+    perm, seen = [-1] * n, [-1] * n
 
-    perm: list[int | None] = [None] * n
-
-    def consistent(i: int, j: int) -> bool:
-        if i == a.zero_idx and j != b.zero_idx:
+    def agree(c: int, d: int) -> bool:
+        # cells c of a and d of b: the mapped members of c map onto the used
+        # members of d, and the rest (-1) stand for each other
+        s, t = add_a[c], add_b[d]
+        if len(s) != len(t) or set(map(perm.__getitem__, s)) != set(map(seen.__getitem__, t)):
             return False
-        if j == b.zero_idx and i != a.zero_idx:
-            return False
-        if has_mul and a.one_idx is not None and b.one_idx is not None:
-            if (i == a.one_idx) != (j == b.one_idx):
-                return False
-        for k, pk in enumerate(perm):
-            if pk is None:
-                continue
-            img = {perm[t] for t in a.add_table[(i, k)]}
-            if None not in img and frozenset(img) != b.add_table[(j, pk)]:
-                return False
-            img = {perm[t] for t in a.add_table[(k, i)]}
-            if None not in img and frozenset(img) != b.add_table[(pk, j)]:
-                return False
-            if has_mul:
-                if perm[a.mul_table[(i, k)]] is not None and perm[a.mul_table[(i, k)]] != b.mul_table[(j, pk)]:
-                    return False
-                if perm[a.mul_table[(k, i)]] is not None and perm[a.mul_table[(k, i)]] != b.mul_table[(pk, j)]:
-                    return False
-        return True
+        return mul_a is None or perm[mul_a[c]] == seen[mul_b[d]]
 
-    used = [False] * n
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            # full verification of both tables under the bijection
-            for p in range(n):
-                for q in range(n):
-                    if frozenset(perm[t] for t in a.add_table[(p, q)]) != b.add_table[
-                        (perm[p], perm[q])
-                    ]:
-                        return False
-                    if has_mul and perm[a.mul_table[(p, q)]] != b.mul_table[(perm[p], perm[q])]:
-                        return False
-            return True
-        for j in range(n):
-            if used[j] or not consistent(i, j):
-                continue
-            perm[i] = j
-            used[j] = True
-            if backtrack(i + 1):
+    def extend(i: int) -> bool:
+        if i == n:  # mapped, a's cells are b's cells at the mapped pairs
+            at = [(u, v) for u in perm for v in perm]
+            image = {s: frozenset(map(perm.__getitem__, s)) for s in set(add_a)}
+            return _flat(image, add_a) == _flat(b.add_table, at) and (
+                mul_a is None or _flat(perm, mul_a) == _flat(b.mul_table, at)
+            )
+        options = [j for j in images[key_a[i]] if seen[j] < 0]
+        for j in options:
+            perm[i] = seen[j] = j
+            if (
+                len(options) == 1  # no choice: left to the full verification
+                or agree(i * n + i, j * n + j)
+                and all(
+                    agree(i * n + k, j * n + perm[k]) and agree(k * n + i, perm[k] * n + j)
+                    for k in range(i)
+                )
+            ) and extend(i + 1):
                 return True
-            perm[i] = None
-            used[j] = False
+            perm[i] = seen[j] = -1
         return False
 
-    if backtrack(0):
+    if extend(0):
         return {a.elements[i]: b.elements[perm[i]] for i in range(n)}
     return None
 
@@ -817,29 +853,27 @@ def search_hyperfield_multiplications(x: FiniteMultistructure) -> list[dict]:
     from .structures import FiniteStructure
 
     n = len(x.elements)
-    nonzero = [i for i in range(n) if i != x.zero_idx]
-    winners = []
+    if n > _SEARCH_MAX_SIZE:
+        raise InvalidStructureError(
+            f"hyperfield search over {n} elements would try {n}^{(n - 1) ** 2} "
+            f"multiplication tables; it takes at most {_SEARCH_MAX_SIZE} elements"
+        )
+    z, winners = x.zero_idx, []
+    nonzero = [i for i in range(n) if i != z]
     for values in itertools.product(range(n), repeat=len(nonzero) ** 2):
-        mul_table = {}
-        for i in range(n):
-            mul_table[(i, x.zero_idx)] = x.zero_idx
-            mul_table[(x.zero_idx, i)] = x.zero_idx
-        it = iter(values)
-        for i in nonzero:
-            for j in nonzero:
-                mul_table[(i, j)] = next(it)
+        mul_table = {ij: z for i in range(n) for ij in ((i, z), (z, i))}
+        mul_table.update(zip(itertools.product(nonzero, nonzero), values))
         # a unity must exist among the nonzero elements
-        one = None
-        for e in nonzero:
-            if all(mul_table[(e, i)] == i and mul_table[(i, e)] == i for i in range(n)):
-                one = e
-                break
+        one = next(
+            (e for e in nonzero if all(mul_table[e, i] == i == mul_table[i, e] for i in range(n))),
+            None,
+        )
         if one is None:
             continue
         cand = FiniteMultistructure(
             elements=x.elements,
             add_table=x.add_table,
-            zero_idx=x.zero_idx,
+            zero_idx=z,
             mul_table=mul_table,
             one_idx=one,
             neg_map=x.neg_map,

@@ -240,6 +240,21 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "S", "--level", "hyperfield-search")
         assert (code, out) == (0, "2 univalued multiplications admit a hyperfield\n")
 
+    def test_k_hyperfield_search(self, capsys):
+        code, out, _ = run(capsys, "verify", "K", "--level", "hyperfield-search")
+        assert (code, out) == (0, "1 univalued multiplications admit a hyperfield\n")
+
+    @pytest.mark.parametrize("name", ["zmod:5", "powers:3:4", "zmod:12"])
+    def test_hyperfield_search_refuses_more_than_4_elements(self, capsys, name):
+        """n elements admit n^((n-1)^2) multiplications: 5^16 is about 1.5e11."""
+        code, out, err = run(capsys, "verify", name, "--level", "hyperfield-search")
+        n = 12 if name == "zmod:12" else 5
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: hyperfield search over {n} elements would try {n}^{(n - 1) ** 2} "
+            "multiplication tables; it takes at most 4 elements\n"
+        )
+
     def test_continuous_hyperfield_search_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "TR", "--level", "hyperfield-search")
         assert (code, out, err) == (2, "", "error: hyperfield-search needs a finite structure\n")
