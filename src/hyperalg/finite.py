@@ -723,20 +723,19 @@ def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
         raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
     at = list(itertools.product(r, r))  # cell (i, j) at i * n + j
     add, mul = _flat(x.add_table, at), _flat(x.mul_table, at)
-    sums = [(add[a * n : a * n + n], add[a::n]) for a in r]  # [a] -> a+b and b+a by b
-    left = [set(mul[a::n]) for a in r]  # [a] -> every c*a
 
     def close(ideal: set, todo: list) -> frozenset:
         # every cell among members of `ideal` outside `todo` is inside it
         while todo and len(ideal) < n:
-            row, col = sums[a := todo.pop()]
-            new = left[a].union(*map(row.__getitem__, ideal), *map(col.__getitem__, ideal))
+            a = todo.pop()
+            row, col = add[a * n : a * n + n], add[a::n]  # a+b and b+a by b
+            new = set(mul[a::n]).union(*map(row.__getitem__, ideal), *map(col.__getitem__, ideal))
             todo += new - ideal
             ideal |= new
         return frozenset(ideal)
 
     zero = close({x.zero_idx}, [x.zero_idx])
-    principal = [close({a, *zero}, [a]) for a in r]
+    principal = [zero if a in zero else close({a, *zero}, [a]) for a in r]
     found = list(dict.fromkeys(principal))
     for ideal in found:
         for p in principal:
@@ -748,12 +747,11 @@ def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
 
 
 def ideals(x: FiniteMultistructure) -> list[frozenset]:
-    """All ideals (as label sets) of a commutative multiring: the sets
-    holding zero that hold every sum of two members and every product c*a
-    of a member a, in the order of itertools.combinations over the non-zero
-    indices.  Closure finds them without trying every subset, but their
-    number can still grow exponentially with the carrier, hence the cap."""
-    return [frozenset(x.elements[i] for i in s) for s in _ideal_indices(x)]
+    """All ideals (label sets) of a commutative multiring, in the order of
+    itertools.combinations over the non-zero indices: the sets holding zero,
+    each sum of two members and each product c*a of a member a.  Closure finds
+    them without trying subsets, but there can be exponentially many: the cap."""
+    return [frozenset(map(x.elements.__getitem__, s)) for s in _ideal_indices(x)]
 
 
 def prime_ideals(x: FiniteMultistructure) -> list[dict]:
@@ -769,15 +767,14 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
         if x.one_idx in s or not s.isdisjoint(_flat(x.mul_table, itertools.product(rest, rest))):
             continue
         to_k = {e: ("0" if i in s else "1") for i, e in enumerate(x.elements)}
-        out.append({"ideal": frozenset(x.elements[i] for i in s), "to_K": to_k})
+        out.append({"ideal": frozenset(map(x.elements.__getitem__, s)), "to_K": to_k})
     return out
 
 
 def _shape(x: FiniteMultistructure, at: list, units: bool) -> tuple:
-    """x's add cells and products (None without a multiplication) at the
-    index pairs `at`, and per index c what every isomorphism keeps: being
-    zero (and one, when `units`), |c+c|, whether 0 is in c+c and whether
-    c*c is c, 0 or 1."""
+    """x's add cells and products (None without one) at the index pairs `at`,
+    and per index c what every isomorphism keeps: being zero (and one, when
+    `units`), |c+c|, whether 0 is in c+c and whether c*c is c, 0 or 1."""
     n, z, one = len(x.elements), x.zero_idx, x.one_idx if units else None
     add = _flat(x.add_table, at)
     if x.mul_table is None:
@@ -807,25 +804,24 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
     images: dict = {}
     for j, key in enumerate(key_b):
         images.setdefault(key, []).append(j)
-    # perm[i]: the image of a's index i; seen[j]: j once b's j is an image;
-    # both -1 while unmapped
-    perm, seen = [-1] * n, [-1] * n
+    perm, seen = [-1] * n, [-1] * n  # a's i -> its image; b's j -> j once an image
 
     def agree(c: int, d: int) -> bool:
-        # cells c of a and d of b: the mapped members of c map onto the used
-        # members of d, and the rest (-1) stand for each other
+        # cells c of a and d of b: mapped members onto used ones, the rest -1
         s, t = add_a[c], add_b[d]
         if len(s) != len(t) or set(map(perm.__getitem__, s)) != set(map(seen.__getitem__, t)):
             return False
         return mul_a is None or perm[mul_a[c]] == seen[mul_b[d]]
 
+    def verified() -> bool:  # a's cells, mapped, are b's cells at the mapped pairs
+        at = [(u, v) for u in perm for v in perm]
+        image = {s: frozenset(map(perm.__getitem__, s)) for s in set(add_a)}
+        sums = _flat(image, add_a) == _flat(b.add_table, at)
+        return sums and (mul_a is None or _flat(perm, mul_a) == _flat(b.mul_table, at))
+
     def extend(i: int) -> bool:
-        if i == n:  # mapped, a's cells are b's cells at the mapped pairs
-            at = [(u, v) for u in perm for v in perm]
-            image = {s: frozenset(map(perm.__getitem__, s)) for s in set(add_a)}
-            return _flat(image, add_a) == _flat(b.add_table, at) and (
-                mul_a is None or _flat(perm, mul_a) == _flat(b.mul_table, at)
-            )
+        if i == n:
+            return verified()
         options = [j for j in images[key_a[i]] if seen[j] < 0]
         for j in options:
             perm[i] = seen[j] = j
@@ -841,9 +837,12 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
             perm[i] = seen[j] = -1
         return False
 
-    if extend(0):
-        return {a.elements[i]: b.elements[perm[i]] for i in range(n)}
-    return None
+    if len(images) == n:  # every image is pinned by its invariants
+        perm[:] = (images[key][0] for key in key_a)
+        found = verified()
+    else:
+        found = extend(0)
+    return {a.elements[i]: b.elements[perm[i]] for i in range(n)} if found else None
 
 
 def search_hyperfield_multiplications(x: FiniteMultistructure) -> list[dict]:
