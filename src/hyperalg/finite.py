@@ -721,8 +721,8 @@ def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
     n, r = len(x.elements), range(len(x.elements))
     if n > _IDEALS_MAX_SIZE:
         raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
-    at = list(itertools.product(r, r))  # cell (i, j) at i * n + j
-    add, mul = _flat(x.add_table, at), _flat(x.mul_table, at)
+    # cell (i, j) at i * n + j
+    add, mul = (_flat(t, itertools.product(r, r)) for t in (x.add_table, x.mul_table))
 
     def close(ideal: set, todo: list) -> frozenset:
         # every cell among members of `ideal` outside `todo` is inside it
@@ -771,19 +771,15 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     return out
 
 
-def _shape(x: FiniteMultistructure, at: list, units: bool) -> tuple:
-    """x's add cells and products (None without one) at the index pairs `at`,
-    and per index c what every isomorphism keeps: being zero (and one, when
+def _shape(x: FiniteMultistructure, units: bool) -> list:
+    """Per index c, what every isomorphism keeps: being zero (and one, when
     `units`), |c+c|, whether 0 is in c+c and whether c*c is c, 0 or 1."""
-    n, z, one = len(x.elements), x.zero_idx, x.one_idx if units else None
-    add = _flat(x.add_table, at)
+    z, one, zero = x.zero_idx, x.one_idx if units else None, x.elements[x.zero_idx]
+    keys = [(c == z, c == one, len(row[c]), zero in row[c]) for c, row in enumerate(x._sums)]
     if x.mul_table is None:
-        return add, None, [(c == z, len(s), z in s) for c, s in enumerate(add[:: n + 1])]
-    mul = _flat(x.mul_table, at)
-    return add, mul, [
-        (c == z, c == one, len(s), z in s, m == c, m == z, m == one)
-        for c, (s, m) in enumerate(zip(add[:: n + 1], mul[:: n + 1]))
-    ]
+        return keys
+    squares = map(x.mul_table.__getitem__, zip(range(len(keys)), range(len(keys))))
+    return [key + (m == c, m == z, m == one) for c, (key, m) in enumerate(zip(keys, squares))]
 
 
 def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict | None:
@@ -792,57 +788,56 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
     a unity.  Depth first over a's indices in ascending order, each trying
     b's unused indices of equal `_shape` invariants in ascending order; a
     choice among several is dropped as soon as a cell among mapped indices
-    disagrees, and every complete map is verified in full."""
-    n = len(a.elements)
-    if n != len(b.elements) or (a.mul_table is None) != (b.mul_table is None):
+    disagrees, and every complete map is verified in full.  The cells are
+    read from the label rows each table builds once."""
+    n, ea, eb = len(a.elements), a.elements, b.elements
+    if n != len(eb) or (a.mul_table is None) != (b.mul_table is None):
         return None
     units = a.mul_table is not None and a.one_idx is not None and b.one_idx is not None
-    at = [(i, j) for i in range(n) for j in range(n)]  # cell (i, j) at i * n + j
-    (add_a, mul_a, key_a), (add_b, mul_b, key_b) = _shape(a, at, units), _shape(b, at, units)
+    key_a, key_b = _shape(a, units), _shape(b, units)
     if sorted(key_a) != sorted(key_b):
         return None
     images: dict = {}
     for j, key in enumerate(key_b):
         images.setdefault(key, []).append(j)
-    perm, seen = [-1] * n, [-1] * n  # a's i -> its image; b's j -> j once an image
+    perm, iso, seen = [-1] * n, {}, {}  # a's index -> b's; a's label -> b's; b's used labels
 
-    def agree(c: int, d: int) -> bool:
-        # cells c of a and d of b: mapped members onto used ones, the rest -1
-        s, t = add_a[c], add_b[d]
-        if len(s) != len(t) or set(map(perm.__getitem__, s)) != set(map(seen.__getitem__, t)):
+    def agree(i: int, k: int, j: int, pk: int) -> bool:
+        # a's cell (i, k) and b's (j, pk): mapped members onto used ones, the rest None
+        s, t = a._sums[i][k], b._sums[j][pk]
+        if len(s) != len(t) or set(map(iso.get, s)) != set(map(seen.get, t)):
             return False
-        return mul_a is None or perm[mul_a[c]] == seen[mul_b[d]]
+        return a.mul_table is None or iso.get(a._products[i][k]) == seen.get(b._products[j][pk])
 
     def verified() -> bool:  # a's cells, mapped, are b's cells at the mapped pairs
-        at = [(u, v) for u in perm for v in perm]
-        image = {s: frozenset(map(perm.__getitem__, s)) for s in set(add_a)}
-        sums = _flat(image, add_a) == _flat(b.add_table, at)
-        return sums and (mul_a is None or _flat(perm, mul_a) == _flat(b.mul_table, at))
+        cells = list(itertools.chain.from_iterable(a._sums))
+        image = {s: frozenset(map(iso.__getitem__, s)) for s in set(cells)}
+        if _flat(image, cells) != [row[v] for row in map(b._sums.__getitem__, perm) for v in perm]:
+            return False
+        return a.mul_table is None or _flat(iso, itertools.chain.from_iterable(a._products)) == [
+            row[v] for row in map(b._products.__getitem__, perm) for v in perm
+        ]
 
     def extend(i: int) -> bool:
         if i == n:
             return verified()
-        options = [j for j in images[key_a[i]] if seen[j] < 0]
+        options = [j for j in images[key_a[i]] if eb[j] not in seen]
         for j in options:
-            perm[i] = seen[j] = j
+            perm[i], iso[ea[i]], seen[eb[j]] = j, eb[j], eb[j]
             if (
                 len(options) == 1  # no choice: left to the full verification
-                or agree(i * n + i, j * n + j)
-                and all(
-                    agree(i * n + k, j * n + perm[k]) and agree(k * n + i, perm[k] * n + j)
-                    for k in range(i)
-                )
+                or agree(i, i, j, j)
+                and all(agree(i, k, j, perm[k]) and agree(k, i, perm[k], j) for k in range(i))
             ) and extend(i + 1):
                 return True
-            perm[i] = seen[j] = -1
+            del iso[ea[i]], seen[eb[j]]
         return False
 
     if len(images) == n:  # every image is pinned by its invariants
         perm[:] = (images[key][0] for key in key_a)
-        found = verified()
-    else:
-        found = extend(0)
-    return {a.elements[i]: b.elements[perm[i]] for i in range(n)} if found else None
+        iso.update(zip(ea, map(eb.__getitem__, perm)))
+        return dict(iso) if verified() else None
+    return dict(iso) if extend(0) else None
 
 
 def search_hyperfield_multiplications(x: FiniteMultistructure) -> list[dict]:
