@@ -709,10 +709,6 @@ _IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are listed
 _SEARCH_MAX_SIZE = 4  # largest carrier whose multiplications are searched
 
 
-def _flat(table, at) -> list:
-    return list(map(table.__getitem__, at))  # the cells at the index pairs `at`
-
-
 def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
     """Every ideal of x as an index set, by closure: the least ideal holding
     each index, then the least holding an ideal found and one of those."""
@@ -722,7 +718,8 @@ def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
     if n > _IDEALS_MAX_SIZE:
         raise InvalidStructureError(f"carrier too large for enumeration ({n} > {_IDEALS_MAX_SIZE})")
     # cell (i, j) at i * n + j
-    add, mul = (_flat(t, itertools.product(r, r)) for t in (x.add_table, x.mul_table))
+    add = list(map(x.add_table.__getitem__, itertools.product(r, r)))
+    mul = list(map(x.mul_table.__getitem__, itertools.product(r, r)))
 
     def close(ideal: set, todo: list) -> frozenset:
         # every cell among members of `ideal` outside `todo` is inside it
@@ -763,8 +760,9 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     out = []
     for s in _ideal_indices(x):
         rest = [a for a in range(len(x.elements)) if a not in s]
+        products = map(x.mul_table.__getitem__, itertools.product(rest, rest))
         # prime: no product of two non-members is a member
-        if x.one_idx in s or not s.isdisjoint(_flat(x.mul_table, itertools.product(rest, rest))):
+        if x.one_idx in s or not s.isdisjoint(products):
             continue
         to_k = {e: ("0" if i in s else "1") for i, e in enumerate(x.elements)}
         out.append({"ideal": frozenset(map(x.elements.__getitem__, s)), "to_K": to_k})
@@ -774,11 +772,11 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
 def _shape(x: FiniteMultistructure, units: bool) -> list:
     """Per index c, what every isomorphism keeps: being zero (and one, when
     `units`), |c+c|, whether 0 is in c+c and whether c*c is c, 0 or 1."""
-    z, one, zero = x.zero_idx, x.one_idx if units else None, x.elements[x.zero_idx]
+    z, one, zero = x.zero_idx, x.one_idx if units else None, x.zero
     keys = [(c == z, c == one, len(row[c]), zero in row[c]) for c, row in enumerate(x._sums)]
     if x.mul_table is None:
         return keys
-    squares = map(x.mul_table.__getitem__, zip(range(len(keys)), range(len(keys))))
+    squares = [x.mul_table[c, c] for c in range(len(keys))]
     return [key + (m == c, m == z, m == one) for c, (key, m) in enumerate(zip(keys, squares))]
 
 
@@ -802,21 +800,28 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
         images.setdefault(key, []).append(j)
     perm, iso, seen = [-1] * n, {}, {}  # a's index -> b's; a's label -> b's; b's used labels
 
+    def verified() -> bool:  # a's cells, mapped, are b's cells at the mapped pairs
+        cells = list(itertools.chain.from_iterable(a._sums))
+        image = {s: frozenset(map(iso.__getitem__, s)) for s in set(cells)}
+        sums = [row[v] for row in map(b._sums.__getitem__, perm) for v in perm]
+        if list(map(image.__getitem__, cells)) != sums:
+            return False
+        products = map(iso.__getitem__, itertools.chain.from_iterable(a._products))
+        return a.mul_table is None or list(products) == [
+            row[v] for row in map(b._products.__getitem__, perm) for v in perm
+        ]
+
+    if len(images) == n:  # every image is pinned by its invariants
+        perm[:] = (images[key][0] for key in key_a)
+        iso.update(zip(ea, map(eb.__getitem__, perm)))
+        return dict(iso) if verified() else None
+
     def agree(i: int, k: int, j: int, pk: int) -> bool:
         # a's cell (i, k) and b's (j, pk): mapped members onto used ones, the rest None
         s, t = a._sums[i][k], b._sums[j][pk]
         if len(s) != len(t) or set(map(iso.get, s)) != set(map(seen.get, t)):
             return False
         return a.mul_table is None or iso.get(a._products[i][k]) == seen.get(b._products[j][pk])
-
-    def verified() -> bool:  # a's cells, mapped, are b's cells at the mapped pairs
-        cells = list(itertools.chain.from_iterable(a._sums))
-        image = {s: frozenset(map(iso.__getitem__, s)) for s in set(cells)}
-        if _flat(image, cells) != [row[v] for row in map(b._sums.__getitem__, perm) for v in perm]:
-            return False
-        return a.mul_table is None or _flat(iso, itertools.chain.from_iterable(a._products)) == [
-            row[v] for row in map(b._products.__getitem__, perm) for v in perm
-        ]
 
     def extend(i: int) -> bool:
         if i == n:
@@ -833,10 +838,6 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
             del iso[ea[i]], seen[eb[j]]
         return False
 
-    if len(images) == n:  # every image is pinned by its invariants
-        perm[:] = (images[key][0] for key in key_a)
-        iso.update(zip(ea, map(eb.__getitem__, perm)))
-        return dict(iso) if verified() else None
     return dict(iso) if extend(0) else None
 
 

@@ -1,6 +1,7 @@
 """Finite constructors, quotients, ideals, and exhaustive verification."""
 import itertools
 import math
+import random
 
 import pytest
 
@@ -667,8 +668,6 @@ class TestIsomorphismAnswer:
     """find_isomorphism returns the first isomorphism in permutation order."""
 
     def test_relabelled_tables_map_back_by_the_first_isomorphism(self):
-        import random
-
         rng = random.Random(26)
         for x in _search_tables(6):
             for _ in range(2):
@@ -699,8 +698,6 @@ class TestIsomorphismAnswer:
         assert find_isomorphism(b(), a()) is None
 
     def test_unity_binds_only_when_both_tables_declare_one(self):
-        import random
-
         z5 = make_zmod(5)
         wrong_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table, one_idx=2)
         no_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table)
@@ -766,8 +763,6 @@ class TestIdealsAnswer:
 
     @pytest.mark.parametrize("relabel", [False, True], ids=["built", "relabelled"])
     def test_ideals_and_prime_ideals_in_order(self, relabel):
-        import random
-
         rng = random.Random(12)
         for x in _ideal_tables():
             if relabel:
