@@ -709,9 +709,13 @@ _IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are listed
 _SEARCH_MAX_SIZE = 4  # largest carrier whose multiplications are searched
 
 
-def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
-    """Every ideal of x as an index set, by closure: the least ideal holding
-    each index, then the least holding an ideal found and one of those."""
+def ideals(x: FiniteMultistructure) -> list[frozenset]:
+    """All ideals (label sets) of a commutative multiring, in the order of
+    itertools.combinations over the non-zero indices: the sets holding zero,
+    each sum of two members and each product c*a of a member a.  Found by
+    closure, not by trying subsets: the least ideal holding each index, then
+    the least holding an ideal found and one of those.  There can still be
+    exponentially many ideals, hence the cap."""
     if x.mul_table is None:
         raise InvalidStructureError("ideals need a multiplication")
     n, r = len(x.elements), range(len(x.elements))
@@ -740,15 +744,8 @@ def _ideal_indices(x: FiniteMultistructure) -> list[frozenset]:
             if bigger not in found and (bigger := close(set(bigger), list(p - ideal))) not in found:
                 found.append(bigger)
     # every ideal holds zero, so sorted indices order them as the non-zero ones do
-    return sorted(found, key=lambda s: (len(s), sorted(s)))
-
-
-def ideals(x: FiniteMultistructure) -> list[frozenset]:
-    """All ideals (label sets) of a commutative multiring, in the order of
-    itertools.combinations over the non-zero indices: the sets holding zero,
-    each sum of two members and each product c*a of a member a.  Closure finds
-    them without trying subsets, but there can be exponentially many: the cap."""
-    return [frozenset(map(x.elements.__getitem__, s)) for s in _ideal_indices(x)]
+    found.sort(key=lambda s: (len(s), sorted(s)))
+    return [frozenset(map(x.elements.__getitem__, s)) for s in found]
 
 
 def prime_ideals(x: FiniteMultistructure) -> list[dict]:
@@ -758,26 +755,27 @@ def prime_ideals(x: FiniteMultistructure) -> list[dict]:
     "0" and everything else to "1".
     """
     out = []
-    for s in _ideal_indices(x):
-        rest = [a for a in range(len(x.elements)) if a not in s]
-        products = map(x.mul_table.__getitem__, itertools.product(rest, rest))
-        # prime: no product of two non-members is a member
-        if x.one_idx in s or not s.isdisjoint(products):
-            continue
-        to_k = {e: ("0" if i in s else "1") for i, e in enumerate(x.elements)}
-        out.append({"ideal": frozenset(map(x.elements.__getitem__, s)), "to_K": to_k})
+    for members in ideals(x):
+        rest = [i for i, e in enumerate(x.elements) if e not in members]
+        products = (x._products[a][b] for a in rest for b in rest)
+        # proper (one is no member) and prime (no product of two non-members is one)
+        if (x.one_idx is None or x.one_idx in rest) and members.isdisjoint(products):
+            to_k = {e: ("0" if e in members else "1") for e in x.elements}
+            out.append({"ideal": members, "to_K": to_k})
     return out
 
 
 def _shape(x: FiniteMultistructure, units: bool) -> list:
     """Per index c, what every isomorphism keeps: being zero (and one, when
     `units`), |c+c|, whether 0 is in c+c and whether c*c is c, 0 or 1."""
-    z, one, zero = x.zero_idx, x.one_idx if units else None, x.zero
-    keys = [(c == z, c == one, len(row[c]), zero in row[c]) for c, row in enumerate(x._sums)]
-    if x.mul_table is None:
-        return keys
-    squares = [x.mul_table[c, c] for c in range(len(keys))]
-    return [key + (m == c, m == z, m == one) for c, (key, m) in enumerate(zip(keys, squares))]
+    z, one, zero, mul = x.zero_idx, x.one_idx if units else -1, x.zero, x.mul_table
+    if mul is None:
+        return [(c == z, len(row[c]), zero in row[c]) for c, row in enumerate(x._sums)]
+    return [
+        (c == z, c == one, len(row[c]), zero in row[c], m == c, m == z, m == one)
+        for c, row in enumerate(x._sums)
+        for m in (mul[c, c],)
+    ]
 
 
 def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict | None:
@@ -793,8 +791,6 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
         return None
     units = a.mul_table is not None and a.one_idx is not None and b.one_idx is not None
     key_a, key_b = _shape(a, units), _shape(b, units)
-    if sorted(key_a) != sorted(key_b):
-        return None
     images: dict = {}
     for j, key in enumerate(key_b):
         images.setdefault(key, []).append(j)
@@ -806,15 +802,12 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
         sums = [row[v] for row in map(b._sums.__getitem__, perm) for v in perm]
         if list(map(image.__getitem__, cells)) != sums:
             return False
+        if a.mul_table is None:
+            return True
         products = map(iso.__getitem__, itertools.chain.from_iterable(a._products))
-        return a.mul_table is None or list(products) == [
+        return list(products) == [
             row[v] for row in map(b._products.__getitem__, perm) for v in perm
         ]
-
-    if len(images) == n:  # every image is pinned by its invariants
-        perm[:] = (images[key][0] for key in key_a)
-        iso.update(zip(ea, map(eb.__getitem__, perm)))
-        return dict(iso) if verified() else None
 
     def agree(i: int, k: int, j: int, pk: int) -> bool:
         # a's cell (i, k) and b's (j, pk): mapped members onto used ones, the rest None
@@ -826,7 +819,7 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
     def extend(i: int) -> bool:
         if i == n:
             return verified()
-        options = [j for j in images[key_a[i]] if eb[j] not in seen]
+        options = [j for j in images.get(key_a[i], ()) if eb[j] not in seen]
         for j in options:
             perm[i], iso[ea[i]], seen[eb[j]] = j, eb[j], eb[j]
             if (
@@ -853,22 +846,29 @@ def search_hyperfield_multiplications(x: FiniteMultistructure) -> list[dict]:
             f"hyperfield search over {n} elements would try {n}^{(n - 1) ** 2} "
             f"multiplication tables; it takes at most {_SEARCH_MAX_SIZE} elements"
         )
-    z, winners = x.zero_idx, []
-    nonzero = [i for i in range(n) if i != z]
+    nonzero = [i for i in range(n) if i != x.zero_idx]
+    winners = []
     for values in itertools.product(range(n), repeat=len(nonzero) ** 2):
-        mul_table = {ij: z for i in range(n) for ij in ((i, z), (z, i))}
-        mul_table.update(zip(itertools.product(nonzero, nonzero), values))
+        mul_table = {}
+        for i in range(n):
+            mul_table[(i, x.zero_idx)] = x.zero_idx
+            mul_table[(x.zero_idx, i)] = x.zero_idx
+        it = iter(values)
+        for i in nonzero:
+            for j in nonzero:
+                mul_table[(i, j)] = next(it)
         # a unity must exist among the nonzero elements
-        one = next(
-            (e for e in nonzero if all(mul_table[e, i] == i == mul_table[i, e] for i in range(n))),
-            None,
-        )
+        one = None
+        for e in nonzero:
+            if all(mul_table[(e, i)] == i and mul_table[(i, e)] == i for i in range(n)):
+                one = e
+                break
         if one is None:
             continue
         cand = FiniteMultistructure(
             elements=x.elements,
             add_table=x.add_table,
-            zero_idx=z,
+            zero_idx=x.zero_idx,
             mul_table=mul_table,
             one_idx=one,
             neg_map=x.neg_map,

@@ -18,8 +18,6 @@ ALLOWED_UNREACHED = {
     # library API named in the README; routing it through the CLI would add
     # an option that no caller needs
     "finite.quotient_by_normal",
-    # README's ideal enumeration; prime_ideals reads the index sets behind it
-    "finite.ideals",
 }
 
 
