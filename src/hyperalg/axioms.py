@@ -12,6 +12,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 from .structures import Structure
 
@@ -31,6 +33,8 @@ class Check:
     witness: tuple | None = None
     witness_text: str = ""
     detail: str = ""
+    # a map verdict's predicate(X, witness), bound to the map and its target
+    predicate: Callable | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -46,8 +50,8 @@ class AxiomReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
-    def add(self, axiom: str, passed: bool, witness=None, witness_text="", detail=""):
-        self.checks.append(Check(axiom, passed, witness, witness_text, detail))
+    def add(self, axiom: str, passed: bool, witness=None, witness_text="", detail="", predicate=None):
+        self.checks.append(Check(axiom, passed, witness, witness_text, detail, predicate))
 
     def to_lines(self) -> list[str]:
         out = []
@@ -80,45 +84,52 @@ class AxiomReport:
         )
 
 
+# a map's verdicts in the order `hom` prints them; a homomorphism needs _REQUIRED
+MAP_VERDICTS = ("zero-preserved", "one-preserved", "additive-containment", "multiplicative", "strong")
+_REQUIRED = ("zero-preserved", "additive-containment", "multiplicative")
+
+
 @dataclass
-class HomReport:
-    name: str
-    zero_preserved: bool = True
-    one_preserved: bool = True
-    additive: bool = True
-    multiplicative: bool = True
-    strong: bool = True
+class HomReport(AxiomReport):
+    """A map's verdicts, one Check each, in the order they settled: the zero
+    and the one first, then each failed pair verdict at its first failing
+    pair, then the pair verdicts that held.  `structure` names the map and
+    `tuples_checked` counts its pairs."""
+
     strong_exact: bool = True  # False when strongness was only sampled
     kernel: list = field(default_factory=list)
     mul_kernel: list = field(default_factory=list)
-    witness: tuple | None = None
-    witness_text: str = ""
-    pairs_checked: int = 0
 
-    def _verdicts(self) -> list[tuple[str, bool]]:
-        return [
-            ("zero-preserved", self.zero_preserved),
-            ("one-preserved", self.one_preserved),
-            ("additive-containment", self.additive),
-            ("multiplicative", self.multiplicative),
-            ("strong", self.strong),
-        ]
+    def _holds(self, axiom: str) -> bool:
+        return next((c.passed for c in self.checks if c.axiom == axiom), True)
+
+    zero_preserved = property(lambda self: self._holds("zero-preserved"))
+    one_preserved = property(lambda self: self._holds("one-preserved"))
+    additive = property(lambda self: self._holds("additive-containment"))
+    multiplicative = property(lambda self: self._holds("multiplicative"))
+    strong = property(lambda self: self._holds("strong"))
+    pairs_checked = property(lambda self: self.tuples_checked)
 
     def failures(self) -> list[Check]:
-        """The failed checks that make the map no homomorphism; one-preserved
-        and strong are reported but not required."""
-        return [
-            Check(n, False, self.witness, self.witness_text)
-            for n, ok in self._verdicts()
-            if not ok and n in ("zero-preserved", "additive-containment", "multiplicative")
-        ]
+        """The failed checks that make the map no homomorphism, in the order
+        they settled; one-preserved and strong are reported but not required."""
+        return [c for c in self.checks if not c.passed and c.axiom in _REQUIRED]
+
+    @property
+    def witness(self) -> tuple | None:
+        """The first pair that broke additive-containment or multiplicative."""
+        return next((c.witness for c in self.failures() if c.axiom != "zero-preserved"), None)
+
+    @property
+    def witness_text(self) -> str:
+        return next((c.witness_text for c in self.failures() if c.axiom != "zero-preserved"), "")
 
     @property
     def is_homomorphism(self) -> bool:
         return not self.failures()
 
     def to_lines(self) -> list[str]:
-        out = [f"axiom={n} verdict={'pass' if v else 'fail'}" for n, v in self._verdicts()]
+        out = [f"axiom={n} verdict={'pass' if self._holds(n) else 'fail'}" for n in MAP_VERDICTS]
         if self.witness_text:
             out.append(f"witness={self.witness_text}")
         out.append(f"kernel={{{','.join(self.kernel)}}}")
@@ -130,7 +141,7 @@ class HomReport:
 
         return json.dumps(
             {
-                "hom": self.name,
+                "hom": self.structure,
                 "homomorphism": self.is_homomorphism,
                 "zero_preserved": self.zero_preserved,
                 "one_preserved": self.one_preserved,
@@ -141,7 +152,7 @@ class HomReport:
                 "kernel": self.kernel,
                 "mul_kernel": self.mul_kernel,
                 "witness": self.witness_text or None,
-                "pairs": self.pairs_checked,
+                "pairs": self.tuples_checked,
             },
             indent=2,
         )
@@ -224,8 +235,9 @@ def _tuples(X: Structure, rng: random.Random, arity: int, budget: int, axiom: st
     return stratified_tuples(X, rng, arity, budget)
 
 
-def _wtext(X: Structure, tup) -> str:
-    return "(" + ", ".join(X.format_elem(t) for t in tup) + ")"
+def _wtext(X: Structure | None, tup) -> str:
+    fmt = str if X is None else X.format_elem  # no carrier: the polynomials of w
+    return "(" + ", ".join(fmt(t) for t in tup) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +433,11 @@ PREDICATES = {
 
 
 def replay(X: Structure, check: Check) -> bool:
-    """Re-run a failed check's predicate on its stored witness."""
+    """Re-run a failed check's predicate on its stored witness: a map
+    verdict's own predicate, else its axiom's."""
     if check.witness is None:
         raise ValueError(f"check {check.axiom} has no witness")
-    return PREDICATES[check.axiom](X, check.witness)
+    return (check.predicate or PREDICATES[check.axiom])(X, check.witness)
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +633,90 @@ def c_characteristic(X: Structure, cap: int = 64) -> CharResult:
     return CharResult(0, False)
 
 
+# ---------------------------------------------------------------------------
+# map verdicts: each pair's shared sides, then one predicate per verdict
+
+
+def first_failures(cases, sides, verdicts: dict) -> tuple[dict, int]:
+    """Decide each verdict, `verdicts[name](case, sides(case))`, on each case
+    until it fails.  Returns the case that first broke each failed verdict,
+    keyed in the order they failed, and the number of cases."""
+    failed: dict = {}
+    count = 0
+    for case in cases:
+        count += 1
+        shared = sides(case)
+        for name, holds in verdicts.items():
+            if name not in failed and not holds(case, shared):
+                failed[name] = case
+    return failed, count
+
+
+def _hom_sides(f, X, Y, pair, rng):
+    """f(a)+f(b), and the images of 3 points `pick` draws from a+b."""
+    a, b = pair
+    return Y.add(f(a), f(b)), [f(c) for c in X.pick(X.add(a, b), rng, 3)]
+
+
+def _hom_additive(f, X, Y, pair, sides, rng) -> bool:
+    img, mapped = sides
+    return all(Y.member(fc, img) for fc in mapped)
+
+
+def _hom_multiplicative(f, X, Y, pair, sides, rng) -> bool:
+    a, b = pair
+    return not (X.has_mul and Y.has_mul) or Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b)))
+
+
+def _hom_strong(f, X, Y, pair, sides, rng) -> bool:
+    """Each of 3 points `pick` draws from f(a)+f(b) is a mapped point of a+b."""
+    img, mapped = sides
+    return all(any(Y.eq(d, fc) for fc in mapped) for d in Y.pick(img, rng, 3))
+
+
+_HOM_VERDICTS = {
+    "additive-containment": _hom_additive,
+    "multiplicative": _hom_multiplicative,
+    "strong": _hom_strong,
+}
+
+
+def _maps_to(f, Y: Structure, target, X, tup) -> bool:
+    return Y.eq(f(tup[0]), target)
+
+
+def _replay_pair(sides, decide, f, Y: Structure, X, pair) -> bool:
+    rng = random.Random(0)
+    return decide(f, X, Y, pair, sides(f, X, Y, pair, rng), rng)
+
+
+def check_map(rep: HomReport, f, X, Y: Structure, units, pairs, sides, verdicts: dict,
+              rng: random.Random) -> HomReport:
+    """Settle the verdicts of f: X -> Y into `rep`, each a Check whose
+    predicate `replay` re-runs, drawing from Random(0) where it samples.
+
+    Each (verdict, x, target) of `units` holds when f(x) is `target`.  Each
+    pair verdict, `verdicts[name](f, X, Y, pair, shared, rng)`, is decided on
+    `pairs` until it fails, on what `sides(f, X, Y, pair, rng)` shares; its
+    first failing pair is its witness.  X is None for the polynomials of w."""
+
+    def settle(axiom: str, witness, predicate) -> None:
+        text = "" if witness is None else _wtext(X, witness)
+        rep.add(axiom, witness is None, witness, text, predicate=predicate)
+
+    for axiom, x, target in units:
+        holds = partial(_maps_to, f, Y, target)
+        settle(axiom, None if holds(X, (x,)) else (x,), holds)
+    failed, rep.tuples_checked = first_failures(
+        pairs,
+        partial(sides, f, X, Y, rng=rng),
+        {name: partial(decide, f, X, Y, rng=rng) for name, decide in verdicts.items()},
+    )
+    for axiom in [*failed, *(name for name in verdicts if name not in failed)]:
+        settle(axiom, failed.get(axiom), partial(_replay_pair, sides, verdicts[axiom], f, Y))
+    return rep
+
+
 def check_hom(
     f,
     X: Structure,
@@ -636,25 +733,15 @@ def check_hom(
     (`pick` then lists every element) and sampled otherwise.
     """
     rng = rng or random.Random(0)
-    rep = HomReport(name=name, strong_exact=X.is_finite and Y.is_finite)
-    rep.zero_preserved = Y.eq(f(X.zero), Y.zero)
+    rep = HomReport(name, strong_exact=X.is_finite and Y.is_finite)
+    units = [("zero-preserved", X.zero, Y.zero)]
     if X.has_one and Y.has_one:
-        rep.one_preserved = Y.eq(f(X.one), Y.one)
+        units.append(("one-preserved", X.one, Y.one))
+    else:
+        rep.add("one-preserved", True)
     pairs = list(_tuples(X, rng, 2, budget))
+    check_map(rep, f, X, Y, units, pairs, _hom_sides, _HOM_VERDICTS, rng)
     domain = X.elements() if X.is_finite else [e for pair in pairs[: budget // 2] for e in pair]
-    for a, b in pairs:
-        rep.pairs_checked += 1
-        img = Y.add(f(a), f(b))
-        mapped = [f(c) for c in X.pick(X.add(a, b), rng, 3)]
-        additive = all(Y.member(fc, img) for fc in mapped)
-        multiplicative = not (X.has_mul and Y.has_mul) or Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b)))
-        if not (additive and multiplicative) and rep.witness is None:
-            rep.witness, rep.witness_text = (a, b), _wtext(X, (a, b))
-        rep.additive &= additive
-        rep.multiplicative &= multiplicative
-        rep.strong = rep.strong and all(
-            any(Y.eq(d, fc) for fc in mapped) for d in Y.pick(img, rng, 3)
-        )
     kernel_seen: list = []
     mul_kernel_seen: list = []
     for a in domain:

@@ -201,41 +201,69 @@ def check_diagram(budget: int = 200, rng: random.Random | None = None) -> axioms
             b = csets.ComplexElem(math.exp(rng.uniform(-1.0, 1.0)), rng.uniform(0.0, 2 * math.pi))
         return a, b
 
-    witness: dict = dict.fromkeys(
-        ("modulus-containment", "log-transfer", "limit-row", "semiring-isomorphism", "graph-limit")
-    )
+    def cases():
+        """(a, b, c, h) for each sampled pair and each h of the schedule, then
+        h = 0 for the limit row; c is a point of the arc a + b, or None."""
+        for _ in range(budget):
+            a, b = sample_pair()
+            s = ctrop.ct_add(a, b)
+            c = csets.ComplexElem(s.radius, s.start + rng.uniform(0.0, 1.0) * s.sweep) if isinstance(s, csets.CArc) else None
+            for h in (*H_SCHEDULE, 0.0):
+                yield a, b, c, h
 
-    def fail(name: str, w: tuple) -> None:
-        witness[name] = witness[name] or w
+    def sides(case) -> RSet | None:
+        a, b, _, h = case
+        return tri_add_h(a.modulus, b.modulus, h) if h else None
 
-    for _ in range(budget):
-        a, b = sample_pair()
+    def modulus_containment(case, tri_h) -> bool:
+        a, b, _, h = case
+        return not h or rmember(c_add_h(a, b, h).modulus, tri_h, wide)
+
+    def log_transfer(case, tri_h) -> bool:
+        a, b, _, h = case
+        if not h:
+            return True
+        am = amoeba_add_h(math.log(a.modulus), math.log(b.modulus), h)
+        lo_ref = NEG_INF if tri_h.lo <= 0.0 else math.log(tri_h.lo)
+        return wide.close(am.hi, math.log(tri_h.hi)) and (am.lo == lo_ref or wide.close(am.lo, lo_ref))
+
+    def limit_row(case, _) -> bool:
+        a, b, _, h = case
+        return bool(h) or rmember(c_add_0(a, b).modulus, ultra_add(a.modulus, b.modulus), wide)
+
+    def semiring_isomorphism(case, _) -> bool:
+        a, b, _, h = case
+        if not h:
+            return True
         x, y = a.modulus, b.modulus
-        s = ctrop.ct_add(a, b)
-        c = csets.ComplexElem(s.radius, s.start + rng.uniform(0.0, 1.0) * s.sweep) if isinstance(s, csets.CArc) else None
-        drift_prev = math.inf
-        for h in H_SCHEDULE:
-            tri_h = tri_add_h(x, y, h)
-            if not rmember(c_add_h(a, b, h).modulus, tri_h, wide):
-                fail("modulus-containment", (a, b, h))
-            am = amoeba_add_h(math.log(x), math.log(y), h)
-            lo_ref = NEG_INF if tri_h.lo <= 0.0 else math.log(tri_h.lo)
-            if not (wide.close(am.hi, math.log(tri_h.hi)) and (am.lo == lo_ref or wide.close(am.lo, lo_ref))):
-                fail("log-transfer", (a, b, h))
-            dx, dy = d_h(x, h), d_h(y, h)
-            if not (wide.close(lm_add(dx, dy, h), d_h(x + y, h)) and wide.close(dx + dy, d_h(x * y, h))):
-                fail("semiring-isomorphism", (a, b, h))
-            if c is not None:
-                ah, bh = graph_witness(a, b, c, h)
-                drift = abs(ah.as_complex() - a.as_complex()) + abs(bh.as_complex() - b.as_complex())
-                hit = abs(c_add_h(ah, bh, h).as_complex() - c.as_complex()) <= wide.eps * c.modulus
-                if not (hit and drift <= drift_prev + 1e-12):
-                    fail("graph-limit", (a, b, h))
-                drift_prev = drift
-        if not rmember(c_add_0(a, b).modulus, ultra_add(x, y), wide):
-            fail("limit-row", (a, b, 0.0))
+        dx, dy = d_h(x, h), d_h(y, h)
+        return wide.close(lm_add(dx, dy, h), d_h(x + y, h)) and wide.close(dx + dy, d_h(x * y, h))
+
+    drift_prev = math.inf  # the distance of the graph witness to (a, b) at the previous h
+
+    def graph_limit(case, _) -> bool:
+        nonlocal drift_prev
+        a, b, c, h = case
+        if c is None or not h:
+            return True
+        ah, bh = graph_witness(a, b, c, h)
+        drift = abs(ah.as_complex() - a.as_complex()) + abs(bh.as_complex() - b.as_complex())
+        hit = abs(c_add_h(ah, bh, h).as_complex() - c.as_complex()) <= wide.eps * c.modulus
+        prev, drift_prev = (math.inf if h == H_SCHEDULE[0] else drift_prev), drift
+        return hit and drift <= prev + 1e-12
+
+    verdicts = {
+        "modulus-containment": modulus_containment,
+        "log-transfer": log_transfer,
+        "limit-row": limit_row,
+        "semiring-isomorphism": semiring_isomorphism,
+        "graph-limit": graph_limit,
+    }
+    failed, _ = axioms.first_failures(cases(), sides, verdicts)
     rep = axioms.AxiomReport(structure="dequantization-diagram", tuples_checked=budget)
-    for name, w in witness.items():
+    for name in verdicts:
+        case = failed.get(name)
+        w = None if case is None else (case[0], case[1], case[3])  # c is no part of it
         rep.add(name, w is None, w, _fmt3(w), _GRAPH_LIMIT_SCOPE if name == "graph-limit" else "")
     return rep
 

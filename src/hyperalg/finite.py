@@ -82,6 +82,14 @@ class FiniteMultistructure:
                 raise InvalidStructureError(
                     f"{what} table cell {cell!r} is outside the carrier 0..{n - 1}"
                 )
+        one = self.one_idx
+        if mul is not None and one is not None:
+            for i in range(n):
+                if mul[(one, i)] != i or mul[(i, one)] != i:
+                    raise InvalidStructureError(
+                        f"one index {one} is no multiplicative identity: the products of "
+                        f"{one} and {i} are {mul[(one, i)]} and {mul[(i, one)]}, not {i}"
+                    )
         if self.neg_map is None:
             self.neg_map = self._derive_neg()
         elif len(self.neg_map) != n or not set(self.neg_map) <= valid:

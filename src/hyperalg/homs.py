@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 
 from . import _Deferred
-from .structures import Structure
+from .structures import Structure, get_structure
 from .tolerance import NEG_INF, Tolerance
 
 axioms, csets, ctrop = (_Deferred(globals(), name) for name in ("axioms", "csets", "ctrop"))
@@ -171,6 +171,61 @@ def _random_poly(rng: random.Random, real_exponents: bool = False) -> Polynomial
     return Polynomial.make(acc)
 
 
+def _w_pairs(budget: int, rng: random.Random, real_exponents: bool):
+    """Pairs of polynomials in three strata: generic pairs, equal-degree
+    non-cancelling leaders, and engineered leading-term cancellations."""
+    per = max(1, budget // 3)
+    for _ in range(per):  # generic
+        yield _random_poly(rng, real_exponents), _random_poly(rng, real_exponents)
+    for _ in range(per):  # tied top degree, non-cancelling leaders
+        p = _random_poly(rng, real_exponents)
+        q = _random_poly(rng, real_exponents)
+        e, c = p.leading()
+        q2 = q + Polynomial.make({e: c * complex(rng.gauss(0, 1) or 1.0, rng.gauss(0, 1))})
+        if not q2.is_zero and q2.degree() == e:
+            yield p, q2
+    for _ in range(per):  # engineered cancellation of the leading term
+        p = _random_poly(rng, real_exponents)
+        e, c = p.leading()
+        filler = {ee: cc for ee, cc in _random_poly(rng, real_exponents).terms if ee < e}
+        filler[e] = -c
+        yield p, Polynomial.make(filler)
+
+
+_WIDE = Tolerance(1e-7)  # atan2/exp noise on engineered cancellations
+
+
+def _w_sides(f, X, Y, pair, rng):
+    """w(p), w(q), w(p+q) and w(p) ∔ w(q)."""
+    p, q = pair
+    wp, wq = f(p), f(q)
+    return wp, wq, f(p + q), ctrop.ct_add(wp, wq)
+
+
+def _w_additive(f, X, Y, pair, sides, rng) -> bool:
+    _, _, wpq, total = sides
+    return csets.member(wpq, total, _WIDE)
+
+
+def _w_multiplicative(f, X, Y, pair, sides, rng) -> bool:
+    p, q = pair
+    wp, wq, _, _ = sides
+    return f(p * q).eq(wp.times(wq), _WIDE)
+
+
+def _w_strong(f, X, Y, pair, sides, rng) -> bool:
+    """w(p) ∔ w(q) is the single point w(p+q)."""
+    _, _, wpq, total = sides
+    return csets.set_eq(total, csets.CPoint(wpq), _WIDE)
+
+
+_W_VERDICTS = {
+    "additive-containment": _w_additive,
+    "multiplicative": _w_multiplicative,
+    "strong": _w_strong,
+}
+
+
 def check_w_hom(
     budget: int = 300,
     rng: random.Random | None = None,
@@ -178,48 +233,17 @@ def check_w_hom(
 ) -> axioms.HomReport:
     """Verify w(p+q) ∈ w(p) ∔ w(q) and w(pq) = w(p)w(q) over three strata:
     generic pairs, equal-degree non-cancelling pairs, and engineered
-    leading-term cancellations."""
+    leading-term cancellations.  w is strong on a pair when w(p) ∔ w(q) is
+    the single point w(p+q), which a tie or a cancellation breaks."""
     rng = rng or random.Random(0)
-    rep = axioms.HomReport(name="w: C[X] -> TC")
-    rep.strong = False  # the additive image is a single point, never the set
-    rep.strong_exact = True
-    wide = Tolerance(1e-7)  # atan2/exp noise on engineered cancellations
-
-    def one_pair(p: Polynomial, q: Polynomial) -> None:
-        rep.pairs_checked += 1
-        wp, wq, wpq = w_map(p), w_map(q), w_map(p + q)
-        if not csets.member(wpq, ctrop.ct_add(wp, wq), wide):
-            rep.additive = False
-            if rep.witness is None:
-                rep.witness = (p, q)
-                rep.witness_text = f"({p}, {q})"
-        prod = w_map(p * q)
-        expect = wp.times(wq)
-        if not prod.eq(expect, wide):
-            rep.multiplicative = False
-            if rep.witness is None:
-                rep.witness = (p, q)
-                rep.witness_text = f"({p}, {q})"
-
-    per = max(1, budget // 3)
-    for _ in range(per):  # generic
-        one_pair(_random_poly(rng, real_exponents), _random_poly(rng, real_exponents))
-    for _ in range(per):  # tied top degree, non-cancelling leaders
-        p = _random_poly(rng, real_exponents)
-        q = _random_poly(rng, real_exponents)
-        e, c = p.leading()
-        q2 = q + Polynomial.make({e: c * complex(rng.gauss(0, 1) or 1.0, rng.gauss(0, 1))})
-        if not q2.is_zero and q2.degree() == e:
-            one_pair(p, q2)
-    for _ in range(per):  # engineered cancellation of the leading term
-        p = _random_poly(rng, real_exponents)
-        e, c = p.leading()
-        filler = {ee: cc for ee, cc in _random_poly(rng, real_exponents).terms if ee < e}
-        filler[e] = -c
-        one_pair(p, Polynomial.make(filler))
-    rep.kernel = ["0"]
-    rep.mul_kernel = ["1"]
-    return rep
+    tc = get_structure("TC")
+    units = [
+        ("zero-preserved", Polynomial.make({}), tc.zero),
+        ("one-preserved", Polynomial.make({0: 1}), tc.one),
+    ]
+    rep = axioms.HomReport("w: C[X] -> TC", kernel=["0"], mul_kernel=["1"])
+    pairs = _w_pairs(budget, rng, real_exponents)
+    return axioms.check_map(rep, w_map, None, tc, units, pairs, _w_sides, _W_VERDICTS, rng)
 
 
 # ---------------------------------------------------------------------------

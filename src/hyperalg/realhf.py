@@ -11,6 +11,7 @@ all arithmetic involving it is cased explicitly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 
@@ -152,31 +153,37 @@ def check_seminorm(
     """
     if kind not in ("archimedean", "non-archimedean"):
         raise ValueError(f"unknown seminorm kind {kind!r}")
-    witness: dict = {"triangle": None, "multiplicative": None}
+    target = tri_add if kind == "archimedean" else ultra_add
+
+    def sides(pair: tuple) -> tuple:
+        x, y = pair
+        nx, ny = norm(x), norm(y)
+        # comparisons scale with the operands, so widen the tolerance
+        wide = Tolerance(max(DEFAULT_TOL.eps, DEFAULT_TOL.eps * max(nx, ny, 1.0) * 8))
+        return nx, ny, norm(add(x, y)), wide
+
+    def triangle(pair: tuple, shared: tuple) -> bool:
+        nx, ny, nxy, wide = shared
+        return rmember(nxy, target(nx, ny), wide)
+
+    def multiplicative(pair: tuple, shared: tuple) -> bool:
+        nx, ny, _, wide = shared
+        return abs(norm(mul(*pair)) - nx * ny) <= wide.eps * max(1.0, nx * ny)
+
+    def valuation(pair: tuple, shared: tuple) -> bool:
+        nx, ny, nxy, wide = shared
+        return rmember(_log(nxy), trop_add(_log(nx), _log(ny)), wide)
+
+    verdicts = {"triangle": triangle, "multiplicative": multiplicative}
     if kind == "non-archimedean":
-        witness["valuation"] = None
-
-    def fail(check: str, pair: tuple) -> None:
-        witness[check] = witness[check] or pair
-
-    for x in sample:
-        for y in sample:
-            nx, ny, nxy = norm(x), norm(y), norm(add(x, y))
-            target = tri_add(nx, ny) if kind == "archimedean" else ultra_add(nx, ny)
-            # comparisons scale with the operands, so widen the tolerance
-            wide = Tolerance(max(DEFAULT_TOL.eps, DEFAULT_TOL.eps * max(nx, ny, 1.0) * 8))
-            if not rmember(nxy, target, wide):
-                fail("triangle", (x, y))
-            prod = norm(mul(x, y))
-            if abs(prod - nx * ny) > wide.eps * max(1.0, nx * ny):
-                fail("multiplicative", (x, y))
-            if kind == "non-archimedean":
-                lx = NEG_INF if nx == 0.0 else math.log(nx)
-                ly = NEG_INF if ny == 0.0 else math.log(ny)
-                lxy = NEG_INF if nxy == 0.0 else math.log(nxy)
-                if not rmember(lxy, trop_add(lx, ly), wide):
-                    fail("valuation", (x, y))
-    rep = axioms.AxiomReport(structure=kind, tuples_checked=len(sample) ** 2)
-    for check, pair in witness.items():
+        verdicts["valuation"] = valuation
+    failed, count = axioms.first_failures(itertools.product(sample, repeat=2), sides, verdicts)
+    rep = axioms.AxiomReport(structure=kind, tuples_checked=count)
+    for check in verdicts:
+        pair = failed.get(check)
         rep.add(check, pair is None, pair, "" if pair is None else repr(pair))
     return rep
+
+
+def _log(x: float) -> float:
+    return NEG_INF if x == 0.0 else math.log(x)

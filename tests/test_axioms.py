@@ -1,4 +1,5 @@
 """Generic axiom checking: verdicts, witnesses, characteristics, homs."""
+import itertools
 import math
 import random
 
@@ -23,7 +24,8 @@ from hyperalg.finite import (
     make_powers_quotient,
     make_sign,
 )
-from hyperalg.homs import abs_map, log_abs, phase_map, sign_map
+from hyperalg.cli import HOM_BUDGET, HOM_TABLE, run_hom
+from hyperalg.homs import Polynomial, abs_map, check_w_hom, log_abs, phase_map, sign_map, w_map
 from hyperalg.structures import FiniteStructure, get_structure
 
 
@@ -342,6 +344,48 @@ class TestHoms:
         lines = rep.to_lines()
         assert any(line.startswith("axiom=strong verdict=fail") for line in lines)
         assert '"homomorphism": true' in rep.to_json()
+
+
+class TestMapVerdicts:
+    """Each map verdict is a Check with its own first failing pair, and
+    replay re-runs it."""
+
+    @pytest.mark.parametrize("name", sorted(HOM_TABLE))
+    def test_every_failing_verdict_replays_false(self, name):
+        src = HOM_TABLE[name][0]
+        x = get_structure(src) if src else None  # w checks polynomials, no carrier
+        for seed in range(3):
+            rep = run_hom(name, HOM_BUDGET, random.Random(seed))
+            assert [c.axiom for c in rep.checks if not c.passed], (name, seed)
+            for c in rep.checks:
+                if not c.passed:
+                    assert c.witness is not None, (name, seed, c.axiom)
+                    assert replay(x, c) is False, (name, seed, c.axiom, c.witness_text)
+
+    def test_w_fails_strong_at_a_tie_with_a_replayable_witness(self):
+        rep = check_w_hom(budget=60, rng=random.Random(3))
+        assert rep.is_homomorphism and rep.strong_exact and rep.witness is None
+        (strong,) = [c for c in rep.checks if c.axiom == "strong"]
+        assert not strong.passed and replay(None, strong) is False
+        p, q = strong.witness
+        assert w_map(p).modulus == w_map(q).modulus  # tied or cancelling leaders
+        # a dominant pair maps onto the single point w(p+q)
+        dominant = (Polynomial.make({2: 1j, 0: 1}), Polynomial.make({1: 3}))
+        assert strong.predicate(None, dominant) is True
+
+    def test_report_witness_is_the_earliest_broken_pair(self):
+        # on S -> S, 1 |-> -1 breaks multiplicative at (1, 1), before it
+        # breaks additive-containment at (1, -1)
+        s = get_structure("S")
+        table = {"0": "0", "1": "-1", "-1": "-1"}
+        rep = check_hom(table.__getitem__, s, s, name="f")
+        pairs = list(itertools.product(s.elements(), repeat=2))
+        by_axiom = {c.axiom: c for c in rep.failures()}
+        mul, add = by_axiom["multiplicative"].witness, by_axiom["additive-containment"].witness
+        assert pairs.index(mul) < pairs.index(add)
+        assert (rep.witness, rep.witness_text) == (mul, "(1, 1)")
+        assert replay(s, by_axiom["multiplicative"]) is False
+        assert replay(s, by_axiom["additive-containment"]) is False
 
 
 class TestReportForms:

@@ -307,6 +307,24 @@ class TestVerify:
             "checks=modulus-containment,log-transfer,limit-row,semiring-isomorphism,graph-limit"
         )
 
+    def test_verify_all_counts_a_witness_that_does_not_replay_false(self):
+        import dataclasses
+        import importlib.util
+        import random
+
+        spec = importlib.util.spec_from_file_location(
+            "verify_all", os.path.join(ROOT, "scripts", "verify_all.py")
+        )
+        verify_all = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(verify_all)
+        rep = verify_all.run_hom("S-K", 50, random.Random(0))
+        (strong,) = [c for c in rep.checks if not c.passed]
+        assert verify_all.unreplayed("hom:S-K", "hom", rep) == []
+        # S -> K is strong on (0, 1): 0 + 1 = 1 is all of f(0) + f(1)
+        rep.checks.append(dataclasses.replace(strong, witness=("0", "1")))
+        rep.checks.append(dataclasses.replace(strong, witness=None))
+        assert verify_all.unreplayed("hom:S-K", "hom", rep) == ["strong", "strong"]
+
     @pytest.mark.parametrize(
         "edit,cell",
         [
@@ -534,6 +552,18 @@ class TestSpectrum:
         assert code == 0
         assert "prime-ideal={0,2,4}" in out and "prime-ideal={0,3}" in out
         assert "count=2" in out
+
+    def test_declared_one_that_is_no_unity_exit_2(self, capsys, tmp_path):
+        # Z/6 with 3 as its one would drop the prime ideal {0,3} without a word
+        from hyperalg.finite import make_zmod
+
+        table = json.loads(make_zmod(6).to_json())
+        table["one"] = 3
+        path = tmp_path / "Z6.json"
+        path.write_text(json.dumps(table), encoding="utf-8")
+        code, out, err = run(capsys, "spectrum", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: one index 3 is no multiplicative identity")
 
     def test_structure_name(self, capsys):
         code, out, _ = run(capsys, "spectrum", "S")

@@ -699,13 +699,14 @@ class TestIsomorphismAnswer:
 
     def test_unity_binds_only_when_both_tables_declare_one(self):
         z5 = make_zmod(5)
-        wrong_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table, one_idx=2)
+        # a declared one that is no unity is refused, so a unity that binds
+        # is a true one and every isomorphism of the products keeps it
+        with pytest.raises(InvalidStructureError, match="one index 2 is no multiplicative identity"):
+            FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table, one_idx=2)
         no_one = FiniteMultistructure(z5.elements, z5.add_table, 0, z5.mul_table)
         identity = {e: e for e in z5.elements}
-        # Z/5 has no ring automorphism but the identity, which sends 2 to 2
-        assert find_isomorphism(wrong_one, z5) is None
-        assert find_isomorphism(wrong_one, no_one) == identity
-        assert find_isomorphism(no_one, wrong_one) == identity
+        assert find_isomorphism(no_one, z5) == identity
+        assert find_isomorphism(z5, no_one) == identity
         rng = random.Random(5)
         for x in _search_tables(6):
             if x.one_idx is None:
