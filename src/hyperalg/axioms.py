@@ -84,8 +84,8 @@ class AxiomReport:
         )
 
 
-# a map's verdicts in the order `hom` prints them; a homomorphism needs _REQUIRED
-MAP_VERDICTS = ("zero-preserved", "one-preserved", "additive-containment", "multiplicative", "strong")
+# a map's verdicts in the order `hom` prints them, and those a homomorphism needs
+_MAP_VERDICTS = ("zero-preserved", "one-preserved", "additive-containment", "multiplicative", "strong")
 _REQUIRED = ("zero-preserved", "additive-containment", "multiplicative")
 
 
@@ -129,7 +129,7 @@ class HomReport(AxiomReport):
         return not self.failures()
 
     def to_lines(self) -> list[str]:
-        out = [f"axiom={n} verdict={'pass' if self._holds(n) else 'fail'}" for n in MAP_VERDICTS]
+        out = [f"axiom={n} verdict={'pass' if self._holds(n) else 'fail'}" for n in _MAP_VERDICTS]
         if self.witness_text:
             out.append(f"witness={self.witness_text}")
         out.append(f"kernel={{{','.join(self.kernel)}}}")
