@@ -637,21 +637,6 @@ def c_characteristic(X: Structure, cap: int = 64) -> CharResult:
 # map verdicts: each pair's shared sides, then one predicate per verdict
 
 
-def first_failures(cases, sides, verdicts: dict) -> tuple[dict, int]:
-    """Decide each verdict, `verdicts[name](case, sides(case))`, on each case
-    until it fails.  Returns the case that first broke each failed verdict,
-    keyed in the order they failed, and the number of cases."""
-    failed: dict = {}
-    count = 0
-    for case in cases:
-        count += 1
-        shared = sides(case)
-        for name, holds in verdicts.items():
-            if name not in failed and not holds(case, shared):
-                failed[name] = case
-    return failed, count
-
-
 def _hom_sides(f, X, Y, pair, rng):
     """f(a)+f(b), and the images of 3 points `pick` draws from a+b."""
     a, b = pair
@@ -707,11 +692,13 @@ def check_map(rep: HomReport, f, X, Y: Structure, units, pairs, sides, verdicts:
     for axiom, x, target in units:
         holds = partial(_maps_to, f, Y, target)
         settle(axiom, None if holds(X, (x,)) else (x,), holds)
-    failed, rep.tuples_checked = first_failures(
-        pairs,
-        partial(sides, f, X, Y, rng=rng),
-        {name: partial(decide, f, X, Y, rng=rng) for name, decide in verdicts.items()},
-    )
+    failed: dict = {}  # verdict -> its first failing pair, in the order they failed
+    for pair in pairs:
+        rep.tuples_checked += 1
+        shared = sides(f, X, Y, pair, rng)
+        for name, decide in verdicts.items():
+            if name not in failed and not decide(f, X, Y, pair, shared, rng):
+                failed[name] = pair
     for axiom in [*failed, *(name for name in verdicts if name not in failed)]:
         settle(axiom, failed.get(axiom), partial(_replay_pair, sides, verdicts[axiom], f, Y))
     return rep

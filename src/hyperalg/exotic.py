@@ -546,9 +546,7 @@ def format_padic(a: PadicElem) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-_PADIC_TERM = re.compile(
-    r"^\s*(?:(?P<d>\d+)\s*\*\s*)?(?P<p>\d+)(?:\^(?P<e>-?\d+))?\s*$|^\s*(?P<const>\d+)\s*$"
-)
+_PADIC_TERM = re.compile(r"^\s*(?:(?P<d>\d+)\s*\*\s*)?(?P<p>\d+)(?:\^(?P<e>-?\d+))?\s*$")
 
 
 def _strip_p(n: int, p: int, limit) -> tuple[int, int]:
@@ -585,9 +583,6 @@ def parse_padic(text: str, p: int, depth: int) -> PadicElem:
         tm = _PADIC_TERM.match(term)
         if not tm:
             raise InvalidSetError(f"cannot parse p-adic term {term!r}")
-        if tm.group("const") is not None:
-            coeffs[0] = coeffs.get(0, 0) + int(tm.group("const"))
-            continue
         base = int(tm.group("p"))
         e = int(tm.group("e") or 1)
         d = int(tm.group("d") or 1)

@@ -101,6 +101,22 @@ class TestMultiring:
         K = make_krasner()
         assert search_hyperfield_multiplications(K) == [K.mul_table]
 
+    def test_nilpotent_minus_one_breaks_distributive_inclusion(self):
+        # S with (-1)(-1) = 0: -1 * (1 + -1) = {0, -1} is not inside -1 + 0
+        s = make_sign()
+        X = FiniteStructure(FiniteMultistructure(
+            elements=s.elements,
+            add_table=s.add_table,
+            zero_idx=s.zero_idx,
+            mul_table={**s.mul_table, (2, 2): s.zero_idx},
+            one_idx=s.one_idx,
+            name="S-nilpotent",
+        ))
+        rep = check_multiring(X, level="multiring")
+        (bad,) = rep.failures()
+        assert (bad.axiom, bad.witness, bad.witness_text) == ("distributive-inclusion", ("-1", "1", "-1"), "(-1, 1, -1)")
+        assert replay(X, bad) is False
+
     def test_hyperring_distributivity_is_equality(self):
         rep = check_multiring(get_structure("K"), level="hyperring")
         names = {c.axiom for c in rep.checks}
@@ -372,6 +388,13 @@ class TestMapVerdicts:
         # a dominant pair maps onto the single point w(p+q)
         dominant = (Polynomial.make({2: 1j, 0: 1}), Polynomial.make({1: 3}))
         assert strong.predicate(None, dominant) is True
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_w_on_real_exponent_sums_fails_only_strong(self, seed):
+        rep = check_w_hom(rng=random.Random(seed), real_exponents=True)
+        (strong,) = [c for c in rep.checks if not c.passed]
+        assert strong.axiom == "strong" and replay(None, strong) is False
+        assert any(e != int(e) for p in strong.witness for e, _ in p.terms)
 
     def test_report_witness_is_the_earliest_broken_pair(self):
         # on S -> S, 1 |-> -1 breaks multiplicative at (1, 1), before it

@@ -1,5 +1,6 @@
 """Command-line interface: golden outputs, exit codes, determinism."""
 import contextlib
+import csv
 import io
 import json
 import os
@@ -169,6 +170,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "S", "--level", "hyperfield")
         assert code == 0
         assert "verdict=fail" not in out
+
+    @pytest.mark.parametrize("name", ["K", "S", "F2", "zmod:4", "zmod:6", "zmod:8", "powers:2:4", "powers:3:4"])
+    def test_finite_multirings_pass_the_multiring_level(self, capsys, name):
+        code, out, _ = run(capsys, "verify", name, "--level", "multiring")
+        assert code == 0 and "verdict=fail" not in out
+        assert "axiom=distributive-inclusion verdict=pass" in out
 
     def test_tc_dd_reports_failure(self, capsys):
         code, out, _ = run(
@@ -533,6 +540,22 @@ class TestDeq:
         assert code == 0
         rows = ["1.0,-inf,-inf,-inf,-inf,0.0", "0.0,-inf,-inf,-inf,-inf,0.0"]
         assert out.splitlines()[1:] == rows
+
+    @pytest.mark.parametrize(
+        "family,a,b",
+        [("lm", "1", "2"), ("lm", "-inf", "3"), ("tri", "2", "2"), ("tri", "1", "3"), ("complex", "-1", "i"),
+         ("complex", "1", "-1")],
+    )
+    def test_json_rows_hold_the_csv_values(self, capsys, family, a, b):
+        head, operands = ["deq", family, "--h", "1,0.1,0.001,0"], ["--", a, b]
+        code, out, _ = run(capsys, *head, *operands)
+        assert code == 0
+        csv_rows = list(csv.DictReader(io.StringIO(out)))
+        code, out, _ = run(capsys, *head, "--format", "json", *operands)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["h"] for r in rows] == [1.0, 0.1, 0.001, 0.0]
+        assert [{k: str(v) for k, v in r.items()} for r in rows] == csv_rows
 
     def test_h_schedule_parser(self):
         from hyperalg.deq import parse_h_schedule

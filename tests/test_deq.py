@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hyperalg.csets import CZERO, ComplexElem, member as cmember
+from hyperalg import deq
+from hyperalg.csets import CZERO, ComplexElem, format_celem, member as cmember
 from hyperalg.ctrop import ct_add
 from hyperalg.deq import (
     H_SCHEDULE,
@@ -24,6 +25,7 @@ from hyperalg.rsets import rmember, rset_eq
 from hyperalg.tolerance import TWO_PI, Tolerance, circ_dist, wrap_angle
 
 PI = math.pi
+DIAGRAM_VERDICTS = ["modulus-containment", "log-transfer", "limit-row", "semiring-isomorphism", "graph-limit"]
 
 
 class TestLogSumFamily:
@@ -169,6 +171,10 @@ class TestComplexFamily:
         m1, i = ComplexElem(1, PI), ComplexElem(1, PI / 2)
         assert c_add_0(m1, i).eq(ComplexElem(1, 3 * PI / 4))
         assert c_add_0(a, -a) == CZERO
+        for x, y in [(a, b), (m1, i), (a, -a), (a, CZERO)]:
+            assert c_add_h(x, y, 0.0) == c_add_0(x, y)
+        with pytest.raises(ValueError):
+            c_add_h(a, b, -0.1)
 
     def test_limit_not_associative(self):
         m1 = ComplexElem(1, PI)
@@ -262,15 +268,28 @@ class TestDiagram:
     def test_commutes(self):
         rep = check_diagram(budget=150, rng=random.Random(77))
         assert rep.passed, [c.witness_text for c in rep.failures()]
-        assert [c.axiom for c in rep.checks] == [
-            "modulus-containment",
-            "log-transfer",
-            "limit-row",
-            "semiring-isomorphism",
-            "graph-limit",
-        ]
+        assert [c.axiom for c in rep.checks] == DIAGRAM_VERDICTS
         scope = rep.checks[-1].detail
         assert "dominant" in scope and "cancellation" in scope and "not covered" in scope
+
+    @pytest.mark.parametrize(
+        "family,wrap,verdict,h",
+        [
+            # off by 1e-3 below h = 0.05
+            ("lm_add", lambda f: lambda a, b, h: f(a, b, h) + (1e-3 if h < 0.05 else 0.0), "semiring-isomorphism", 0.01),
+            # a modulus above both operands, outside the ultratriangle sum
+            ("c_add_0", lambda f: lambda a, b: ComplexElem(2 * f(a, b).modulus + 0.5, 0.0), "limit-row", 0.0),
+        ],
+    )
+    def test_a_broken_family_fails_exactly_its_verdict(self, monkeypatch, family, wrap, verdict, h):
+        monkeypatch.setattr(deq, family, wrap(getattr(deq, family)))
+        rep = check_diagram(budget=20, rng=random.Random(0))
+        (bad,) = rep.failures()
+        a, b, wh = bad.witness
+        assert (bad.axiom, wh) == (verdict, h)
+        assert bad.witness_text == f"({format_celem(a)}, {format_celem(b)}, h={h})"
+        passed = [c.axiom for c in rep.checks if c.passed]
+        assert passed == [c for c in DIAGRAM_VERDICTS if c != verdict]
 
     def test_h_one_row_is_classical_triangle(self, rng):
         for _ in range(100):

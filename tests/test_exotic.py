@@ -455,6 +455,15 @@ class TestPadicText:
     def test_parse_keeps_the_top_carry(self, text, p, depth, e):
         assert parse_padic(text, p, depth) == pe(p, e, [1], depth)
 
+    @pytest.mark.parametrize(
+        "text,e,digits",
+        [("7", 0, [2, 1]), ("25", 2, [1]), ("5", 1, [1]), ("1 + 1 + 1", 0, [3]), ("9 + 3^2", 0, [3, 3])],
+    )
+    def test_bare_integers_parse_to_their_value(self, text, e, digits):
+        # a bare digit string is a power of its own base: p itself is p^1,
+        # any other base folds its value into the units digit
+        assert get_structure("padic:5:6").parse_elem(text) == pe(5, e, digits, 6)
+
     def test_zero(self):
         assert parse_padic("0", 5, 8).is_zero
         assert format_padic(padic_zero(5)) == "0"

@@ -750,10 +750,34 @@ def _prime_ideals_by_subsets(x: FiniteMultistructure) -> list:
     return out
 
 
+def _f2_xy_by_square() -> FiniteMultistructure:
+    """F2[x,y]/(x,y)^2, the 8 elements c + c'x + c''y: its maximal ideal
+    {0, x, y, x+y} is the join of (x) and (y), and no principal ideal."""
+    coeffs = list(itertools.product((0, 1), repeat=3))
+    index = {c: i for i, c in enumerate(coeffs)}
+    pairs = list(itertools.product(enumerate(coeffs), repeat=2))
+
+    def add(u, v):
+        return frozenset({index[tuple((s + t) % 2 for s, t in zip(u, v))]})
+
+    def mul(u, v):
+        return index[(u[0] * v[0], (u[0] * v[1] + u[1] * v[0]) % 2, (u[0] * v[2] + u[2] * v[0]) % 2)]
+
+    return FiniteMultistructure(
+        elements=tuple("+".join(t for t, c in zip("1xy", cs) if c) or "0" for cs in coeffs),
+        add_table={(i, j): add(u, v) for (i, u), (j, v) in pairs},
+        zero_idx=0,
+        mul_table={(i, j): mul(u, v) for (i, u), (j, v) in pairs},
+        one_idx=index[(1, 0, 0)],
+        name="F2[x,y]/(x,y)^2",
+    )
+
+
 def _ideal_tables() -> list:
-    """K, S, F2, Q1, Z/1-Z/12, every power quotient of at most 12 elements
-    and the quotients of Z/n by its unit subgroups."""
-    tables = [make_krasner(), make_sign(), make_f2(), make_q1()]
+    """K, S, F2, Q1, Z/1-Z/12, every power quotient of at most 12 elements,
+    the quotients of Z/n by its unit subgroups and F2[x,y]/(x,y)^2, whose
+    ideals are not all principal."""
+    tables = [make_krasner(), make_sign(), make_f2(), make_q1(), _f2_xy_by_square()]
     tables += [x for x in _zmod_quotients() if x.mul_table is not None]
     tables += [make_powers_quotient(p, d) for p in (2, 3, 5, 7) for d in range(2, 12)]
     return tables

@@ -176,6 +176,12 @@ class TestSeminorm:
         assert rep.passed, rep.failures()
         assert [c.axiom for c in rep.checks] == ["triangle", "multiplicative", "valuation"]
 
+    def test_halved_modulus_fails_only_multiplicative(self):
+        rep = check_seminorm(lambda x: 0.5 * abs(x), [0.0, 1.0, 2.0], kind="archimedean")
+        assert [(c.axiom, c.passed) for c in rep.checks] == [("triangle", True), ("multiplicative", False)]
+        (bad,) = rep.failures()
+        assert (bad.witness, bad.witness_text, rep.tuples_checked) == ((1.0, 1.0), "(1.0, 1.0)", 9)
+
     def test_square_map_fails_with_witness(self):
         rep = check_seminorm(lambda x: float(x) ** 2, [0.0, 1.0, 2.0, 3.0], kind="archimedean")
         assert [(c.axiom, c.witness) for c in rep.failures()] == [("triangle", (1.0, 1.0))]
