@@ -33,7 +33,8 @@ class Check:
     witness: tuple | None = None
     witness_text: str = ""
     detail: str = ""
-    # a map verdict's predicate(X, witness), bound to the map and its target
+    # a map verdict's predicate(X, witness): f(x) is the unit's target, or the
+    # map kind's pair function finds the verdict holding on the witness pair
     predicate: Callable | None = field(default=None, compare=False, repr=False)
 
 
@@ -84,8 +85,10 @@ class AxiomReport:
         )
 
 
-# a map's verdicts in the order `hom` prints them, and those a homomorphism needs
-_MAP_VERDICTS = ("zero-preserved", "one-preserved", "additive-containment", "multiplicative", "strong")
+# a map's verdicts in the order `hom` prints them, those decided on pairs,
+# and those a homomorphism needs
+_PAIR_VERDICTS = ("additive-containment", "multiplicative", "strong")
+_MAP_VERDICTS = ("zero-preserved", "one-preserved", *_PAIR_VERDICTS)
 _REQUIRED = ("zero-preserved", "additive-containment", "multiplicative")
 
 
@@ -634,56 +637,45 @@ def c_characteristic(X: Structure, cap: int = 64) -> CharResult:
 
 
 # ---------------------------------------------------------------------------
-# map verdicts: each pair's shared sides, then one predicate per verdict
+# map verdicts: one pair function per kind of map returns those that fail
 
 
-def _hom_sides(f, X, Y, pair, rng):
-    """f(a)+f(b), and the images of 3 points `pick` draws from a+b."""
+def _hom_pair(f, X, Y, pair, rng, pending) -> list:
+    """The verdicts of `pending` that fail on (a, b).  additive-containment:
+    each of 3 points `pick` draws from a+b maps into f(a)+f(b).
+    multiplicative: f(ab) = f(a)f(b), held when X or Y has no multiplication.
+    strong: each of 3 points `pick` draws from f(a)+f(b) is a mapped one."""
     a, b = pair
-    return Y.add(f(a), f(b)), [f(c) for c in X.pick(X.add(a, b), rng, 3)]
-
-
-def _hom_additive(f, X, Y, pair, sides, rng) -> bool:
-    img, mapped = sides
-    return all(Y.member(fc, img) for fc in mapped)
-
-
-def _hom_multiplicative(f, X, Y, pair, sides, rng) -> bool:
-    a, b = pair
-    return not (X.has_mul and Y.has_mul) or Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b)))
-
-
-def _hom_strong(f, X, Y, pair, sides, rng) -> bool:
-    """Each of 3 points `pick` draws from f(a)+f(b) is a mapped point of a+b."""
-    img, mapped = sides
-    return all(any(Y.eq(d, fc) for fc in mapped) for d in Y.pick(img, rng, 3))
-
-
-_HOM_VERDICTS = {
-    "additive-containment": _hom_additive,
-    "multiplicative": _hom_multiplicative,
-    "strong": _hom_strong,
-}
+    img = Y.add(f(a), f(b))
+    mapped = [f(c) for c in X.pick(X.add(a, b), rng, 3)]
+    fails = []
+    if "additive-containment" in pending and not all(Y.member(fc, img) for fc in mapped):
+        fails.append("additive-containment")
+    if "multiplicative" in pending and X.has_mul and Y.has_mul and not Y.eq(f(X.mul(a, b)), Y.mul(f(a), f(b))):
+        fails.append("multiplicative")
+    if "strong" in pending and not all(any(Y.eq(d, fc) for fc in mapped) for d in Y.pick(img, rng, 3)):
+        fails.append("strong")
+    return fails
 
 
 def _maps_to(f, Y: Structure, target, X, tup) -> bool:
     return Y.eq(f(tup[0]), target)
 
 
-def _replay_pair(sides, decide, f, Y: Structure, X, pair) -> bool:
-    rng = random.Random(0)
-    return decide(f, X, Y, pair, sides(f, X, Y, pair, rng), rng)
+def _replay_pair(decide, axiom: str, f, Y: Structure, X, pair) -> bool:
+    return axiom not in decide(f, X, Y, pair, random.Random(0), (axiom,))
 
 
-def check_map(rep: HomReport, f, X, Y: Structure, units, pairs, sides, verdicts: dict,
-              rng: random.Random) -> HomReport:
+def check_map(rep: HomReport, f, X, Y: Structure, units, pairs, decide, rng: random.Random) -> HomReport:
     """Settle the verdicts of f: X -> Y into `rep`, each a Check whose
-    predicate `replay` re-runs, drawing from Random(0) where it samples.
+    predicate `replay` re-runs.
 
-    Each (verdict, x, target) of `units` holds when f(x) is `target`.  Each
-    pair verdict, `verdicts[name](f, X, Y, pair, shared, rng)`, is decided on
-    `pairs` until it fails, on what `sides(f, X, Y, pair, rng)` shares; its
-    first failing pair is its witness.  X is None for the polynomials of w."""
+    Each (verdict, x, target) of `units` holds when f(x) is `target`.  The
+    pair verdicts are decided by one call `decide(f, X, Y, pair, rng, pending)`
+    per pair, which returns the verdicts of `pending` that fail on it, in
+    table order; a failed verdict keeps that pair as its witness and leaves
+    `pending`.  Its predicate re-runs `decide` on the witness for it alone,
+    drawing from Random(0).  X is None for the polynomials of w."""
 
     def settle(axiom: str, witness, predicate) -> None:
         text = "" if witness is None else _wtext(X, witness)
@@ -692,15 +684,15 @@ def check_map(rep: HomReport, f, X, Y: Structure, units, pairs, sides, verdicts:
     for axiom, x, target in units:
         holds = partial(_maps_to, f, Y, target)
         settle(axiom, None if holds(X, (x,)) else (x,), holds)
+    pending = list(_PAIR_VERDICTS)
     failed: dict = {}  # verdict -> its first failing pair, in the order they failed
     for pair in pairs:
         rep.tuples_checked += 1
-        shared = sides(f, X, Y, pair, rng)
-        for name, decide in verdicts.items():
-            if name not in failed and not decide(f, X, Y, pair, shared, rng):
-                failed[name] = pair
-    for axiom in [*failed, *(name for name in verdicts if name not in failed)]:
-        settle(axiom, failed.get(axiom), partial(_replay_pair, sides, verdicts[axiom], f, Y))
+        for axiom in decide(f, X, Y, pair, rng, pending):
+            failed[axiom] = pair
+            pending.remove(axiom)
+    for axiom in [*failed, *pending]:
+        settle(axiom, failed.get(axiom), partial(_replay_pair, decide, axiom, f, Y))
     return rep
 
 
@@ -727,7 +719,7 @@ def check_hom(
     else:
         rep.add("one-preserved", True)
     pairs = list(_tuples(X, rng, 2, budget))
-    check_map(rep, f, X, Y, units, pairs, _hom_sides, _HOM_VERDICTS, rng)
+    check_map(rep, f, X, Y, units, pairs, _hom_pair, rng)
     domain = X.elements() if X.is_finite else [e for pair in pairs[: budget // 2] for e in pair]
     kernel_seen: list = []
     mul_kernel_seen: list = []

@@ -158,7 +158,9 @@ def graph_witness(
 
 
 def amoeba_add_h(x: float, y: float, h: float) -> RSet:
-    """The amoeba-family addition: tri_add_h transported along log."""
+    """The amoeba-family addition [h ln|e^(x/h) - e^(y/h)|, h ln(e^(x/h) + e^(y/h))],
+    with m = max(x, y) and d = |x - y| factored out; a tie (d <= eps) has
+    lower end -inf, as in realhf.amoeba_add.  trop_add at h = 0."""
     _check_h(h)
     if h == 0.0:
         return trop_add(x, y)
@@ -166,9 +168,9 @@ def amoeba_add_h(x: float, y: float, h: float) -> RSet:
         return rpoint(y)
     if y == NEG_INF:
         return rpoint(x)
-    s = tri_add_h(math.exp(x), math.exp(y), h)
-    lo, hi = s.lo, s.hi
-    return rinterval(NEG_INF if lo <= 0.0 else math.log(lo), math.log(hi))
+    m, d = max(x, y), abs(x - y)
+    lo = NEG_INF if d <= DEFAULT_TOL.eps else m + h * math.log(-math.expm1(-d / h))
+    return rinterval(lo, m + h * math.log1p(math.exp(-d / h)))
 
 
 _GRAPH_LIMIT_SCOPE = (

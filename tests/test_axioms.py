@@ -354,6 +354,18 @@ class TestHoms:
         # the witness is a cancelling pair: |x+(-x)| sweeps [0,|x|], max-plus keeps |x|
         assert a.eq(-b) or abs(a.modulus - b.modulus) < 1e-9
 
+    def test_a_constant_map_fails_only_zero_preserved(self):
+        s = get_structure("S")
+        rep = check_hom(lambda e: "1", s, s, name="const")
+        (bad,) = [c for c in rep.checks if not c.passed]
+        assert (bad.axiom, bad.witness, bad.witness_text) == ("zero-preserved", ("0",), "(0)")
+        assert replay(s, bad) is False
+        assert rep.witness is None and rep.witness_text == ""
+        assert not rep.is_homomorphism
+        lines = rep.to_lines()
+        assert "axiom=zero-preserved verdict=fail" in lines
+        assert not any(line.startswith("witness=") for line in lines)
+
     def test_report_serialization(self):
         s, k = get_structure("S"), get_structure("K")
         rep = check_hom(lambda lbl: "0" if lbl == "0" else "1", s, k, name="S->K")

@@ -20,9 +20,9 @@ from hyperalg.deq import (
     trace_rows,
     tri_add_h,
 )
-from hyperalg.realhf import tri_add, ultra_add
-from hyperalg.rsets import rmember, rset_eq
-from hyperalg.tolerance import TWO_PI, Tolerance, circ_dist, wrap_angle
+from hyperalg.realhf import amoeba_add, tri_add, trop_add, ultra_add
+from hyperalg.rsets import rinterval, rmember, rset_eq
+from hyperalg.tolerance import NEG_INF, TWO_PI, Tolerance, circ_dist, wrap_angle
 
 PI = math.pi
 DIAGRAM_VERDICTS = ["modulus-containment", "log-transfer", "limit-row", "semiring-isomorphism", "graph-limit"]
@@ -279,6 +279,13 @@ class TestDiagram:
             ("lm_add", lambda f: lambda a, b, h: f(a, b, h) + (1e-3 if h < 0.05 else 0.0), "semiring-isomorphism", 0.01),
             # a modulus above both operands, outside the ultratriangle sum
             ("c_add_0", lambda f: lambda a, b: ComplexElem(2 * f(a, b).modulus + 0.5, 0.0), "limit-row", 0.0),
+            # an upper end 0.01 too high below h = 0.05: the amoeba family no longer matches it
+            (
+                "tri_add_h",
+                lambda f: lambda a, b, h: rinterval(f(a, b, h).lo, f(a, b, h).hi + (0.01 if h < 0.05 else 0.0)),
+                "log-transfer",
+                0.01,
+            ),
         ],
     )
     def test_a_broken_family_fails_exactly_its_verdict(self, monkeypatch, family, wrap, verdict, h):
@@ -305,6 +312,15 @@ class TestDiagram:
             am = amoeba_add_h(x, y, h)
             tri = tri_add_h(math.exp(x), math.exp(y), h)
             assert am.hi == pytest.approx(math.log(tri.hi), abs=1e-9)
+
+    def test_amoeba_family_at_one_is_the_amoeba_carrier_and_at_zero_tropical(self, rng):
+        pairs = [(2.0, 2.0 + 5e-10), (2.0, 2.0), (-1.0, -1.0 - 5e-10), (0.0, 3e-9), (1.0, NEG_INF)]
+        for _ in range(2000):
+            x = rng.uniform(-5, 5)
+            pairs.append((x, x + rng.choice([rng.uniform(-5, 5), 5e-10, -5e-10, 2e-9, 0.0])))
+        for x, y in pairs:
+            assert amoeba_add_h(x, y, 1.0) == amoeba_add(x, y), (x, y)
+            assert amoeba_add_h(x, y, 0.0) == trop_add(x, y), (x, y)
 
 
 class TestTraces:

@@ -544,6 +544,30 @@ class TestQuotients:
         assert rep.is_homomorphism and not rep.strong
         assert rep.kernel == ["0"]
 
+    @pytest.mark.parametrize(
+        "x,kernel",
+        [
+            (make_zmod(4), ["0", "2"]),
+            (make_sign(), ["0"]),
+            (make_zmod(6), ["0", "3"]),
+            (make_zmod(6), ["0", "2", "4"]),
+            (make_linear_order(3, strict=False), ["0"]),
+            (make_linear_order(3, strict=False), ["0", "1"]),
+        ],
+        ids=["Z4/{0,2}", "S/{0}", "Z6/{0,3}", "Z6/{0,2,4}", "chain3/{0}", "chain3/{0,1}"],
+    )
+    def test_projection_onto_a_normal_quotient_is_strong(self, x, kernel):
+        # the quotient has no multiplication, so `multiplicative` holds vacuously
+        from hyperalg.axioms import check_hom
+
+        q = quotient_by_normal(x, kernel)
+        assert q.mul_table is None
+        proj = {e: cls for cls in q.elements for e in cls[1:-1].split(",")}
+        rep = check_hom(proj.__getitem__, FiniteStructure(x), FiniteStructure(q), name="proj")
+        assert rep.strong_exact and len(rep.checks) == 5
+        verdicts = ("zero-preserved", "one-preserved", "additive-containment", "multiplicative", "strong")
+        assert {c.axiom: c.passed for c in rep.checks} == dict.fromkeys(verdicts, True)
+
 
 class TestIdeals:
     def test_z6_prime_ideals(self):
