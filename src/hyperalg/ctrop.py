@@ -335,16 +335,15 @@ def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL)
 def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = a.radius
-    ua, ub, up = a.a.unit(), a.b.unit(), p.unit()
+    up = p.unit()
     minus = tuple(-x for x in up)
-    if qsets.in_cone(minus, [ua, ub], eps):
+    if qsets.in_cone(minus, a, eps):
         return [qsets.QBall(r)]
-    f = qsets._factor((ua, ub))  # orthonormal basis of the arc's plane
-    if f is None:
-        # a degenerate arc: in_cone sees only its two ends, so p is added to each
+    q, cols = qsets._cone_factors(a)[0]  # an orthonormal basis of the arc's plane
+    if len(q) < 2:
+        # a degenerate arc: its ends span no plane, so p is added to each
         pr = qsets.QuatElem(*(x * r for x in up))
         return [c for end in (a.a, a.b) for c in qsets.qparts_of(quat_add(end, pr))]
-    q, cols = f
     coords, res = qsets._project(q, up)
     if res > max(eps, 1e-9):
         return [qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))]
@@ -381,11 +380,10 @@ def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = c.radius
     up = p.unit()
-    gens = [v.unit() for v in c.vertices]
     minus = tuple(-x for x in up)
-    if qsets.in_cone(minus, gens, eps):
+    if qsets.in_cone(minus, c, eps):
         return [qsets.QBall(r)]
-    if qsets.in_cone(up, gens, eps):
+    if qsets.in_cone(up, c, eps):
         return [c]
     return [qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))]
 

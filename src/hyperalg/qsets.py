@@ -6,7 +6,9 @@ later) geodesic cones: the union of minor arcs from a point to every point
 of an arc).  A cone with generator set V is exactly the set of norm-r points
 whose direction is a nonnegative combination of the unit generators, which
 gives an exact membership test: one modified Gram-Schmidt factorization of a
-generator subset whose size is the rank of the generators (see in_cone).
+generator subset whose size is the rank of the generators (see in_cone).  An
+arc or cone derives its radius and unit directions once, at construction, and
+factors its cone at its first membership test.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of qnormalize, which the
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .tolerance import DEFAULT_TOL, InvalidSetError, Tolerance, fmt_num, match_parts
 
@@ -89,6 +91,11 @@ def _scale(u, f):
     return (u[0] * f, u[1] * f, u[2] * f, u[3] * f)
 
 
+def _direction(e: QuatElem, n: float) -> tuple:
+    """e.unit(), given the norm n of e."""
+    return (e.x / n, e.y / n, e.z / n, e.t / n)
+
+
 # a generator whose residual against the span of the generators before it
 # has a squared norm below this share of its own is taken as dependent on them
 _DEPENDENT = 1e-13
@@ -128,8 +135,39 @@ def _project(q: list, u) -> tuple[list, float]:
     return y, math.sqrt(_dot(u, u))
 
 
-def in_cone(u: tuple, gens: list[tuple], eps: float) -> bool:
-    """Is the unit 4-vector `u` a nonnegative combination of the generators?
+def _factor_cone(gens) -> list:
+    """The factors (q, r) of the generator subsets that in_cone tests: every
+    linearly independent subset whose size is the rank of `gens`, in the
+    order of itertools.combinations."""
+    for k in range(min(len(gens), 4), 0, -1):
+        factors = [f for f in map(_factor, itertools.combinations(gens, k)) if f is not None]
+        if factors:
+            return factors
+    return []
+
+
+def _in_factors(u: tuple, factors: list, eps: float) -> bool:
+    cut = max(eps, 1e-9)
+    for q, r in factors:
+        y, res = _project(q, u)
+        if res > cut:
+            continue
+        k = len(q)
+        coeffs = y  # back substitution, in place
+        for j in range(k - 1, -1, -1):
+            c = coeffs[j]
+            for i in range(j + 1, k):
+                c -= r[i][j] * coeffs[i]
+            coeffs[j] = c / r[j][j]
+        if all(c >= -1e-7 for c in coeffs):
+            return True
+    return False
+
+
+def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
+    """Is the unit 4-vector `u` a nonnegative combination of the generators:
+    the unit vectors `gens`, or the directions of `gens` when it is a QArc
+    or QCone, whose factored cone is then kept on the component?
 
     By conic Caratheodory, `u` is in the cone iff it is a nonnegative
     combination of a linearly independent subset, and every independent
@@ -138,29 +176,9 @@ def in_cone(u: tuple, gens: list[tuple], eps: float) -> bool:
     `u` is in the cone of such a subset iff its residual is at most
     max(eps, 1e-9) and its back-substituted coefficients are all >= -1e-7.
     """
-    cut = max(eps, 1e-9)
-    for k in range(min(len(gens), 4), 0, -1):
-        factored = False
-        for sub in itertools.combinations(gens, k):
-            f = _factor(sub)
-            if f is None:
-                continue
-            factored = True
-            q, r = f
-            y, res = _project(q, u)
-            if res > cut:
-                continue
-            coeffs = y  # back substitution, in place
-            for j in range(k - 1, -1, -1):
-                c = coeffs[j]
-                for i in range(j + 1, k):
-                    c -= r[i][j] * coeffs[i]
-                coeffs[j] = c / r[j][j]
-            if all(c >= -1e-7 for c in coeffs):
-                return True
-        if factored:  # k is the rank of gens
-            return False
-    return False
+    if isinstance(gens, (QArc, QCone)):
+        return _in_factors(u, _cone_factors(gens), eps)
+    return _in_factors(u, _factor_cone(gens), eps)
 
 
 def slerp(u: tuple, v: tuple, t: float) -> tuple:
@@ -186,22 +204,29 @@ class QPoint:
 
 @dataclass(frozen=True, slots=True)
 class QArc:
-    """Minor geodesic arc between two non-antipodal points of equal norm."""
+    """Minor geodesic arc between two non-antipodal points of equal norm.
+
+    `radius` and `units`, the directions of the ends, are derived at
+    construction, and `cone`, their factored cone, at the first membership
+    test; none of them takes part in ==, hash or repr."""
 
     a: QuatElem
     b: QuatElem
+    radius: float = field(init=False, repr=False, compare=False)
+    units: tuple = field(init=False, repr=False, compare=False)
+    cone: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.a.norm == 0.0 or self.b.norm == 0.0:
+        na, nb = self.a.norm, self.b.norm
+        if na == 0.0 or nb == 0.0:
             raise InvalidSetError("geodesic arc endpoints must be nonzero")
         if self.b.coords() < self.a.coords():
             first, second = self.b, self.a
             object.__setattr__(self, "a", first)
             object.__setattr__(self, "b", second)
-
-    @property
-    def radius(self) -> float:
-        return 0.5 * (self.a.norm + self.b.norm)
+            na, nb = nb, na
+        object.__setattr__(self, "radius", 0.5 * (na + nb))
+        object.__setattr__(self, "units", (_direction(self.a, na), _direction(self.b, nb)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,20 +240,26 @@ class QBall:
 
 @dataclass(frozen=True, slots=True)
 class QCone:
-    """Norm-r points whose direction lies in the nonnegative span of vertices."""
+    """Norm-r points whose direction lies in the nonnegative span of vertices.
+
+    `radius`, `units` and `cone` are derived as for QArc, over the vertices
+    in their sorted order."""
 
     vertices: tuple[QuatElem, ...]
+    radius: float = field(init=False, repr=False, compare=False)
+    units: tuple = field(init=False, repr=False, compare=False)
+    cone: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
             raise InvalidSetError("cone needs at least three vertices")
-        object.__setattr__(
-            self, "vertices", tuple(sorted(self.vertices, key=lambda q: q.coords()))
-        )
-
-    @property
-    def radius(self) -> float:
-        return sum(v.norm for v in self.vertices) / len(self.vertices)
+        vs = tuple(sorted(self.vertices, key=lambda q: q.coords()))
+        norms = [v.norm for v in vs]
+        if 0.0 in norms:
+            raise InvalidSetError("cone vertices must be nonzero")
+        object.__setattr__(self, "vertices", vs)
+        object.__setattr__(self, "radius", sum(norms) / len(vs))
+        object.__setattr__(self, "units", tuple(map(_direction, vs, norms)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,22 +280,29 @@ def _comp_radius(c) -> float:
     return c.radius
 
 
+def _cone_factors(c) -> list:
+    """The factored cone of an arc's or cone's directions, kept on the
+    component from its first use."""
+    if c.cone is None:
+        object.__setattr__(c, "cone", _factor_cone(c.units))
+    return c.cone
+
+
 def qmember(x: QuatElem, s: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    n = x.norm
+    u = None  # the direction of x, taken at the first arc or cone of its norm
     for c in qparts_of(s):
         if isinstance(c, QPoint):
             if x.eq(c.elem, tol):
                 return True
         elif isinstance(c, QBall):
-            if x.norm <= c.radius + tol.eps:
+            if n <= c.radius + tol.eps:
                 return True
-        elif isinstance(c, QArc):
-            if abs(x.norm - c.radius) <= tol.eps and x.norm > 0.0:
-                if in_cone(x.unit(), [c.a.unit(), c.b.unit()], tol.eps):
-                    return True
-        else:
-            if abs(x.norm - c.radius) <= tol.eps and x.norm > 0.0:
-                if in_cone(x.unit(), [v.unit() for v in c.vertices], tol.eps):
-                    return True
+        elif abs(n - c.radius) <= tol.eps and n > 0.0:
+            if u is None:
+                u = _direction(x, n)
+            if in_cone(u, c, tol.eps):
+                return True
     return False
 
 
@@ -359,7 +397,7 @@ def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
             pts.append(c.elem)
         elif isinstance(c, QArc):
             r = c.radius
-            ua, ub = c.a.unit(), c.b.unit()
+            ua, ub = c.units
             for t in (0.0, 1.0, 0.5):
                 pts.append(QuatElem(*_scale(slerp(ua, ub, t), r)))
             for _ in range(count):
@@ -371,7 +409,7 @@ def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
                 pts.append(QuatElem(*_scale(_rand_unit(), c.radius * rng.random())))
         else:
             r = c.radius
-            units = [v.unit() for v in c.vertices]
+            units = c.units
             for u in units:
                 pts.append(QuatElem(*_scale(u, r)))
             for _ in range(count + 2):
