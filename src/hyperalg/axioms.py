@@ -547,7 +547,10 @@ def _product_outside_expansion(X: Structure, sides, rng: random.Random) -> str |
     A carrier with a symbolic set product is decided by one `subset`, and a
     breach names a component of the product; `quat` tests the products of
     the points `pick` draws from a+b and x+y.  Both make the same draws, so
-    the rng stream does not depend on the carrier's set product."""
+    the rng stream does not depend on the carrier's set product.  The list
+    comprehension draws pick(x+y) anew for each point of pick(a+b), so a
+    carrier with a set product makes, and discards, 1 + |pick(a+b)| picks
+    per tuple."""
     sab, sxy, expansion, product = sides
     pairs = [(u, v) for u in X.pick(sab, rng, 2) for v in X.pick(sxy, rng, 2)]
     if product is None:
@@ -721,14 +724,20 @@ def check_hom(
     pairs = list(_tuples(X, rng, 2, budget))
     check_map(rep, f, X, Y, units, pairs, _hom_pair, rng)
     domain = X.elements() if X.is_finite else [e for pair in pairs[: budget // 2] for e in pair]
+    # the report lists the first 16 distinct elements of each kernel
     kernel_seen: list = []
     mul_kernel_seen: list = []
     for a in domain:
         fa = f(a)
-        if Y.eq(fa, Y.zero) and not any(X.eq(a, k) for k in kernel_seen):
+        if len(kernel_seen) < 16 and Y.eq(fa, Y.zero) and not any(X.eq(a, k) for k in kernel_seen):
             kernel_seen.append(a)
-        if Y.has_one and Y.eq(fa, Y.one) and not any(X.eq(a, k) for k in mul_kernel_seen):
+        if (
+            len(mul_kernel_seen) < 16
+            and Y.has_one
+            and Y.eq(fa, Y.one)
+            and not any(X.eq(a, k) for k in mul_kernel_seen)
+        ):
             mul_kernel_seen.append(a)
-    rep.kernel = [X.format_elem(a) for a in kernel_seen[:16]]
-    rep.mul_kernel = [X.format_elem(a) for a in mul_kernel_seen[:16]]
+    rep.kernel = [X.format_elem(a) for a in kernel_seen]
+    rep.mul_kernel = [X.format_elem(a) for a in mul_kernel_seen]
     return rep

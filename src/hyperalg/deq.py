@@ -38,6 +38,10 @@ def parse_h_schedule(text: str) -> list[float]:
     return hs
 
 
+def _beyond_floats(family: str, h: float) -> ValueError:
+    return ValueError(f"the {family} sum at h={h:g} is beyond the float range")
+
+
 def lm_add(a: float, b: float, h: float) -> float:
     """h*ln(e^(a/h) + e^(b/h)) for h > 0, max(a, b) at h = 0."""
     _check_h(h)
@@ -57,7 +61,8 @@ def d_h(x: float, h: float) -> float:
 
 
 def tri_add_h(a: float, b: float, h: float) -> RSet:
-    """Triangle addition pulled back along x -> x^(1/h); ultratriangle at 0."""
+    """Triangle addition pulled back along x -> x^(1/h); ultratriangle at 0.
+    A sum beyond the float range raises ValueError."""
     _check_h(h)
     if a < 0.0 or b < 0.0:
         raise ValueError("carrier is the nonnegative reals")
@@ -67,7 +72,12 @@ def tri_add_h(a: float, b: float, h: float) -> RSet:
         return rpoint(a + b)
     m, mn = max(a, b), min(a, b)
     ratio_pow = (mn / m) ** (1.0 / h)  # underflows to 0 harmlessly
-    hi = m * math.exp(h * math.log1p(ratio_pow))
+    try:
+        hi = m * math.exp(h * math.log1p(ratio_pow))
+    except OverflowError:
+        hi = math.inf
+    if hi == math.inf:
+        raise _beyond_floats("triangle", h)
     if abs(a - b) <= DEFAULT_TOL.eps:
         lo = 0.0
     else:
@@ -83,7 +93,8 @@ def c_add_h(a: csets.ComplexElem, b: csets.ComplexElem, h: float) -> csets.Compl
     Writing m = max|.|, the sum S_h(a) + S_h(b) = m^(1/h) * w with
     w = (|a|/m)^(1/h) e^(i arg a) + (|b|/m)^(1/h) e^(i arg b), so the result
     has modulus m*|w|^h and the argument of w.  |w| below tolerance is exact
-    cancellation.  At h = 0 it is the limit c_add_0.
+    cancellation.  At h = 0 it is the limit c_add_0.  A modulus beyond the
+    float range raises ValueError.
     """
     _check_h(h)
     if h == 0.0:
@@ -101,7 +112,13 @@ def c_add_h(a: csets.ComplexElem, b: csets.ComplexElem, h: float) -> csets.Compl
     wmod = math.hypot(wx, wy)
     if wmod <= 1e-12 * (ta + tb):
         return csets.CZERO
-    return csets.ComplexElem(m * wmod**h, math.atan2(wy, wx))
+    try:
+        modulus = m * wmod**h
+    except OverflowError:
+        modulus = math.inf
+    if modulus == math.inf:
+        raise _beyond_floats("complex", h)
+    return csets.ComplexElem(modulus, math.atan2(wy, wx))
 
 
 def c_add_0(a: csets.ComplexElem, b: csets.ComplexElem) -> csets.ComplexElem:

@@ -164,6 +164,15 @@ def _in_factors(u: tuple, factors: list, eps: float) -> bool:
     return False
 
 
+def _chord_gap(u: tuple, ua: tuple, ub: tuple) -> float:
+    """The distance of `u` to the segment between `ua` and `ub`."""
+    d = (ub[0] - ua[0], ub[1] - ua[1], ub[2] - ua[2], ub[3] - ua[3])
+    w = (u[0] - ua[0], u[1] - ua[1], u[2] - ua[2], u[3] - ua[3])
+    dd = _dot(d, d)
+    t = min(1.0, max(0.0, _dot(w, d) / dd)) if dd > 0.0 else 0.0
+    return math.dist(w, _scale(d, t))
+
+
 def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     """Is the unit 4-vector `u` a nonnegative combination of the generators:
     the unit vectors `gens`, or the directions of `gens` when it is a QArc
@@ -175,10 +184,16 @@ def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     of that size are factored: one, when the generators are independent.
     `u` is in the cone of such a subset iff its residual is at most
     max(eps, 1e-9) and its back-substituted coefficients are all >= -1e-7.
+    The ends of a QArc under about 3e-7 rad apart span no plane (rank 1),
+    so the arc also holds every direction within max(eps, 1e-9) of the chord
+    between them, which lies within angle^2/8 < 2e-14 of the arc.
     """
-    if isinstance(gens, (QArc, QCone)):
-        return _in_factors(u, _cone_factors(gens), eps)
-    return _in_factors(u, _factor_cone(gens), eps)
+    if not isinstance(gens, (QArc, QCone)):
+        return _in_factors(u, _factor_cone(gens), eps)
+    factors = _cone_factors(gens)
+    if _in_factors(u, factors, eps):
+        return True
+    return isinstance(gens, QArc) and len(factors[0][0]) < 2 and _chord_gap(u, *gens.units) <= max(eps, 1e-9)
 
 
 def slerp(u: tuple, v: tuple, t: float) -> tuple:

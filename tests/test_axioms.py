@@ -324,6 +324,20 @@ class TestHoms:
         assert rep.is_homomorphism and not rep.strong_exact  # sampled source
         assert rep.kernel == ["0"]
 
+    def test_kernel_scan_stops_at_the_sixteen_listed(self, monkeypatch):
+        """The report lists at most 16 elements of each kernel, so the scan
+        compares each domain element with at most 16 kept ones: on R -> S at
+        budget 2,000 (2,000 domain elements) it lists 16 positive reals of the
+        multiplicative kernel with fewer than 16 comparisons per element."""
+        r, s = get_structure("R"), get_structure("S")
+        calls = []
+        eq = r.eq
+        monkeypatch.setattr(r, "eq", lambda a, b, *tol: calls.append(a) or eq(a, b, *tol))
+        f = lambda v: {1: "1", -1: "-1", 0: "0"}[sign_map(v)]
+        rep = check_hom(f, r, s, budget=2000, rng=random.Random(1), name="sign")
+        assert rep.kernel == ["0"] and len(rep.mul_kernel) == 16
+        assert len(calls) < 16 * 2000
+
     def test_sign_collapse_not_strong(self):
         s, k = get_structure("S"), get_structure("K")
         f = lambda lbl: "0" if lbl == "0" else "1"

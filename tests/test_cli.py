@@ -557,6 +557,24 @@ class TestDeq:
         assert [r["h"] for r in rows] == [1.0, 0.1, 0.001, 0.0]
         assert [{k: str(v) for k, v in r.items()} for r in rows] == csv_rows
 
+    @pytest.mark.parametrize(
+        "family,a,b,h,sum_at",
+        [
+            ("tri", "1", "2", "1,1e300", "triangle sum at h=1e+300"),
+            ("complex", "1@0", "1@1", "1,1e300", "complex sum at h=1e+300"),
+            ("tri", "1e308", "1e308", "1", "triangle sum at h=1"),
+        ],
+    )
+    def test_sum_beyond_the_float_range_exit_2(self, capsys, family, a, b, h, sum_at):
+        """Every finite h >= 0 is a valid --h, but at h = 1e300 (or at h = 1
+        for operands near the largest float) the sum has no float value."""
+        code, out, err = run(capsys, "deq", family, a, b, "--h", h)
+        assert (code, out, err) == (2, "", f"error: the {sum_at} is beyond the float range\n")
+
+    def test_lm_at_a_large_h_prints_its_row(self, capsys):
+        code, out, _ = run(capsys, "deq", "lm", "1", "2", "--h", "1e300")
+        assert code == 0 and out.splitlines()[1].startswith("1e+300,1,2,6.93147180559945")
+
     def test_h_schedule_parser(self):
         from hyperalg.deq import parse_h_schedule
 

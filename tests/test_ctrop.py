@@ -445,6 +445,22 @@ class TestQuaternion:
         for end in (a, b):
             assert qset_eq(quat_add_sets(arc, QPoint(end)), arc)
 
+    @pytest.mark.parametrize("theta", [1e-8, 3e-8, 1e-7, 2e-7, 3e-7])
+    def test_nearly_degenerate_arc_holds_its_interior(self, theta):
+        """Ends under about 3e-7 rad apart span no plane in floats, yet at
+        radius 1000 the arc's midpoint lies 5e-6 to 1.5e-4 from each end: it
+        and the quarter point are members, while points 1e-4 off the arc or
+        half the arc beyond an end are not."""
+        r = 1000.0
+
+        def at(t, off=0.0):
+            return QuatElem(r * math.cos(t * theta), r * math.sin(t * theta), off, 0)
+
+        arc = quat_add(at(0.0), at(1.0))
+        assert isinstance(arc, QArc)
+        assert qmember(at(0.5), arc) and qmember(at(0.25), arc)
+        assert not any(qmember(q, arc) for q in (at(0.5, 1e-4), at(1.5), at(-0.5)))
+
     def _cone(self, r):
         return QCone(
             (QuatElem(r, 0, 0, 0), QuatElem(0, r, 0, 0), QuatElem(0, 0, r, 0))

@@ -422,6 +422,117 @@ def test_in_cone_agrees_with_subset_enumeration(case, eps):
     assert qsets.in_cone(u, gens, eps) == verdict
 
 
+def _in_cone_per_call(u, gens, eps):
+    """qsets.in_cone as it was before arcs and cones kept their factored
+    cone: it factors the rank-sized generator subsets on every call, and
+    stops at the first subset that holds `u`."""
+    cut = max(eps, 1e-9)
+    for k in range(min(len(gens), 4), 0, -1):
+        factored = False
+        for sub in itertools.combinations(gens, k):
+            f = qsets._factor(sub)
+            if f is None:
+                continue
+            factored = True
+            q, r = f
+            y, res = qsets._project(q, u)
+            if res > cut:
+                continue
+            coeffs = y
+            for j in range(k - 1, -1, -1):
+                c = coeffs[j]
+                for i in range(j + 1, k):
+                    c -= r[i][j] * coeffs[i]
+                coeffs[j] = c / r[j][j]
+            if all(c >= -1e-7 for c in coeffs):
+                return True
+        if factored:
+            return False
+    return False
+
+
+@st.composite
+def _arc_or_cone_case(draw):
+    """An arc or a cone of 3-6 vertices at a radius in [1e-3, 1e3], and a
+    quaternion near its sphere.  After the first, each vertex direction is
+    fresh, a near-duplicate (perturbed by 10^-k for k in 2..8, below the
+    rank cutoff for k >= 7), nearly antipodal to an earlier one, or, in a
+    coplanar case, a combination of the first two, so 5-6 vertices or a
+    plane give rank-deficient vertex sets.  The point's direction is a
+    positive combination of the directions, one with a negative weight, the
+    normalized mean of two directions, a direction itself or free."""
+    r = 10.0 ** draw(st.floats(-3.0, 3.0))
+    n = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    coplanar = n > 2 and draw(st.booleans())
+    dirs = [_unit4(draw(_vec4))]
+    while len(dirs) < n:
+        kind = draw(st.sampled_from(["fresh", "near", "antipodal"]))
+        if coplanar and len(dirs) >= 2:
+            s, t = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+            v = tuple(s * x + t * y for x, y in zip(dirs[0], dirs[1]))
+            assume(qsets._dot(v, v) > 1e-6)
+        elif kind == "fresh":
+            v = draw(_vec4)
+        else:
+            base = draw(st.sampled_from(dirs))
+            sign = -1.0 if kind == "antipodal" else 1.0
+            size = 10.0 ** -draw(st.integers(2, 8))
+            v = tuple(sign * x + size * y for x, y in zip(base, _unit4(draw(_vec4))))
+        dirs.append(_unit4(v))
+    verts = tuple(qsets.QuatElem(*(r * x for x in d)) for d in dirs)
+    comp = qsets.QArc(*verts) if n == 2 else qsets.QCone(verts)
+    point = draw(st.sampled_from(["positive", "one-negative", "mean", "direction", "free"]))
+    if point == "free":
+        u = _unit4(draw(_vec4))
+    elif point == "direction":
+        u = draw(st.sampled_from(dirs))
+    else:
+        weights = [draw(st.integers(1, 20)) / 20 for _ in dirs]
+        if point == "mean":
+            i, j = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+            weights = [1.0 if k in (i, j) else 0.0 for k in range(n)]
+        elif point == "one-negative":
+            weights[draw(st.integers(0, n - 1))] *= -1
+        v = tuple(sum(w * d[i] for w, d in zip(weights, dirs)) for i in range(4))
+        assume(qsets._dot(v, v) > 1e-6)
+        u = _unit4(v)
+    scale = draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-6]))
+    return comp, qsets.QuatElem(*(r * scale * x for x in u))
+
+
+@given(_arc_or_cone_case(), st.sampled_from([qsets.DEFAULT_TOL, Tolerance(1e-7)]))
+@settings(max_examples=300, deadline=None)
+def test_arcs_and_cones_keep_their_geometry(case, tol):
+    """The stored radius and directions equal a recomputation; ==, hash,
+    repr and pickling ignore the derived fields; and qmember and in_cone
+    answer as the per-call in_cone does, except that a degenerate arc (ends
+    too close to span a plane) also holds the directions near its chord."""
+    comp, x = case
+    ends = (comp.a, comp.b) if isinstance(comp, qsets.QArc) else comp.vertices
+    norms = [v.norm for v in ends]
+    radius = 0.5 * (norms[0] + norms[1]) if isinstance(comp, qsets.QArc) else sum(norms) / len(ends)
+    assert comp.radius == radius
+    assert comp.units == tuple(v.unit() for v in ends)
+
+    fresh = dataclasses.replace(comp)  # a new component from the same ends
+    u = x.unit()
+    verdict = qsets.in_cone(u, comp, tol.eps)  # factors comp's cone, not fresh's
+    assert comp.cone is not None and fresh.cone is None
+    assert comp == fresh and hash(comp) == hash(fresh) and repr(comp) == repr(fresh)
+    assert "radius" not in repr(comp) and qsets.format_qset(comp) == qsets.format_qset(fresh)
+    assert pickle.loads(pickle.dumps(comp)) == comp
+
+    gens = [v.unit() for v in ends]
+    before = _in_cone_per_call(u, gens, tol.eps)
+    assert qsets.in_cone(u, gens, tol.eps) == before
+    if isinstance(comp, qsets.QArc) and qsets._factor(gens) is None:
+        assert verdict == (before or qsets._chord_gap(u, *gens) <= max(tol.eps, 1e-9))
+    else:
+        assert verdict == before
+    on_sphere = abs(x.norm - comp.radius) <= tol.eps and x.norm > 0.0
+    assert qsets.qmember(x, comp, tol) == (on_sphere and verdict)
+
+
 # -- single-component sums, equality and construction --------------------------
 
 EPS = csets.DEFAULT_TOL.eps
