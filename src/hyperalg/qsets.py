@@ -147,6 +147,7 @@ def _factor_cone(gens) -> list:
 
 
 def _in_factors(u: tuple, factors: list, eps: float) -> bool:
+    """in_cone of the generators whose factored cone is `factors`."""
     cut = max(eps, 1e-9)
     for q, r in factors:
         y, res = _project(q, u)
@@ -193,7 +194,8 @@ def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     factors = _cone_factors(gens)
     if _in_factors(u, factors, eps):
         return True
-    return isinstance(gens, QArc) and len(factors[0][0]) < 2 and _chord_gap(u, *gens.units) <= max(eps, 1e-9)
+    degenerate_arc = isinstance(gens, QArc) and len(factors[0][0]) < 2
+    return degenerate_arc and _chord_gap(u, *gens.units) <= max(eps, 1e-9)
 
 
 def slerp(u: tuple, v: tuple, t: float) -> tuple:
