@@ -450,7 +450,8 @@ class TestQuaternion:
         """Ends under about 3e-7 rad apart span no plane in floats, yet at
         radius 1000 the arc's midpoint lies 5e-6 to 1.5e-4 from each end: it
         and the quarter point are members, while points 1e-4 off the arc or
-        half the arc beyond an end are not."""
+        half the arc beyond an end are not; and adding the point opposite
+        the midpoint gives the ball."""
         r = 1000.0
 
         def at(t, off=0.0):
@@ -460,6 +461,7 @@ class TestQuaternion:
         assert isinstance(arc, QArc)
         assert qmember(at(0.5), arc) and qmember(at(0.25), arc)
         assert not any(qmember(q, arc) for q in (at(0.5, 1e-4), at(1.5), at(-0.5)))
+        assert quat_add_sets(arc, QPoint(-at(0.5))) == QBall(r)
 
     def _cone(self, r):
         return QCone(
