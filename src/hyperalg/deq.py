@@ -43,12 +43,16 @@ def _beyond_floats(family: str, h: float) -> ValueError:
 
 
 def lm_add(a: float, b: float, h: float) -> float:
-    """h*ln(e^(a/h) + e^(b/h)) for h > 0, max(a, b) at h = 0."""
+    """h*ln(e^(a/h) + e^(b/h)) for h > 0, max(a, b) at h = 0.  A sum beyond
+    the float range raises ValueError."""
     _check_h(h)
     m = max(a, b)
     if h == 0.0 or m == NEG_INF:
         return m
-    return m + h * math.log1p(math.exp(-abs(a - b) / h))
+    s = m + h * math.log1p(math.exp(-abs(a - b) / h))
+    if s == math.inf:
+        raise _beyond_floats("Litvinov-Maslov", h)
+    return s
 
 
 def d_h(x: float, h: float) -> float:

@@ -714,7 +714,7 @@ def quotient_by_normal(x: FiniteMultistructure, y_labels) -> FiniteMultistructur
 
 
 _IDEALS_MAX_SIZE = 12  # largest carrier whose ideals are listed
-_SEARCH_MAX_SIZE = 4  # largest carrier whose multiplications are searched
+_SEARCH_MAX_SIZE = 8  # largest carrier whose multiplications are searched
 
 
 def ideals(x: FiniteMultistructure) -> list[frozenset]:
@@ -843,46 +843,44 @@ def find_isomorphism(a: FiniteMultistructure, b: FiniteMultistructure) -> dict |
 
 
 def search_hyperfield_multiplications(x: FiniteMultistructure) -> list[dict]:
-    """Try every univalued multiplication table on x's carrier and return the
-    ones that make it a hyperfield (empty list when none exist)."""
+    """The univalued multiplications that make x a hyperfield (empty list
+    when none exist), in the lexicographic order of their nonzero cells.
+
+    In a hyperfield 0 absorbs and the nonzero elements form a group, so the
+    candidates are the tables of the groups of order n-1 (`small_groups`),
+    carried onto the nonzero indices by every bijection; each distinct
+    table is checked once."""
     from .axioms import check_multiring
     from .structures import FiniteStructure
 
     n = len(x.elements)
     if n > _SEARCH_MAX_SIZE:
         raise InvalidStructureError(
-            f"hyperfield search over {n} elements would try {n}^{(n - 1) ** 2} "
-            f"multiplication tables; it takes at most {_SEARCH_MAX_SIZE} elements"
+            f"hyperfield search over {n} elements would relabel every group of order "
+            f"{n - 1}; it takes at most {_SEARCH_MAX_SIZE} elements"
         )
-    nonzero = [i for i in range(n) if i != x.zero_idx]
+    z = x.zero_idx
+    nonzero = [i for i in range(n) if i != z]
+    cells = list(itertools.product(nonzero, repeat=2))
+    unity_of = {}  # nonzero cells -> unity
+    for g in small_groups(n - 1):
+        if g.order == n - 1:
+            for perm in itertools.permutations(nonzero):
+                relabelled = {(perm[a], perm[b]): perm[c] for (a, b), c in g.table.items()}
+                unity_of.setdefault(tuple(relabelled[c] for c in cells), perm[0])
     winners = []
-    for values in itertools.product(range(n), repeat=len(nonzero) ** 2):
-        mul_table = {}
-        for i in range(n):
-            mul_table[(i, x.zero_idx)] = x.zero_idx
-            mul_table[(x.zero_idx, i)] = x.zero_idx
-        it = iter(values)
-        for i in nonzero:
-            for j in nonzero:
-                mul_table[(i, j)] = next(it)
-        # a unity must exist among the nonzero elements
-        one = None
-        for e in nonzero:
-            if all(mul_table[(e, i)] == i and mul_table[(i, e)] == i for i in range(n)):
-                one = e
-                break
-        if one is None:
-            continue
+    for values, one in sorted(unity_of.items()):
+        mul_table = {(i, j): z for i in range(n) for j in range(n) if z in (i, j)}
+        mul_table.update(zip(cells, values))
         cand = FiniteMultistructure(
             elements=x.elements,
             add_table=x.add_table,
-            zero_idx=x.zero_idx,
+            zero_idx=z,
             mul_table=mul_table,
             one_idx=one,
             neg_map=x.neg_map,
             name=f"{x.name}+mul",
         )
-        rep = check_multiring(FiniteStructure(cand), level="hyperfield")
-        if rep.passed:
+        if check_multiring(FiniteStructure(cand), level="hyperfield").passed:
             winners.append(mul_table)
     return winners

@@ -251,15 +251,30 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "K", "--level", "hyperfield-search")
         assert (code, out) == (0, "1 univalued multiplications admit a hyperfield\n")
 
-    @pytest.mark.parametrize("name", ["zmod:5", "powers:3:4", "zmod:12"])
-    def test_hyperfield_search_refuses_more_than_4_elements(self, capsys, name):
-        """n elements admit n^((n-1)^2) multiplications: 5^16 is about 1.5e11."""
+    @pytest.mark.parametrize(
+        "name, answer",
+        [
+            ("zmod:5", "4 univalued multiplications admit a hyperfield"),
+            ("zmod:7", "6 univalued multiplications admit a hyperfield"),
+            ("powers:3:4", "no univalued multiplication admits hyperfield"),
+            ("zmod:8", "no univalued multiplication admits hyperfield"),
+        ],
+        ids=["zmod:5", "zmod:7", "powers:3:4", "zmod:8"],
+    )
+    def test_hyperfield_search_up_to_8_elements(self, capsys, name, answer):
+        """Only the relabelled unit groups are tried: 840 tables at 8 elements."""
         code, out, err = run(capsys, "verify", name, "--level", "hyperfield-search")
-        n = 12 if name == "zmod:12" else 5
+        assert (code, out, err) == (0, answer + "\n", "")
+
+    @pytest.mark.parametrize("name", ["zmod:9", "zmod:12"])
+    def test_hyperfield_search_refuses_more_than_8_elements(self, capsys, name):
+        """At 9 elements the search would relabel 5 groups by 8! bijections each."""
+        code, out, err = run(capsys, "verify", name, "--level", "hyperfield-search")
+        n = int(name.split(":")[1])
         assert (code, out) == (2, "")
         assert err == (
-            f"error: hyperfield search over {n} elements would try {n}^{(n - 1) ** 2} "
-            "multiplication tables; it takes at most 4 elements\n"
+            f"error: hyperfield search over {n} elements would relabel every group of "
+            f"order {n - 1}; it takes at most 8 elements\n"
         )
 
     def test_continuous_hyperfield_search_exit_2(self, capsys):
@@ -563,6 +578,7 @@ class TestDeq:
             ("tri", "1", "2", "1,1e300", "triangle sum at h=1e+300"),
             ("complex", "1@0", "1@1", "1,1e300", "complex sum at h=1e+300"),
             ("tri", "1e308", "1e308", "1", "triangle sum at h=1"),
+            ("lm", "1.7e308", "1.7e308", "1e308", "Litvinov-Maslov sum at h=1e+308"),
         ],
     )
     def test_sum_beyond_the_float_range_exit_2(self, capsys, family, a, b, h, sum_at):

@@ -28,6 +28,7 @@ from hyperalg.finite import (
     prime_ideals,
     quaternion_group,
     quotient_by_normal,
+    search_hyperfield_multiplications,
     small_groups,
     symmetric3,
 )
@@ -818,3 +819,69 @@ class TestIdealsAnswer:
                 x = _relabelled(x, rng)
             assert ideals(x) == _ideals_by_subsets(x), x.name
             assert prime_ideals(x) == _prime_ideals_by_subsets(x), x.name
+
+
+def _hyperfield_multiplications_by_brute_force(x: FiniteMultistructure) -> list:
+    """Every univalued multiplication with 0 absorbing and a unity that makes
+    x a hyperfield, in the order of itertools.product over the nonzero cells."""
+    n = len(x.elements)
+    z = x.zero_idx
+    nonzero = [i for i in range(n) if i != z]
+    winners = []
+    for values in itertools.product(range(n), repeat=len(nonzero) ** 2):
+        mul_table = {(i, j): z for i in range(n) for j in range(n) if z in (i, j)}
+        mul_table.update(zip(itertools.product(nonzero, repeat=2), values))
+        one = next(
+            (e for e in nonzero if all(mul_table[e, i] == i == mul_table[i, e] for i in range(n))),
+            None,
+        )
+        if one is None:
+            continue
+        cand = FiniteMultistructure(
+            x.elements, x.add_table, z, mul_table, one, neg_map=x.neg_map, name=x.name
+        )
+        if check_multiring(FiniteStructure(cand), level="hyperfield").passed:
+            winners.append(mul_table)
+    return winners
+
+
+class TestHyperfieldSearchAnswer:
+    """search_hyperfield_multiplications answers as the brute force over all
+    n^((n-1)^2) tables, in order."""
+
+    def test_small_tables_agree_with_the_brute_force(self):
+        for x in _search_tables(3):
+            assert search_hyperfield_multiplications(x) == (
+                _hyperfield_multiplications_by_brute_force(x)
+            ), x.name
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [(lambda: mul_quotient(make_zmod(7), ["1", "6"]), 3), (lambda: make_zmod(4), 0)],
+        ids=["Z7/{1,6}", "Z4"],
+    )
+    def test_four_element_tables_agree_with_the_brute_force(self, make, count):
+        x = make()
+        want = _hyperfield_multiplications_by_brute_force(x)
+        assert len(want) == count
+        assert search_hyperfield_multiplications(x) == want
+
+    def test_tables_tried_per_unit_group_order(self, monkeypatch):
+        """Each group G of order k is tried in k!/|Aut G| distinct tables, so
+        the counts pin that small_groups holds every group of order 1 to 7."""
+        import hyperalg.axioms
+
+        tried = []
+
+        def count(X, level):
+            tried.append(X.table.mul_table)
+            return hyperalg.axioms.AxiomReport(structure=X.name)
+
+        monkeypatch.setattr(hyperalg.axioms, "check_multiring", count)
+        counts = []
+        for k in range(1, 8):
+            tried.clear()
+            assert search_hyperfield_multiplications(make_linear_order(k + 1)) == tried
+            assert len({tuple(sorted(t.items())) for t in tried}) == len(tried)
+            counts.append(len(tried))
+        assert counts == [1, 2, 3, 16, 30, 480, 840]
