@@ -46,8 +46,8 @@ class ComplexElem:
 
     def __init__(self, modulus: float, argument: float) -> None:
         m = float(modulus)
-        if m < 0.0 or math.isnan(m):
-            raise InvalidSetError(f"modulus must be nonnegative, got {m}")
+        if not 0.0 <= m < math.inf:  # also rejects NaN
+            raise InvalidSetError(f"modulus must be finite and nonnegative, got {m}")
         if m == 0.0:
             a = 0.0
         else:

@@ -83,11 +83,9 @@ def _point_arc(p: ComplexElem, a: CArc) -> list:
         return [CDisk(r)]
     if a.contains_angle(wrap_angle(p.argument + math.pi), eps):
         return [CDisk(r)]
-    out: list = [a]
-    s, e = _arc_angles(a)
-    out.extend(_minor_arc_parts(r, s, p.argument))
-    out.extend(_minor_arc_parts(r, e, p.argument))
-    return out
+    # no point of a is opposite p, so a and the minor arc from its start to p
+    # cover the minor arc from its end to p
+    return [a, *_minor_arc_parts(r, a.start, p.argument)]
 
 
 def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
@@ -333,17 +331,16 @@ def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL)
 
 
 def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
+    q, cols = qsets._cone_of(a)[0][0]  # an orthonormal basis of the arc's plane
+    if len(q) < 2:
+        # a degenerate arc: its ends span no plane, so it sums as a cone
+        return _qcone_point(a, p)
     eps = DEFAULT_TOL.eps
     r = a.radius
     up = p.unit()
     minus = tuple(-x for x in up)
     if qsets.in_cone(minus, a, eps):
         return [qsets.QBall(r)]
-    q, cols = qsets._cone_factors(a)[0]  # an orthonormal basis of the arc's plane
-    if len(q) < 2:
-        # a degenerate arc: its ends span no plane, so p is added to each
-        pr = qsets.QuatElem(*(x * r for x in up))
-        return [c for end in (a.a, a.b) for c in qsets.qparts_of(quat_add(end, pr))]
     coords, res = qsets._project(q, up)
     if res > max(eps, 1e-9):
         return [qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))]
@@ -376,7 +373,9 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     return out
 
 
-def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
+def _qcone_point(c: qsets.QCone | qsets.QArc, p: qsets.QuatElem) -> list:
+    """The sum of a cone, or a degenerate arc, and a tied point p: the ball
+    when -p is in c, c when p is, and otherwise the cone over c and p."""
     eps = DEFAULT_TOL.eps
     r = c.radius
     up = p.unit()
@@ -385,7 +384,8 @@ def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
         return [qsets.QBall(r)]
     if qsets.in_cone(up, c, eps):
         return [c]
-    return [qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))]
+    ends = (c.a, c.b) if isinstance(c, qsets.QArc) else c.vertices
+    return [qsets.QCone(ends + (qsets.QuatElem(*(x * r for x in up)),))]
 
 
 # order of component kinds in _quat_add_comps, by class name (naming the
@@ -399,7 +399,7 @@ def _quat_add_comps(c1, c2) -> list:
     if _QRANK[type(c2).__name__] < _QRANK[type(c1).__name__]:  # the sum is commutative
         c1, c2 = c2, c1
     if isinstance(c1, qsets.QPoint):
-        return qsets.qparts_of(quat_add(c1.elem, c2.elem))
+        return [quat_add(c1.elem, c2.elem)]
     r1 = c1.radius
     r2 = c2.elem.norm if isinstance(c2, qsets.QPoint) else c2.radius
     if abs(r1 - r2) > DEFAULT_TOL.eps:
@@ -416,18 +416,14 @@ def _quat_add_comps(c1, c2) -> list:
 
 
 def quat_add_sets(s1: qsets.QSet, s2: qsets.QSet) -> qsets.QSet:
-    out: list = []
-    for c1 in qsets.qparts_of(s1):
-        for c2 in qsets.qparts_of(s2):
-            out.extend(_quat_add_comps(c1, c2))
-    return qsets.qnormalize(out)
+    return qsets.qnormalize(_quat_add_comps(s1, s2))
 
 
 def quat_scale(s: qsets.QSet, f: qsets.QuatElem, side: str) -> qsets.QSet:
     """Pointwise left or right multiplication of a set by a quaternion.
 
-    Multiplication by a fixed quaternion is a similarity of H, so each
-    component maps to a component of the same kind.
+    Multiplication by a fixed quaternion is a similarity of H, so the set
+    maps to a component of the same kind.
     """
     if f.norm == 0.0:
         return qsets.QPoint(qsets.QZERO)
@@ -435,14 +431,12 @@ def quat_scale(s: qsets.QSet, f: qsets.QuatElem, side: str) -> qsets.QSet:
     def mp(q: qsets.QuatElem) -> qsets.QuatElem:
         return f.times(q) if side == "left" else q.times(f)
 
-    out: list = []
-    for c in qsets.qparts_of(s):
-        if isinstance(c, qsets.QPoint):
-            out.append(qsets.QPoint(mp(c.elem)))
-        elif isinstance(c, qsets.QBall):
-            out.append(qsets.QBall(c.radius * f.norm))
-        elif isinstance(c, qsets.QArc):
-            out.append(qsets.QArc(mp(c.a), mp(c.b)))
-        else:
-            out.append(qsets.QCone(tuple(mp(v) for v in c.vertices)))
-    return qsets.qnormalize(out)
+    if isinstance(s, qsets.QPoint):
+        out = qsets.QPoint(mp(s.elem))
+    elif isinstance(s, qsets.QBall):
+        out = qsets.QBall(s.radius * f.norm)
+    elif isinstance(s, qsets.QArc):
+        out = qsets.QArc(mp(s.a), mp(s.b))
+    else:
+        out = qsets.QCone(tuple(mp(v) for v in s.vertices))
+    return qsets.qnormalize([out])

@@ -3,12 +3,14 @@
 The tropical sum of quaternions produces points, minor geodesic arcs on
 origin-centred 3-spheres, closed balls, and (one level of set extension
 later) geodesic cones: the union of minor arcs from a point to every point
-of an arc).  A cone with generator set V is exactly the set of norm-r points
-whose direction is a nonnegative combination of the unit generators, which
-gives an exact membership test: one modified Gram-Schmidt factorization of a
-generator subset whose size is the rank of the generators (see in_cone).  An
-arc or cone derives its radius and unit directions once, at construction, and
-factors its cone at its first membership test.
+of an arc.  Every value set is one of these components; there is no union.
+A cone with generator set V is exactly the set of norm-r points whose
+direction is a nonnegative combination of the unit generators, which gives an
+exact membership test: one modified Gram-Schmidt factorization of a generator
+subset whose size is the rank of the generators (see in_cone).  Two
+directions of an arc or cone too close to span a plane also hold the chord
+between them.  An arc or cone derives its radius and unit directions once, at
+construction, and factors its cone at its first membership test.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of qnormalize, which the
@@ -21,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .tolerance import DEFAULT_TOL, InvalidSetError, Tolerance, fmt_num, match_parts
+from .tolerance import DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num, match_parts
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,6 +176,16 @@ def _chord_gap(u: tuple, ua: tuple, ub: tuple) -> float:
     return math.dist(w, _scale(d, t))
 
 
+def _chords(units) -> list:
+    """The pairs of `units` that _factor takes as dependent and whose dot
+    product is positive: too close to span a plane, they bound a chord."""
+    return [
+        (ua, ub)
+        for ua, ub in itertools.combinations(units, 2)
+        if _dot(ua, ub) > 0.0 and _factor((ua, ub)) is None
+    ]
+
+
 def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     """Is the unit 4-vector `u` a nonnegative combination of the generators:
     the unit vectors `gens`, or the directions of `gens` when it is a QArc
@@ -185,17 +197,19 @@ def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     of that size are factored: one, when the generators are independent.
     `u` is in the cone of such a subset iff its residual is at most
     max(eps, 1e-9) and its back-substituted coefficients are all >= -1e-7.
-    The ends of a QArc under about 3e-7 rad apart span no plane (rank 1),
-    so the arc also holds every direction within max(eps, 1e-9) of the chord
-    between them, which lies within angle^2/8 < 2e-14 of the arc.
+    Two directions of a QArc or QCone under about 3e-7 rad apart span no
+    plane, so the arc or cone also holds every direction within
+    max(eps, 1e-9) of the chord between them, which lies within
+    angle^2/8 < 2e-14 of their arc.  The interior of a cone whose directions
+    are all that close (rank 1) is not held.
     """
     if not isinstance(gens, (QArc, QCone)):
         return _in_factors(u, _factor_cone(gens), eps)
-    factors = _cone_factors(gens)
-    if _in_factors(u, factors, eps):
-        return True
-    degenerate_arc = isinstance(gens, QArc) and len(factors[0][0]) < 2
-    return degenerate_arc and _chord_gap(u, *gens.units) <= max(eps, 1e-9)
+    factors, chords = _cone_of(gens)
+    cut = max(eps, 1e-9)
+    return _in_factors(u, factors, eps) or any(
+        _chord_gap(u, ua, ub) <= cut for ua, ub in chords
+    )
 
 
 def slerp(u: tuple, v: tuple, t: float) -> tuple:
@@ -224,14 +238,14 @@ class QArc:
     """Minor geodesic arc between two non-antipodal points of equal norm.
 
     `radius` and `units`, the directions of the ends, are derived at
-    construction, and `cone`, their factored cone, at the first membership
-    test; none of them takes part in ==, hash or repr."""
+    construction, and `cone`, their factored cone and its chords, at the
+    first membership test; none of them takes part in ==, hash or repr."""
 
     a: QuatElem
     b: QuatElem
     radius: float = field(init=False, repr=False, compare=False)
     units: tuple = field(init=False, repr=False, compare=False)
-    cone: list | None = field(default=None, init=False, repr=False, compare=False)
+    cone: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         na, nb = self.a.norm, self.b.norm
@@ -265,7 +279,7 @@ class QCone:
     vertices: tuple[QuatElem, ...]
     radius: float = field(init=False, repr=False, compare=False)
     units: tuple = field(init=False, repr=False, compare=False)
-    cone: list | None = field(default=None, init=False, repr=False, compare=False)
+    cone: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.vertices) < 3:
@@ -279,164 +293,88 @@ class QCone:
         object.__setattr__(self, "units", tuple(map(_direction, vs, norms)))
 
 
-@dataclass(frozen=True, slots=True)
-class QUnion:
-    parts: tuple
-
-
-QSet = QPoint | QArc | QBall | QCone | QUnion
+QSet = QPoint | QArc | QBall | QCone
 
 
 def qparts_of(s: QSet) -> list:
-    return list(s.parts) if isinstance(s, QUnion) else [s]
+    return [s]
 
 
-def _comp_radius(c) -> float:
-    if isinstance(c, QPoint):
-        return c.elem.norm
-    return c.radius
-
-
-def _cone_factors(c) -> list:
-    """The factored cone of an arc's or cone's directions, kept on the
-    component from its first use."""
+def _cone_of(c) -> tuple:
+    """The factored cone of an arc's or cone's directions and its chords,
+    kept on the component from its first use."""
     if c.cone is None:
-        object.__setattr__(c, "cone", _factor_cone(c.units))
+        object.__setattr__(c, "cone", (_factor_cone(c.units), _chords(c.units)))
     return c.cone
 
 
 def qmember(x: QuatElem, s: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
+    if isinstance(s, QPoint):
+        return x.eq(s.elem, tol)
     n = x.norm
-    u = None  # the direction of x, taken at the first arc or cone of its norm
-    for c in qparts_of(s):
-        if isinstance(c, QPoint):
-            if x.eq(c.elem, tol):
-                return True
-        elif isinstance(c, QBall):
-            if n <= c.radius + tol.eps:
-                return True
-        elif abs(n - c.radius) <= tol.eps and n > 0.0:
-            if u is None:
-                u = _direction(x, n)
-            if in_cone(u, c, tol.eps):
-                return True
-    return False
+    if isinstance(s, QBall):
+        return n <= s.radius + tol.eps
+    return abs(n - s.radius) <= tol.eps and n > 0.0 and in_cone(_direction(x, n), s, tol.eps)
 
 
 def qnormalize(parts: list) -> QSet:
-    if len(parts) == 1:
-        # a lone point, arc, cone or non-degenerate ball is already a fixed point
-        c = parts[0]
-        if isinstance(c, (QPoint, QArc, QCone)) or (
-            isinstance(c, QBall) and c.radius > DEFAULT_TOL.eps
-        ):
-            return c
-    flat: list = []
-    for p in parts:
-        flat.extend(qparts_of(p))
-    if not flat:
-        raise InvalidSetError("quaternion value set must be nonempty")
-    ball_r = -1.0
-    for c in flat:
-        if isinstance(c, QBall):
-            ball_r = max(ball_r, c.radius)
-    rest = [
-        c
-        for c in flat
-        if not isinstance(c, QBall) and _comp_radius(c) > ball_r + DEFAULT_TOL.eps
-    ]
-    out: list = []
-    if ball_r >= 0.0:
-        if ball_r <= DEFAULT_TOL.eps:
-            # added after the filter above, which would drop it
-            rest.append(QPoint(QZERO))
-        else:
-            out.append(QBall(ball_r))
-    # absorb points lying on arcs/cones, then dedup
-    arcs = [c for c in rest if isinstance(c, (QArc, QCone))]
-    points = [c.elem for c in rest if isinstance(c, QPoint)]
-    kept_pts: list[QuatElem] = []
-    for p in sorted(points, key=lambda e: e.coords()):
-        if any(qmember(p, a) for a in arcs):
-            continue
-        if any(p.eq(q) for q in kept_pts):
-            continue
-        kept_pts.append(p)
-    kept_arcs: list = []
-    for a in arcs:
-        if not any(_qcomp_eq(a, b, DEFAULT_TOL) for b in kept_arcs):
-            kept_arcs.append(a)
-    out.extend(sorted(kept_arcs, key=_qsort_key))
-    out.extend(QPoint(p) for p in kept_pts)
-    if not out:
-        raise InvalidSetError("normalization emptied the quaternion set")
-    if len(out) == 1:
-        return out[0]
-    return QUnion(tuple(out))
-
-
-def _qsort_key(c) -> tuple:
-    if isinstance(c, QArc):
-        return (0, c.a.coords(), c.b.coords())
-    return (1, tuple(v.coords() for v in c.vertices), ())
-
-
-def _qcomp_eq(c1, c2, tol: Tolerance) -> bool:
-    if isinstance(c1, QPoint) and isinstance(c2, QPoint):
-        return c1.elem.eq(c2.elem, tol)
-    if isinstance(c1, QBall) and isinstance(c2, QBall):
-        return tol.close(c1.radius, c2.radius)
-    if isinstance(c1, QArc) and isinstance(c2, QArc):
-        return (c1.a.eq(c2.a, tol) and c1.b.eq(c2.b, tol)) or (
-            c1.a.eq(c2.b, tol) and c1.b.eq(c2.a, tol)
+    """The one component of `parts`, where a ball of radius at most eps is the
+    point 0: every quaternion sum is one point, arc, ball or cone."""
+    if len(parts) != 1:
+        raise RepresentationClosureError(
+            f"a quaternion value set is one component, not {len(parts)}"
         )
-    if isinstance(c1, QCone) and isinstance(c2, QCone):
-        return match_parts(c1.vertices, c2.vertices, QuatElem.eq, tol)
-    return False
+    c = parts[0]
+    if isinstance(c, QBall) and c.radius <= DEFAULT_TOL.eps:
+        return QPoint(QZERO)
+    return c
 
 
 def qset_eq(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return match_parts(qparts_of(s1), qparts_of(s2), _qcomp_eq, tol)
+    if isinstance(s1, QPoint) and isinstance(s2, QPoint):
+        return s1.elem.eq(s2.elem, tol)
+    if isinstance(s1, QBall) and isinstance(s2, QBall):
+        return tol.close(s1.radius, s2.radius)
+    if isinstance(s1, QArc) and isinstance(s2, QArc):
+        return (s1.a.eq(s2.a, tol) and s1.b.eq(s2.b, tol)) or (
+            s1.a.eq(s2.b, tol) and s1.b.eq(s2.a, tol)
+        )
+    if isinstance(s1, QCone) and isinstance(s2, QCone):
+        return match_parts(s1.vertices, s2.vertices, QuatElem.eq, tol)
+    return False
 
 
 def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
-    pts: list[QuatElem] = []
+    if isinstance(s, QPoint):
+        return [s.elem]
+    if isinstance(s, QBall):
 
-    def _rand_unit() -> tuple:
-        while True:
-            v = tuple(rng.gauss(0.0, 1.0) for _ in range(4))
-            n = math.sqrt(_dot(v, v))
-            if n > 1e-6:
-                return _scale(v, 1.0 / n)
+        def _rand_unit() -> tuple:
+            while True:
+                v = tuple(rng.gauss(0.0, 1.0) for _ in range(4))
+                n = math.sqrt(_dot(v, v))
+                if n > 1e-6:
+                    return _scale(v, 1.0 / n)
 
-    for c in qparts_of(s):
-        if isinstance(c, QPoint):
-            pts.append(c.elem)
-        elif isinstance(c, QArc):
-            r = c.radius
-            ua, ub = c.units
-            for t in (0.0, 1.0, 0.5):
-                pts.append(QuatElem(*_scale(slerp(ua, ub, t), r)))
-            for _ in range(count):
-                pts.append(QuatElem(*_scale(slerp(ua, ub, rng.random()), r)))
-        elif isinstance(c, QBall):
-            pts.append(QZERO)
-            pts.append(QuatElem(*_scale(_rand_unit(), c.radius)))
-            for _ in range(count):
-                pts.append(QuatElem(*_scale(_rand_unit(), c.radius * rng.random())))
-        else:
-            r = c.radius
-            units = c.units
-            for u in units:
-                pts.append(QuatElem(*_scale(u, r)))
-            for _ in range(count + 2):
-                ws = [rng.random() for _ in units]
-                mix = (0.0, 0.0, 0.0, 0.0)
-                for w, u in zip(ws, units):
-                    mix = tuple(mix[i] + w * u[i] for i in range(4))
-                n = math.sqrt(_dot(mix, mix))
-                if n > 1e-9:
-                    pts.append(QuatElem(*_scale(mix, r / n)))
+        pts = [QZERO, QuatElem(*_scale(_rand_unit(), s.radius))]
+        for _ in range(count):
+            pts.append(QuatElem(*_scale(_rand_unit(), s.radius * rng.random())))
+        return pts
+    r = s.radius
+    if isinstance(s, QArc):
+        ua, ub = s.units
+        ts = [0.0, 1.0, 0.5] + [rng.random() for _ in range(count)]
+        return [QuatElem(*_scale(slerp(ua, ub, t), r)) for t in ts]
+    units = s.units
+    pts = [QuatElem(*_scale(u, r)) for u in units]
+    for _ in range(count + 2):
+        ws = [rng.random() for _ in units]
+        mix = (0.0, 0.0, 0.0, 0.0)
+        for w, u in zip(ws, units):
+            mix = tuple(mix[i] + w * u[i] for i in range(4))
+        n = math.sqrt(_dot(mix, mix))
+        if n > 1e-9:
+            pts.append(QuatElem(*_scale(mix, r / n)))
     return pts
 
 
@@ -460,15 +398,10 @@ def parse_qelem(text: str) -> QuatElem:
 
 
 def format_qset(s: QSet) -> str:
-    out = []
-    for c in qparts_of(s):
-        if isinstance(c, QPoint):
-            out.append(f"point {format_qelem(c.elem)}")
-        elif isinstance(c, QBall):
-            out.append(f"ball r={fmt_num(c.radius)}")
-        elif isinstance(c, QArc):
-            out.append(f"garc {format_qelem(c.a)} to {format_qelem(c.b)}")
-        else:
-            verts = " ".join(format_qelem(v) for v in c.vertices)
-            out.append(f"gcone {verts}")
-    return " | ".join(out)
+    if isinstance(s, QPoint):
+        return f"point {format_qelem(s.elem)}"
+    if isinstance(s, QBall):
+        return f"ball r={fmt_num(s.radius)}"
+    if isinstance(s, QArc):
+        return f"garc {format_qelem(s.a)} to {format_qelem(s.b)}"
+    return "gcone " + " ".join(format_qelem(v) for v in s.vertices)

@@ -17,7 +17,7 @@ import operator
 
 from . import _Deferred
 from .rsets import RSet, rinterval, rmember, rpoint
-from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
+from .tolerance import DEFAULT_TOL, NEG_INF, InvalidSetError, Tolerance
 
 axioms = _Deferred(globals(), "axioms")
 
@@ -31,7 +31,10 @@ def _require_nonneg(*vals: float) -> None:
 def tri_add(a: float, b: float) -> RSet:
     """Side lengths c completing a (possibly degenerate) triangle with a, b."""
     _require_nonneg(a, b)
-    return rinterval(abs(a - b), a + b)
+    hi = a + b
+    if hi == math.inf:
+        raise InvalidSetError(f"triangle sum {a:g} + {b:g} leaves the float range")
+    return rinterval(abs(a - b), hi)
 
 
 def tri_sum_n(values: list[float]) -> RSet:
@@ -46,7 +49,10 @@ def tri_sum_n(values: list[float]) -> RSet:
 
 def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
     (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
-    return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi1 + hi2),))
+    hi = hi1 + hi2
+    if hi == math.inf:
+        raise InvalidSetError(f"triangle set sum with upper end {hi1:g} + {hi2:g} leaves the float range")
+    return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi),))
 
 
 def ultra_add(a: float, b: float) -> RSet:
@@ -87,7 +93,10 @@ def trop_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
 def trop_mul(a: float, b: float) -> float:
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
-    return a + b
+    s = a + b
+    if abs(s) == math.inf:
+        raise InvalidSetError(f"tropical product {a:g} + {b:g} leaves the float range")
+    return s
 
 
 def trop_add_sets(s1: RSet, s2: RSet) -> RSet:

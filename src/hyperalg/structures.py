@@ -22,10 +22,9 @@ live in its family module sets them at construction.
 from __future__ import annotations
 
 import math
-import operator
 
 from . import _Deferred
-from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, RepresentationClosureError, fmt_num, is_prime
+from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, InvalidSetError, RepresentationClosureError, fmt_num, is_prime
 
 csets, ctrop, exotic, finite, qsets, realhf, rsets = (
     _Deferred(globals(), name)
@@ -338,7 +337,10 @@ class IntervalCarrier(Structure):
         return -a
 
     def mul(self, a, b):
-        return a * b
+        p = a * b
+        if abs(p) == math.inf:
+            raise InvalidSetError(f"product {a:g} * {b:g} leaves the float range")
+        return p
 
     def mul_sets(self, s1, s2):
         """The real interval product: the hull of the endpoint products."""
@@ -732,10 +734,17 @@ class RealField(RealTropical):
     name = "R"
 
     def add(self, a, b):
-        return rsets.rpoint(a + b)
+        return rsets.rpoint(_real_sum(a, b))
 
     def add_sets(self, s1, s2):
-        return self._endpointwise(s1, s2, operator.add)
+        return self._endpointwise(s1, s2, _real_sum)
+
+
+def _real_sum(a: float, b: float) -> float:
+    s = a + b
+    if abs(s) == math.inf:
+        raise InvalidSetError(f"real sum {a:g} + {b:g} leaves the float range")
+    return s
 
 
 class MaxPlusReals(IntervalCarrier):

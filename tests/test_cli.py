@@ -145,6 +145,25 @@ class TestAdd:
         assert (code, out) == (2, "")
         assert err.startswith("error: monomial coefficient") and "not finite" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["add", "R", "1e308", "1e308"], "real sum 1e+308 + 1e+308 leaves the float range"),
+            (["add", "tri", "1e308", "1e308"], "triangle sum 1e+308 + 1e+308 leaves the float range"),
+            (["sum", "tri", "1e308", "1e308", "1"],
+             "triangle set sum with upper end 1e+308 + 1e+308 leaves the float range"),
+            (["poly", "R", "X^2", "--at", "1e200"], "product 1e+200 * 1e+200 leaves the float range"),
+            (["poly", "tri", "X^2", "--at", "1e200"], "product 1e+200 * 1e+200 leaves the float range"),
+            (["poly", "trop", "X^2", "--at", "1e308"],
+             "tropical product 1e+308 + 1e+308 leaves the float range"),
+            (["poly", "TC", "X^2", "--at", "1e200"], "modulus must be finite and nonnegative, got inf"),
+        ],
+    )
+    def test_float_overflow_exit_2(self, capsys, argv, message):
+        """A sum or product of finite operands beyond the float range is an
+        error, as for the monomial carriers, not an `inf` point."""
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
 
 class TestSum:
     def test_nary_disk(self, capsys):

@@ -30,7 +30,7 @@ from hyperalg.ctrop import (
     rt_add,
     rt_add_sets,
 )
-from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qset_eq
+from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qpick, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
 from hyperalg.tolerance import TWO_PI, RepresentationClosureError, Tolerance
 
@@ -462,6 +462,30 @@ class TestQuaternion:
         assert qmember(at(0.5), arc) and qmember(at(0.25), arc)
         assert not any(qmember(q, arc) for q in (at(0.5, 1e-4), at(1.5), at(-0.5)))
         assert quat_add_sets(arc, QPoint(-at(0.5))) == QBall(r)
+
+    @pytest.mark.parametrize("phi", [0.3, 1.0, 2.5])
+    def test_tied_point_off_a_nearly_degenerate_arc_gives_one_cone(self, phi):
+        """The sum of a nearly degenerate arc and a tied point p off its chord
+        is the cone over its ends and p: it holds the arcs from each end to
+        p, which were once a union of two arcs, and the arc's interior."""
+        r, theta = 1000.0, 1e-7
+        a = QuatElem(r, 0, 0, 0)
+        b = QuatElem(r * math.cos(theta), r * math.sin(theta), 0, 0)
+        p = QuatElem(r * math.cos(phi), 0, r * math.sin(phi), 0)
+        got = quat_add_sets(quat_add(a, b), QPoint(p))
+        assert got == QCone((a, b, p))
+        rng = random.Random(5)
+        for end in (a, b):
+            assert all(qmember(q, got) for q in qpick(QArc(end, p), rng, 20))
+        mid = QuatElem(r * math.cos(0.5 * theta), r * math.sin(0.5 * theta), 0, 0)
+        assert qmember(mid, got)
+        assert not qmember(QuatElem(r * math.cos(phi), 0, -r * math.sin(phi), 0), got)
+
+    def test_tied_point_inside_a_nearly_degenerate_arc_gives_the_arc(self):
+        r, theta = 1000.0, 1e-7
+        arc = quat_add(QuatElem(r, 0, 0, 0), QuatElem(r * math.cos(theta), r * math.sin(theta), 0, 0))
+        mid = QuatElem(r * math.cos(0.5 * theta), r * math.sin(0.5 * theta), 0, 0)
+        assert quat_add_sets(arc, QPoint(mid)) == arc
 
     def _cone(self, r):
         return QCone(

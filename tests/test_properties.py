@@ -225,15 +225,14 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
 
 
 # each value-set family's normalizer, keyed by the set types it produces.  A
-# complex or quaternion set is given twice, so that its normalizer takes its
-# full path (a lone canonical component is returned as is) and its
-# deduplication gives back the normal form.  A real or valued set is one
-# component, which its normalizer returns as is.
+# complex set is given twice, so that its normalizer takes its full path (a
+# lone canonical component is returned as is) and its deduplication gives back
+# the normal form.  A real, quaternion or valued set is one component, which
+# its normalizer returns as is.
 NORMAL_FORMS = [
     ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), lambda s: csets.normalize_parts([s, s])),
     ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
-    ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone, qsets.QUnion),
-     lambda s: qsets.qnormalize([s, s])),
+    ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone), lambda s: qsets.qnormalize([s])),
     ((exotic.VPoint, exotic.MCone), lambda s: exotic.mnormalize([s])),
     ((exotic.PCone,), lambda s: exotic.pnormalize([s])),
 ]
@@ -505,8 +504,9 @@ def _arc_or_cone_case(draw):
 def test_arcs_and_cones_keep_their_geometry(case, tol):
     """The stored radius and directions equal a recomputation; ==, hash,
     repr and pickling ignore the derived fields; and qmember and in_cone
-    answer as the per-call in_cone does, except that a degenerate arc (ends
-    too close to span a plane) also holds the directions near its chord."""
+    answer as the per-call in_cone does, except that an arc or cone also
+    holds the directions near the chord of two of its directions too close
+    to span a plane, unless they are opposite."""
     comp, x = case
     ends = (comp.a, comp.b) if isinstance(comp, qsets.QArc) else comp.vertices
     norms = [v.norm for v in ends]
@@ -525,10 +525,12 @@ def test_arcs_and_cones_keep_their_geometry(case, tol):
     gens = [v.unit() for v in ends]
     before = _in_cone_per_call(u, gens, tol.eps)
     assert qsets.in_cone(u, gens, tol.eps) == before
-    if isinstance(comp, qsets.QArc) and qsets._factor(gens) is None:
-        assert verdict == (before or qsets._chord_gap(u, *gens) <= max(tol.eps, 1e-9))
-    else:
-        assert verdict == before
+    chords = [
+        pair for pair in itertools.combinations(gens, 2)
+        if qsets._dot(*pair) > 0.0 and qsets._factor(pair) is None
+    ]
+    near_chord = any(qsets._chord_gap(u, *pair) <= max(tol.eps, 1e-9) for pair in chords)
+    assert verdict == (before or near_chord)
     on_sphere = abs(x.norm - comp.radius) <= tol.eps and x.norm > 0.0
     assert qsets.qmember(x, comp, tol) == (on_sphere and verdict)
 

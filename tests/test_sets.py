@@ -47,7 +47,7 @@ from hyperalg.rsets import (
     rset_eq,
     rsubset,
 )
-from hyperalg.tolerance import NEG_INF, TWO_PI, Tolerance
+from hyperalg.tolerance import NEG_INF, TWO_PI, RepresentationClosureError, Tolerance
 
 PI = math.pi
 
@@ -293,6 +293,24 @@ class TestQSet:
 
     def test_tiny_ball_becomes_origin(self):
         assert qnormalize([QBall(5e-10)]) == QPoint(QZERO)
+
+    def test_two_components_are_no_value_set(self):
+        with pytest.raises(RepresentationClosureError, match="one component"):
+            qnormalize([QPoint(QuatElem(1, 0, 0, 0)), QPoint(QZERO)])
+
+    @pytest.mark.parametrize("r", [1.0, 1000.0])
+    def test_cone_holds_the_chord_of_close_vertices(self, r):
+        """Two vertices 1e-8 rad apart span no plane, and the direction
+        between them lies 5e-9 off the plane of either with the third vertex,
+        yet the cone holds their chord; a point 1e-6 rad beyond it is out."""
+        theta = 1e-8
+
+        def toward_k(t):
+            return QuatElem(r * math.cos(t), 0, r * math.sin(t), 0)
+
+        cone = QCone((toward_k(0.0), toward_k(theta), QuatElem(0, r, 0, 0)))
+        assert all(qmember(toward_k(t * theta), cone) for t in (0.25, 0.5, 0.75))
+        assert not qmember(toward_k(-1e-6), cone)
 
 
 # -- text forms ---------------------------------------------------------------
