@@ -331,24 +331,38 @@ def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL)
 
 
 def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
-    q, cols = qsets._cone_of(a)[0][0]  # an orthonormal basis of the arc's plane
-    if len(q) < 2:
-        # a degenerate arc: its ends span no plane, so it sums as a cone
-        return _qcone_point(a, p)
+    """The sum of an arc and a tied point p: the ball when -p is in a, the
+    circle rule when p lies on a great circle through both ends of a, and
+    otherwise the cone over a and p."""
     eps = DEFAULT_TOL.eps
+    cut = max(eps, 1e-9)
     r = a.radius
     up = p.unit()
     minus = tuple(-x for x in up)
     if qsets.in_cone(minus, a, eps):
         return [qsets.QBall(r)]
-    coords, res = qsets._project(q, up)
-    if res > max(eps, 1e-9):
+    q, cols = qsets._cone_of(a)[0][0]  # an orthonormal basis of the arc's plane
+    if len(q) == 2:
+        coords, res = qsets._project(q, up)
+        ub_coords = cols[1]
+    elif qsets.in_cone(up, a, eps):
+        return [a]
+    else:
+        # a degenerate arc spans no plane: take the plane of its first end and
+        # p, which holds its other end when p is on a great circle with both
+        plane = qsets._factor((a.units[0], up), qsets._THIN)
+        if plane is None:  # p is within 1e-9 rad of that end
+            return [a]
+        q, cols = plane
+        coords = cols[1]
+        ub_coords, res = qsets._project(q, a.units[1])
+    if res > cut:
         return [qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))]
 
     # p lies on the arc's great circle: apply the circle rule in its plane,
-    # where ua lies at angle 0 and ub at the arc's sweep
+    # where ua lies at angle 0 and ub at angle tb, the arc's signed sweep
     e1, e2 = q
-    ub_e1, ub_e2 = cols[1]
+    ub_e1, ub_e2 = ub_coords
     p_e1, p_e2 = coords
 
     def at(theta: float) -> qsets.QuatElem:
@@ -356,8 +370,8 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
             *(r * (math.cos(theta) * e1[i] + math.sin(theta) * e2[i]) for i in range(4))
         )
 
-    sweep = math.atan2(ub_e2, ub_e1)
-    circle = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, 0.0, sweep))
+    tb = math.atan2(ub_e2, ub_e1)
+    circle = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, min(tb, 0.0), abs(tb)))
     out: list = []
     for c in parts_of(normalize_parts(circle)):
         if isinstance(c, CDisk):
@@ -373,9 +387,7 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     return out
 
 
-def _qcone_point(c: qsets.QCone | qsets.QArc, p: qsets.QuatElem) -> list:
-    """The sum of a cone, or a degenerate arc, and a tied point p: the ball
-    when -p is in c, c when p is, and otherwise the cone over c and p."""
+def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
     eps = DEFAULT_TOL.eps
     r = c.radius
     up = p.unit()
@@ -384,8 +396,7 @@ def _qcone_point(c: qsets.QCone | qsets.QArc, p: qsets.QuatElem) -> list:
         return [qsets.QBall(r)]
     if qsets.in_cone(up, c, eps):
         return [c]
-    ends = (c.a, c.b) if isinstance(c, qsets.QArc) else c.vertices
-    return [qsets.QCone(ends + (qsets.QuatElem(*(x * r for x in up)),))]
+    return [qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))]
 
 
 # order of component kinds in _quat_add_comps, by class name (naming the

@@ -7,10 +7,11 @@ of an arc.  Every value set is one of these components; there is no union.
 A cone with generator set V is exactly the set of norm-r points whose
 direction is a nonnegative combination of the unit generators, which gives an
 exact membership test: one modified Gram-Schmidt factorization of a generator
-subset whose size is the rank of the generators (see in_cone).  Two
-directions of an arc or cone too close to span a plane also hold the chord
-between them.  An arc or cone derives its radius and unit directions once, at
-construction, and factors its cone at its first membership test.
+subset whose size is the rank of the generators (see in_cone).  An arc or
+cone with dependent directions also tests its thin subsets under a finer rank
+cutoff, and holds the chord of two directions too close to span a plane.  An
+arc or cone derives its radius and unit directions once, at construction, and
+factors its cone at its first membership test.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of qnormalize, which the
@@ -101,9 +102,12 @@ def _direction(e: QuatElem, n: float) -> tuple:
 # a generator whose residual against the span of the generators before it
 # has a squared norm below this share of its own is taken as dependent on them
 _DEPENDENT = 1e-13
+# the finer share that in_cone uses for the thin parts of a cone: a residual
+# under 1e-9 is within the membership cut of a face
+_THIN = 1e-18
 
 
-def _factor(gens) -> tuple[list, list] | None:
+def _factor(gens, dependent: float = _DEPENDENT) -> tuple[list, list] | None:
     """Modified Gram-Schmidt: orthonormal `q` and the upper-triangular `r`,
     stored by columns (r[j] holds the coordinates of gens[j] along q[0..j]),
     or None when the generators are (nearly) linearly dependent."""
@@ -117,7 +121,7 @@ def _factor(gens) -> tuple[list, list] | None:
             col.append(d)
             v = (v[0] - d * qi[0], v[1] - d * qi[1], v[2] - d * qi[2], v[3] - d * qi[3])
         nn = _dot(v, v)
-        if nn <= _DEPENDENT * _dot(g, g):
+        if nn <= dependent * _dot(g, g):
             return None
         n = math.sqrt(nn)
         col.append(n)
@@ -137,12 +141,13 @@ def _project(q: list, u) -> tuple[list, float]:
     return y, math.sqrt(_dot(u, u))
 
 
-def _factor_cone(gens) -> list:
+def _factor_cone(gens, dependent: float = _DEPENDENT) -> list:
     """The factors (q, r) of the generator subsets that in_cone tests: every
-    linearly independent subset whose size is the rank of `gens`, in the
-    order of itertools.combinations."""
+    linearly independent subset whose size is the rank of `gens`, both under
+    the cutoff `dependent`, in the order of itertools.combinations."""
     for k in range(min(len(gens), 4), 0, -1):
-        factors = [f for f in map(_factor, itertools.combinations(gens, k)) if f is not None]
+        subsets = itertools.combinations(gens, k)
+        factors = [f for sub in subsets if (f := _factor(sub, dependent)) is not None]
         if factors:
             return factors
     return []
@@ -197,11 +202,16 @@ def in_cone(u: tuple, gens: list[tuple] | QArc | QCone, eps: float) -> bool:
     of that size are factored: one, when the generators are independent.
     `u` is in the cone of such a subset iff its residual is at most
     max(eps, 1e-9) and its back-substituted coefficients are all >= -1e-7.
-    Two directions of a QArc or QCone under about 3e-7 rad apart span no
-    plane, so the arc or cone also holds every direction within
-    max(eps, 1e-9) of the chord between them, which lies within
-    angle^2/8 < 2e-14 of their arc.  The interior of a cone whose directions
-    are all that close (rank 1) is not held.
+
+    The rank cutoff misses thin parts of a cone: the cone over two
+    directions under about 3e-7 rad apart and a third has rank 2, yet holds
+    points off the planes of both its faces.  So unless each min(n, 4) of
+    its n directions are independent under that cutoff, a QArc or QCone also
+    tests the subsets of the rank that the finer cutoff _THIN gives: it takes
+    a generator as dependent only when its residual is under 1e-9 rad, within
+    the cut of a face.  And it holds every direction within max(eps, 1e-9)
+    of the chord between two such close directions that are not opposite,
+    which lies within angle^2/8 < 2e-14 of their arc.
     """
     if not isinstance(gens, (QArc, QCone)):
         return _in_factors(u, _factor_cone(gens), eps)
@@ -302,9 +312,16 @@ def qparts_of(s: QSet) -> list:
 
 def _cone_of(c) -> tuple:
     """The factored cone of an arc's or cone's directions and its chords,
-    kept on the component from its first use."""
+    kept on the component from its first use.  Unless each min(n, 4) of its
+    n directions are independent, the factors end with the thin subsets of
+    in_cone."""
     if c.cone is None:
-        object.__setattr__(c, "cone", (_factor_cone(c.units), _chords(c.units)))
+        units = c.units
+        factors, chords = _factor_cone(units), _chords(units)
+        full = min(len(units), 4)
+        if len(factors[0][0]) < full or len(factors) < math.comb(len(units), full):
+            factors += [f for f in _factor_cone(units, _THIN) if f not in factors]
+        object.__setattr__(c, "cone", (factors, chords))
     return c.cone
 
 

@@ -17,7 +17,7 @@ import operator
 
 from . import _Deferred
 from .rsets import RSet, rinterval, rmember, rpoint
-from .tolerance import DEFAULT_TOL, NEG_INF, InvalidSetError, Tolerance
+from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance, beyond_floats
 
 axioms = _Deferred(globals(), "axioms")
 
@@ -32,8 +32,8 @@ def tri_add(a: float, b: float) -> RSet:
     """Side lengths c completing a (possibly degenerate) triangle with a, b."""
     _require_nonneg(a, b)
     hi = a + b
-    if hi == math.inf:
-        raise InvalidSetError(f"triangle sum {a:g} + {b:g} leaves the float range")
+    if math.isinf(hi):
+        raise beyond_floats(f"triangle sum {a:g} + {b:g}")
     return rinterval(abs(a - b), hi)
 
 
@@ -50,8 +50,8 @@ def tri_sum_n(values: list[float]) -> RSet:
 def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
     (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
     hi = hi1 + hi2
-    if hi == math.inf:
-        raise InvalidSetError(f"triangle set sum with upper end {hi1:g} + {hi2:g} leaves the float range")
+    if math.isinf(hi):
+        raise beyond_floats(f"triangle set sum with upper end {hi1:g} + {hi2:g}")
     return RSet(((max(0.0, lo1 - hi2, lo2 - hi1), hi),))
 
 
@@ -94,8 +94,8 @@ def trop_mul(a: float, b: float) -> float:
     if a == NEG_INF or b == NEG_INF:
         return NEG_INF
     s = a + b
-    if abs(s) == math.inf:
-        raise InvalidSetError(f"tropical product {a:g} + {b:g} leaves the float range")
+    if math.isinf(s):
+        raise beyond_floats(f"tropical product {a:g} + {b:g}")
     return s
 
 

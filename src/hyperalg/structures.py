@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 
 from . import _Deferred
-from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, InvalidSetError, RepresentationClosureError, fmt_num, is_prime
+from .tolerance import DEFAULT_TOL, NEG_INF, TWO_PI, RepresentationClosureError, beyond_floats, fmt_num, is_prime
 
 csets, ctrop, exotic, finite, qsets, realhf, rsets = (
     _Deferred(globals(), name)
@@ -338,15 +338,18 @@ class IntervalCarrier(Structure):
 
     def mul(self, a, b):
         p = a * b
-        if abs(p) == math.inf:
-            raise InvalidSetError(f"product {a:g} * {b:g} leaves the float range")
+        if math.isinf(p):
+            raise beyond_floats(f"product {a:g} * {b:g}")
         return p
 
     def mul_sets(self, s1, s2):
         """The real interval product: the hull of the endpoint products."""
         (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
         prods = (lo1 * lo2, lo1 * hi2, hi1 * lo2, hi1 * hi2)
-        return rsets.RSet(((min(prods), max(prods)),))
+        lo, hi = min(prods), max(prods)
+        if math.isinf(lo) or math.isinf(hi):
+            raise beyond_floats(f"interval product [{lo1:g},{hi1:g}] * [{lo2:g},{hi2:g}]")
+        return rsets.RSet(((lo, hi),))
 
     def inv(self, a):
         if a == 0.0:
@@ -734,17 +737,17 @@ class RealField(RealTropical):
     name = "R"
 
     def add(self, a, b):
-        return rsets.rpoint(_real_sum(a, b))
+        return rsets.rpoint(self._sum(a, b))
 
     def add_sets(self, s1, s2):
-        return self._endpointwise(s1, s2, _real_sum)
+        return self._endpointwise(s1, s2, self._sum)
 
-
-def _real_sum(a: float, b: float) -> float:
-    s = a + b
-    if abs(s) == math.inf:
-        raise InvalidSetError(f"real sum {a:g} + {b:g} leaves the float range")
-    return s
+    @staticmethod
+    def _sum(a, b):
+        s = a + b
+        if math.isinf(s):
+            raise beyond_floats(f"real sum {a:g} + {b:g}")
+        return s
 
 
 class MaxPlusReals(IntervalCarrier):

@@ -47,6 +47,12 @@ class InvalidSetError(ValueError):
     """A value-set component is malformed (e.g. an arc of zero radius)."""
 
 
+def beyond_floats(what: str) -> InvalidSetError:
+    """The error for `what`, a sum or product of finite operands that is
+    infinite (math.isinf) because it left the float range."""
+    return InvalidSetError(f"{what} leaves the float range")
+
+
 class RepresentationClosureError(RuntimeError):
     """A set-extended operation produced a set outside the symbolic vocabulary."""
 

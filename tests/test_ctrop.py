@@ -475,11 +475,65 @@ class TestQuaternion:
         got = quat_add_sets(quat_add(a, b), QPoint(p))
         assert got == QCone((a, b, p))
         rng = random.Random(5)
+        assert all(qmember(q, got) for q in qpick(got, rng, 20))
         for end in (a, b):
             assert all(qmember(q, got) for q in qpick(QArc(end, p), rng, 20))
         mid = QuatElem(r * math.cos(0.5 * theta), r * math.sin(0.5 * theta), 0, 0)
         assert qmember(mid, got)
         assert not qmember(QuatElem(r * math.cos(phi), 0, -r * math.sin(phi), 0), got)
+        # the cone's directions have no negative i part: 1e-6 rad below it is out
+        half = 0.5 * phi
+        assert not qmember(QuatElem(r * math.cos(half), -1e-6 * r, r * math.sin(half), 0), got)
+
+    @pytest.mark.parametrize("phi", [0.3, -0.3, 2.5, 3e-7])
+    def test_tied_point_on_the_circle_of_a_nearly_degenerate_arc_gives_an_arc(self, phi):
+        """p in span(1, i), the plane of the arc, outside it: the circle rule
+        gives the arc from its far end to p, as the sum in the other order."""
+        r, theta = 1000.0, 1e-7
+        a = QuatElem(r, 0, 0, 0)
+        b = QuatElem(r * math.cos(theta), r * math.sin(theta), 0, 0)
+        p = QuatElem(r * math.cos(phi), r * math.sin(phi), 0, 0)
+        got = quat_add_sets(quat_add(a, b), QPoint(p))
+        assert isinstance(got, QArc)
+        assert qset_eq(got, QArc(a if phi > 0 else b, p))
+        assert qset_eq(got, quat_add_sets(QPoint(a), quat_add(b, p)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nearly_degenerate_arc_plus_a_tied_point_holds_its_samples(self, seed):
+        """For arcs whose ends are 1e-7 to 3e-9 rad apart and tied points in
+        any direction, near an end or on the arc's great circle, the sum holds
+        the points picked from it, from the arc, from p and from the arcs
+        from each end to p."""
+        rng = random.Random(seed)
+
+        def unit(v):
+            n = math.sqrt(sum(x * x for x in v))
+            return tuple(x / n for x in v)
+
+        def gauss4():
+            return [rng.gauss(0.0, 1.0) for _ in range(4)]
+
+        r = 10.0 ** rng.uniform(0.0, 3.0)  # the ends stay more than eps apart
+        for _ in range(40):
+            ua = unit(gauss4())
+            ub = unit([x + 10.0 ** -rng.uniform(7.0, 8.5) * y for x, y in zip(ua, unit(gauss4()))])
+            mode = rng.choice(["free", "near", "circle"])
+            if mode == "free":
+                up = unit(gauss4())
+            elif mode == "near":
+                up = unit([x + 10.0 ** -rng.uniform(6.0, 8.0) * y for x, y in zip(ua, unit(gauss4()))])
+            else:
+                t = rng.uniform(0.5, 2.5) * rng.choice([-1.0, 1.0])
+                w = unit([y - x for x, y in zip(ua, ub)])
+                up = unit([math.cos(t) * x + math.sin(t) * y for x, y in zip(ua, w)])
+            a, b, p = (QuatElem(*(r * x for x in u)) for u in (ua, ub, up))
+            arc = quat_add(a, b)
+            got = quat_add_sets(arc, QPoint(p))
+            assert isinstance(arc, QArc) and (mode != "circle" or isinstance(got, QArc))
+            pts = qpick(got, rng) + qpick(arc, rng) + [p]
+            for end in (a, b):
+                pts += qpick(quat_add(end, p), rng)
+            assert all(qmember(q, got) for q in pts), (mode, got)
 
     def test_tied_point_inside_a_nearly_degenerate_arc_gives_the_arc(self):
         r, theta = 1000.0, 1e-7

@@ -421,15 +421,16 @@ def test_in_cone_agrees_with_subset_enumeration(case, eps):
     assert qsets.in_cone(u, gens, eps) == verdict
 
 
-def _in_cone_per_call(u, gens, eps):
+def _in_cone_per_call(u, gens, eps, dependent=qsets._DEPENDENT):
     """qsets.in_cone as it was before arcs and cones kept their factored
     cone: it factors the rank-sized generator subsets on every call, and
-    stops at the first subset that holds `u`."""
+    stops at the first subset that holds `u`.  `dependent` is the rank
+    cutoff of qsets._factor."""
     cut = max(eps, 1e-9)
     for k in range(min(len(gens), 4), 0, -1):
         factored = False
         for sub in itertools.combinations(gens, k):
-            f = qsets._factor(sub)
+            f = qsets._factor(sub, dependent)
             if f is None:
                 continue
             factored = True
@@ -506,7 +507,9 @@ def test_arcs_and_cones_keep_their_geometry(case, tol):
     repr and pickling ignore the derived fields; and qmember and in_cone
     answer as the per-call in_cone does, except that an arc or cone also
     holds the directions near the chord of two of its directions too close
-    to span a plane, unless they are opposite."""
+    to span a plane, unless they are opposite, and, unless each min(n, 4) of
+    its n directions are independent, those the per-call in_cone holds under
+    the thin rank cutoff."""
     comp, x = case
     ends = (comp.a, comp.b) if isinstance(comp, qsets.QArc) else comp.vertices
     norms = [v.norm for v in ends]
@@ -530,7 +533,9 @@ def test_arcs_and_cones_keep_their_geometry(case, tol):
         if qsets._dot(*pair) > 0.0 and qsets._factor(pair) is None
     ]
     near_chord = any(qsets._chord_gap(u, *pair) <= max(tol.eps, 1e-9) for pair in chords)
-    assert verdict == (before or near_chord)
+    full = itertools.combinations(gens, min(len(gens), 4))
+    thin = not all(map(qsets._factor, full)) and _in_cone_per_call(u, gens, tol.eps, qsets._THIN)
+    assert verdict == (before or near_chord or thin)
     on_sphere = abs(x.norm - comp.radius) <= tol.eps and x.norm > 0.0
     assert qsets.qmember(x, comp, tol) == (on_sphere and verdict)
 

@@ -1,5 +1,6 @@
 """Triangle, ultratriangle, tropical and amoeba additions."""
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,26 @@ from hyperalg.realhf import (
     ultra_add_sets,
 )
 from hyperalg.rsets import rinterval, rmember, rpoint, rset_eq
-from hyperalg.tolerance import NEG_INF, Tolerance
+from hyperalg.structures import get_structure
+from hyperalg.tolerance import NEG_INF, InvalidSetError, Tolerance
+
+
+@pytest.mark.parametrize(
+    "op, message",
+    [
+        (lambda: get_structure("R").add_sets(rinterval(0, 1e308), rpoint(1e308)), "real sum 1e+308 + 1e+308"),
+        (lambda: get_structure("R").mul_sets(rinterval(-1e200, 1), rpoint(1e200)),
+         "interval product [-1e+200,1] * [1e+200,1e+200]"),
+        (lambda: tri_add_sets(rinterval(0, 1e308), rpoint(1e308)),
+         "triangle set sum with upper end 1e+308 + 1e+308"),
+        (lambda: trop_mul(-1e308, -1e308), "tropical product -1e+308 + -1e+308"),
+    ],
+)
+def test_results_beyond_the_float_range_raise(op, message):
+    """Set sums and products of finite operands that overflow raise, as the
+    point operations the CLI reaches do."""
+    with pytest.raises(InvalidSetError, match=re.escape(f"{message} leaves the float range")):
+        op()
 
 
 class TestTriangle:

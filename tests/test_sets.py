@@ -1,5 +1,6 @@
 """Core value-set representations: normalization, membership, equality."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from hyperalg.qsets import (
     in_cone,
     qmember,
     qnormalize,
+    qpick,
     qset_eq,
     slerp,
 )
@@ -311,6 +313,34 @@ class TestQSet:
         cone = QCone((toward_k(0.0), toward_k(theta), QuatElem(0, r, 0, 0)))
         assert all(qmember(toward_k(t * theta), cone) for t in (0.25, 0.5, 0.75))
         assert not qmember(toward_k(-1e-6), cone)
+        assert all(qmember(x, cone) for x in qpick(cone, random.Random(3), 20))
+
+    @staticmethod
+    def _cone_of_directions(r, dirs):
+        units = [tuple(x / math.sqrt(sum(y * y for y in d)) for x in d) for d in dirs]
+        return QCone(tuple(QuatElem(*(r * x for x in u)) for u in units))
+
+    def test_rank_one_cone_holds_its_interior(self):
+        """Three vertices 1e-7 rad apart have rank 1 under the rank cutoff,
+        yet the cone holds its centroid, 4.7e-8 rad from each vertex."""
+        h, r = 1e-7, 1000.0
+        cone = self._cone_of_directions(r, [(1, 0, 0, 0), (1, h, 0, 0), (1, 0.5 * h, 0.866 * h, 0)])
+        centroid = QuatElem(r, r * 0.5 * h, r * 0.866 * h / 3, 0)
+        assert qmember(centroid, cone)
+        assert all(qmember(x, cone) for x in qpick(cone, random.Random(3), 20))
+        assert not qmember(QuatElem(r, r * 0.5 * h, -r * 0.5 * h, 0), cone)
+
+    def test_thin_cone_of_full_rank_holds_its_interior(self):
+        """Three directions 1e-6 rad apart in span(1, i, j) and one 2.5e-7
+        rad toward k: each three are independent, the four are not under the
+        rank cutoff, yet the cone holds the mean of the four and its samples,
+        and not the point 6e-8 rad below the span."""
+        a, b, r = 1e-6, 2.5e-7, 1000.0
+        dirs = [(1, a, 0, 0), (1, 0, a, 0), (1, -a, -a, 0), (1, 0, 0, b)]
+        cone = self._cone_of_directions(r, dirs)
+        assert qmember(QuatElem(r, 0, 0, r * b / 4), cone)
+        assert all(qmember(x, cone) for x in qpick(cone, random.Random(3), 20))
+        assert not qmember(QuatElem(r, 0, 0, -r * b / 4), cone)
 
 
 # -- text forms ---------------------------------------------------------------
