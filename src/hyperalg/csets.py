@@ -1,11 +1,12 @@
 """Symbolic subsets of the complex plane used as multivalued sums.
 
-Every set that arises from the tropical additions over C is a finite union of
-three primitives: a single point, an arc of a circle centred at the origin
-(traversed counterclockwise, full circles flagged), and a closed disk centred
-at the origin.  Sets are normalized to a canonical component list so equality
-and containment can be decided componentwise; equality of unions goes through
-tolerance.match_parts, the component matcher every value-set family shares.
+Every set that arises from the tropical additions over C is one component: a
+single point, an arc of a circle centred at the origin (traversed
+counterclockwise, full circles flagged), or a closed disk centred at the
+origin.  The one set of two components is the whole carrier of the phase
+hyperfield, the unit circle with 0, the CUnion PHASE_ALL, built once.
+Equality of that set and a component goes through tolerance.match_parts, the
+component matcher every value-set family shares.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
@@ -14,10 +15,8 @@ predicates and set-extended sums take as is; a predicate may compare wider.
 A component is canonical from its constructor on.  ComplexElem and CArc
 validate their fields and set each one once: a modulus or radius as a float,
 the argument of 0 as 0, and an argument or arc start in [0, 2*pi), wrapped
-only when it lies outside.  So a lone point, a minor arc or a disk of radius
-above eps is already a fixed point, and a sum or comparison of two single
-components (ct_add_sets of two points, set_eq of two non-unions) skips the
-union machinery.
+only when it lies outside.  So a point, an arc that is not nearly full or a
+disk of radius above eps is already a fixed point.
 """
 from __future__ import annotations
 
@@ -25,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .tolerance import (
-    DEFAULT_TOL, TWO_PI, InvalidSetError, Tolerance, circ_dist, fmt_num, match_parts, wrap_angle,
+    DEFAULT_TOL, TWO_PI, InvalidSetError, RepresentationClosureError, Tolerance, circ_dist, fmt_num,
+    match_parts, wrap_angle,
 )
 
 
@@ -160,11 +160,9 @@ class CDisk:
 
 @dataclass(frozen=True, slots=True)
 class CUnion:
-    parts: tuple
+    """The unit circle with 0, the whole carrier of the phase hyperfield."""
 
-    def __post_init__(self) -> None:
-        if len(self.parts) < 2:
-            raise InvalidSetError("union must have at least two components")
+    parts: tuple
 
 
 CSet = CPoint | CArc | CDisk | CUnion
@@ -183,6 +181,9 @@ def full_circle(radius: float) -> CArc:
     return CArc(radius, 0.0, TWO_PI, full=True)
 
 
+PHASE_ALL = CUnion((full_circle(1.0), CPoint(CZERO)))
+
+
 def parts_of(s: CSet) -> list:
     return list(s.parts) if isinstance(s, CUnion) else [s]
 
@@ -191,113 +192,18 @@ def parts_of(s: CSet) -> list:
 # normalization
 
 
-def _sort_key(c) -> tuple:
-    if isinstance(c, CDisk):
-        return (0, c.radius, 0.0, 0.0)
-    if isinstance(c, CArc):
-        return (1, c.radius, 0.0 if c.full else 1.0, c.start)
-    return (2, c.elem.modulus, c.elem.argument, 0.0)
-
-
-def _merge_radius_arcs(radius: float, arcs: list) -> list:
-    """Merge arcs of one radius circularly; may return a single full circle."""
-    eps = DEFAULT_TOL.eps
-    if any(a.full for a in arcs):
-        return [full_circle(radius)]
-    segs = sorted((a.start, a.start + a.sweep, a.sweep) for a in arcs)
-    merged: list[list[float]] = []
-    for s, e, sw in segs:
-        if merged and s <= merged[-1][1] + eps:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e, sw])
-    if len(merged) > 1 and merged[-1][1] + eps >= merged[0][0] + TWO_PI:
-        # the last segment wraps around onto the first
-        merged[0][0] = merged[-1][0] - TWO_PI
-        merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
-        merged.pop()
-    out = []
-    for s, e, sw in merged:
-        if e - s >= TWO_PI - eps:
-            return [full_circle(radius)]
-        # an arc no other arc extends keeps its own sweep, so the result is a
-        # fixed point: (start + sweep) - start may round the sweep by one ulp
-        out.append(CArc(radius, wrap_angle(s), sw if s + sw == e else e - s))
-    return out
-
-
 def normalize_parts(parts: list) -> CSet:
-    eps = DEFAULT_TOL.eps
-    if len(parts) == 1:
-        # a lone point, non-degenerate disk or arc is already a fixed point
-        c = parts[0]
-        if (
-            isinstance(c, CPoint)
-            or (isinstance(c, CDisk) and c.radius > eps)
-            or (isinstance(c, CArc) and (c.full or c.sweep < TWO_PI - eps))
-        ):
-            return c
-    flat: list = []
-    for p in parts:
-        flat.extend(parts_of(p))
-    if not flat:
-        raise InvalidSetError("value set must be nonempty")
-
-    disk_r = -1.0
-    for c in flat:
-        if isinstance(c, CDisk):
-            disk_r = max(disk_r, c.radius)
-    points: list[ComplexElem] = []
-    arcs: list[CArc] = []
-    for c in flat:
-        if isinstance(c, CDisk):
-            continue
-        if isinstance(c, CArc):
-            if c.radius > disk_r + eps:
-                arcs.append(c)
-        else:
-            if c.elem.modulus > disk_r + eps:
-                points.append(c.elem)
-
-    out: list = []
-    if disk_r >= 0.0:
-        if disk_r <= eps:
-            points.append(CZERO)
-        else:
-            out.append(CDisk(disk_r))
-
-    # group arcs by radius and merge within each group
-    arc_groups: list[list[CArc]] = []
-    for a in sorted(arcs, key=lambda a: a.radius):
-        if arc_groups and a.radius - arc_groups[-1][0].radius <= eps:
-            arc_groups[-1].append(a)
-        else:
-            arc_groups.append([a])
-    merged_arcs: list[CArc] = []
-    for group in arc_groups:
-        merged_arcs.extend(_merge_radius_arcs(group[0].radius, group))
-
-    # points absorbed by arcs of the same radius, then deduplicated
-    kept: list[ComplexElem] = []
-    for p in sorted(points, key=lambda e: (e.modulus, e.argument)):
-        absorbed = any(
-            abs(p.modulus - a.radius) <= eps and a.contains_angle(p.argument, eps)
-            for a in merged_arcs
-        )
-        if absorbed:
-            continue
-        if any(p.eq(q) for q in kept):
-            continue
-        kept.append(p)
-
-    out.extend(merged_arcs)
-    out.extend(CPoint(p) for p in kept)
-    out.sort(key=_sort_key)
-    if not out:
-        raise InvalidSetError("normalization emptied the value set")
-    if len(out) == 1:
-        return out[0]
-    return CUnion(tuple(out))
+    """The one component of `parts`, where a disk of radius at most eps is the
+    point 0 and a nearly full arc the circle: every complex sum is one point,
+    arc or disk."""
+    if len(parts) != 1:
+        raise RepresentationClosureError(f"a complex value set is one component, not {len(parts)}")
+    c = parts[0]
+    if isinstance(c, CDisk) and c.radius <= DEFAULT_TOL.eps:
+        return CPoint(CZERO)
+    if isinstance(c, CArc) and not c.full and c.sweep >= TWO_PI - DEFAULT_TOL.eps:
+        return full_circle(c.radius)
+    return c
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@ whole closed disk when the operands cancel.  Set-extended sums are computed by
 closed-form component rules, never by discretization, so set equalities can
 be certified exactly.
 
-One dispatcher per carrier family decides the branch of a component pair:
+Every value set over C or H is one component, so a set sum is the sum of
+two components, and one dispatcher per carrier family decides its branch:
 `_ct_add_comps` over C and `_quat_add_comps` over H.  Point pairs go to
 `ct_add` and `quat_add`.  Otherwise the component of larger radius wins by
 more than eps; on a tie a disk or ball absorbs the other component, and the
 remaining tied pairs go to the circle rules (`_point_arc`, `_arc_arc`,
-`_qarc_point`, `_qcone_point`).  `deq.c_add_0`, the h -> 0 limit of the
+`_qarc_point`, `_qcone_point`).  Each returns one component: a disk or ball
+when the operands hold an antipodal pair, otherwise the shorter arc (or the
+cone) that holds both.  The one exception is the phase hyperfield, whose
+whole carrier, the unit circle with 0, is the sum of two tied units that
+cancel.  `deq.c_add_0`, the h -> 0 limit of the
 complex dequantization family, reads its branch from the type of `ct_add`
 and takes the arc's midpoint on a tie.
 """
@@ -27,10 +32,10 @@ from .csets import (
     CUnion,
     CZERO,
     ComplexElem,
+    PHASE_ALL,
     arc,
     full_circle,
     normalize_parts,
-    parts_of,
 )
 from . import _Deferred
 from .tolerance import DEFAULT_TOL, TWO_PI, RepresentationClosureError, Tolerance, wrap_angle
@@ -58,34 +63,36 @@ def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet
                 ra * math.sin(alpha) + rb * math.sin(beta))
     if abs(z) < tol.eps * r:  # antipodal cutoff: discontinuous branch
         return CDisk(r)
-    return _minor_arc_parts(r, alpha, beta)[0]
+    return _minor_arc(r, alpha, beta)
 
 
-def _minor_arc_parts(radius: float, alpha: float, beta: float) -> list:
-    """Components of the minor arc between two angles on one circle."""
+def _minor_arc(radius: float, alpha: float, beta: float) -> CArc | CPoint:
+    """The minor arc between two angles on one circle."""
     delta = wrap_angle(beta - alpha)
     if delta <= DEFAULT_TOL.eps or delta >= TWO_PI - DEFAULT_TOL.eps:
-        return [CPoint(ComplexElem(radius, alpha))]
+        return CPoint(ComplexElem(radius, alpha))
     if delta <= math.pi:
-        return [CArc(radius, alpha, delta)]
-    return [CArc(radius, beta, TWO_PI - delta)]
+        return CArc(radius, alpha, delta)
+    return CArc(radius, beta, TWO_PI - delta)
 
 
-def _arc_angles(a: CArc) -> tuple[float, float]:
-    return a.start, a.start + a.sweep
+def _hull(radius: float, s1: float, w1: float, s2: float, w2: float) -> CArc:
+    """The shorter arc of `radius` that holds the arcs from s1 by w1 and from
+    s2 by w2 (a point has sweep 0), which hold no antipodal pair.  It starts
+    at s1 or at s2, so it is the shorter of the two arcs from them."""
+    w12 = max(w1, wrap_angle(s2 - s1) + w2)
+    w21 = max(w2, wrap_angle(s1 - s2) + w1)
+    return CArc(radius, s1, w12) if w12 <= w21 else CArc(radius, s2, w21)
 
 
-def _point_arc(p: ComplexElem, a: CArc) -> list:
+def _point_arc(p: ComplexElem, a: CArc) -> CSet:
     """The circle rule for a point and an arc of tied radius."""
     eps = DEFAULT_TOL.eps
-    r = max(p.modulus, a.radius)
-    if a.full:
-        return [CDisk(r)]
-    if a.contains_angle(wrap_angle(p.argument + math.pi), eps):
-        return [CDisk(r)]
-    # no point of a is opposite p, so a and the minor arc from its start to p
-    # cover the minor arc from its end to p
-    return [a, *_minor_arc_parts(r, a.start, p.argument)]
+    if a.full or a.contains_angle(wrap_angle(p.argument + math.pi), eps):
+        return CDisk(max(p.modulus, a.radius))
+    if a.contains_angle(p.argument, eps):
+        return a
+    return _hull(a.radius, a.start, a.sweep, p.argument, 0.0)
 
 
 def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
@@ -101,37 +108,31 @@ def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
     return off2 <= a2.sweep + DEFAULT_TOL.eps
 
 
-def _arc_arc(a1: CArc, a2: CArc) -> list:
+def _arc_arc(a1: CArc, a2: CArc) -> CSet:
     """The circle rule for two arcs of tied radius."""
     r = max(a1.radius, a2.radius)
     if _arcs_have_antipodes(a1, a2):
-        return [CDisk(r)]
-    # no antipodal pair: the union of minor arcs is spanned by the corner
-    # connections between endpoints plus the arcs themselves
-    out: list = [CArc(r, a1.start, a1.sweep), CArc(r, a2.start, a2.sweep)]
-    for ang1 in _arc_angles(a1):
-        for ang2 in _arc_angles(a2):
-            out.extend(_minor_arc_parts(r, ang1, ang2))
-    return out
+        return CDisk(r)
+    return _hull(r, a1.start, a1.sweep, a2.start, a2.sweep)
 
 
 # order of component kinds in _ct_add_comps: the lower rank comes first
 _CRANK = {CDisk: 0, CArc: 1, CPoint: 2}
 
 
-def _ct_add_comps(c1, c2) -> list:
+def _ct_add_comps(c1, c2) -> CSet:
     """Sum of two components: the larger radius wins by more than eps; on a
     tie a disk absorbs the other component, else the circle rule applies."""
     if _CRANK[type(c2)] < _CRANK[type(c1)]:  # the sum is commutative
         c1, c2 = c2, c1
     if isinstance(c1, CPoint):
-        return [ct_add(c1.elem, c2.elem)]
+        return ct_add(c1.elem, c2.elem)
     r1 = c1.radius
     r2 = c2.elem.modulus if isinstance(c2, CPoint) else c2.radius
     if abs(r1 - r2) > DEFAULT_TOL.eps:
-        return [c1 if r1 > r2 else c2]
+        return c1 if r1 > r2 else c2
     if isinstance(c1, CDisk):
-        return [c2 if isinstance(c2, CDisk) and r2 > r1 else c1]
+        return c2 if isinstance(c2, CDisk) and r2 > r1 else c1
     if isinstance(c2, CPoint):
         return _point_arc(c2.elem, c1)
     return _arc_arc(c1, c2)
@@ -141,11 +142,7 @@ def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
     if isinstance(s1, CPoint) and isinstance(s2, CPoint):
         # already canonical: a point, a minor arc or a disk of radius > eps
         return ct_add(s1.elem, s2.elem)
-    out: list = []
-    for c1 in s1.parts if isinstance(s1, CUnion) else (s1,):
-        for c2 in s2.parts if isinstance(s2, CUnion) else (s2,):
-            out.extend(_ct_add_comps(c1, c2))
-    return normalize_parts(out)
+    return normalize_parts([_ct_add_comps(s1, s2)])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +176,7 @@ def _cmul_comps(c1, c2):
 
 
 def ct_mul_sets(s1: CSet, s2: CSet) -> CSet:
-    return normalize_parts([_cmul_comps(c1, c2) for c1 in parts_of(s1) for c2 in parts_of(s2)])
+    return normalize_parts([_cmul_comps(s1, s2)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +283,13 @@ def check_phase_elem(a: ComplexElem) -> None:
 
 
 def _phase_clip(s: CSet) -> CSet:
-    """Intersect a complex value set with the unit circle ∪ {0}."""
-    out: list = []
-    for c in parts_of(s):
-        if isinstance(c, CDisk):
-            if abs(c.radius - 1.0) <= DEFAULT_TOL.eps:
-                out.extend([full_circle(1.0), CPoint(CZERO)])
-            elif c.radius <= DEFAULT_TOL.eps:
-                out.append(CPoint(CZERO))
-            else:  # cannot happen for sums of units: radii are 0 or 1
-                raise RepresentationClosureError("phase sum left the carrier")
-        else:
-            out.append(c)
-    return normalize_parts(out)
+    """Intersect a complex sum of units and 0 with the unit circle ∪ {0}:
+    the unit disk gives the whole carrier, and no other disk arises."""
+    if isinstance(s, CDisk):
+        if abs(s.radius - 1.0) > DEFAULT_TOL.eps:
+            raise RepresentationClosureError("phase sum left the carrier")
+        return PHASE_ALL
+    return s
 
 
 def phase_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
@@ -308,7 +299,20 @@ def phase_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> C
 
 
 def phase_add_sets(s1: CSet, s2: CSet) -> CSet:
+    """A sum with the whole carrier is the whole carrier."""
+    if isinstance(s1, CUnion) or isinstance(s2, CUnion):
+        return PHASE_ALL
     return _phase_clip(ct_add_sets(s1, s2))
+
+
+def phase_mul_sets(s1: CSet, s2: CSet) -> CSet:
+    """The whole carrier times 0 is 0, and times any other set the whole
+    carrier."""
+    if isinstance(s1, CUnion):
+        s1, s2 = s2, s1
+    if isinstance(s2, CUnion):
+        return s1 if isinstance(s1, CPoint) and s1.elem.modulus == 0.0 else PHASE_ALL
+    return normalize_parts([_cmul_comps(s1, s2)])
 
 
 # ---------------------------------------------------------------------------
@@ -371,20 +375,12 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
         )
 
     tb = math.atan2(ub_e2, ub_e1)
-    circle = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, min(tb, 0.0), abs(tb)))
-    out: list = []
-    for c in parts_of(normalize_parts(circle)):
-        if isinstance(c, CDisk):
-            out.append(qsets.QBall(c.radius))
-        elif isinstance(c, CPoint):
-            out.append(qsets.QPoint(at(c.elem.argument)))
-        elif c.full:
-            raise RepresentationClosureError("full great circle in quaternion sum")
-        elif c.sweep <= eps:
-            out.append(qsets.QPoint(at(c.start)))
-        else:
-            out.append(qsets.QArc(at(c.start), at(c.start + c.sweep)))
-    return out
+    c = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, min(tb, 0.0), abs(tb)))
+    if isinstance(c, CDisk):
+        return [qsets.QBall(c.radius)]
+    if c.sweep <= eps:
+        return [qsets.QPoint(at(c.start))]
+    return [qsets.QArc(at(c.start), at(c.start + c.sweep))]
 
 
 def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:

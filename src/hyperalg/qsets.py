@@ -74,9 +74,8 @@ class QuatElem:
         return QuatElem(c.x / n2, c.y / n2, c.z / n2, c.t / n2)
 
     def dist(self, o: "QuatElem") -> float:
-        return math.sqrt(
-            (self.x - o.x) ** 2 + (self.y - o.y) ** 2 + (self.z - o.z) ** 2 + (self.t - o.t) ** 2
-        )
+        """The distance to o; inf, as `norm` gives, beyond the float range."""
+        return QuatElem(self.x - o.x, self.y - o.y, self.z - o.z, self.t - o.t).norm
 
     def eq(self, o: "QuatElem", tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.dist(o) <= tol.eps
@@ -409,9 +408,10 @@ def parse_qelem(text: str) -> QuatElem:
     vals = [float(v) for v in text.split(",")]
     if len(vals) != 4:
         raise InvalidSetError(f"quaternion literal needs 4 components: {text!r}")
-    if not all(map(math.isfinite, vals)):
-        raise InvalidSetError(f"quaternion coordinates must be finite: {text!r}")
-    return QuatElem(*vals)
+    q = QuatElem(*vals)
+    if not math.isfinite(q.norm):  # also rejects infinite and NaN coordinates
+        raise InvalidSetError(f"quaternion literal must have a finite norm: {text!r}")
+    return q
 
 
 def format_qset(s: QSet) -> str:

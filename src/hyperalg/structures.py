@@ -315,6 +315,9 @@ class PhaseStructure(ComplexTropical):
     def add_sets(self, s1, s2):
         return ctrop.phase_add_sets(s1, s2)
 
+    def mul_sets(self, s1, s2):
+        return ctrop.phase_mul_sets(s1, s2)
+
     def parse_elem(self, text):
         a = super().parse_elem(text)
         ctrop.check_phase_elem(a)
@@ -536,7 +539,10 @@ class QuaternionTropical(Structure):
         return -a
 
     def mul(self, a, b):
-        return a.times(b)
+        p = a.times(b)
+        if math.isinf(p.norm):
+            raise beyond_floats(f"quaternion product of norms {a.norm:g} * {b.norm:g}")
+        return p
 
     def inv(self, a):
         return a.inv()
@@ -722,13 +728,9 @@ class ComplexField(ComplexCarrier):
         return csets.CPoint(csets.ComplexElem.from_complex(a.as_complex() + b.as_complex()))
 
     def add_sets(self, s1, s2):
-        parts = []
-        for c1 in csets.parts_of(s1):
-            for c2 in csets.parts_of(s2):
-                if not isinstance(c1, csets.CPoint) or not isinstance(c2, csets.CPoint):
-                    raise RepresentationClosureError("classical sums are pointwise")
-                parts.append(self.add(c1.elem, c2.elem))
-        return csets.normalize_parts(parts)
+        if not isinstance(s1, csets.CPoint) or not isinstance(s2, csets.CPoint):
+            raise RepresentationClosureError("classical sums are pointwise")
+        return self.add(s1.elem, s2.elem)
 
 
 class RealField(RealTropical):

@@ -164,6 +164,27 @@ class TestAdd:
         error, as for the monomial carriers, not an `inf` point."""
         assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["add", "quat", "1e160,0,0,0", "0,1e160,0,0"],
+             "quaternion literal must have a finite norm: '1e160,0,0,0'"),
+            (["poly", "quat", "X^2", "--at", "1e100,0,0,0"],
+             "quaternion product of norms 1e+100 * 1e+100 leaves the float range"),
+            (["poly", "quat", "X^2", "--at", "1e160,0,0,0"],
+             "quaternion literal must have a finite norm: '1e160,0,0,0'"),
+        ],
+    )
+    def test_quaternion_float_range_exit_2(self, capsys, argv, message):
+        """A quaternion literal or product whose norm is not finite is an
+        error, not a traceback or an `inf` point."""
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    def test_tied_quaternions_whose_distance_overflows_sum_to_an_arc(self, capsys):
+        # |a - b| squares past the float range, so dist is inf: not within eps
+        code, out, err = run(capsys, "add", "quat", "--", "1e154,0,0,0", "-6e153,8e153,0,0")
+        assert (code, err) == (0, "") and out.startswith("garc -6") and out.count("\n") == 1
+
 
 class TestSum:
     def test_nary_disk(self, capsys):
@@ -742,6 +763,7 @@ LITERALS = [
     "nan", "-nan", "inf", "-inf", "1e400", "-1e400", "1e-400", "-0", "", " ", "0", "1", "2", "-1",
     "0.5", "1e-3", "1e99999", "1@-1", "1∠-0.5", "1∠0", "2∠1", "1∠inf", "1@nan", "inf∠0",
     "1+1i", "(1+1i)", "i", "-i", "1,0,0,0", "0,-1,0,0", "-0,0,0,1", "nan,0,0,0", "1e400,0,0,0",
+    "1e154,0,0,0", "1e160,0,0,0", "-6e153,8e153,0,0",
     "1t^1", "-1t^1", "1t^-2", "1t^1/0", "nant^1", "1t^" + "9" * 400, "-1t^-" + "9" * 400,
     "1t^1" + "0" * 306, "10t^1", "1e-320t^-1",
     "5", "2 + 3*5", "5^-1 * (1 + 2*5)", "3^2", "5^99999", "zzz", "{0}",

@@ -11,6 +11,7 @@ from hyperalg.csets import (
     CPoint,
     CZERO,
     ComplexElem,
+    PHASE_ALL,
     format_cset,
     member,
     parts_of,
@@ -32,6 +33,7 @@ from hyperalg.ctrop import (
 )
 from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qpick, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
+from hyperalg.structures import get_structure
 from hyperalg.tolerance import TWO_PI, RepresentationClosureError, Tolerance
 
 PI = math.pi
@@ -412,6 +414,23 @@ class TestPhase:
         assert set_eq(phase_add(one, one), CPoint(one))
         got = phase_add(one, mone)
         assert member(one, got) and member(mone, got) and member(CZERO, got)
+
+    # the whole carrier with another phase set: 0, a unit, a unit arc, itself
+    WHOLE_SET_RULES = [
+        ("add", CPoint(CZERO), PHASE_ALL),
+        ("add", CPoint(cp(1, 2.0)), PHASE_ALL),
+        ("add", CArc(1, 0.5, 1.0), PHASE_ALL),
+        ("add", PHASE_ALL, PHASE_ALL),
+        ("mul", CPoint(CZERO), CPoint(CZERO)),
+        ("mul", CPoint(cp(1, 2.0)), PHASE_ALL),
+    ]
+
+    @pytest.mark.parametrize("op, other, expected", WHOLE_SET_RULES)
+    def test_whole_carrier_rules(self, op, other, expected):
+        X = get_structure("Phi")
+        f = X.add_sets if op == "add" else X.mul_sets
+        for got in (f(PHASE_ALL, other), f(other, PHASE_ALL)):
+            assert got == expected
 
 
 class TestQuaternion:

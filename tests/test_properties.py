@@ -225,12 +225,12 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
 
 
 # each value-set family's normalizer, keyed by the set types it produces.  A
-# complex set is given twice, so that its normalizer takes its full path (a
-# lone canonical component is returned as is) and its deduplication gives back
-# the normal form.  A real, quaternion or valued set is one component, which
-# its normalizer returns as is.
+# complex, real, quaternion or valued set is one component, which its
+# normalizer returns as is; the phase carrier's whole set, the one union, is
+# its own normal form.
 NORMAL_FORMS = [
-    ((csets.CPoint, csets.CArc, csets.CDisk, csets.CUnion), lambda s: csets.normalize_parts([s, s])),
+    ((csets.CPoint, csets.CArc, csets.CDisk), lambda s: csets.normalize_parts([s])),
+    ((csets.CUnion,), lambda s: csets.PHASE_ALL),
     ((rsets.RSet,), lambda s: rsets.rset(list(s.intervals))),
     ((qsets.QPoint, qsets.QArc, qsets.QBall, qsets.QCone), lambda s: qsets.qnormalize([s])),
     ((exotic.VPoint, exotic.MCone), lambda s: exotic.mnormalize([s])),
@@ -254,7 +254,8 @@ def _normal_form(s):
 def test_operations_return_canonical_sets(name):
     """Every operation returns a fixed point of its family's normalizer, so
     predicates and set-extended sums need not normalize their inputs; every
-    point `pick` samples from a result is a member of it."""
+    point `pick` samples from a result is a member of it.  A complex result is
+    one component, or the phase carrier's whole set on Phi."""
     X = get_structure(name)
     pick_rng = random.Random(12)
     for a, b, c in stratified_tuples(X, random.Random(11), 3, 500):
@@ -268,6 +269,8 @@ def test_operations_return_canonical_sets(name):
         for out in outs:
             if out is not None:
                 assert out == _normal_form(out), (a, b, c, out)
+                if isinstance(out, csets.CUnion):
+                    assert name == "Phi" and out is csets.PHASE_ALL, (a, b, c, out)
                 for p in X.pick(out, pick_rng):
                     assert X.member(p, out), (a, b, c, out, p)
 
@@ -583,12 +586,123 @@ def _component_pair(draw):
 @settings(max_examples=600, deadline=None)
 def test_single_component_sum_is_the_normalized_component_rule(pair):
     """ct_add_sets of two components is exactly (==, not set_eq) the
-    normalized union of the component rule, also where it skips it."""
+    normalized component rule, also where it skips it."""
     c1, c2 = pair
     for a, b in (pair, pair[::-1]):
-        assert ct_add_sets(a, b) == csets.normalize_parts(_ct_add_comps(a, b)), (a, b)
+        assert ct_add_sets(a, b) == csets.normalize_parts([_ct_add_comps(a, b)]), (a, b)
     if isinstance(c1, CPoint) and isinstance(c2, CPoint):
         assert ct_add_sets(c1, c2) == ct_add(c1.elem, c2.elem)
+
+
+# -- the reference: the circle rules as unions of arcs, merged -----------------
+# The component rule once returned the arcs whose union is the sum (an arc and
+# the minor arc from its start to the point; two arcs and the four minor arcs
+# between their ends), and a general normalizer merged them.  The hull rule of
+# ctrop must give the same set.
+
+
+def _ref_minor_arc(radius, alpha, beta):
+    delta = wrap_angle(beta - alpha)
+    if delta <= EPS or delta >= TWO_PI - EPS:
+        return [CPoint(ComplexElem(radius, alpha))]
+    if delta <= math.pi:
+        return [csets.CArc(radius, alpha, delta)]
+    return [csets.CArc(radius, beta, TWO_PI - delta)]
+
+
+def _ref_point_arc(p, a):
+    r = max(p.modulus, a.radius)
+    if a.full or a.contains_angle(wrap_angle(p.argument + math.pi), EPS):
+        return [CDisk(r)]
+    return [a, *_ref_minor_arc(r, a.start, p.argument)]
+
+
+def _ref_arc_arc(a1, a2):
+    from hyperalg.ctrop import _arcs_have_antipodes
+
+    r = max(a1.radius, a2.radius)
+    if _arcs_have_antipodes(a1, a2):
+        return [CDisk(r)]
+    out = [csets.CArc(r, a1.start, a1.sweep), csets.CArc(r, a2.start, a2.sweep)]
+    for ang1 in (a1.start, a1.start + a1.sweep):
+        for ang2 in (a2.start, a2.start + a2.sweep):
+            out.extend(_ref_minor_arc(r, ang1, ang2))
+    return out
+
+
+def _ref_comps(c1, c2):
+    rank = {CDisk: 0, csets.CArc: 1, CPoint: 2}
+    if rank[type(c2)] < rank[type(c1)]:
+        c1, c2 = c2, c1
+    if isinstance(c1, CPoint):
+        return [ct_add(c1.elem, c2.elem)]
+    r1 = c1.radius
+    r2 = c2.elem.modulus if isinstance(c2, CPoint) else c2.radius
+    if abs(r1 - r2) > EPS:
+        return [c1 if r1 > r2 else c2]
+    if isinstance(c1, CDisk):
+        return [c2 if isinstance(c2, CDisk) and r2 > r1 else c1]
+    if isinstance(c2, CPoint):
+        return _ref_point_arc(c2.elem, c1)
+    return _ref_arc_arc(c1, c2)
+
+
+def _ref_merge_radius_arcs(radius, arcs):
+    if any(a.full for a in arcs):
+        return [csets.full_circle(radius)]
+    merged = []
+    for s, e, sw in sorted((a.start, a.start + a.sweep, a.sweep) for a in arcs):
+        if merged and s <= merged[-1][1] + EPS:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e, sw])
+    if len(merged) > 1 and merged[-1][1] + EPS >= merged[0][0] + TWO_PI:
+        merged[0][0] = merged[-1][0] - TWO_PI
+        merged[0][1] = max(merged[0][1], merged[-1][1] - TWO_PI)
+        merged.pop()
+    out = []
+    for s, e, sw in merged:
+        if e - s >= TWO_PI - EPS:
+            return [csets.full_circle(radius)]
+        out.append(csets.CArc(radius, wrap_angle(s), sw if s + sw == e else e - s))
+    return out
+
+
+def _ref_normalize(parts):
+    """Drop what a disk absorbs, merge arcs of one radius circularly, drop
+    the points an arc absorbs and the repeated points."""
+    disk_r = max((c.radius for c in parts if isinstance(c, CDisk)), default=-1.0)
+    arcs = [c for c in parts if isinstance(c, csets.CArc) and c.radius > disk_r + EPS]
+    points = [c.elem for c in parts if isinstance(c, CPoint) and c.elem.modulus > disk_r + EPS]
+    out = []
+    if disk_r >= 0.0:
+        if disk_r <= EPS:
+            points.append(CZERO)
+        else:
+            out.append(CDisk(disk_r))
+    groups = []
+    for a in sorted(arcs, key=lambda a: a.radius):
+        if groups and a.radius - groups[-1][0].radius <= EPS:
+            groups[-1].append(a)
+        else:
+            groups.append([a])
+    merged = [m for g in groups for m in _ref_merge_radius_arcs(g[0].radius, g)]
+    kept = []
+    for p in sorted(points, key=lambda e: (e.modulus, e.argument)):
+        absorbed = any(
+            abs(p.modulus - a.radius) <= EPS and a.contains_angle(p.argument, EPS) for a in merged
+        )
+        if not absorbed and not any(p.eq(q) for q in kept):
+            kept.append(p)
+    out += merged + [CPoint(p) for p in kept]
+    return out[0] if len(out) == 1 else csets.CUnion(tuple(out))
+
+
+@given(_component_pair())
+@settings(max_examples=600, deadline=None)
+def test_component_sum_is_the_merged_union_of_the_circle_rules(pair):
+    for a, b in (pair, pair[::-1]):
+        assert set_eq(ct_add_sets(a, b), _ref_normalize(_ref_comps(a, b))), (a, b)
 
 
 @given(_component_pair())

@@ -14,16 +14,17 @@ from hyperalg.csets import (
     CZERO,
     ComplexElem,
     InvalidSetError,
+    PHASE_ALL,
     format_cset,
     full_circle,
     member,
     normalize_parts,
     parse_celem,
-    parts_of,
     pick,
     set_eq,
     subset,
 )
+from hyperalg.ctrop import ct_add_sets, ct_mul_sets, phase_add
 from hyperalg.qsets import (
     QZERO,
     QArc,
@@ -55,26 +56,30 @@ PI = math.pi
 
 
 class TestNormalize:
+    # a complex value set is one component: the cases below are sums and
+    # products of two components, which normalize_parts never merges
+
     def test_adjacent_arcs_merge(self):
-        s = normalize_parts([CArc(1, 0, PI / 4), CArc(1, PI / 4, PI / 4)])
+        s = ct_add_sets(CArc(1, 0, PI / 4), CArc(1, PI / 4, PI / 4))
         assert isinstance(s, CArc)
         assert s.start == pytest.approx(0.0) and s.sweep == pytest.approx(PI / 2)
 
     def test_point_absorbed_by_disk(self):
-        s = normalize_parts([CPoint(ComplexElem(1, 0)), CDisk(2)])
+        s = ct_add_sets(CPoint(ComplexElem(1, 0)), CDisk(2))
         assert s == CDisk(2)
 
     def test_point_dedup(self):
-        s = normalize_parts([CPoint(ComplexElem(1, 0)), CPoint(ComplexElem(1, 0))])
+        s = ct_add_sets(CPoint(ComplexElem(1, 0)), CPoint(ComplexElem(1, 0)))
         assert s == CPoint(ComplexElem(1, 0))
 
     def test_wraparound_merge(self):
-        s = normalize_parts([CArc(1, 3 * PI / 2, PI / 2), CArc(1, 0, PI / 2)])
+        # tied arcs on both sides of angle 0 give one arc through it
+        s = ct_add_sets(CArc(1, 7 * PI / 4, PI / 4), CArc(1, 0, PI / 4))
         assert isinstance(s, CArc)
-        assert s.sweep == pytest.approx(PI)
+        assert s.start == pytest.approx(7 * PI / 4) and s.sweep == pytest.approx(PI / 2)
 
     def test_near_full_promotion(self):
-        s = normalize_parts([CArc(1, 0, PI), CArc(1, PI - 1e-12, PI)])
+        s = ct_mul_sets(CArc(1, 0, PI), CArc(1, 0.5, PI - 1e-12))
         assert isinstance(s, CArc) and s.full
 
     def test_zero_radius_arc_rejected(self):
@@ -82,8 +87,9 @@ class TestNormalize:
             CArc(0.0, 0, 1)
 
     def test_empty_rejected(self):
-        with pytest.raises(InvalidSetError):
-            normalize_parts([])
+        for parts in ([], [CPoint(ComplexElem(1, 0)), CPoint(ComplexElem(1, PI))]):
+            with pytest.raises(RepresentationClosureError):
+                normalize_parts(parts)
 
     def test_tiny_disk_becomes_origin(self):
         for radius in (0.0, 5e-10):
@@ -105,10 +111,10 @@ class TestMember:
         assert not member(ComplexElem(2, 0), CArc(1, 0, PI / 2))
 
     def test_union_semantics(self):
-        u = normalize_parts([CPoint(ComplexElem(2, 1.0)), CDisk(1)])
-        assert member(ComplexElem(2, 1.0), u)
-        assert member(ComplexElem(0.5, 2.0), u)
-        assert not member(ComplexElem(1.5, 0.0), u)
+        # the one union, the phase carrier: the unit circle with 0
+        assert member(ComplexElem(1, 2.0), PHASE_ALL)
+        assert member(CZERO, PHASE_ALL)
+        assert not member(ComplexElem(0.5, 2.0), PHASE_ALL)
 
 
 class TestSetEq:
@@ -123,11 +129,14 @@ class TestSetEq:
         assert rset_eq(rinterval(1, 3), rinterval(1, 3))
 
     def test_union_absorption(self):
-        assert set_eq(normalize_parts([CArc(1, 0, PI / 2), CDisk(1)]), CDisk(1))
+        assert set_eq(ct_add_sets(CArc(1, 0, PI / 2), CDisk(1)), CDisk(1))
 
     def test_two_points_union(self):
-        u = normalize_parts([CPoint(ComplexElem(1, 0)), CPoint(ComplexElem(1, PI))])
-        assert isinstance(u, CUnion) and len(u.parts) == 2
+        # two antipodal phases sum to the unit circle with 0, the one union
+        u = phase_add(ComplexElem(1, 0), ComplexElem(1, PI))
+        assert isinstance(u, CUnion) and len(u.parts) == 2 and u is PHASE_ALL
+        assert set_eq(u, CUnion((CPoint(CZERO), full_circle(1.0))))
+        assert not set_eq(u, full_circle(1.0))
 
 
 # -- property tests ---------------------------------------------------------
@@ -146,47 +155,51 @@ components = st.one_of(
 )
 
 
-@given(st.lists(components, min_size=1, max_size=5))
+def _radius(c) -> float:
+    return c.elem.modulus if isinstance(c, CPoint) else c.radius
+
+
+@given(components)
 @settings(max_examples=200, deadline=None)
-def test_normalize_idempotent(parts):
-    s = normalize_parts(parts)
+def test_normalize_idempotent(c):
+    s = normalize_parts([c])
     assert normalize_parts([s]) == s
 
 
-@given(st.lists(components, min_size=1, max_size=3), st.lists(components, min_size=1, max_size=3))
+@given(components, components)
 @settings(max_examples=150, deadline=None)
-def test_member_respects_union(p1, p2):
-    s1 = normalize_parts(p1)
-    s2 = normalize_parts(p2)
-    u = normalize_parts([s1, s2])
-    import random
-
-    probes = pick(s1, random.Random(1), 2) + pick(s2, random.Random(2), 2) + [
-        CZERO,
-        ComplexElem(1.7, 0.3),
-    ]
+def test_member_respects_union(c1, c2):
+    """The one union, the phase carrier, holds exactly the units and 0."""
+    probes = pick(normalize_parts([c1]), random.Random(1), 2) + pick(
+        normalize_parts([c2]), random.Random(2), 2
+    ) + [CZERO, ComplexElem(1.0, 0.3), ComplexElem(1.7, 0.3)]
     for x in probes:
-        assert member(x, u) == (member(x, s1) or member(x, s2))
+        on_carrier = x.modulus <= 1e-9 or abs(x.modulus - 1.0) <= 1e-9
+        assert member(x, PHASE_ALL) == on_carrier, x
 
 
-@given(st.lists(components, min_size=1, max_size=4))
+@given(components, components)
 @settings(max_examples=100, deadline=None)
-def test_set_eq_implies_member_agreement(parts):
-    import random
-
-    s1 = normalize_parts(parts)
-    s2 = normalize_parts(list(reversed(parts)))
+def test_set_eq_implies_member_agreement(c1, c2):
+    """The sum in either order is one set, and each holds what the other
+    samples."""
+    a, b = normalize_parts([c1]), normalize_parts([c2])
+    s1, s2 = ct_add_sets(a, b), ct_add_sets(b, a)
     assert set_eq(s1, s2)
     for x in pick(s1, random.Random(3), 3):
         assert member(x, s2)
 
 
-@given(st.lists(components, min_size=1, max_size=3), st.lists(components, min_size=1, max_size=3))
+@given(components, components)
 @settings(max_examples=100, deadline=None)
-def test_subset_of_union(p1, p2):
-    s1 = normalize_parts(p1)
-    u = normalize_parts([s1, normalize_parts(p2)])
-    assert subset(s1, u)
+def test_subset_of_union(c1, c2):
+    """A sum holds each operand of the larger radius: a tied sum holds both."""
+    a, b = normalize_parts([c1]), normalize_parts([c2])
+    s = ct_add_sets(a, b)
+    top = max(_radius(a), _radius(b))
+    for c in (a, b):
+        if _radius(c) == top:
+            assert subset(c, s), (a, b, s)
 
 
 # -- real sets ---------------------------------------------------------------
@@ -363,16 +376,16 @@ class TestTextForms:
         assert format_cset(full_circle(1)) == "circle r=1"
 
     def test_cset_roundtrip(self):
-        s = normalize_parts([CArc(1, 0, PI / 2), CPoint(ComplexElem(2, 1))])
+        s = ct_add_sets(CArc(1, 0, PI / 4), CPoint(ComplexElem(1, PI / 2)))
         text = format_cset(s)
-        assert text == "arc r=1 from=0 sweep=1.5707963268 | point 2∠1"
-        arc_text, point_text = text.split(" | ")
-        fields = dict(f.split("=") for f in arc_text.split()[1:])
-        back = normalize_parts([
-            CArc(float(fields["r"]), float(fields["from"]), float(fields["sweep"])),
-            CPoint(parse_celem(point_text.split()[1])),
-        ])
+        assert text == "arc r=1 from=0 sweep=1.5707963268"
+        fields = dict(f.split("=") for f in text.split()[1:])
+        back = CArc(float(fields["r"]), float(fields["from"]), float(fields["sweep"]))
         assert set_eq(back, s)
+        # the one union prints its parts in order
+        text = format_cset(PHASE_ALL)
+        assert text == "circle r=1 | point 0∠0"
+        assert parse_celem(text.split(" | ")[1].split()[1]) == CZERO
 
 
 def format_celem_text(e):
