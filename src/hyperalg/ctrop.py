@@ -6,17 +6,17 @@ whole closed disk when the operands cancel.  Set-extended sums are computed by
 closed-form component rules, never by discretization, so set equalities can
 be certified exactly.
 
-Every value set over C or H is one component, so a set sum is the sum of
-two components, and one dispatcher per carrier family decides its branch:
-`_ct_add_comps` over C and `_quat_add_comps` over H.  Point pairs go to
-`ct_add` and `quat_add`.  Otherwise the component of larger radius wins by
-more than eps; on a tie a disk or ball absorbs the other component, and the
-remaining tied pairs go to the circle rules (`_point_arc`, `_arc_arc`,
-`_qarc_point`, `_qcone_point`).  Each returns one component: a disk or ball
-when the operands hold an antipodal pair, otherwise the shorter arc (or the
-cone) that holds both.  The one exception is the phase hyperfield, whose
-whole carrier, the unit circle with 0, is the sum of two tied units that
-cancel.  `deq.c_add_0`, the h -> 0 limit of the
+Every value set over C or H is one component, and a set sum adds a point to
+it, as the hyperfield axioms do in (a + b) + c; a sum of two non-point sets
+raises RepresentationClosureError.  `ct_add_sets` and `quat_add_sets` take
+the point on either side.  Two points go to `ct_add` and `quat_add`.
+Otherwise the larger radius wins by more than eps; on a tie a disk or ball
+absorbs the point, and an arc or cone goes to the circle rules
+(`_point_arc`, `_qarc_point`, `_qcone_point`).  Each returns one component:
+a disk or ball when the set holds -p, the set itself when it holds p, and
+otherwise the shorter arc (or the cone) that holds both.  The one exception
+is the phase hyperfield, whose whole carrier, the unit circle with 0, is the
+sum of two tied units that cancel.  `deq.c_add_0`, the h -> 0 limit of the
 complex dequantization family, reads its branch from the type of `ct_add`
 and takes the arc's midpoint on a tie.
 """
@@ -38,7 +38,7 @@ from .csets import (
     normalize_parts,
 )
 from . import _Deferred
-from .tolerance import DEFAULT_TOL, TWO_PI, RepresentationClosureError, Tolerance, wrap_angle
+from .tolerance import DEFAULT_TOL, TWO_PI, RepresentationClosureError, Tolerance, point_last, wrap_angle
 
 # imported at their first use, so that a complex sum imports neither
 qsets = _Deferred(globals(), "qsets")
@@ -76,73 +76,36 @@ def _minor_arc(radius: float, alpha: float, beta: float) -> CArc | CPoint:
     return CArc(radius, beta, TWO_PI - delta)
 
 
-def _hull(radius: float, s1: float, w1: float, s2: float, w2: float) -> CArc:
-    """The shorter arc of `radius` that holds the arcs from s1 by w1 and from
-    s2 by w2 (a point has sweep 0), which hold no antipodal pair.  It starts
-    at s1 or at s2, so it is the shorter of the two arcs from them."""
-    w12 = max(w1, wrap_angle(s2 - s1) + w2)
-    w21 = max(w2, wrap_angle(s1 - s2) + w1)
-    return CArc(radius, s1, w12) if w12 <= w21 else CArc(radius, s2, w21)
-
-
 def _point_arc(p: ComplexElem, a: CArc) -> CSet:
-    """The circle rule for a point and an arc of tied radius."""
+    """The circle rule for a point and an arc of tied radius: the disk when
+    -p is in the arc, the arc when p is, and otherwise the shorter of the arcs
+    from the arc's start through p and from p through the arc's end."""
     eps = DEFAULT_TOL.eps
     if a.full or a.contains_angle(wrap_angle(p.argument + math.pi), eps):
         return CDisk(max(p.modulus, a.radius))
     if a.contains_angle(p.argument, eps):
         return a
-    return _hull(a.radius, a.start, a.sweep, p.argument, 0.0)
-
-
-def _arcs_have_antipodes(a1: CArc, a2: CArc) -> bool:
-    """Does a2 contain -x for some x in a1 (same radius assumed)?"""
-    if a1.full or a2.full:
-        return True
-    s2 = wrap_angle(a2.start + math.pi)  # a2 rotated by pi
-    # circular interval intersection of [a1.start, +sweep] and [s2, +sweep]
-    off = wrap_angle(s2 - a1.start)
-    if off <= a1.sweep + DEFAULT_TOL.eps:
-        return True
-    off2 = wrap_angle(a1.start - s2)
-    return off2 <= a2.sweep + DEFAULT_TOL.eps
-
-
-def _arc_arc(a1: CArc, a2: CArc) -> CSet:
-    """The circle rule for two arcs of tied radius."""
-    r = max(a1.radius, a2.radius)
-    if _arcs_have_antipodes(a1, a2):
-        return CDisk(r)
-    return _hull(r, a1.start, a1.sweep, a2.start, a2.sweep)
-
-
-# order of component kinds in _ct_add_comps: the lower rank comes first
-_CRANK = {CDisk: 0, CArc: 1, CPoint: 2}
-
-
-def _ct_add_comps(c1, c2) -> CSet:
-    """Sum of two components: the larger radius wins by more than eps; on a
-    tie a disk absorbs the other component, else the circle rule applies."""
-    if _CRANK[type(c2)] < _CRANK[type(c1)]:  # the sum is commutative
-        c1, c2 = c2, c1
-    if isinstance(c1, CPoint):
-        return ct_add(c1.elem, c2.elem)
-    r1 = c1.radius
-    r2 = c2.elem.modulus if isinstance(c2, CPoint) else c2.radius
-    if abs(r1 - r2) > DEFAULT_TOL.eps:
-        return c1 if r1 > r2 else c2
-    if isinstance(c1, CDisk):
-        return c2 if isinstance(c2, CDisk) and r2 > r1 else c1
-    if isinstance(c2, CPoint):
-        return _point_arc(c2.elem, c1)
-    return _arc_arc(c1, c2)
+    to_p = wrap_angle(p.argument - a.start)
+    from_p = wrap_angle(a.start - p.argument) + a.sweep
+    return CArc(a.radius, a.start, to_p) if to_p <= from_p else CArc(a.radius, p.argument, from_p)
 
 
 def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
+    """A value set plus a point, on either side: the larger radius wins by
+    more than eps; on a tie a disk absorbs the point, else the circle rule
+    applies."""
     if isinstance(s1, CPoint) and isinstance(s2, CPoint):
         # already canonical: a point, a minor arc or a disk of radius > eps
         return ct_add(s1.elem, s2.elem)
-    return normalize_parts([_ct_add_comps(s1, s2)])
+    s, p = point_last(s1, s2, CPoint)
+    r, rp = s.radius, p.elem.modulus
+    if abs(r - rp) > DEFAULT_TOL.eps:
+        c = s if r > rp else p
+    elif isinstance(s, CDisk):
+        c = s
+    else:
+        c = _point_arc(p.elem, s)
+    return normalize_parts([c])
 
 
 # ---------------------------------------------------------------------------
@@ -249,28 +212,23 @@ def rt_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> rsets.RSet:
 
 
 def rt_add_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
-    """Set extension over the real tropical carrier.
-
-    Components are points and symmetric intervals [-m, m]; nothing else can
-    arise from rt_add.
-    """
+    """A value set plus a point, on either side, over the real tropical
+    carrier, whose only other sets are symmetric intervals [-m, m]."""
     (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
     p1 = lo1 == hi1
     p2 = lo2 == hi2
     if p1 and p2:
         return rt_add(lo1, lo2)
-    if p1 or p2:
-        point, lo, hi = (lo1, lo2, hi2) if p1 else (lo2, lo1, hi1)
-        if abs(lo + hi) > DEFAULT_TOL.eps * max(abs(lo), abs(hi), 1.0):
-            raise RepresentationClosureError(
-                f"asymmetric interval [{lo},{hi}] in real tropical sum"
-            )
-        if abs(point) > hi + DEFAULT_TOL.eps:
-            return rsets.rpoint(point)
-        return s2 if p1 else s1
-    # two symmetric intervals: the larger absorbs the smaller
-    m = max(hi1, hi2)
-    return rsets.RSet(((-m, m),))
+    if not (p1 or p2):
+        raise RepresentationClosureError("real tropical set sum adds no point")
+    point, lo, hi = (lo1, lo2, hi2) if p1 else (lo2, lo1, hi1)
+    if abs(lo + hi) > DEFAULT_TOL.eps * max(abs(lo), abs(hi), 1.0):
+        raise RepresentationClosureError(
+            f"asymmetric interval [{lo},{hi}] in real tropical sum"
+        )
+    if abs(point) > hi + DEFAULT_TOL.eps:
+        return rsets.rpoint(point)
+    return s2 if p1 else s1
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +292,7 @@ def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL)
     return qsets.QArc(a, b)
 
 
-def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
+def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> qsets.QSet:
     """The sum of an arc and a tied point p: the ball when -p is in a, the
     circle rule when p lies on a great circle through both ends of a, and
     otherwise the cone over a and p."""
@@ -344,24 +302,24 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     up = p.unit()
     minus = tuple(-x for x in up)
     if qsets.in_cone(minus, a, eps):
-        return [qsets.QBall(r)]
+        return qsets.QBall(r)
     q, cols = qsets._cone_of(a)[0][0]  # an orthonormal basis of the arc's plane
     if len(q) == 2:
         coords, res = qsets._project(q, up)
         ub_coords = cols[1]
     elif qsets.in_cone(up, a, eps):
-        return [a]
+        return a
     else:
         # a degenerate arc spans no plane: take the plane of its first end and
         # p, which holds its other end when p is on a great circle with both
         plane = qsets._factor((a.units[0], up), qsets._THIN)
         if plane is None:  # p is within 1e-9 rad of that end
-            return [a]
+            return a
         q, cols = plane
         coords = cols[1]
         ub_coords, res = qsets._project(q, a.units[1])
     if res > cut:
-        return [qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))]
+        return qsets.QCone((a.a, a.b, qsets.QuatElem(*(x * r for x in up))))
 
     # p lies on the arc's great circle: apply the circle rule in its plane,
     # where ua lies at angle 0 and ub at angle tb, the arc's signed sweep
@@ -377,53 +335,39 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> list:
     tb = math.atan2(ub_e2, ub_e1)
     c = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, min(tb, 0.0), abs(tb)))
     if isinstance(c, CDisk):
-        return [qsets.QBall(c.radius)]
+        return qsets.QBall(c.radius)
     if c.sweep <= eps:
-        return [qsets.QPoint(at(c.start))]
-    return [qsets.QArc(at(c.start), at(c.start + c.sweep))]
+        return qsets.QPoint(at(c.start))
+    return qsets.QArc(at(c.start), at(c.start + c.sweep))
 
 
-def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> list:
+def _qcone_point(c: qsets.QCone, p: qsets.QuatElem) -> qsets.QSet:
     eps = DEFAULT_TOL.eps
     r = c.radius
     up = p.unit()
     minus = tuple(-x for x in up)
     if qsets.in_cone(minus, c, eps):
-        return [qsets.QBall(r)]
+        return qsets.QBall(r)
     if qsets.in_cone(up, c, eps):
-        return [c]
-    return [qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))]
-
-
-# order of component kinds in _quat_add_comps, by class name (naming the
-# classes here would import qsets): the lower rank comes first
-_QRANK = {"QBall": 0, "QArc": 1, "QCone": 1, "QPoint": 2}
-
-
-def _quat_add_comps(c1, c2) -> list:
-    """The rule of _ct_add_comps over H; two tied arcs or cones have no
-    closed form."""
-    if _QRANK[type(c2).__name__] < _QRANK[type(c1).__name__]:  # the sum is commutative
-        c1, c2 = c2, c1
-    if isinstance(c1, qsets.QPoint):
-        return [quat_add(c1.elem, c2.elem)]
-    r1 = c1.radius
-    r2 = c2.elem.norm if isinstance(c2, qsets.QPoint) else c2.radius
-    if abs(r1 - r2) > DEFAULT_TOL.eps:
-        return [c1 if r1 > r2 else c2]
-    if isinstance(c1, qsets.QBall):
-        return [c2 if isinstance(c2, qsets.QBall) and r2 > r1 else c1]
-    if isinstance(c2, qsets.QPoint):
-        if isinstance(c1, qsets.QArc):
-            return _qarc_point(c1, c2.elem)
-        return _qcone_point(c1, c2.elem)
-    raise RepresentationClosureError(
-        f"unsupported quaternion pair {type(c1).__name__} + {type(c2).__name__}"
-    )
+        return c
+    return qsets.QCone(c.vertices + (qsets.QuatElem(*(x * r for x in up)),))
 
 
 def quat_add_sets(s1: qsets.QSet, s2: qsets.QSet) -> qsets.QSet:
-    return qsets.qnormalize(_quat_add_comps(s1, s2))
+    """The rule of ct_add_sets over H."""
+    s1, s2 = point_last(s1, s2, qsets.QPoint)
+    p = s2.elem
+    if isinstance(s1, qsets.QPoint):
+        c = quat_add(s1.elem, p)
+    elif abs(s1.radius - p.norm) > DEFAULT_TOL.eps:
+        c = s1 if s1.radius > p.norm else s2
+    elif isinstance(s1, qsets.QBall):
+        c = s1
+    elif isinstance(s1, qsets.QArc):
+        c = _qarc_point(s1, p)
+    else:
+        c = _qcone_point(s1, p)
+    return qsets.qnormalize([c])
 
 
 def quat_scale(s: qsets.QSet, f: qsets.QuatElem, side: str) -> qsets.QSet:

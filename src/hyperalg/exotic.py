@@ -12,11 +12,12 @@ operation whose answer depends on digits beyond the truncation returns the
 Indeterminate marker rather than a wrong value.
 
 A value set is one component: a point (VPoint) or the cone of one family
-(MCone, PCone).  A sum or product of two components is again one component,
-and mnormalize and pnormalize, which every set sum and product goes through,
-reject anything else.  Every operation builds its set under the library
-tolerance DEFAULT_TOL; a predicate may compare real-exponent monomials wider,
-while int and rational exponents and p-adic values compare exactly under any
+(MCone, PCone).  A set sum adds a point to a component, and a product
+multiplies two components; either gives one component, and mnormalize and
+pnormalize, which every set sum and product goes through, reject anything
+else.  Every operation builds its set under the library tolerance
+DEFAULT_TOL; a predicate may compare real-exponent monomials wider, while
+int and rational exponents and p-adic values compare exactly under any
 tolerance.
 """
 from __future__ import annotations
@@ -27,10 +28,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 
 from .tolerance import (
     DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num,
+    point_last,
 )
 
 
@@ -50,8 +51,6 @@ def parts_of(s) -> list:
 
 # the per-family names of parts_of that perfbench/tracer.py reads
 mparts_of = pparts_of = parts_of
-
-_value = attrgetter("value")
 
 
 def _order(x, y, eps) -> int:
@@ -102,13 +101,11 @@ def set_eq(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _add_comps(c1, c2, add):
-    """The sum of two components, given the family's addition of two elements."""
-    if isinstance(c1, VPoint) and not isinstance(c2, VPoint):  # commutative
-        c1, c2 = c2, c1
+    """A component plus a point, on either side, given the family's addition
+    of two elements."""
+    c1, c2 = point_last(c1, c2, VPoint)
     if isinstance(c1, VPoint):
         return add(c1.elem, c2.elem)
-    if not isinstance(c2, VPoint):
-        return max(c1, c2, key=_value)
     # the cone absorbs a point below it; a point at or above it dominates
     return c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL.eps) else c2
 

@@ -67,6 +67,10 @@ class Structure:
         raise NotImplementedError
 
     def add_sets(self, s1, s2):
+        """A value set plus a singleton, on either side, as in (a + b) + c.
+        The finite tables and the closed forms of tri, ultra, trop, amoeba,
+        R and maxplus also add two sets; the other carriers raise
+        RepresentationClosureError."""
         raise NotImplementedError
 
     def singleton(self, a):

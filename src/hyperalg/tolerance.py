@@ -57,6 +57,18 @@ class RepresentationClosureError(RuntimeError):
     """A set-extended operation produced a set outside the symbolic vocabulary."""
 
 
+def point_last(s1, s2, point: type) -> tuple:
+    """The operands of a set sum with a point second; a set sum adds a point,
+    as in (a + b) + c, so two non-point sets have no closed form."""
+    if not isinstance(s2, point):
+        s1, s2 = s2, s1
+        if not isinstance(s2, point):
+            raise RepresentationClosureError(
+                f"set sum {type(s2).__name__} + {type(s1).__name__} adds no point"
+            )
+    return s1, s2
+
+
 def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
     """Is there a one-to-one matching of the components under comp_eq?"""
     if len(p1) != len(p2):

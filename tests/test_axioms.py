@@ -273,6 +273,17 @@ class TestDoubleDistributivity:
         assert text.startswith("loose-TR: (") and "not inside the expanded sum" in text
         assert " at interval [" in text and text.endswith(",12345]")
 
+    def test_complex_forward_violation_names_the_component(self, monkeypatch):
+        # a set product that is always the disk of radius 100, which no
+        # expansion of TC holds
+        from hyperalg import ctrop
+
+        monkeypatch.setattr(ctrop, "ct_mul_sets", lambda s1, s2: CDisk(100.0))
+        with pytest.raises(DoubleDistributivityViolation) as exc:
+            check_double_distributivity(get_structure("TC"), budget=50, rng=random.Random(3))
+        text = str(exc.value)
+        assert text.startswith("TC: (") and text.endswith(" not inside the expanded sum at disk r=100")
+
 
 class TestCharacteristic:
     def test_krasner(self):

@@ -13,6 +13,7 @@ from hyperalg.csets import (
     ComplexElem,
     PHASE_ALL,
     format_cset,
+    full_circle,
     member,
     parts_of,
     pick,
@@ -31,6 +32,7 @@ from hyperalg.ctrop import (
     rt_add,
     rt_add_sets,
 )
+from hyperalg.exotic import MCone, MonomialElem, PCone, VPoint, padic_from_digits
 from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qpick, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
 from hyperalg.structures import get_structure
@@ -110,31 +112,16 @@ class TestAppendixRules:
         got = ct_add_sets(CDisk(1), CPoint(cp(3, 1.0)))
         assert set_eq(got, CPoint(cp(3, 1.0)))
 
-    def test_arc_arc_with_antipodes(self):
-        a1 = CArc(1, 0, PI / 2)
-        a2 = CArc(1, PI, PI / 2)
-        assert set_eq(ct_add_sets(a1, a2), CDisk(1))
-
-    def test_arc_arc_hull(self):
-        a1 = CArc(1, 0, 0.3)
-        a2 = CArc(1, 1.0, 0.3)
-        got = ct_add_sets(a1, a2)
-        assert set_eq(got, CArc(1, 0, 1.3))
-
     @pytest.mark.parametrize("dr", [0.0, 5e-10, -5e-10])
     def test_point_on_disk_boundary_gives_disk(self, dr):
         p = CPoint(cp(1 + dr, 0.7))
         assert ct_add_sets(CDisk(1), p) == CDisk(1)
         assert ct_add_sets(p, CDisk(1)) == CDisk(1)
 
-    def test_tied_disks_give_the_larger(self):
-        small, large = CDisk(1), CDisk(1 + 5e-10)
-        assert ct_add_sets(small, large) == large
-        assert ct_add_sets(large, small) == large
-
 
 def _stratified_pairs(rng, n):
-    """Component pairs including the measure-zero branches (ties, antipodes)."""
+    """A component and a point, including the measure-zero branches (ties,
+    antipodes)."""
     out = []
     for _ in range(n):
         r = math.exp(rng.uniform(-0.5, 0.5))
@@ -146,17 +133,15 @@ def _stratified_pairs(rng, n):
         else:
             s1 = CDisk(r)
         mode = rng.random()
-        if mode < 0.3:  # equal radius, random placement
-            s2 = CPoint(cp(r, rng.uniform(0, TWO_PI)))
+        if mode < 0.4:  # equal radius, random placement
+            s2 = cp(r, rng.uniform(0, TWO_PI))
         elif mode < 0.5 and isinstance(s1, CArc):  # antipodal to a point of the arc
-            s2 = CPoint(cp(r, s1.start + rng.uniform(0, s1.sweep) + PI))
-        elif mode < 0.6:
-            s2 = CArc(r, rng.uniform(0, TWO_PI), rng.uniform(0.1, PI - 0.1))
+            s2 = cp(r, s1.start + rng.uniform(0, s1.sweep) + PI)
         elif mode < 0.8:
-            s2 = CPoint(cp(math.exp(rng.uniform(-1, 1)), rng.uniform(0, TWO_PI)))
+            s2 = cp(math.exp(rng.uniform(-1, 1)), rng.uniform(0, TWO_PI))
         else:
-            s2 = CDisk(r * rng.uniform(0.5, 1.5))
-        out.append((s1, s2))
+            s2 = cp(r * rng.uniform(0.5, 1.5), rng.uniform(0, TWO_PI))
+        out.append((s1, CPoint(s2)))
     return out
 
 
@@ -568,7 +553,8 @@ class TestQuaternion:
     def test_dominant_arc_or_cone_wins(self):
         big = quat_add(QuatElem(2, 0, 0, 0), QuatElem(0, 2, 0, 0))
         small = quat_add(QuatElem(0, 0, 1, 0), QuatElem(0, 0, 0, 1))
-        for x, y in ((big, small), (self._cone(2), small), (big, self._cone(1))):
+        p1, p2 = QPoint(QuatElem(0, 0, 1, 0)), QPoint(QuatElem(0, 0, 2, 0))
+        for x, y in ((big, p1), (self._cone(2), p1), (p2, small), (p2, self._cone(1))):
             assert quat_add_sets(x, y) == x
             assert quat_add_sets(y, x) == x
 
@@ -579,16 +565,39 @@ class TestQuaternion:
             with pytest.raises(RepresentationClosureError):
                 quat_add_sets(x, y)
 
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            ((-1, -1, -1, 0), QBall(1)),  # -p is in the cone
+            ((1, 1, 0, 0), None),  # p is in the cone, which absorbs it
+            ((0, 0, 0, 1), QCone((QuatElem(1, 0, 0, 0), QuatElem(0, 1, 0, 0),
+                                  QuatElem(0, 0, 1, 0), QuatElem(0, 0, 0, 1)))),
+        ],
+        ids=["antipode-in-cone", "in-cone", "off-cone"],
+    )
+    def test_cone_plus_tied_point(self, p, expected):
+        cone = self._cone(1)
+        n = math.sqrt(sum(x * x for x in p))
+        point = QPoint(QuatElem(*(x / n for x in p)))
+        expected = expected or cone
+        assert quat_add_sets(cone, point) == expected
+        assert quat_add_sets(point, cone) == expected
+
+    @pytest.mark.parametrize(
+        "side, images",
+        [("left", ((0, 0, 0, 2), (0, 0, 2, 0), (0, -2, 0, 0))),
+         ("right", ((0, 0, 0, 2), (0, 0, -2, 0), (0, 2, 0, 0)))],
+    )
+    def test_scaling_a_cone_maps_its_vertices(self, side, images):
+        # 2k times 1, i, j on either side
+        got = get_structure("quat").scale(QuatElem(0, 0, 0, 2), self._cone(1), side)
+        assert got == QCone(tuple(QuatElem(*v) for v in images))
+
     @pytest.mark.parametrize("dr", [0.0, 5e-10, -5e-10])
     def test_point_on_ball_boundary_gives_ball(self, dr):
         p = QPoint(QuatElem(0, 0, 1 + dr, 0))
         assert quat_add_sets(QBall(1), p) == QBall(1)
         assert quat_add_sets(p, QBall(1)) == QBall(1)
-
-    def test_tied_balls_give_the_larger(self):
-        small, large = QBall(1), QBall(1 + 5e-10)
-        assert quat_add_sets(small, large) == large
-        assert quat_add_sets(large, small) == large
 
     def test_scaling_a_ball_below_tolerance_gives_origin(self):
         # as ct_mul_sets(CPoint(ComplexElem(1e-10, 0)), CDisk(1.0)) gives point 0
@@ -624,3 +633,60 @@ class TestQuaternion:
             lhs = quat_add_sets(quat_add(x, y), QPoint(z))
             rhs = quat_add_sets(QPoint(x), quat_add(y, z))
             assert qset_eq(lhs, rhs), (x, y, z)
+
+
+# -- a set sum adds a point ------------------------------------------------------
+# Each family's value sets, one of each component kind with the point first,
+# and three points: one tied with them, one that dominates them and one they
+# dominate (the valued families compare by exponent).
+
+
+def _mono(e):
+    return MonomialElem(complex(1, 1), e)
+
+
+def _padic(e, digit):
+    return padic_from_digits(5, e, [digit], 8)
+
+
+_Q = QuatElem
+SET_PLUS_POINT = {
+    "TC": (
+        [CPoint(cp(1, 0.3)), CArc(1, 0, PI / 2), full_circle(1), CDisk(1)],
+        [cp(1, 2.0), cp(2, 2.0), cp(0.5, 2.0)],
+    ),
+    "quat": (
+        [QPoint(_Q(1, 0, 0, 0)), QArc(_Q(1, 0, 0, 0), _Q(0, 1, 0, 0)),
+         QCone((_Q(1, 0, 0, 0), _Q(0, 1, 0, 0), _Q(0, 0, 1, 0))), QBall(1)],
+        [_Q(0, 0, 0, 1), _Q(0, 0, 0, 2), _Q(0, 0, 0, 0.5)],
+    ),
+    "TR": ([rpoint(1.0), rinterval(-1, 1)], [-1.0, 2.0, 0.5]),
+    "mono": ([VPoint(_mono(1)), MCone(1)], [_mono(1), _mono(2), _mono(0)]),
+    "padic:5:8": ([VPoint(_padic(1, 1)), PCone(5, 1)], [_padic(1, 2), _padic(0, 3), _padic(2, 4)]),
+}
+_SET_PLUS_POINT_CASES = [
+    (name, s, p)
+    for name, (sets, points) in SET_PLUS_POINT.items()
+    for s in sets
+    for p in points
+]
+
+
+@pytest.mark.parametrize("name, s, p", _SET_PLUS_POINT_CASES)
+def test_a_set_plus_a_point_is_one_set_on_either_side(name, s, p, rng):
+    """add_sets(s, {p}) and add_sets({p}, s) are one set, which holds x + p
+    for the points x drawn from s."""
+    X = get_structure(name)
+    got = X.add_sets(s, X.singleton(p))
+    assert X.set_eq(got, X.add_sets(X.singleton(p), s)), (s, p)
+    for x in X.pick(s, rng, 3):
+        assert X.subset(X.add(x, p), got), (s, x, p)
+
+
+@pytest.mark.parametrize("name", sorted(SET_PLUS_POINT))
+def test_two_sets_without_a_point_raise(name):
+    X = get_structure(name)
+    sets = SET_PLUS_POINT[name][0][1:]  # all but the point
+    for s, t in itertools.product(sets, repeat=2):
+        with pytest.raises(RepresentationClosureError):
+            X.add_sets(s, t)

@@ -286,6 +286,16 @@ class TestDiagram:
                 "log-transfer",
                 0.01,
             ),
+            # a modulus three times |a| for a cancelling pair below h = 0.05,
+            # outside the triangle sum; the graph witnesses never cancel exactly
+            (
+                "c_add_h",
+                lambda f: lambda a, b, h: ComplexElem(3 * a.modulus, 0.0) if h < 0.05 and b == -a else f(a, b, h),
+                "modulus-containment",
+                0.01,
+            ),
+            # the tied operands themselves: a + b is off the circle at h = 1
+            ("graph_witness", lambda f: lambda a, b, c, h: (a, b), "graph-limit", 1.0),
         ],
     )
     def test_a_broken_family_fails_exactly_its_verdict(self, monkeypatch, family, wrap, verdict, h):

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from hyperalg.csets import CDisk, CZERO, ComplexElem, member as cmember, set_eq
+from hyperalg import ctrop, homs
+from hyperalg.axioms import replay
+from hyperalg.csets import CDisk, CPoint, CZERO, ComplexElem, member as cmember, set_eq
 from hyperalg.ctrop import ct_add
 from hyperalg.homs import (
     HFPolynomial,
@@ -97,6 +99,24 @@ class TestWMap:
     def test_check_w_hom_real_exponents(self):
         rep = check_w_hom(budget=300, rng=random.Random(13), real_exponents=True)
         assert rep.additive and rep.multiplicative, rep.witness_text
+
+    @pytest.mark.parametrize(
+        "module, name, wrap, verdict",
+        [
+            # a sum that is its first operand misses w(p+q) when q dominates
+            (ctrop, "ct_add", lambda f: lambda a, b, tol=None: CPoint(a), "additive-containment"),
+            # modulus e^r + 1 is not multiplicative
+            (homs, "w_map", lambda f: lambda p: ComplexElem(f(p).modulus + 1, f(p).argument) if f(p).modulus else f(p),
+             "multiplicative"),
+        ],
+        ids=["ct_add-first-operand", "w_map-modulus-plus-one"],
+    )
+    def test_a_broken_w_fails_its_verdict_with_a_witness(self, monkeypatch, module, name, wrap, verdict):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+        rep = check_w_hom(budget=60, rng=random.Random(0))
+        (bad,) = [c for c in rep.checks if c.axiom == verdict]
+        assert not bad.passed and bad.witness is not None
+        assert replay(None, bad) is False
 
 
 class TestHFPolyEval:

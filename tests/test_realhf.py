@@ -1,5 +1,6 @@
 """Triangle, ultratriangle, tropical and amoeba additions."""
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -201,6 +202,18 @@ class TestSeminorm:
         assert [(c.axiom, c.passed) for c in rep.checks] == [("triangle", True), ("multiplicative", False)]
         (bad,) = rep.failures()
         assert (bad.witness, bad.witness_text, rep.tuples_checked) == ((1.0, 1.0), "(1.0, 1.0)", 9)
+
+    def test_lifted_max_fails_only_valuation(self):
+        # max(x, y) + 5e-9 stays inside the ultratriangle sum, but its log
+        # leaves the tropical sum of the logs of two tied small norms
+        rep = check_seminorm(
+            abs, [0.001, 0.0001], "non-archimedean", add=lambda x, y: max(x, y) + 5e-9, mul=operator.mul
+        )
+        assert [(c.axiom, c.passed) for c in rep.checks] == [
+            ("triangle", True), ("multiplicative", True), ("valuation", False)
+        ]
+        (bad,) = rep.failures()
+        assert (bad.witness, bad.witness_text) == ((0.001, 0.001), "(0.001, 0.001)")
 
     def test_square_map_fails_with_witness(self):
         rep = check_seminorm(lambda x: float(x) ** 2, [0.0, 1.0, 2.0, 3.0], kind="archimedean")

@@ -56,11 +56,12 @@ PI = math.pi
 
 
 class TestNormalize:
-    # a complex value set is one component: the cases below are sums and
-    # products of two components, which normalize_parts never merges
+    # a complex value set is one component: the cases below are sums of a set
+    # and a point, and products of two components, which normalize_parts
+    # never merges
 
     def test_adjacent_arcs_merge(self):
-        s = ct_add_sets(CArc(1, 0, PI / 4), CArc(1, PI / 4, PI / 4))
+        s = ct_add_sets(CArc(1, 0, PI / 4), CPoint(ComplexElem(1, PI / 2)))
         assert isinstance(s, CArc)
         assert s.start == pytest.approx(0.0) and s.sweep == pytest.approx(PI / 2)
 
@@ -73,8 +74,8 @@ class TestNormalize:
         assert s == CPoint(ComplexElem(1, 0))
 
     def test_wraparound_merge(self):
-        # tied arcs on both sides of angle 0 give one arc through it
-        s = ct_add_sets(CArc(1, 7 * PI / 4, PI / 4), CArc(1, 0, PI / 4))
+        # a tied point past the arc's end gives one arc through angle 0
+        s = ct_add_sets(CArc(1, 7 * PI / 4, PI / 8), CPoint(ComplexElem(1, PI / 4)))
         assert isinstance(s, CArc)
         assert s.start == pytest.approx(7 * PI / 4) and s.sweep == pytest.approx(PI / 2)
 
@@ -129,7 +130,7 @@ class TestSetEq:
         assert rset_eq(rinterval(1, 3), rinterval(1, 3))
 
     def test_union_absorption(self):
-        assert set_eq(ct_add_sets(CArc(1, 0, PI / 2), CDisk(1)), CDisk(1))
+        assert set_eq(ct_add_sets(CDisk(1), CPoint(ComplexElem(1, PI / 4))), CDisk(1))
 
     def test_two_points_union(self):
         # two antipodal phases sum to the unit circle with 0, the one union
@@ -148,8 +149,9 @@ _grid_radius = st.integers(10, 300).map(lambda k: k * 0.01)
 _grid_angle = st.integers(0, 6282).map(lambda k: k * 1e-3)
 _grid_sweep = st.integers(1, 6282).map(lambda k: k * 1e-3)
 
+points = st.builds(CPoint, st.builds(ComplexElem, _grid_mod, _grid_angle))
 components = st.one_of(
-    st.builds(CPoint, st.builds(ComplexElem, _grid_mod, _grid_angle)),
+    points,
     st.builds(CArc, _grid_radius, _grid_angle, _grid_sweep),
     st.builds(CDisk, _grid_mod),
 )
@@ -178,11 +180,11 @@ def test_member_respects_union(c1, c2):
         assert member(x, PHASE_ALL) == on_carrier, x
 
 
-@given(components, components)
+@given(components, points)
 @settings(max_examples=100, deadline=None)
 def test_set_eq_implies_member_agreement(c1, c2):
-    """The sum in either order is one set, and each holds what the other
-    samples."""
+    """A set plus a point in either order is one set, and each holds what the
+    other samples."""
     a, b = normalize_parts([c1]), normalize_parts([c2])
     s1, s2 = ct_add_sets(a, b), ct_add_sets(b, a)
     assert set_eq(s1, s2)
@@ -190,10 +192,11 @@ def test_set_eq_implies_member_agreement(c1, c2):
         assert member(x, s2)
 
 
-@given(components, components)
+@given(components, points)
 @settings(max_examples=100, deadline=None)
 def test_subset_of_union(c1, c2):
-    """A sum holds each operand of the larger radius: a tied sum holds both."""
+    """A set plus a point holds each operand of the larger radius: a tied sum
+    holds both."""
     a, b = normalize_parts([c1]), normalize_parts([c2])
     s = ct_add_sets(a, b)
     top = max(_radius(a), _radius(b))
