@@ -542,10 +542,11 @@ def check_multiring(
 
 
 def _product_outside_expansion(X: Structure, sides, rng: random.Random) -> str | None:
-    """The text of a part of (a+b)(x+y) outside ax+ay+bx+by, or None.
+    """The text of (a+b)(x+y), or of a point of it, outside ax+ay+bx+by, or
+    None.
 
     A carrier with a symbolic set product is decided by one `subset`, and a
-    breach names a component of the product; `quat` tests the products of
+    breach names the product; `quat` tests the products of
     the points `pick` draws from a+b and x+y.  Both make the same draws, so
     the rng stream does not depend on the carrier's set product.  The list
     comprehension draws pick(x+y) anew for each point of pick(a+b), so a
@@ -559,10 +560,7 @@ def _product_outside_expansion(X: Structure, sides, rng: random.Random) -> str |
             if not X.member(w, expansion):
                 return X.format_elem(w)
         return None
-    if X.subset(product, expansion):
-        return None
-    # every family decides `subset` componentwise, so some component is outside
-    return next(X.format_set(c) for c in X.components(product) if not X.subset(c, expansion))
+    return None if X.subset(product, expansion) else X.format_set(product)
 
 
 def check_double_distributivity(

@@ -2,11 +2,9 @@
 
 Every set that arises from the tropical additions over C is one component: a
 single point, an arc of a circle centred at the origin (traversed
-counterclockwise, full circles flagged), or a closed disk centred at the
-origin.  The one set of two components is the whole carrier of the phase
-hyperfield, the unit circle with 0, the CUnion PHASE_ALL, built once.
-Equality of that set and a component goes through tolerance.match_parts, the
-component matcher every value-set family shares.
+counterclockwise, full circles flagged), a closed disk centred at the origin,
+or the whole carrier of the phase hyperfield, the unit circle with 0: the
+field-less CUnion, built once as PHASE_ALL.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 
 from .tolerance import (
     DEFAULT_TOL, TWO_PI, InvalidSetError, RepresentationClosureError, Tolerance, circ_dist, fmt_num,
-    match_parts, wrap_angle,
+    wrap_angle,
 )
 
 
@@ -162,8 +160,6 @@ class CDisk:
 class CUnion:
     """The unit circle with 0, the whole carrier of the phase hyperfield."""
 
-    parts: tuple
-
 
 CSet = CPoint | CArc | CDisk | CUnion
 
@@ -181,11 +177,12 @@ def full_circle(radius: float) -> CArc:
     return CArc(radius, 0.0, TWO_PI, full=True)
 
 
-PHASE_ALL = CUnion((full_circle(1.0), CPoint(CZERO)))
+PHASE_ALL = CUnion()
 
 
+# the parts helper of normalize_parts that perfbench/tracer.py reads
 def parts_of(s: CSet) -> list:
-    return list(s.parts) if isinstance(s, CUnion) else [s]
+    return [s]
 
 
 # ---------------------------------------------------------------------------
@@ -213,104 +210,76 @@ def normalize_parts(parts: list) -> CSet:
 def member(x: ComplexElem, s: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     if not isinstance(x, ComplexElem):
         raise CarrierMismatchError(f"expected ComplexElem, got {type(x).__name__}")
-    for c in parts_of(s):
-        if isinstance(c, CPoint):
-            if x.eq(c.elem, tol):
-                return True
-        elif isinstance(c, CDisk):
-            if x.modulus <= c.radius + tol.eps:
-                return True
-        else:
-            if abs(x.modulus - c.radius) <= tol.eps and c.contains_angle(x.argument, tol.eps):
-                return True
-    return False
-
-
-def _comp_eq(c1, c2, tol: Tolerance) -> bool:
-    if isinstance(c1, CDisk) and isinstance(c2, CDisk):
-        return tol.close(c1.radius, c2.radius)
-    if isinstance(c1, CArc) and isinstance(c2, CArc):
-        if not tol.close(c1.radius, c2.radius):
-            return False
-        if c1.full or c2.full:
-            return c1.full and c2.full
-        return circ_dist(c1.start, c2.start) <= tol.eps and abs(c1.sweep - c2.sweep) <= 2 * tol.eps
-    if isinstance(c1, CPoint) and isinstance(c2, CPoint):
-        return c1.elem.eq(c2.elem, tol)
-    return False
+    if isinstance(s, CPoint):
+        return x.eq(s.elem, tol)
+    if isinstance(s, CDisk):
+        return x.modulus <= s.radius + tol.eps
+    if isinstance(s, CUnion):
+        return x.modulus <= tol.eps or abs(x.modulus - 1.0) <= tol.eps
+    return abs(x.modulus - s.radius) <= tol.eps and s.contains_angle(x.argument, tol.eps)
 
 
 def set_eq(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    if not isinstance(s1, CUnion) and not isinstance(s2, CUnion):
-        return _comp_eq(s1, s2, tol)
-    return match_parts(parts_of(s1), parts_of(s2), _comp_eq, tol)
+    if isinstance(s1, CDisk) and isinstance(s2, CDisk):
+        return tol.close(s1.radius, s2.radius)
+    if isinstance(s1, CArc) and isinstance(s2, CArc):
+        if not tol.close(s1.radius, s2.radius):
+            return False
+        if s1.full or s2.full:
+            return s1.full and s2.full
+        return circ_dist(s1.start, s2.start) <= tol.eps and abs(s1.sweep - s2.sweep) <= 2 * tol.eps
+    if isinstance(s1, CPoint) and isinstance(s2, CPoint):
+        return s1.elem.eq(s2.elem, tol)
+    return isinstance(s1, CUnion) and isinstance(s2, CUnion)
 
 
 def subset(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Containment of canonical symbolic sets, decided componentwise."""
+    """Containment of canonical symbolic sets."""
     eps = tol.eps
-    for c in parts_of(s1):
-        ok = False
-        for d in parts_of(s2):
-            if isinstance(d, CDisk):
-                top = (
-                    c.radius if isinstance(c, (CDisk, CArc)) else c.elem.modulus
-                )
-                if top <= d.radius + eps:
-                    ok = True
-                    break
-            elif isinstance(c, CPoint):
-                if member(c.elem, d, tol):
-                    ok = True
-                    break
-            elif isinstance(c, CArc) and isinstance(d, CArc):
-                if not tol.close(c.radius, d.radius):
-                    continue
-                if d.full:
-                    ok = True
-                    break
-                if c.full:
-                    continue
-                off = wrap_angle(c.start - d.start)
-                if off >= TWO_PI - eps:  # starts within eps before d
-                    off = 0.0
-                if d.contains_angle(c.start, eps) and off + c.sweep <= d.sweep + 2 * eps:
-                    ok = True
-                    break
-        if not ok:
-            return False
-    return True
+    if isinstance(s1, CUnion):
+        return isinstance(s2, CUnion) or isinstance(s2, CDisk) and 1.0 <= s2.radius + eps
+    if isinstance(s2, CDisk):
+        top = s1.elem.modulus if isinstance(s1, CPoint) else s1.radius
+        return top <= s2.radius + eps
+    if isinstance(s1, CPoint):
+        return member(s1.elem, s2, tol)
+    if isinstance(s2, CUnion):
+        return isinstance(s1, CArc) and tol.close(s1.radius, 1.0)
+    if not (isinstance(s1, CArc) and isinstance(s2, CArc) and tol.close(s1.radius, s2.radius)):
+        return False
+    if s2.full:
+        return True
+    if s1.full:
+        return False
+    off = wrap_angle(s1.start - s2.start)
+    if off >= TWO_PI - eps:  # starts within eps before s2
+        off = 0.0
+    return s2.contains_angle(s1.start, eps) and off + s1.sweep <= s2.sweep + 2 * eps
 
 
 def pick(s: CSet, rng, count: int = 4) -> list[ComplexElem]:
     """Deterministic-in-rng sample of carrier points from a value set.
 
-    Includes the distinguished points of each component (endpoints, centre)
-    so that boundary cases are always exercised.
+    Includes the distinguished points of the set (endpoints, centre) so that
+    boundary cases are always exercised.
     """
-    pts: list[ComplexElem] = []
-    for c in parts_of(s):
-        if isinstance(c, CPoint):
-            pts.append(c.elem)
-        elif isinstance(c, CArc):
-            if c.full:
-                pts.append(ComplexElem(c.radius, 0.0))
-                pts.append(ComplexElem(c.radius, math.pi))
-            else:
-                pts.append(ComplexElem(c.radius, c.start))
-                pts.append(ComplexElem(c.radius, c.start + c.sweep))
-                pts.append(ComplexElem(c.radius, c.start + 0.5 * c.sweep))
-            for _ in range(count):
-                off = rng.uniform(0.0, c.sweep)
-                pts.append(ComplexElem(c.radius, c.start + off))
-        else:
-            pts.append(CZERO)
-            pts.append(ComplexElem(c.radius, rng.uniform(0.0, TWO_PI)))
-            for _ in range(count):
-                pts.append(
-                    ComplexElem(c.radius * rng.random(), rng.uniform(0.0, TWO_PI))
-                )
-    return pts
+    if isinstance(s, CPoint):
+        return [s.elem]
+    if isinstance(s, CUnion):
+        return pick(full_circle(1.0), rng, count) + [CZERO]
+    if isinstance(s, CDisk):
+        return [CZERO, ComplexElem(s.radius, rng.uniform(0.0, TWO_PI))] + [
+            ComplexElem(s.radius * rng.random(), rng.uniform(0.0, TWO_PI)) for _ in range(count)
+        ]
+    if s.full:
+        pts = [ComplexElem(s.radius, 0.0), ComplexElem(s.radius, math.pi)]
+    else:
+        pts = [
+            ComplexElem(s.radius, s.start),
+            ComplexElem(s.radius, s.start + s.sweep),
+            ComplexElem(s.radius, s.start + 0.5 * s.sweep),
+        ]
+    return pts + [ComplexElem(s.radius, s.start + rng.uniform(0.0, s.sweep)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,19 +291,15 @@ def format_celem(e: ComplexElem) -> str:
 
 
 def format_cset(s: CSet) -> str:
-    out = []
-    for c in parts_of(s):
-        if isinstance(c, CPoint):
-            out.append(f"point {format_celem(c.elem)}")
-        elif isinstance(c, CDisk):
-            out.append(f"disk r={fmt_num(c.radius)}")
-        elif c.full:
-            out.append(f"circle r={fmt_num(c.radius)}")
-        else:
-            out.append(
-                f"arc r={fmt_num(c.radius)} from={fmt_num(c.start)} sweep={fmt_num(c.sweep)}"
-            )
-    return " | ".join(out)
+    if isinstance(s, CPoint):
+        return f"point {format_celem(s.elem)}"
+    if isinstance(s, CDisk):
+        return f"disk r={fmt_num(s.radius)}"
+    if isinstance(s, CUnion):
+        return "circle r=1 | point 0∠0"
+    if s.full:
+        return f"circle r={fmt_num(s.radius)}"
+    return f"arc r={fmt_num(s.radius)} from={fmt_num(s.start)} sweep={fmt_num(s.sweep)}"
 
 
 def parse_celem(text: str) -> ComplexElem:

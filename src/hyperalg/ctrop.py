@@ -1,7 +1,8 @@
 """Tropical addition over C, R, the phase circle, and the quaternions.
 
 The binary sum of complex numbers is the dominant operand when moduli differ,
-the shortest arc between them on their common circle when moduli tie, and the
+the shortest arc between them on their common circle when moduli tie (from
+the smaller angle at a sweep of exactly pi, so the sum commutes), and the
 whole closed disk when the operands cancel.  Set-extended sums are computed by
 closed-form component rules, never by discretization, so set equalities can
 be certified exactly.
@@ -14,11 +15,11 @@ Otherwise the larger radius wins by more than eps; on a tie a disk or ball
 absorbs the point, and an arc or cone goes to the circle rules
 (`_point_arc`, `_qarc_point`, `_qcone_point`).  Each returns one component:
 a disk or ball when the set holds -p, the set itself when it holds p, and
-otherwise the shorter arc (or the cone) that holds both.  The one exception
-is the phase hyperfield, whose whole carrier, the unit circle with 0, is the
-sum of two tied units that cancel.  `deq.c_add_0`, the h -> 0 limit of the
-complex dequantization family, reads its branch from the type of `ct_add`
-and takes the arc's midpoint on a tie.
+otherwise the shorter arc (or the cone) that holds both.  On the phase
+hyperfield two tied units that cancel sum to its whole carrier, the unit
+circle with 0: the component PHASE_ALL.  `deq.c_add_0`, the h -> 0 limit of
+the complex dequantization family, reads its branch from the type of
+`ct_add` and takes the arc's midpoint on a tie.
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ def _minor_arc(radius: float, alpha: float, beta: float) -> CArc | CPoint:
     delta = wrap_angle(beta - alpha)
     if delta <= DEFAULT_TOL.eps or delta >= TWO_PI - DEFAULT_TOL.eps:
         return CPoint(ComplexElem(radius, alpha))
-    if delta <= math.pi:
+    if delta < math.pi or delta == math.pi and alpha < beta:  # a half circle starts at the smaller angle
         return CArc(radius, alpha, delta)
     return CArc(radius, beta, TWO_PI - delta)
 

@@ -278,7 +278,7 @@ def _format_exponent(e) -> str:
     return fmt_num(e) if isinstance(e, float) else str(e)
 
 
-_MONO_RE = re.compile(r"^\s*(?P<coeff>.*?)\s*t\^(?P<exp>[-+0-9./]+)\s*$")
+_MONO_RE = re.compile(r"^\s*(?P<coeff>.*?)\s*t\^(?P<exp>[-+0-9./eE]+)\s*$")
 
 
 def parse_monomial(text: str, domain: str = "real") -> MonomialElem:

@@ -112,10 +112,6 @@ class Structure:
     def pick(self, s, rng: random.Random, count: int = 4) -> list:
         raise NotImplementedError
 
-    def components(self, s) -> list:
-        """The components of a value set, each a value set itself."""
-        raise NotImplementedError
-
     # text forms
     def format_elem(self, a) -> str:
         return str(a)
@@ -216,9 +212,6 @@ class FiniteStructure(Structure):
     def pick(self, s, rng, count=4):
         return self._in_table_order(s)
 
-    def components(self, s):
-        return [self._singletons[e] for e in self._in_table_order(s)]
-
     def parse_elem(self, text):
         t = text.strip()
         try:
@@ -277,9 +270,6 @@ class ComplexCarrier(Structure):
 
     def pick(self, s, rng, count=4):
         return csets.pick(s, rng, count)
-
-    def components(self, s):
-        return csets.parts_of(s)
 
     def format_elem(self, a):
         return csets.format_celem(a)
@@ -383,9 +373,6 @@ class IntervalCarrier(Structure):
 
     def pick(self, s, rng, count=4):
         return rsets.rpick(s, rng, count)
-
-    def components(self, s):
-        return [s]
 
     def format_elem(self, a):
         return fmt_num(a)
@@ -597,9 +584,6 @@ class ValuedCarrier(Structure):
 
     def subset(self, s1, s2):
         return exotic.subset(s1, s2)
-
-    def components(self, s):
-        return exotic.parts_of(s)
 
     def format_set(self, s):
         return exotic.format_set(s, self.format_elem)

@@ -7,9 +7,10 @@ membership and equality predicates take a Tolerance argument, so a checker may
 compare with a wider one.
 
 The module also holds what the value-set families (csets, rsets, qsets and
-exotic) share: the errors they raise, the one-to-one component matcher their
-set equalities use, and small numeric helpers.  So no family imports another
-family's module, and a command on one carrier compiles only that family.
+exotic) share: the errors they raise and small numeric helpers, among them
+the one-to-one matcher that qset_eq uses for a cone's vertices.  So no family
+imports another family's module, and a command on one carrier compiles only
+that family.
 """
 from __future__ import annotations
 
@@ -70,7 +71,7 @@ def point_last(s1, s2, point: type) -> tuple:
 
 
 def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
-    """Is there a one-to-one matching of the components under comp_eq?"""
+    """Is there a one-to-one matching of the items under comp_eq?"""
     if len(p1) != len(p2):
         return False
     remaining = list(p2)
@@ -101,11 +102,17 @@ def circ_dist(a: float, b: float) -> float:
 
 
 def fmt_num(x: float) -> str:
-    """Canonical text for a real number, stable for golden-file tests."""
+    """Canonical text for a real number, stable for golden-file tests.
+
+    A finite number of magnitude 1e15 or more prints with 10 significant
+    digits in exponent form (`1e+154`); any other prints with 10 decimals,
+    trailing zeros dropped, so float noise such as 6e-17 prints as 0."""
     if x == NEG_INF:
         return "-inf"
     if x == math.inf:
         return "inf"
+    if abs(x) >= 1e15:
+        return f"{x:.10g}"
     s = f"{x:.10f}".rstrip("0").rstrip(".")
     if s in ("-0", ""):
         s = "0"

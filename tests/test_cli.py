@@ -48,6 +48,10 @@ class TestAdd:
         assert code == 0
         assert out.strip() == "arc r=1 from=0 sweep=1.5707963268"
 
+    def test_huge_radius_prints_in_exponent_form(self, capsys):
+        code, out, _ = run(capsys, "add", "TC", "1e154@0", "1e154@1")
+        assert code == 0 and out.strip() == "arc r=1e+154 from=0 sweep=1"
+
     def test_triangle_golden(self, capsys):
         code, out, _ = run(capsys, "add", "tri", "2", "1")
         assert code == 0 and out.strip() == "interval [1,3]"

@@ -15,7 +15,6 @@ from hyperalg.csets import (
     format_cset,
     full_circle,
     member,
-    parts_of,
     pick,
     set_eq,
     subset,
@@ -61,6 +60,13 @@ class TestCtAdd:
 
     def test_idempotent_point(self):
         assert ct_add(cp(1, 1.0), cp(1, 1.0)) == CPoint(cp(1, 1.0))
+
+    def test_tied_half_circle_starts_at_the_smaller_angle(self):
+        # moduli tied within eps but below 1 do not cancel at the relative
+        # antipodal cutoff, so a sweep of exactly pi takes one half circle
+        a, b = cp(0.25, 0.0), cp(0.2499999995, PI)
+        assert ct_add(a, b) == ct_add(b, a) == CArc(0.25, 0.0, PI)
+        assert format_cset(ct_add(b, a)) == "arc r=0.25 from=0 sweep=3.1415926536"
 
     def test_arc_crosses_branch_cut(self):
         got = ct_add(cp(1, TWO_PI - 0.2), cp(1, 0.3))
@@ -151,19 +157,13 @@ class TestSetExtensionOracle:
 
     @staticmethod
     def _dense(s, rng, k):
-        pts = []
-        for c in parts_of(s):
-            if isinstance(c, CPoint):
-                pts.append(c.elem)
-            elif isinstance(c, CArc):
-                pts.extend(cp(c.radius, c.start + c.sweep * t / k) for t in range(k + 1))
-            else:
-                pts.append(CZERO)
-                pts.extend(
-                    cp(c.radius * math.sqrt(rng.random()), rng.uniform(0, TWO_PI))
-                    for _ in range(2 * k)
-                )
-                pts.extend(cp(c.radius, rng.uniform(0, TWO_PI)) for _ in range(k))
+        if isinstance(s, CPoint):
+            return [s.elem]
+        if isinstance(s, CArc):
+            return [cp(s.radius, s.start + s.sweep * t / k) for t in range(k + 1)]
+        pts = [CZERO]
+        pts.extend(cp(s.radius * math.sqrt(rng.random()), rng.uniform(0, TWO_PI)) for _ in range(2 * k))
+        pts.extend(cp(s.radius, rng.uniform(0, TWO_PI)) for _ in range(k))
         return pts
 
     def test_sound_and_complete(self, rng):
@@ -201,7 +201,7 @@ class TestSetExtensionOracle:
 
             inject(ys, s1, flip=True)
             inject(xs, s2, flip=False)
-            scale = max(c.radius if not isinstance(c, CPoint) else c.elem.modulus for c in parts_of(sym))
+            scale = sym.elem.modulus if isinstance(sym, CPoint) else sym.radius
             for probe in pick(sym, rng, 3):
                 z0 = probe.as_complex()
                 d = min(abs(z0 - w) for w in cloud)
@@ -351,16 +351,14 @@ class TestRealTropical:
             zb = cp(abs(b), 0 if b >= 0 else PI)
             cs = ct_add(za, zb)
             real_parts = []
-            for comp in parts_of(cs):
-                if isinstance(comp, CPoint):
-                    e = comp.elem
-                    real_parts.append((e.re, e.re))
-                elif isinstance(comp, CDisk):
-                    real_parts.append((-comp.radius, comp.radius))
-                else:
-                    for ang, val in ((0.0, comp.radius), (PI, -comp.radius)):
-                        if comp.contains_angle(ang, 1e-9):
-                            real_parts.append((val, val))
+            if isinstance(cs, CPoint):
+                real_parts.append((cs.elem.re, cs.elem.re))
+            elif isinstance(cs, CDisk):
+                real_parts.append((-cs.radius, cs.radius))
+            else:
+                for ang, val in ((0.0, cs.radius), (PI, -cs.radius)):
+                    if cs.contains_angle(ang, 1e-9):
+                        real_parts.append((val, val))
             from hyperalg.rsets import rset
 
             assert rset_eq(rt_add(a, b), rset(real_parts))
@@ -381,10 +379,11 @@ class TestPhase:
         assert set_eq(got, CArc(1, 0, PI / 2))
 
     def test_antipodal_gives_circle_and_zero(self):
+        # the whole carrier, one set that holds every unit and 0 and no other
         got = phase_add(cp(1, 0), cp(1, PI))
-        parts = parts_of(got)
-        assert any(isinstance(c, CArc) and c.full for c in parts)
-        assert any(isinstance(c, CPoint) and c.elem.modulus == 0 for c in parts)
+        assert got is PHASE_ALL and format_cset(got) == "circle r=1 | point 0∠0"
+        assert all(member(cp(1, t), got) for t in (0.0, 1.0, PI, 5.0)) and member(CZERO, got)
+        assert not member(cp(0.5, 1.0), got) and not member(cp(2, 1.0), got)
 
     def test_zero_neutral(self):
         assert phase_add(CZERO, cp(1, 2.0)) == CPoint(cp(1, 2.0))

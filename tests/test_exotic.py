@@ -205,6 +205,11 @@ class TestMonomialSets:
         assert m.coeff == 1 + 2j and m.exponent == 0.5
         assert set_eq(VPoint(parse_monomial(format_monomial(m))), VPoint(m))
 
+    def test_huge_real_exponent_prints_in_exponent_form_and_parses_back(self):
+        m = MonomialElem(2 + 0j, 1e20)
+        assert format_monomial(m) == "2t^1e+20"
+        assert parse_monomial(format_monomial(m)) == m
+
     @pytest.mark.parametrize(
         "exponent,text",
         [(Fraction(1, 3), "1/3"), (Fraction(-7, 2), "-7/2"), (Fraction(1, 10**12), "1/1000000000000")],

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from hyperalg import csets, exotic, qsets, rsets
 from hyperalg.axioms import stratified_tuples
-from hyperalg.csets import CDisk, CPoint, CZERO, ComplexElem, parts_of, set_eq
+from hyperalg.csets import CDisk, CPoint, CZERO, ComplexElem, set_eq
 from hyperalg.ctrop import (
     ct_add,
     ct_add_sets,
@@ -185,16 +185,14 @@ def _on_h(z: ComplexElem) -> qsets.QuatElem:
 
 def _cset_on_h(s) -> qsets.QSet:
     """The image of a complex value set in span(1, i), a complex line of H."""
-    out = []
-    for c in parts_of(s):
-        if isinstance(c, CPoint):
-            out.append(qsets.QPoint(_on_h(c.elem)))
-        elif isinstance(c, CDisk):
-            out.append(qsets.QBall(c.radius))
-        else:
-            ends = (ComplexElem(c.radius, c.start), ComplexElem(c.radius, c.start + c.sweep))
-            out.append(qsets.QArc(*map(_on_h, ends)))
-    return qsets.qnormalize(out)
+    if isinstance(s, CPoint):
+        out = qsets.QPoint(_on_h(s.elem))
+    elif isinstance(s, CDisk):
+        out = qsets.QBall(s.radius)
+    else:
+        ends = (ComplexElem(s.radius, s.start), ComplexElem(s.radius, s.start + s.sweep))
+        out = qsets.QArc(*map(_on_h, ends))
+    return qsets.qnormalize([out])
 
 
 @given(
@@ -225,8 +223,8 @@ def test_quaternion_rule_is_the_circle_rule_on_a_complex_line(r, alpha, sweep, c
 
 # each value-set family's normalizer, keyed by the set types it produces.  A
 # complex, real, quaternion or valued set is one component, which its
-# normalizer returns as is; the phase carrier's whole set, the one union, is
-# its own normal form.
+# normalizer returns as is; the phase carrier's whole set is its own normal
+# form.
 NORMAL_FORMS = [
     ((csets.CPoint, csets.CArc, csets.CDisk), lambda s: csets.normalize_parts([s])),
     ((csets.CUnion,), lambda s: csets.PHASE_ALL),
@@ -682,7 +680,8 @@ def _ref_normalize(parts):
         if not absorbed and not any(p.eq(q) for q in kept):
             kept.append(p)
     out += merged + [CPoint(p) for p in kept]
-    return out[0] if len(out) == 1 else csets.CUnion(tuple(out))
+    assert len(out) == 1, out  # a complex sum is one component
+    return out[0]
 
 
 @given(_component_pair(["point"]))
@@ -692,17 +691,53 @@ def test_component_sum_is_the_merged_union_of_the_circle_rules(pair):
         assert set_eq(ct_add_sets(a, b), _ref_normalize(_ref_comps(a, b))), (a, b)
 
 
-@given(_component_pair())
-@settings(max_examples=600, deadline=None)
-def test_set_eq_agrees_with_component_matching(pair):
-    c1, c2 = pair
-    sets = [c1, c2]
-    if isinstance(c2, CPoint):  # a set sum adds a point
-        sets += [ct_add_sets(c1, c2), ct_add_sets(c2, c1)]
-    for s1, s2 in itertools.product(sets, repeat=2):
-        for tol in (csets.DEFAULT_TOL, WIDE):
-            expected = csets.match_parts(parts_of(s1), parts_of(s2), csets._comp_eq, tol)
-            assert set_eq(s1, s2, tol) == expected, (s1, s2, tol)
+@st.composite
+def _phase_triple(draw):
+    """Three elements of the phase hyperfield: 0, or units at the first
+    drawn angle, its antipode or a free angle."""
+    t = draw(angles)
+    out = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(["zero", "same", "antipode", "free"]))
+        if kind == "zero":
+            out.append(CZERO)
+        elif kind == "free":
+            out.append(ComplexElem(1.0, draw(angles)))
+        else:
+            out.append(ComplexElem(1.0, t if kind == "same" else t + math.pi))
+    return out
+
+
+def _on_phase_carrier(s) -> bool:
+    if isinstance(s, CPoint):
+        return s.elem.modulus in (0.0, 1.0)
+    return isinstance(s, csets.CArc) and s.radius == 1.0
+
+
+@given(_phase_triple())
+@settings(max_examples=300, deadline=None)
+def test_set_eq_agrees_with_component_matching(triple):
+    """Phi's only set that is no complex component is its whole carrier:
+    each sum, set sum with a point and set product is PHASE_ALL or one
+    complex component on the carrier; `pick` draws only 0 and units; and a
+    set that `subset` puts in another has each of its picked points in it."""
+    X = get_structure("Phi")
+    a, b, c = triple
+    ab, bc = X.add(a, b), X.add(b, c)
+    sets = [
+        X.singleton(a), ab, bc,
+        X.add_sets(ab, X.singleton(c)), X.add_sets(X.singleton(a), bc),
+        X.mul_sets(ab, bc), csets.PHASE_ALL,
+    ]
+    for s in sets:
+        assert s is csets.PHASE_ALL or _on_phase_carrier(s), (triple, s)
+    rng = random.Random(5)
+    picks = [X.pick(s, rng) for s in sets]
+    for s, pts in zip(sets, picks):
+        assert all(x.modulus in (0.0, 1.0) for x in pts), (s, pts)
+    for (s1, pts), s2 in itertools.product(zip(sets, picks), sets):
+        if X.subset(s1, s2):
+            assert all(X.member(x, s2) for x in pts), (s1, s2)
 
 
 @given(st.tuples(pos, pos), st.tuples(pos, pos))

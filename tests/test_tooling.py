@@ -55,22 +55,40 @@ def test_normalizers_and_their_parts_helpers_exist(key):
         assert callable(getattr(_library(spec[0]), spec[1], None)), spec
 
 
-@pytest.mark.parametrize("name", sorted(tracer.BRANCH_FNS))
-def test_branch_functions_exist_and_take_a_tolerance(name):
+def _branch_fn(name: str):
     owners = [m for m in tracer.TRACED_MODULES if inspect.isfunction(getattr(_library(m), name, None))]
     assert owners, name
-    fn = getattr(_library(owners[0]), name)
+    return getattr(_library(owners[0]), name)
+
+
+@pytest.mark.parametrize("name", sorted(tracer.BRANCH_FNS))
+def test_branch_functions_exist_and_take_a_tolerance(name):
+    fn = _branch_fn(name)
     assert "tol" in inspect.signature(fn).parameters  # the branch hook reads its default
 
 
+# each cancel kind: the traced addition and the carrier whose 1 + (-1) makes it
+CANCEL_SUMS = {
+    "CDisk": ("ct_add", "TC"),
+    "CUnion": ("phase_add", "Phi"),
+    "QBall": ("quat_add", "quat"),
+    "MCone": ("mono_add", "mono"),
+    "PCone": ("padic_add", "padic:5:8"),
+}
+
+
 def test_cancel_kinds_are_value_set_classes():
-    classes = {
-        name
-        for m in tracer.TRACED_MODULES
-        for name, obj in vars(_library(m)).items()
-        if inspect.isclass(obj)
-    }
-    assert set(tracer._CANCELS) <= classes
+    """Each cancel kind names the type that the cancel branch of a traced
+    addition returns, so no class is kept only for its name."""
+    from hyperalg.structures import get_structure
+
+    assert sorted(tracer._CANCELS) == sorted(CANCEL_SUMS)
+    for kind, (fn_name, carrier) in CANCEL_SUMS.items():
+        X = get_structure(carrier)
+        a, b = X.one, X.neg(X.one)
+        out = _branch_fn(fn_name)(a, b)
+        assert type(out).__name__ == kind, (fn_name, out)
+        assert tracer.classify(fn_name, a, b, out, 1e-9) == "cancel"
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
