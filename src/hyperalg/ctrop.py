@@ -1,17 +1,19 @@
 """Tropical addition over C, R, the phase circle, and the quaternions.
 
 The binary sum of complex numbers is the dominant operand when moduli differ,
-the shortest arc between them on their common circle when moduli tie (from
-the smaller angle at a sweep of exactly pi, so the sum commutes), and the
-whole closed disk when the operands cancel.  Set-extended sums are computed by
-closed-form component rules, never by discretization, so set equalities can
-be certified exactly.
+the shortest arc between them on their common circle when moduli tie, and the
+whole closed disk when tied operands point apart by pi within eps.  Every sum
+decides dominant or tie by Tolerance.order on two sizes, and a tie cancels by
+direction alone (over H when a and -b point the same way within eps, over R
+when the signs differ), so an exactly antipodal tie cancels at every radius.
+Set-extended sums are computed by closed-form component rules, never by
+discretization, so set equalities can be certified exactly.
 
 Every value set over C or H is one component, and a set sum adds a point to
 it, as the hyperfield axioms do in (a + b) + c; a sum of two non-point sets
 raises RepresentationClosureError.  `ct_add_sets` and `quat_add_sets` take
 the point on either side.  Two points go to `ct_add` and `quat_add`.
-Otherwise the larger radius wins by more than eps; on a tie a disk or ball
+Otherwise the larger radius wins unless order ties them; then a disk or ball
 absorbs the point, and an arc or cone goes to the circle rules
 (`_point_arc`, `_qarc_point`, `_qcone_point`).  Each returns one component:
 a disk or ball when the set holds -p, the set itself when it holds p, and
@@ -52,29 +54,20 @@ rsets = _Deferred(globals(), "rsets")
 
 def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet:
     ra, rb = a.modulus, b.modulus
-    if abs(ra - rb) > tol.eps:
-        return CPoint(a if ra > rb else b)
-    if max(ra, rb) <= tol.eps:
-        return CPoint(CZERO)
+    order = tol.order(ra, rb)
+    if order:
+        return CPoint(a if order > 0 else b)
     r = max(ra, rb)
-    alpha, beta = a.argument, b.argument
-    # |a + b| bit for bit as abs(a.as_complex() + b.as_complex()); math.hypot
-    # rounds differently and could flip the antipodal cutoff
-    z = complex(ra * math.cos(alpha) + rb * math.cos(beta),
-                ra * math.sin(alpha) + rb * math.sin(beta))
-    if abs(z) < tol.eps * r:  # antipodal cutoff: discontinuous branch
+    if tol.order(r, 0.0) == 0:
+        return CPoint(CZERO)
+    delta = wrap_angle(b.argument - a.argument)
+    if abs(delta - math.pi) <= tol.eps:  # antipodal: the discontinuous branch
         return CDisk(r)
-    return _minor_arc(r, alpha, beta)
-
-
-def _minor_arc(radius: float, alpha: float, beta: float) -> CArc | CPoint:
-    """The minor arc between two angles on one circle."""
-    delta = wrap_angle(beta - alpha)
-    if delta <= DEFAULT_TOL.eps or delta >= TWO_PI - DEFAULT_TOL.eps:
-        return CPoint(ComplexElem(radius, alpha))
-    if delta < math.pi or delta == math.pi and alpha < beta:  # a half circle starts at the smaller angle
-        return CArc(radius, alpha, delta)
-    return CArc(radius, beta, TWO_PI - delta)
+    if delta <= tol.eps or delta >= TWO_PI - tol.eps:
+        return CPoint(ComplexElem(r, a.argument))
+    if delta < math.pi:
+        return CArc(r, a.argument, delta)
+    return CArc(r, b.argument, TWO_PI - delta)
 
 
 def _point_arc(p: ComplexElem, a: CArc) -> CSet:
@@ -92,16 +85,16 @@ def _point_arc(p: ComplexElem, a: CArc) -> CSet:
 
 
 def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
-    """A value set plus a point, on either side: the larger radius wins by
-    more than eps; on a tie a disk absorbs the point, else the circle rule
+    """A value set plus a point, on either side: the larger radius wins unless
+    order ties the two; a tied disk absorbs the point, else the circle rule
     applies."""
     if isinstance(s1, CPoint) and isinstance(s2, CPoint):
         # already canonical: a point, a minor arc or a disk of radius > eps
         return ct_add(s1.elem, s2.elem)
     s, p = point_last(s1, s2, CPoint)
-    r, rp = s.radius, p.elem.modulus
-    if abs(r - rp) > DEFAULT_TOL.eps:
-        c = s if r > rp else p
+    order = DEFAULT_TOL.order(s.radius, p.elem.modulus)
+    if order:
+        c = s if order > 0 else p
     elif isinstance(s, CDisk):
         c = s
     else:
@@ -173,11 +166,11 @@ def ct_sum_n(values: list[ComplexElem]) -> CSet:
     otherwise the minor arc spanned by the extreme summands (or a point)."""
     if not values:
         raise ValueError("empty sum")
-    eps = DEFAULT_TOL.eps
+    order = DEFAULT_TOL.order
     rmax = max(v.modulus for v in values)
-    if rmax <= eps:
+    if order(rmax, 0.0) == 0:
         return CPoint(CZERO)
-    tops = [v for v in values if v.modulus >= rmax - eps]
+    tops = [v for v in values if order(v.modulus, rmax) == 0]
     if zero_in_convex_hull(tops):
         return CDisk(rmax)
     # all tops sit in an open half-plane; take the angular hull
@@ -191,7 +184,7 @@ def ct_sum_n(values: list[ComplexElem]) -> CSet:
             d -= TWO_PI
         offs.append(d)
     lo, hi = min(offs), max(offs)
-    if hi - lo <= eps:
+    if hi - lo <= DEFAULT_TOL.eps:
         return CPoint(ComplexElem(rmax, ref + lo))
     return CArc(rmax, wrap_angle(ref + lo), hi - lo)
 
@@ -202,12 +195,13 @@ def ct_sum_n(values: list[ComplexElem]) -> CSet:
 
 def rt_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> rsets.RSet:
     ma, mb = abs(a), abs(b)
-    if max(ma, mb) <= tol.eps:
-        return rsets.rpoint(0.0)
-    if abs(ma - mb) > tol.eps:
-        return rsets.rpoint(a if ma > mb else b)
+    order = tol.order(ma, mb)
+    if order:
+        return rsets.rpoint(a if order > 0 else b)
     m = max(ma, mb)
-    if abs(a + b) <= tol.eps * m:
+    if tol.order(m, 0.0) == 0:
+        return rsets.rpoint(0.0)
+    if (a < 0.0) != (b < 0.0):
         return rsets.rinterval(-m, m)
     return rsets.rpoint(a if ma >= mb else b)
 
@@ -227,7 +221,7 @@ def rt_add_sets(s1: rsets.RSet, s2: rsets.RSet) -> rsets.RSet:
         raise RepresentationClosureError(
             f"asymmetric interval [{lo},{hi}] in real tropical sum"
         )
-    if abs(point) > hi + DEFAULT_TOL.eps:
+    if DEFAULT_TOL.order(abs(point), hi) > 0:
         return rsets.rpoint(point)
     return s2 if p1 else s1
 
@@ -280,13 +274,13 @@ def phase_mul_sets(s1: CSet, s2: CSet) -> CSet:
 
 def quat_add(a: qsets.QuatElem, b: qsets.QuatElem, tol: Tolerance = DEFAULT_TOL) -> qsets.QSet:
     na, nb = a.norm, b.norm
-    if abs(na - nb) > tol.eps:
-        return qsets.QPoint(a if na > nb else b)
-    if max(na, nb) <= tol.eps:
-        return qsets.QPoint(qsets.QZERO)
+    order = tol.order(na, nb)
+    if order:
+        return qsets.QPoint(a if order > 0 else b)
     r = max(na, nb)
-    s = a.add(b)
-    if s.norm < tol.eps * r:
+    if tol.order(r, 0.0) == 0:
+        return qsets.QPoint(qsets.QZERO)
+    if math.dist(a.unit(), (-b).unit()) <= tol.eps:
         return qsets.QBall(r)
     if a.dist(b) <= tol.eps:
         return qsets.QPoint(a)
@@ -360,8 +354,8 @@ def quat_add_sets(s1: qsets.QSet, s2: qsets.QSet) -> qsets.QSet:
     p = s2.elem
     if isinstance(s1, qsets.QPoint):
         c = quat_add(s1.elem, p)
-    elif abs(s1.radius - p.norm) > DEFAULT_TOL.eps:
-        c = s1 if s1.radius > p.norm else s2
+    elif order := DEFAULT_TOL.order(s1.radius, p.norm):
+        c = s1 if order > 0 else s2
     elif isinstance(s1, qsets.QBall):
         c = s1
     elif isinstance(s1, qsets.QArc):

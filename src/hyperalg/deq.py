@@ -12,7 +12,7 @@ import random
 from . import _Deferred
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, format_rset, rinterval, rmember, rpoint
-from .tolerance import DEFAULT_TOL, NEG_INF, Tolerance
+from .tolerance import NEG_INF, Tolerance
 
 # imported at their first use: only the checker and the complex family need them
 axioms = _Deferred(globals(), "axioms")
@@ -82,10 +82,7 @@ def tri_add_h(a: float, b: float, h: float) -> RSet:
         hi = math.inf
     if hi == math.inf:
         raise _beyond_floats("triangle", h)
-    if abs(a - b) <= DEFAULT_TOL.eps:
-        lo = 0.0
-    else:
-        lo = m * math.exp(h * math.log1p(-ratio_pow))
+    lo = 0.0 if ratio_pow == 1.0 else m * math.exp(h * math.log1p(-ratio_pow))
     return rinterval(lo, hi)
 
 
@@ -180,8 +177,8 @@ def graph_witness(
 
 def amoeba_add_h(x: float, y: float, h: float) -> RSet:
     """The amoeba-family addition [h ln|e^(x/h) - e^(y/h)|, h ln(e^(x/h) + e^(y/h))],
-    with m = max(x, y) and d = |x - y| factored out; a tie (d <= eps) has
-    lower end -inf, as in realhf.amoeba_add.  trop_add at h = 0."""
+    with m = max(x, y) and d = |x - y| factored out; the lower end is -inf
+    only where -expm1(-d/h) is 0, as in realhf.amoeba_add.  trop_add at h = 0."""
     _check_h(h)
     if h == 0.0:
         return trop_add(x, y)
@@ -190,7 +187,8 @@ def amoeba_add_h(x: float, y: float, h: float) -> RSet:
     if y == NEG_INF:
         return rpoint(x)
     m, d = max(x, y), abs(x - y)
-    lo = NEG_INF if d <= DEFAULT_TOL.eps else m + h * math.log(-math.expm1(-d / h))
+    gap = -math.expm1(-d / h)
+    lo = m + h * math.log(gap) if gap else NEG_INF
     return rinterval(lo, m + h * math.log1p(math.exp(-d / h)))
 
 

@@ -16,9 +16,9 @@ A value set is one component: a point (VPoint) or the cone of one family
 multiplies two components; either gives one component, and mnormalize and
 pnormalize, which every set sum and product goes through, reject anything
 else.  Every operation builds its set under the library tolerance
-DEFAULT_TOL; a predicate may compare real-exponent monomials wider, while
-int and rational exponents and p-adic values compare exactly under any
-tolerance.
+DEFAULT_TOL, and every comparison of two values goes through its order; a
+predicate may compare real-exponent monomials wider, while int and rational
+exponents and p-adic values compare exactly under any tolerance.
 """
 from __future__ import annotations
 
@@ -53,19 +53,9 @@ def parts_of(s) -> list:
 mparts_of = pparts_of = parts_of
 
 
-def _order(x, y, eps) -> int:
-    """The sign of x - y for two values: exact for int and Fraction values (the
-    p-adic values, int and rational exponents), 0 within eps once a float is
-    involved."""
-    d = x - y
-    if isinstance(d, float) and -eps <= d <= eps:
-        return 0
-    return (d > 0) - (d < 0)
-
-
-def _below(value, bound, eps) -> bool:
+def _below(value, bound, tol: Tolerance) -> bool:
     """Does an element of this value lie in the open cone below `bound`?"""
-    return value is None or _order(value, bound, eps) < 0
+    return value is None or tol.order(value, bound) < 0
 
 
 def _same(x, y, tol: Tolerance) -> bool:
@@ -83,7 +73,7 @@ def _only(parts: list):
 def member(x, s, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(s, VPoint):
         return _same(x, s.elem, tol)
-    return _below(x.value, s.value, tol.eps)
+    return _below(x.value, s.value, tol)
 
 
 def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -91,13 +81,13 @@ def subset(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
     no smaller value."""
     if isinstance(s1, VPoint):
         return member(s1.elem, s2, tol)
-    return not isinstance(s2, VPoint) and _order(s1.value, s2.value, tol.eps) <= 0
+    return not isinstance(s2, VPoint) and tol.order(s1.value, s2.value) <= 0
 
 
 def set_eq(s1, s2, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(s1, VPoint):
         return isinstance(s2, VPoint) and _same(s1.elem, s2.elem, tol)
-    return not isinstance(s2, VPoint) and _order(s1.value, s2.value, tol.eps) == 0
+    return not isinstance(s2, VPoint) and tol.order(s1.value, s2.value) == 0
 
 
 def _add_comps(c1, c2, add):
@@ -107,7 +97,7 @@ def _add_comps(c1, c2, add):
     if isinstance(c1, VPoint):
         return add(c1.elem, c2.elem)
     # the cone absorbs a point below it; a point at or above it dominates
-    return c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL.eps) else c2
+    return c1 if _below(c2.elem.value, c1.value, DEFAULT_TOL) else c2
 
 
 def _mul_comps(c1, c2, mul, step):
@@ -158,7 +148,7 @@ class MonomialElem:
         if self.zero or other.zero:
             return self.zero and other.zero
         return (
-            _order(self.exponent, other.exponent, tol.eps) == 0
+            tol.order(self.exponent, other.exponent) == 0
             and abs(self.coeff - other.coeff) <= tol.eps * max(1.0, abs(self.coeff))
         )
 
@@ -221,7 +211,7 @@ def mono_add(a: MonomialElem, b: MonomialElem, tol: Tolerance = DEFAULT_TOL) -> 
         return VPoint(b)
     if b.zero:
         return VPoint(a)
-    order = _order(a.exponent, b.exponent, tol.eps)
+    order = tol.order(a.exponent, b.exponent)
     if order:
         return VPoint(a if order > 0 else b)
     c = a.coeff + b.coeff

@@ -6,8 +6,10 @@
                   multiplication becomes ordinary addition
 * amoeba:         triangle transported along log
 
-The log transfers are computed cancellation-safely; -inf stands for log 0 and
-all arithmetic involving it is cased explicitly.
+The max additions tie by DEFAULT_TOL.order.  The log transfers are computed
+cancellation-safely and need no tie tolerance (log|e^x - e^y| is continuous
+into -inf); -inf stands for log 0 and all arithmetic involving it is cased
+explicitly.
 """
 from __future__ import annotations
 
@@ -57,7 +59,7 @@ def tri_add_sets(s1: RSet, s2: RSet) -> RSet:
 
 def ultra_add(a: float, b: float) -> RSet:
     _require_nonneg(a, b)
-    if not DEFAULT_TOL.close(a, b):
+    if DEFAULT_TOL.order(a, b):
         return rpoint(max(a, b))
     return rinterval(0.0, max(a, b))
 
@@ -68,7 +70,7 @@ def _max_add_sets(s1: RSet, s2: RSet, floor: float) -> RSet:
     m = max(hi1, hi2)
     # a point or a down-set each: apart, the larger dominates; touching, a
     # tie produces the down-set below the larger top
-    if hi2 < lo1 - DEFAULT_TOL.eps or hi1 < lo2 - DEFAULT_TOL.eps:
+    if DEFAULT_TOL.order(lo1, hi2) > 0 or DEFAULT_TOL.order(lo2, hi1) > 0:
         return RSet(((m, m),))
     return RSet(((floor, m),))
 
@@ -85,7 +87,7 @@ def trop_add(a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> RSet:
         return rpoint(b)
     if b == NEG_INF:
         return rpoint(a)
-    if not tol.close(a, b):
+    if tol.order(a, b):
         return rpoint(max(a, b))
     return rinterval(NEG_INF, max(a, b))
 
@@ -127,8 +129,7 @@ def amoeba_add(a: float, b: float) -> RSet:
     if b == NEG_INF:
         return rpoint(a)
     hi = _log_exp_sum(a, b)
-    # exact-symmetry branch: avoid log of a cancellation
-    if abs(a - b) <= DEFAULT_TOL.eps:
+    if a == b:  # log 0
         return rinterval(NEG_INF, hi)
     lo = _log_exp_diff(max(a, b), min(a, b))
     return rinterval(lo, hi)
@@ -137,9 +138,9 @@ def amoeba_add(a: float, b: float) -> RSet:
 def amoeba_add_sets(s1: RSet, s2: RSet) -> RSet:
     (lo1, hi1), (lo2, hi2) = s1.intervals[0], s2.intervals[0]
     # the gap between the exp-images decides the lower endpoint
-    if lo1 > hi2 + DEFAULT_TOL.eps:
+    if lo1 > hi2:
         lo = _log_exp_diff(lo1, hi2)
-    elif lo2 > hi1 + DEFAULT_TOL.eps:
+    elif lo2 > hi1:
         lo = _log_exp_diff(lo2, hi1)
     else:
         lo = NEG_INF

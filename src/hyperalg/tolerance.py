@@ -2,9 +2,10 @@
 
 Every operation compares moduli, angles and interval endpoints against the one
 absolute library tolerance DEFAULT_TOL, so that the branch structure of the
-multivalued additions (dominant / tie / antipodal) is deterministic.  The
-membership and equality predicates take a Tolerance argument, so a checker may
-compare with a wider one.
+multivalued additions (dominant / tie / antipodal) is deterministic; every
+addition decides dominant or tie by Tolerance.order alone.  The membership and
+equality predicates take a Tolerance argument, so a checker may compare with a
+wider one.
 
 The module also holds what the value-set families (csets, rsets, qsets and
 exotic) share: the errors they raise and small numeric helpers, among them
@@ -30,6 +31,16 @@ class Tolerance:
     def __post_init__(self) -> None:
         if self.eps < 0.0 or math.isnan(self.eps):
             raise ValueError(f"tolerance must be nonnegative, got {self.eps}")
+
+    def order(self, x, y) -> int:
+        """The sign of x - y, 0 within eps: the one dominant-or-tie decision
+        of two sizes.  Exact for int and Fraction; equal infinities tie."""
+        d = x - y
+        if d > self.eps:
+            return 1
+        if d < -self.eps:
+            return -1
+        return 0 if d == 0 or isinstance(d, float) else (d > 0) - (d < 0)
 
     def close(self, x: float, y: float) -> bool:
         if x == y:  # covers matching infinities

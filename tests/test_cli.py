@@ -64,6 +64,19 @@ class TestAdd:
         code, out, _ = run(capsys, "add", "TC", "1@0", "1@3.14159265358979")
         assert code == 0 and out.strip().startswith("disk")
 
+    @pytest.mark.parametrize(
+        "structure,a,b,want",
+        [
+            ("TC", "0.25@0", "0.2499999995@3.141592653589793", "disk r=0.25"),
+            ("quat", "0.25,0,0,0", "-0.2499999995,0,0,0", "ball r=0.25"),
+            ("TR", "0.25", "-0.2499999995", "interval [-0.25,0.25]"),
+        ],
+    )
+    def test_tied_exact_antipodes_below_one_cancel_in_both_orders(self, capsys, structure, a, b, want):
+        for x, y in ((a, b), (b, a)):
+            code, out, _ = run(capsys, "add", structure, "--", x, y)
+            assert code == 0 and out.strip() == want, (x, y)
+
     def test_output_parses_back(self, capsys):
         code, out, _ = run(capsys, "add", "TC", "1∠0", "1∠1.0")
         assert out.strip() == format_cset(ct_add(parse_celem("1∠0"), parse_celem("1∠1.0")))

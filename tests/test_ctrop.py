@@ -61,12 +61,12 @@ class TestCtAdd:
     def test_idempotent_point(self):
         assert ct_add(cp(1, 1.0), cp(1, 1.0)) == CPoint(cp(1, 1.0))
 
-    def test_tied_half_circle_starts_at_the_smaller_angle(self):
-        # moduli tied within eps but below 1 do not cancel at the relative
-        # antipodal cutoff, so a sweep of exactly pi takes one half circle
+    def test_tied_exact_antipodes_below_modulus_one_give_the_disk(self):
+        # moduli tied within eps but below 1: an exactly antipodal tie cancels
+        # by direction, at any radius, and no tied arc sweeps pi
         a, b = cp(0.25, 0.0), cp(0.2499999995, PI)
-        assert ct_add(a, b) == ct_add(b, a) == CArc(0.25, 0.0, PI)
-        assert format_cset(ct_add(b, a)) == "arc r=0.25 from=0 sweep=3.1415926536"
+        assert ct_add(a, b) == ct_add(b, a) == CDisk(0.25)
+        assert format_cset(ct_add(b, a)) == "disk r=0.25"
 
     def test_arc_crosses_branch_cut(self):
         got = ct_add(cp(1, TWO_PI - 0.2), cp(1, 0.3))
@@ -89,6 +89,20 @@ class TestCtAdd:
                 b = a
             got = ct_add(cp(a, 0), cp(b, 0))
             assert got == CPoint(cp(max(a, b), 0))
+
+
+class TestZeroFloor:
+    """Sizes within eps of 0 sum to 0, on C, R and H."""
+
+    def test_sum_of_zeros_is_zero(self):
+        assert ct_sum_n([CZERO, cp(5e-10, 1.0), CZERO]) == CPoint(CZERO)
+
+    def test_two_operands_below_eps_sum_to_zero(self):
+        a, b = cp(5e-10, 0.0), cp(8e-10, 2.0)
+        assert ct_add(a, b) == ct_add(b, a) == CPoint(CZERO)
+        assert rt_add(5e-10, -8e-10) == rt_add(-8e-10, 5e-10) == rpoint(0.0)
+        qa, qb = QuatElem(5e-10, 0, 0, 0), QuatElem(0, 8e-10, 0, 0)
+        assert quat_add(qa, qb) == quat_add(qb, qa) == QPoint(QZERO)
 
 
 class TestAppendixRules:

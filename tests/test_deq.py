@@ -323,6 +323,14 @@ class TestDiagram:
             tri = tri_add_h(math.exp(x), math.exp(y), h)
             assert am.hi == pytest.approx(math.log(tri.hi), abs=1e-9)
 
+    def test_near_tie_at_one_is_the_log_of_the_triangle_family(self):
+        b = math.e + 2e-9
+        tri = tri_add_h(math.e, b, 1.0)
+        am = amoeba_add_h(1.0, math.log(b), 1.0)
+        assert tri.lo == pytest.approx(2e-9, rel=1e-6)
+        assert am.lo == pytest.approx(math.log(tri.lo), abs=1e-6)
+        assert am == amoeba_add(1.0, math.log(b))
+
     def test_amoeba_family_at_one_is_the_amoeba_carrier_and_at_zero_tropical(self, rng):
         pairs = [(2.0, 2.0 + 5e-10), (2.0, 2.0), (-1.0, -1.0 - 5e-10), (0.0, 3e-9), (1.0, NEG_INF)]
         for _ in range(2000):

@@ -962,3 +962,38 @@ def test_random_digits_draw_like_randint(p, depth):
     digits = [old.randint(1, p - 1)] + [old.randint(0, p - 1) for _ in range(depth - 1)]
     assert exotic.random_unit(p, depth, new) == sum(d * p**k for k, d in enumerate(digits))
     assert new.getstate() == old.getstate()
+
+
+# -- the one tie rule: Tolerance.order ----------------------------------------
+
+EPS = Tolerance().eps
+sizes = st.floats(-1e6, 1e6) | st.integers(-10**6, 10**6) | st.fractions(-10**6, 10**6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, sizes)
+def test_order_is_antisymmetric_and_ties_within_eps(x, y):
+    order = Tolerance().order
+    assert order(x, y) == -order(y, x)
+    d = x - y
+    if isinstance(d, float):
+        assert (order(x, y) == 0) == (abs(d) <= EPS)
+    else:  # exact on int and Fraction values
+        assert order(x, y) == (d > 0) - (d < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 1e6), st.floats(0.0, EPS), angles, st.integers(0, 3))
+def test_exactly_antipodal_ties_cancel_at_every_radius(r, d, theta, axis):
+    """Operands of sizes r and r + d (a tie) pointing exactly apart give a
+    disk, a ball and [-m, m], in both orders, whatever the radius."""
+    s = r + d
+    assume(Tolerance().order(s, r) == 0)  # r + d rounds to within eps of r
+    m = max(r, s)
+    a, b = ComplexElem(r, theta), ComplexElem(s, theta + math.pi)
+    assert ct_add(a, b) == ct_add(b, a) == CDisk(m)
+    qa = qsets.QuatElem(*(r if i == axis else 0.0 for i in range(4)))
+    qb = qsets.QuatElem(*(-s if i == axis else 0.0 for i in range(4)))
+    assert quat_add(qa, qb) == quat_add(qb, qa) == qsets.QBall(m)
+    for x, y in ((r, -s), (-r, s)):
+        assert rt_add(x, y) == rt_add(y, x) == rsets.rinterval(-m, m)

@@ -134,6 +134,17 @@ class TestAmoeba:
         assert wide.close(am.hi, math.log(tri.hi))
         assert am.lo == lo_ref or wide.close(am.lo, lo_ref)
 
+    def test_near_tie_is_the_log_of_the_triangle_sum(self):
+        # log|e^x - e^y| is continuous into -inf: a near tie needs no
+        # tolerance, and its lower end is the log of the triangle's
+        b = math.e + 2e-9
+        tri, am = tri_add(math.e, b), amoeba_add(1.0, math.log(b))
+        assert tri.lo == pytest.approx(2e-9, rel=1e-6)
+        assert am.lo == pytest.approx(math.log(tri.lo), abs=1e-6)
+        assert am == amoeba_add(math.log(b), 1.0)
+        sets = amoeba_add_sets(rpoint(1.0), rpoint(math.log(b)))
+        assert sets.lo == pytest.approx(am.lo, abs=1e-6)
+
     def test_log_transfer_ultra_to_trop(self, rng):
         for _ in range(100):
             a = math.exp(rng.uniform(-2, 2))

@@ -1,6 +1,7 @@
 """Core value-set representations: normalization, membership, equality."""
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,29 @@ def test_subset_of_union(c1, c2):
     for c in (a, b):
         if _radius(c) == top:
             assert subset(c, s), (a, b, s)
+
+
+# -- the tie rule ------------------------------------------------------------
+
+
+class TestOrder:
+    """Tolerance.order, the one dominant-or-tie decision of every addition."""
+
+    def test_int_and_fraction_values_compare_exactly(self):
+        order = Tolerance().order
+        assert order(Fraction(1, 10**12), 0) == 1
+        assert order(0, Fraction(1, 10**12)) == -1
+        assert order(Fraction(1, 3), Fraction(2, 6)) == 0
+        assert order(3, 2) == 1 and order(2, 2) == 0
+
+    @pytest.mark.parametrize("inf", [math.inf, NEG_INF])
+    def test_matching_infinities_tie(self, inf):
+        order = Tolerance().order
+        assert order(inf, inf) == 0
+        assert order(inf, 0.0) == -order(0.0, inf) == (1 if inf > 0 else -1)
+
+    def test_zero_width_orders_every_distinct_pair(self):
+        assert Tolerance(0.0).order(1.0, 1.0 + 2**-52) == -1
 
 
 # -- real sets ---------------------------------------------------------------

@@ -91,6 +91,49 @@ def test_cancel_kinds_are_value_set_classes():
         assert tracer.classify(fn_name, a, b, out, 1e-9) == "cancel"
 
 
+def _branch_operands():
+    """Per traced addition: its operand k (0 or 1) of size s, or 0 when s is
+    None, and the size gaps to try.  Two operands of one size neither cancel
+    nor coincide; a phase unit has modulus 1 within eps, and a p-adic size is
+    an integer exponent."""
+    from hyperalg.csets import CZERO, ComplexElem
+    from hyperalg.exotic import MZERO, MonomialElem, PadicElem, padic_zero
+    from hyperalg.qsets import QZERO, QuatElem
+
+    eps = _library("tolerance").DEFAULT_TOL.eps
+    gaps = (0.0, eps / 2, 2 * eps)
+    return {
+        "ct_add": (lambda s, k: CZERO if s is None else ComplexElem(s, k), gaps),
+        "phase_add": (lambda s, k: CZERO if s is None else ComplexElem(s, k), gaps[:2]),
+        "rt_add": (lambda s, k: 0.0 if s is None else s, gaps),
+        "quat_add": (lambda s, k: QZERO if s is None else QuatElem(*(s if i == k else 0.0 for i in range(4))), gaps),
+        "trop_add": (lambda s, k: tracer.NEG_INF if s is None else s, gaps),
+        "mono_add": (lambda s, k: MZERO if s is None else MonomialElem(1 + k, s), gaps),
+        "padic_add": (lambda s, k: padic_zero(5) if s is None else PadicElem(5, s, 1 + k, 8), (0, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(tracer.BRANCH_FNS))
+def test_classify_calls_dominant_what_the_library_orders(name):
+    """`classify` re-derives the branch from the operand sizes, so it must
+    call a pair `dominant` exactly when `Tolerance.order`, the library's one
+    tie rule, orders the two sizes: near size 1 at gaps 0, eps/2 and 2 eps,
+    and against an exactly zero operand.  A change of the rule there fails
+    here until `classify` follows it.  The zero floor, an operand within eps
+    of 0 against an exact zero, is not checked: `classify` sizes the zero
+    as -inf and says `dominant`, while the library gives the point 0."""
+    make, gaps = _branch_operands()[name]
+    tol = _library("tolerance").DEFAULT_TOL
+    size = tracer.BRANCH_FNS[name]
+    fn = _branch_fn(name)
+    for gap in (*gaps, None):
+        a, b = make(1, 0), make(None if gap is None else 1 + gap, 1)
+        for x, y in ((a, b), (b, a)):
+            branch = tracer.classify(name, x, y, fn(x, y), tol.eps)
+            assert branch != "cancel", (gap, x, y)
+            assert (branch == "dominant") == (tol.order(size(x), size(y)) != 0), (gap, x, y)
+
+
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
 def test_workload_uses_name_library_modules_and_functions(workload):
     w = workloads.WORKLOADS[workload]
