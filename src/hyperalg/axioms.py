@@ -395,12 +395,7 @@ def _member_via_factorization(X: Structure, w, sab, sxy, rng: random.Random) -> 
         if X.is_zero(u):
             if X.is_zero(w):
                 return True
-            continue
-        try:
-            ui = X.inv(u)
-        except (ZeroDivisionError, NotImplementedError, ValueError):
-            continue
-        if X.member(X.mul(ui, w), sxy):
+        elif X.member(X.mul(X.inv(u), w), sxy):
             return True
     return False
 

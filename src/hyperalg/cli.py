@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # pragma: no cover - child process only: test_cli.py TestClosedPipe
         # stdout is gone: point it at devnull, so that the flush at interpreter
         # exit raises nothing either (the recipe of the Python signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -137,56 +137,31 @@ def ct_mul_sets(s1: CSet, s2: CSet) -> CSet:
 
 
 # ---------------------------------------------------------------------------
-# n-ary sums and the convex-hull criterion
-
-
-def zero_in_convex_hull(points: list[ComplexElem]) -> bool:
-    """Is the origin inside the closed convex hull of the given points?
-
-    Decided on the circular gaps between point directions; points within
-    tolerance of the origin count as the origin itself.
-    """
-    eps = DEFAULT_TOL.eps
-    scale = max((p.modulus for p in points), default=0.0)
-    if scale <= eps:
-        return True
-    angles = sorted(
-        wrap_angle(p.argument) for p in points if p.modulus > eps * scale
-    )
-    if any(p.modulus <= eps * scale for p in points):
-        return True
-    gaps = [b - a for a, b in zip(angles, angles[1:])]
-    gaps.append(angles[0] + TWO_PI - angles[-1])
-    return max(gaps) <= math.pi + eps
+# n-ary sums
 
 
 def ct_sum_n(values: list[ComplexElem]) -> CSet:
     """Closed form of the iterated tropical sum: only maximal-modulus summands
-    contribute; the result is a disk exactly when their hull captures 0,
-    otherwise the minor arc spanned by the extreme summands (or a point)."""
+    contribute.  Their sorted arguments leave a largest circular gap; 0 lies
+    in their convex hull, and the sum is the disk, exactly when that gap is at
+    most pi + eps.  Otherwise the sum is the arc from the end of the gap round
+    to its start, or a point when that arc's sweep is at most eps."""
     if not values:
         raise ValueError("empty sum")
     order = DEFAULT_TOL.order
     rmax = max(v.modulus for v in values)
     if order(rmax, 0.0) == 0:
         return CPoint(CZERO)
-    tops = [v for v in values if order(v.modulus, rmax) == 0]
-    if zero_in_convex_hull(tops):
+    angles = sorted(v.argument for v in values if order(v.modulus, rmax) == 0)
+    gap, start = angles[0] + TWO_PI - angles[-1], angles[0]
+    for lo, hi in zip(angles, angles[1:]):
+        if hi - lo > gap:
+            gap, start = hi - lo, hi
+    if gap <= math.pi + DEFAULT_TOL.eps:
         return CDisk(rmax)
-    # all tops sit in an open half-plane; take the angular hull
-    sx = sum(math.cos(v.argument) for v in tops)
-    sy = sum(math.sin(v.argument) for v in tops)
-    ref = math.atan2(sy, sx)
-    offs = []
-    for v in tops:
-        d = wrap_angle(v.argument - ref)
-        if d > math.pi:
-            d -= TWO_PI
-        offs.append(d)
-    lo, hi = min(offs), max(offs)
-    if hi - lo <= DEFAULT_TOL.eps:
-        return CPoint(ComplexElem(rmax, ref + lo))
-    return CArc(rmax, wrap_angle(ref + lo), hi - lo)
+    if TWO_PI - gap <= DEFAULT_TOL.eps:
+        return CPoint(ComplexElem(rmax, start))
+    return CArc(rmax, start, TWO_PI - gap)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +306,6 @@ def _qarc_point(a: qsets.QArc, p: qsets.QuatElem) -> qsets.QSet:
     c = _point_arc(ComplexElem(r, math.atan2(p_e2, p_e1)), CArc(r, min(tb, 0.0), abs(tb)))
     if isinstance(c, CDisk):
         return qsets.QBall(c.radius)
-    if c.sweep <= eps:
-        return qsets.QPoint(at(c.start))
     return qsets.QArc(at(c.start), at(c.start + c.sweep))
 
 

@@ -313,9 +313,6 @@ def parse_monomial(text: str, domain: str = "real") -> MonomialElem:
 class Indeterminate:
     """Marker: the answer depends on digits beyond the truncation depth."""
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return "Indeterminate"
-
 
 INDETERMINATE = Indeterminate()
 

@@ -24,7 +24,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .tolerance import DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num, match_parts
+from .tolerance import DEFAULT_TOL, InvalidSetError, RepresentationClosureError, Tolerance, fmt_num
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,9 +49,6 @@ class QuatElem:
 
     def __neg__(self) -> "QuatElem":
         return QuatElem(-self.x, -self.y, -self.z, -self.t)
-
-    def add(self, o: "QuatElem") -> "QuatElem":
-        return QuatElem(self.x + o.x, self.y + o.y, self.z + o.z, self.t + o.t)
 
     def times(self, o: "QuatElem") -> "QuatElem":
         a1, b1, c1, d1 = self.coords()
@@ -346,6 +343,21 @@ def qnormalize(parts: list) -> QSet:
     return c
 
 
+def _match_parts(v1: tuple, v2: tuple, tol: Tolerance) -> bool:
+    """Is there a one-to-one matching of two cones' vertices under eq?"""
+    if len(v1) != len(v2):
+        return False
+    remaining = list(v2)
+    for c in v1:
+        for i, d in enumerate(remaining):
+            if c.eq(d, tol):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
 def qset_eq(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(s1, QPoint) and isinstance(s2, QPoint):
         return s1.elem.eq(s2.elem, tol)
@@ -356,7 +368,7 @@ def qset_eq(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
             s1.a.eq(s2.b, tol) and s1.b.eq(s2.a, tol)
         )
     if isinstance(s1, QCone) and isinstance(s2, QCone):
-        return match_parts(s1.vertices, s2.vertices, QuatElem.eq, tol)
+        return _match_parts(s1.vertices, s2.vertices, tol)
     return False
 
 

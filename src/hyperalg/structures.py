@@ -119,9 +119,6 @@ class Structure:
     def parse_elem(self, text: str):
         raise NotImplementedError
 
-    def format_set(self, s) -> str:
-        return str(s)
-
     def is_zero(self, a) -> bool:
         return self.eq(a, self.zero)
 

@@ -8,10 +8,9 @@ equality predicates take a Tolerance argument, so a checker may compare with a
 wider one.
 
 The module also holds what the value-set families (csets, rsets, qsets and
-exotic) share: the errors they raise and small numeric helpers, among them
-the one-to-one matcher that qset_eq uses for a cone's vertices.  So no family
-imports another family's module, and a command on one carrier compiles only
-that family.
+exotic) share: the errors they raise and small numeric helpers.  So no
+family imports another family's module, and a command on one carrier
+compiles only that family.
 """
 from __future__ import annotations
 
@@ -81,21 +80,6 @@ def point_last(s1, s2, point: type) -> tuple:
     return s1, s2
 
 
-def match_parts(p1: list, p2: list, comp_eq, tol: Tolerance) -> bool:
-    """Is there a one-to-one matching of the items under comp_eq?"""
-    if len(p1) != len(p2):
-        return False
-    remaining = list(p2)
-    for c in p1:
-        for i, d in enumerate(remaining):
-            if comp_eq(c, d, tol):
-                del remaining[i]
-                break
-        else:
-            return False
-    return True
-
-
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
     th = math.fmod(theta, TWO_PI)
@@ -115,13 +99,10 @@ def circ_dist(a: float, b: float) -> float:
 def fmt_num(x: float) -> str:
     """Canonical text for a real number, stable for golden-file tests.
 
-    A finite number of magnitude 1e15 or more prints with 10 significant
-    digits in exponent form (`1e+154`); any other prints with 10 decimals,
-    trailing zeros dropped, so float noise such as 6e-17 prints as 0."""
-    if x == NEG_INF:
-        return "-inf"
-    if x == math.inf:
-        return "inf"
+    A number of magnitude 1e15 or more prints with 10 significant digits in
+    exponent form (`1e+154`, and `inf` or `-inf` for an infinity); any other
+    prints with 10 decimals, trailing zeros dropped, so float noise such as
+    6e-17 prints as 0."""
     if abs(x) >= 1e15:
         return f"{x:.10g}"
     s = f"{x:.10f}".rstrip("0").rstrip(".")

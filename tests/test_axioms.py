@@ -1,5 +1,6 @@
 """Generic axiom checking: verdicts, witnesses, characteristics, homs."""
 import itertools
+import json
 import math
 import random
 
@@ -26,6 +27,7 @@ from hyperalg.finite import (
 )
 from hyperalg.cli import HOM_BUDGET, HOM_TABLE, run_hom
 from hyperalg.homs import Polynomial, abs_map, check_w_hom, log_abs, phase_map, sign_map, w_map
+from hyperalg.qsets import QZERO, QBall, QuatElem, parse_qelem
 from hyperalg.structures import FiniteStructure, get_structure
 
 
@@ -284,6 +286,26 @@ class TestDoubleDistributivity:
         text = str(exc.value)
         assert text.startswith("TC: (") and text.endswith(" not inside the expanded sum at disk r=100")
 
+    def test_quaternion_forward_violation_names_the_point(self, monkeypatch):
+        # quat has no set product: a product of picked points that the
+        # expansion does not hold is named by its text
+        X = get_structure("quat")
+        monkeypatch.setattr(X, "member", lambda x, s: False)
+        with pytest.raises(DoubleDistributivityViolation) as exc:
+            check_double_distributivity(X, budget=10, rng=random.Random(3))
+        text = str(exc.value)
+        assert text.startswith("quat: (") and " not inside the expanded sum at " in text
+        parse_qelem(text.rsplit(" at ", 1)[1])  # a quaternion literal, or InvalidSetError
+
+    def test_sampled_factorization_skips_a_zero_factor(self):
+        # pick draws 0 first from a ball, and 0 is no factor of a nonzero w;
+        # the next point u of the ball has norm 1, so u^-1 w lies in the ball
+        X = get_structure("quat")
+        ball = QBall(1.0)
+        assert X.pick(ball, random.Random(0), 6)[0] == QZERO
+        w = QuatElem(0.5, 0, 0, 0)
+        assert axioms._member_via_factorization(X, w, ball, ball, random.Random(0))
+
 
 class TestCharacteristic:
     def test_krasner(self):
@@ -318,6 +340,19 @@ class TestCharacteristic:
             ch = characteristic(x)
             assert (ch.value, ch.stabilized) == (0, True)
             assert c_characteristic(x).value == 1
+
+    def test_c_characteristic_stabilizes_without_one(self, tmp_path):
+        # 1+1 = {a} and a+1 = {a} with a != 1: the fold stops changing
+        # before it holds 1 (b is the negative of 1, a its own)
+        cells = {"1,1": [2], "1,2": [2], "1,3": [0], "2,2": [0, 2], "2,3": [2], "3,3": [2]}
+        add = {f"0,{j}": [j] for j in range(4)} | {f"{i},0": [i] for i in range(4)}
+        for key, cell in cells.items():
+            i, j = key.split(",")
+            add[key] = add[f"{j},{i}"] = cell
+        path = tmp_path / "stable.json"
+        path.write_text(json.dumps({"elements": ["0", "1", "a", "b"], "add": add, "zero": 0, "one": 1}))
+        ch = c_characteristic(get_structure(f"finite:{path}"))
+        assert (ch.value, ch.stabilized) == (0, True)
 
     def test_linear_order_hyperfields_have_char_two(self):
         # 1 + 1 is the down-set below 1, which contains zero

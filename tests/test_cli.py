@@ -60,6 +60,14 @@ class TestAdd:
         code, out, _ = run(capsys, "add", "K", "1", "1")
         assert code == 0 and out.strip() == "{0,1}"
 
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [("0", "0", "point 0"), ("1@2t^1", "1t^0", "point (-0.4161468365+0.9092974268i)t^1")],
+    )
+    def test_monomial_zero_and_polar_coefficient(self, capsys, a, b, want):
+        code, out, _ = run(capsys, "add", "mono", a, b)
+        assert code == 0 and out.strip() == want
+
     def test_ascii_angle_form(self, capsys):
         code, out, _ = run(capsys, "add", "TC", "1@0", "1@3.14159265358979")
         assert code == 0 and out.strip().startswith("disk")
@@ -294,6 +302,10 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err.startswith("error: padic:3:8: (") and err.count("\n") == 1
         assert "not inside the expanded sum" in err
+
+    def test_padic_below_two_exit_2(self, capsys):
+        code, _, err = run(capsys, "verify", "padic:1:8")
+        assert code == 2 and err.strip() == "error: 1 is not prime"
 
     def test_m_hyperfield_search(self, capsys):
         code, out, _ = run(capsys, "verify", "M", "--level", "hyperfield-search")
@@ -584,6 +596,11 @@ class TestDeq:
         code, out, _ = run(capsys, "deq", "complex", "-1", "i", "--h", "0.1")
         assert code == 0
         assert "1∠2.3561944902" in out
+
+    def test_tri_family_zero_operand(self, capsys):
+        code, out, _ = run(capsys, "deq", "tri", "0", "1")
+        assert code == 0
+        assert [row.split(",")[3:5] for row in out.strip().splitlines()[1:]] == [["point 1"] * 2] * 4
 
     def test_tri_family(self, capsys):
         code, out, _ = run(capsys, "deq", "tri", "2", "2", "--h", "0.01")

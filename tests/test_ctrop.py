@@ -32,7 +32,7 @@ from hyperalg.ctrop import (
     rt_add_sets,
 )
 from hyperalg.exotic import MCone, MonomialElem, PCone, VPoint, padic_from_digits
-from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, qmember, qpick, qset_eq
+from hyperalg.qsets import QZERO, QArc, QBall, QCone, QPoint, QuatElem, in_cone, qmember, qpick, qset_eq
 from hyperalg.rsets import rinterval, rpoint, rset_eq
 from hyperalg.structures import get_structure
 from hyperalg.tolerance import TWO_PI, RepresentationClosureError, Tolerance
@@ -280,6 +280,14 @@ class TestSumN:
             acc = ct_add_sets(acc, CPoint(v))
         assert set_eq(acc, CDisk(1))
 
+    def test_largest_gap_wraps_through_zero(self):
+        # the tops straddle angle 0, so the arc starts after the largest gap
+        vals = [cp(1, 0.2), cp(1, TWO_PI - 0.3), cp(0.5, PI)]
+        assert set_eq(ct_sum_n(vals), CArc(1, TWO_PI - 0.3, 0.5))
+
+    def test_tops_within_eps_sum_to_a_point(self):
+        assert ct_sum_n([cp(1, 1.0 + 5e-10), cp(1, 1.0)]) == CPoint(cp(1, 1.0))
+
     def test_zero_in_sum_goldens(self):
         assert not member(CZERO, ct_sum_n([cp(1, 0), cp(1, PI / 2)]))
         assert member(CZERO, ct_sum_n([cp(1, 0), cp(1, PI)]))
@@ -318,6 +326,15 @@ class TestSumN:
                 for v in perm[1:]:
                     acc = ct_add_sets(acc, CPoint(v))
                 assert set_eq(acc, closed)
+
+
+class TestMulSets:
+    def test_full_circle_times_a_point_or_an_arc(self):
+        assert ct_mul_sets(full_circle(2.0), CPoint(cp(3, 1.0))) == full_circle(6.0)
+        assert ct_mul_sets(CArc(3, 1.0, 0.5), full_circle(2.0)) == full_circle(6.0)
+
+    def test_arcs_whose_sweeps_sum_to_at_most_eps(self):
+        assert ct_mul_sets(CArc(2, 1.0, 4e-10), CArc(3, 0.5, 4e-10)) == CPoint(cp(6, 1.5))
 
 
 class TestUpperSemicontinuitySpotCheck:
@@ -449,6 +466,40 @@ class TestQuaternion:
     def test_dominant(self):
         got = quat_add(QuatElem(2, 0, 0, 0), self.I)
         assert got == QPoint(QuatElem(2, 0, 0, 0))
+
+    def test_minus_p_within_eps_outside_a_short_arc_gives_the_ball(self):
+        """-p lies on the great circle of an arc of sweep 1e-4, 5e-10 rad
+        before its start.  in_cone misses it (its coefficient is about -5e-6,
+        under the -1e-7 cut), and the circle rule, which holds angles within
+        eps, gives the ball, as ct_add_sets gives the disk."""
+        tb, phi = 1e-4, PI - 5e-10
+        arc = quat_add(QuatElem(1, 0, 0, 0), QuatElem(math.cos(tb), math.sin(tb), 0, 0))
+        p = QuatElem(math.cos(phi), math.sin(phi), 0, 0)
+        assert not in_cone(tuple(-x for x in p.unit()), arc, 1e-9)
+        assert quat_add_sets(arc, QPoint(p)) == QBall(1.0)
+        assert ct_add_sets(CArc(1, 0, tb), CPoint(cp(1, phi))) == CDisk(1)
+
+    def test_p_at_the_cut_from_a_degenerate_arcs_first_end_gives_the_arc(self):
+        """The ends lie 1e-8 rad apart and span no plane; p lies 1e-9 rad off
+        the first end, where in_cone's residual rounds above the 1e-9 cut but
+        the plane of that end and p is still too thin to factor."""
+        a = QuatElem(0.33687504821074027, -2.246098849014929, 0.0, 0.0)
+        b = QuatElem(0.3368750706717286, -2.2460988456461783, 0.0, 0.0)
+        p = QuatElem(a.x, a.y, 2.2712210014996733e-09, 0.0)
+        arc = quat_add(a, b)
+        assert not in_cone(p.unit(), arc, 1e-9)
+        assert quat_add_sets(arc, QPoint(p)) is arc
+
+    def test_p_within_eps_beyond_an_arc_below_eps_keeps_the_arc(self):
+        """The ends lie 2.4e-10 rad (3.2e-9) apart at radius 13.4, and p lies
+        1e-9 rad beyond one end.  The circle rule holds p in the arc, whose
+        sweep is under eps; the sum is that arc, not a point at one end."""
+        a = QuatElem(-5.781588653180581, 12.040943677189336, 0.0, 0.0)
+        b = QuatElem(-5.781588650276911, 12.040943678583565, 0.0, 0.0)
+        p = QuatElem(-5.781588665221524, 12.040943671407748, 0.0, 0.0)
+        arc = quat_add(a, b)
+        assert isinstance(arc, QArc)
+        assert qset_eq(quat_add_sets(arc, QPoint(p)), arc)
 
     @pytest.mark.parametrize("r, theta", [(1.0, 2e-8), (1.0, 2e-7), (1000.0, 1e-7)])
     def test_nearly_degenerate_arc_plus_its_ends(self, r, theta):

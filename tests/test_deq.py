@@ -332,7 +332,7 @@ class TestDiagram:
         assert am == amoeba_add(1.0, math.log(b))
 
     def test_amoeba_family_at_one_is_the_amoeba_carrier_and_at_zero_tropical(self, rng):
-        pairs = [(2.0, 2.0 + 5e-10), (2.0, 2.0), (-1.0, -1.0 - 5e-10), (0.0, 3e-9), (1.0, NEG_INF)]
+        pairs = [(2.0, 2.0 + 5e-10), (2.0, 2.0), (-1.0, -1.0 - 5e-10), (0.0, 3e-9), (1.0, NEG_INF), (NEG_INF, 1.0)]
         for _ in range(2000):
             x = rng.uniform(-5, 5)
             pairs.append((x, x + rng.choice([rng.uniform(-5, 5), 5e-10, -5e-10, 2e-9, 0.0])))

@@ -151,6 +151,12 @@ def test_submodule_resolves_as_attribute(module):
     assert module in dir(hyperalg)
 
 
+def test_getattr_imports_a_submodule_in_process():
+    # an imported submodule is an attribute of the package, so the module
+    # __getattr__ runs only when called by name
+    assert hyperalg.__getattr__("csets") is sys.modules["hyperalg.csets"]
+
+
 @pytest.mark.parametrize("name", ["no_such_name", "normalize_parts"])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=name):

@@ -1,6 +1,7 @@
 """Every public function and class of the library is used outside the tests,
-every module-level import of a library module is used in that module, and
-no value-set family imports another family's module.
+every module-level import of a library module is used in that module, no
+value-set family imports another family's module, and scripts/line_reach.py
+counts executable lines by its stated rule.
 
 A name counts as used when a non-test file under src/, scripts/ or
 perfbench/ refers to it: as a name, an attribute, an imported name, or a
@@ -9,6 +10,7 @@ definition's own body does not count, and neither does a re-export from a
 package's `__init__.py`.
 """
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -114,3 +116,41 @@ def _library_imports(path: pathlib.Path) -> set:
 def test_value_set_families_import_only_tolerance():
     imports = {name: _library_imports(LIBRARY / f"{name}.py") for name in FAMILIES}
     assert imports == {name: {"hyperalg.tolerance"} for name in FAMILIES}
+
+
+def _line_reach():
+    spec = importlib.util.spec_from_file_location("line_reach", ROOT / "scripts" / "line_reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SAMPLE = """\
+def f(x):
+    if x:
+        raise ValueError(
+            "no")
+    return 1
+
+
+def g():  # pragma: no cover - a reason
+    return 2
+
+
+if __name__ == "__main__":
+    f(0)
+"""
+
+
+def test_line_reach_skips_pragmas_and_main_and_lists_raises_apart():
+    line_reach = _line_reach()
+    lines, raises = line_reach.executable_lines(_SAMPLE)
+    assert (lines, raises) == ({1, 2, 3, 4, 5}, {3, 4})
+    assert line_reach.bare_pragmas(_SAMPLE) == []
+    assert line_reach.bare_pragmas("x = 1  # pragma: no cover\n") == [1]
+
+
+def test_every_pragma_in_the_library_gives_its_reason():
+    line_reach = _line_reach()
+    for path in LIBRARY.glob("*.py"):
+        assert line_reach.bare_pragmas(path.read_text(encoding="utf-8")) == [], path.name

@@ -127,6 +127,9 @@ class TestSetEq:
     def test_arc_sweep_differs(self):
         assert not set_eq(CArc(1, 0, PI / 2), CArc(1, 0, PI / 3))
 
+    def test_arc_radius_differs(self):
+        assert not set_eq(CArc(1, 0, PI / 2), CArc(2, 0, PI / 2))
+
     def test_interval_eq(self):
         assert rset_eq(rinterval(1, 3), rinterval(1, 3))
 
@@ -140,6 +143,17 @@ class TestSetEq:
         assert u is PHASE_ALL and set_eq(u, CUnion())
         for other in (full_circle(1.0), CPoint(CZERO), CDisk(1.0)):
             assert not set_eq(u, other) and not set_eq(other, u)
+
+
+class TestSubset:
+    def test_full_arcs(self):
+        assert subset(CArc(1, 1.0, 0.5), full_circle(1.0))
+        assert not subset(full_circle(1.0), CArc(1, 1.0, 6.0))
+
+    def test_start_within_eps_before_the_target_arc(self):
+        # the offset of the starts wraps to just under 2*pi and counts as 0
+        assert subset(CArc(1, 1.0 - 5e-10, 0.3), CArc(1, 1.0, 0.5))
+        assert not subset(CArc(1, 1.0 - 5e-9, 0.3), CArc(1, 1.0, 0.5))
 
 
 # -- property tests ---------------------------------------------------------
@@ -287,6 +301,29 @@ class TestRSet:
 
 
 class TestQSet:
+    def test_arc_ends_matched_crosswise(self):
+        # an arc sorts its ends by their coordinates, so ends that agree within
+        # eps can sort in opposite orders in two equal arcs
+        a, b = QuatElem(0.6, 0.8, 0, 0), QuatElem(0.6 + 1e-10, 0, 0.8, 0)
+        s1, s2 = QArc(a, b), QArc(QuatElem(0.6 + 2e-10, 0.8, 0, 0), b)
+        assert (s1.a, s2.a) == (a, b)
+        assert qset_eq(s1, s2) and qset_eq(s2, s1)
+
+    def test_components_of_different_kinds_differ(self):
+        one = QuatElem(1, 0, 0, 0)
+        assert not qset_eq(QPoint(one), QBall(1.0))
+        assert not qset_eq(QArc(one, QuatElem(0, 1, 0, 0)), QBall(1.0))
+
+    def test_cones_match_vertex_for_vertex(self):
+        one, i, j, k = (QuatElem(*row) for row in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        cone = QCone((i, j, k))
+        assert qset_eq(cone, QCone((k, i, j)))
+        assert not qset_eq(cone, QCone((i, j, k, one)))  # vertex counts differ
+        assert not qset_eq(cone, QCone((i, j, one)))  # one vertex off
+
+    def test_no_generators_span_an_empty_cone(self):
+        assert not in_cone((1.0, 0.0, 0.0, 0.0), [], 1e-9)
+
     def test_arc_contains_slerp_midpoint(self):
         i = QuatElem(0, 1, 0, 0)
         j = QuatElem(0, 0, 1, 0)
@@ -406,7 +443,8 @@ class TestTextForms:
     @pytest.mark.parametrize(
         "x, text",
         [(1e154, "1e+154"), (-2.5e15, "-2.5e+15"), (1234567891234567.0, "1.234567891e+15"),
-         (999999999999999.0, "999999999999999"), (6e-17, "0"), (-6e-17, "0")],
+         (999999999999999.0, "999999999999999"), (6e-17, "0"), (-6e-17, "0"),
+         (math.inf, "inf"), (-math.inf, "-inf")],
     )
     def test_huge_numbers_print_in_exponent_form(self, x, text):
         from hyperalg.tolerance import fmt_num

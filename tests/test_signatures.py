@@ -19,7 +19,6 @@ ADDITIONS = [
 ]
 
 PREDICATES = {
-    "tolerance.match_parts",
     "csets.member", "csets.set_eq", "csets.subset",
     "csets.ComplexElem.eq", "csets.CArc.contains_angle",
     "rsets.rmember", "rsets.rset_eq", "rsets.rsubset",
