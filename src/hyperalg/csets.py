@@ -2,9 +2,10 @@
 
 Every set that arises from the tropical additions over C is one component: a
 single point, an arc of a circle centred at the origin (traversed
-counterclockwise, full circles flagged), a closed disk centred at the origin,
-or the whole carrier of the phase hyperfield, the unit circle with 0: the
-field-less CUnion, built once as PHASE_ALL.
+counterclockwise; a sum's arc is shorter than pi, a product's shorter than
+2*pi), a closed disk centred at the origin, or the whole carrier of the phase
+hyperfield, the unit circle with 0: the field-less CUnion, built once as
+PHASE_ALL.
 
 Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
@@ -13,8 +14,8 @@ predicates and set-extended sums take as is; a predicate may compare wider.
 A component is canonical from its constructor on.  ComplexElem and CArc
 validate their fields and set each one once: a modulus or radius as a float,
 the argument of 0 as 0, and an argument or arc start in [0, 2*pi), wrapped
-only when it lies outside.  So a point, an arc that is not nearly full or a
-disk of radius above eps is already a fixed point.
+only when it lies outside.  So a point, an arc or a disk of radius above eps
+is already a fixed point.
 """
 from __future__ import annotations
 
@@ -108,37 +109,27 @@ class CPoint:
 
 @dataclass(frozen=True, slots=True, init=False)
 class CArc:
-    """Arc of the circle |z| = radius from `start`, counterclockwise by `sweep`.
-
-    Full circles are stored with full=True, start=0 and sweep=2*pi.
-    """
+    """Arc of the circle |z| = radius from `start`, counterclockwise by `sweep`."""
 
     radius: float
     start: float
     sweep: float
-    full: bool = False
 
-    def __init__(self, radius: float, start: float, sweep: float, full: bool = False) -> None:
+    def __init__(self, radius: float, start: float, sweep: float) -> None:
         r = float(radius)
         if not r > 0.0:
             raise InvalidSetError(f"arc of nonpositive radius {r}")
-        if full:
-            start, sweep = 0.0, TWO_PI
-        else:
-            sw = float(sweep)
-            if not 0.0 < sw < TWO_PI:
-                raise InvalidSetError(f"arc sweep must lie in (0, 2*pi), got {sw}")
-            start = float(start)
-            if not 0.0 <= start < TWO_PI:
-                start = wrap_angle(start)
+        sw = float(sweep)
+        if not 0.0 < sw < TWO_PI:
+            raise InvalidSetError(f"arc sweep must lie in (0, 2*pi), got {sw}")
+        start = float(start)
+        if not 0.0 <= start < TWO_PI:
+            start = wrap_angle(start)
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "start", start)
-        object.__setattr__(self, "sweep", sweep)
-        object.__setattr__(self, "full", full)
+        object.__setattr__(self, "sweep", sw)
 
     def contains_angle(self, theta: float, eps: float) -> bool:
-        if self.full:
-            return True
         off = wrap_angle(theta - self.start)
         return off <= self.sweep + eps or off >= TWO_PI - eps
 
@@ -164,19 +155,6 @@ class CUnion:
 CSet = CPoint | CArc | CDisk | CUnion
 
 
-def arc(radius: float, start: float, sweep: float) -> CArc | CPoint:
-    """Tolerant arc constructor: promotes near-full sweeps, degrades tiny ones."""
-    if sweep <= DEFAULT_TOL.eps:
-        return CPoint(ComplexElem(radius, start))
-    if sweep >= TWO_PI - DEFAULT_TOL.eps:
-        return CArc(radius, 0.0, TWO_PI, full=True)
-    return CArc(radius, start, sweep)
-
-
-def full_circle(radius: float) -> CArc:
-    return CArc(radius, 0.0, TWO_PI, full=True)
-
-
 PHASE_ALL = CUnion()
 
 
@@ -191,15 +169,12 @@ def parts_of(s: CSet) -> list:
 
 def normalize_parts(parts: list) -> CSet:
     """The one component of `parts`, where a disk of radius at most eps is the
-    point 0 and a nearly full arc the circle: every complex sum is one point,
-    arc or disk."""
+    point 0: every complex sum is one point, arc or disk."""
     if len(parts) != 1:
         raise RepresentationClosureError(f"a complex value set is one component, not {len(parts)}")
     c = parts[0]
     if isinstance(c, CDisk) and c.radius <= DEFAULT_TOL.eps:
         return CPoint(CZERO)
-    if isinstance(c, CArc) and not c.full and c.sweep >= TWO_PI - DEFAULT_TOL.eps:
-        return full_circle(c.radius)
     return c
 
 
@@ -225,8 +200,6 @@ def set_eq(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     if isinstance(s1, CArc) and isinstance(s2, CArc):
         if not tol.close(s1.radius, s2.radius):
             return False
-        if s1.full or s2.full:
-            return s1.full and s2.full
         return circ_dist(s1.start, s2.start) <= tol.eps and abs(s1.sweep - s2.sweep) <= 2 * tol.eps
     if isinstance(s1, CPoint) and isinstance(s2, CPoint):
         return s1.elem.eq(s2.elem, tol)
@@ -247,10 +220,6 @@ def subset(s1: CSet, s2: CSet, tol: Tolerance = DEFAULT_TOL) -> bool:
         return isinstance(s1, CArc) and tol.close(s1.radius, 1.0)
     if not (isinstance(s1, CArc) and isinstance(s2, CArc) and tol.close(s1.radius, s2.radius)):
         return False
-    if s2.full:
-        return True
-    if s1.full:
-        return False
     off = wrap_angle(s1.start - s2.start)
     if off >= TWO_PI - eps:  # starts within eps before s2
         off = 0.0
@@ -266,20 +235,18 @@ def pick(s: CSet, rng, count: int = 4) -> list[ComplexElem]:
     if isinstance(s, CPoint):
         return [s.elem]
     if isinstance(s, CUnion):
-        return pick(full_circle(1.0), rng, count) + [CZERO]
+        return [CONE, ComplexElem(1.0, math.pi)] + [
+            ComplexElem(1.0, rng.uniform(0.0, TWO_PI)) for _ in range(count)
+        ] + [CZERO]
     if isinstance(s, CDisk):
         return [CZERO, ComplexElem(s.radius, rng.uniform(0.0, TWO_PI))] + [
             ComplexElem(s.radius * rng.random(), rng.uniform(0.0, TWO_PI)) for _ in range(count)
         ]
-    if s.full:
-        pts = [ComplexElem(s.radius, 0.0), ComplexElem(s.radius, math.pi)]
-    else:
-        pts = [
-            ComplexElem(s.radius, s.start),
-            ComplexElem(s.radius, s.start + s.sweep),
-            ComplexElem(s.radius, s.start + 0.5 * s.sweep),
-        ]
-    return pts + [ComplexElem(s.radius, s.start + rng.uniform(0.0, s.sweep)) for _ in range(count)]
+    return [
+        ComplexElem(s.radius, s.start),
+        ComplexElem(s.radius, s.start + s.sweep),
+        ComplexElem(s.radius, s.start + 0.5 * s.sweep),
+    ] + [ComplexElem(s.radius, s.start + rng.uniform(0.0, s.sweep)) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +264,6 @@ def format_cset(s: CSet) -> str:
         return f"disk r={fmt_num(s.radius)}"
     if isinstance(s, CUnion):
         return "circle r=1 | point 0∠0"
-    if s.full:
-        return f"circle r={fmt_num(s.radius)}"
     return f"arc r={fmt_num(s.radius)} from={fmt_num(s.start)} sweep={fmt_num(s.sweep)}"
 
 

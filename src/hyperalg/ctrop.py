@@ -17,11 +17,12 @@ Otherwise the larger radius wins unless order ties them; then a disk or ball
 absorbs the point, and an arc or cone goes to the circle rules
 (`_point_arc`, `_qarc_point`, `_qcone_point`).  Each returns one component:
 a disk or ball when the set holds -p, the set itself when it holds p, and
-otherwise the shorter arc (or the cone) that holds both.  On the phase
-hyperfield two tied units that cancel sum to its whole carrier, the unit
-circle with 0: the component PHASE_ALL.  `deq.c_add_0`, the h -> 0 limit of
-the complex dequantization family, reads its branch from the type of
-`ct_add` and takes the arc's midpoint on a tie.
+otherwise the shorter arc (or the cone) that holds both.  So a sum's arc is
+shorter than pi, and a product of two sums' arcs shorter than 2*pi.  On the
+phase hyperfield two tied units that cancel sum to its whole carrier, the
+unit circle with 0: the component PHASE_ALL.  `deq.c_add_0`, the h -> 0
+limit of the complex dequantization family, reads its branch from the type
+of `ct_add` and takes the arc's midpoint on a tie.
 """
 from __future__ import annotations
 
@@ -36,8 +37,6 @@ from .csets import (
     CZERO,
     ComplexElem,
     PHASE_ALL,
-    arc,
-    full_circle,
     normalize_parts,
 )
 from . import _Deferred
@@ -73,9 +72,10 @@ def ct_add(a: ComplexElem, b: ComplexElem, tol: Tolerance = DEFAULT_TOL) -> CSet
 def _point_arc(p: ComplexElem, a: CArc) -> CSet:
     """The circle rule for a point and an arc of tied radius: the disk when
     -p is in the arc, the arc when p is, and otherwise the shorter of the arcs
-    from the arc's start through p and from p through the arc's end."""
+    from the arc's start through p and from p through the arc's end.  The arc
+    is one a sum makes, of sweep below pi, so the shorter one is too."""
     eps = DEFAULT_TOL.eps
-    if a.full or a.contains_angle(wrap_angle(p.argument + math.pi), eps):
+    if a.contains_angle(wrap_angle(p.argument + math.pi), eps):
         return CDisk(max(p.modulus, a.radius))
     if a.contains_angle(p.argument, eps):
         return a
@@ -85,8 +85,9 @@ def _point_arc(p: ComplexElem, a: CArc) -> CSet:
 
 
 def ct_add_sets(s1: CSet, s2: CSet) -> CSet:
-    """A value set plus a point, on either side: the larger radius wins unless
-    order ties the two; a tied disk absorbs the point, else the circle rule
+    """A value set that a sum makes (a point, an arc of sweep below pi or a
+    disk) plus a point, on either side: the larger radius wins unless order
+    ties the two; a tied disk absorbs the point, else the circle rule
     applies."""
     if isinstance(s1, CPoint) and isinstance(s2, CPoint):
         # already canonical: a point, a minor arc or a disk of radius > eps
@@ -112,8 +113,6 @@ def _scale_comp(c, f: ComplexElem):
         return CPoint(c.elem.times(f))
     if isinstance(c, CDisk):
         return CDisk(c.radius * f.modulus)
-    if c.full:
-        return full_circle(c.radius * f.modulus)
     return CArc(c.radius * f.modulus, c.start + f.argument, c.sweep)
 
 
@@ -125,11 +124,9 @@ def _cmul_comps(c1, c2):
         return CPoint(CZERO) if c1.elem.modulus == 0.0 else _scale_comp(c2, c1.elem)
     if isinstance(c1, CDisk) or isinstance(c2, CDisk):
         return CDisk(c1.radius * c2.radius)
-    # arc times arc: moduli multiply, angle intervals add
-    r = c1.radius * c2.radius
-    if c1.full or c2.full:
-        return full_circle(r)
-    return arc(r, c1.start + c2.start, c1.sweep + c2.sweep)
+    # arc times arc: moduli multiply, angle intervals add; the sweeps of two
+    # sums add to less than 2*pi - 2*eps
+    return CArc(c1.radius * c2.radius, c1.start + c2.start, c1.sweep + c2.sweep)
 
 
 def ct_mul_sets(s1: CSet, s2: CSet) -> CSet:

@@ -12,7 +12,7 @@ import random
 from . import _Deferred
 from .realhf import trop_add, ultra_add
 from .rsets import RSet, format_rset, rinterval, rmember, rpoint
-from .tolerance import NEG_INF, Tolerance
+from .tolerance import NEG_INF, Tolerance, beyond_floats
 
 # imported at their first use: only the checker and the complex family need them
 axioms = _Deferred(globals(), "axioms")
@@ -38,10 +38,6 @@ def parse_h_schedule(text: str) -> list[float]:
     return hs
 
 
-def _beyond_floats(family: str, h: float) -> ValueError:
-    return ValueError(f"the {family} sum at h={h:g} is beyond the float range")
-
-
 def lm_add(a: float, b: float, h: float) -> float:
     """h*ln(e^(a/h) + e^(b/h)) for h > 0, max(a, b) at h = 0.  A sum beyond
     the float range raises ValueError."""
@@ -51,7 +47,7 @@ def lm_add(a: float, b: float, h: float) -> float:
         return m
     s = m + h * math.log1p(math.exp(-abs(a - b) / h))
     if s == math.inf:
-        raise _beyond_floats("Litvinov-Maslov", h)
+        raise beyond_floats(f"the Litvinov-Maslov sum at h={h:g}")
     return s
 
 
@@ -81,7 +77,7 @@ def tri_add_h(a: float, b: float, h: float) -> RSet:
     except OverflowError:
         hi = math.inf
     if hi == math.inf:
-        raise _beyond_floats("triangle", h)
+        raise beyond_floats(f"the triangle sum at h={h:g}")
     lo = 0.0 if ratio_pow == 1.0 else m * math.exp(h * math.log1p(-ratio_pow))
     return rinterval(lo, hi)
 
@@ -118,7 +114,7 @@ def c_add_h(a: csets.ComplexElem, b: csets.ComplexElem, h: float) -> csets.Compl
     except OverflowError:
         modulus = math.inf
     if modulus == math.inf:
-        raise _beyond_floats("complex", h)
+        raise beyond_floats(f"the complex sum at h={h:g}")
     return csets.ComplexElem(modulus, math.atan2(wy, wx))
 
 

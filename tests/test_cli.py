@@ -659,7 +659,7 @@ class TestDeq:
         """Every finite h >= 0 is a valid --h, but at h = 1e300 (or at h = 1
         for operands near the largest float) the sum has no float value."""
         code, out, err = run(capsys, "deq", family, a, b, "--h", h)
-        assert (code, out, err) == (2, "", f"error: the {sum_at} is beyond the float range\n")
+        assert (code, out, err) == (2, "", f"error: the {sum_at} leaves the float range\n")
 
     def test_h_schedule_parser(self):
         from hyperalg.deq import parse_h_schedule

@@ -13,7 +13,6 @@ from hyperalg.csets import (
     ComplexElem,
     PHASE_ALL,
     format_cset,
-    full_circle,
     member,
     pick,
     set_eq,
@@ -326,15 +325,6 @@ class TestSumN:
                 for v in perm[1:]:
                     acc = ct_add_sets(acc, CPoint(v))
                 assert set_eq(acc, closed)
-
-
-class TestMulSets:
-    def test_full_circle_times_a_point_or_an_arc(self):
-        assert ct_mul_sets(full_circle(2.0), CPoint(cp(3, 1.0))) == full_circle(6.0)
-        assert ct_mul_sets(CArc(3, 1.0, 0.5), full_circle(2.0)) == full_circle(6.0)
-
-    def test_arcs_whose_sweeps_sum_to_at_most_eps(self):
-        assert ct_mul_sets(CArc(2, 1.0, 4e-10), CArc(3, 0.5, 4e-10)) == CPoint(cp(6, 1.5))
 
 
 class TestUpperSemicontinuitySpotCheck:
@@ -716,7 +706,7 @@ def _padic(e, digit):
 _Q = QuatElem
 SET_PLUS_POINT = {
     "TC": (
-        [CPoint(cp(1, 0.3)), CArc(1, 0, PI / 2), full_circle(1), CDisk(1)],
+        [CPoint(cp(1, 0.3)), CArc(1, 0, PI / 2), CArc(1, 5.5, 1.0), CDisk(1)],
         [cp(1, 2.0), cp(2, 2.0), cp(0.5, 2.0)],
     ),
     "quat": (

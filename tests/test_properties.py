@@ -272,6 +272,27 @@ def test_operations_return_canonical_sets(name):
                     assert X.member(p, out), (a, b, c, out, p)
 
 
+@pytest.mark.parametrize("name", ["TC", "Phi"])
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_no_sum_or_product_of_sums_makes_a_full_circle(name, seed):
+    """A sum's arc is the shorter one between two tied points, so its sweep
+    lies strictly between eps and pi - eps; a sum scaled on either side, or
+    the product of two sums, stays below 2*pi - eps.  So csets needs no
+    full-circle form."""
+    X = get_structure(name)
+    eps = csets.DEFAULT_TOL.eps
+    tuples = stratified_tuples(X, random.Random(seed), 4, 3 * 9**3)  # every pattern once
+    for a, b, x, y in tuples:
+        ab, sx = X.add(a, b), X.singleton(x)
+        for s in (ab, X.add_sets(ab, sx), X.add_sets(sx, ab)):
+            if isinstance(s, csets.CArc):
+                assert eps < s.sweep < math.pi - eps, (a, b, x, s)
+        for s in (X.scale(x, ab, "left"), X.scale(x, ab, "right"), X.mul_sets(ab, X.add(x, y))):
+            if isinstance(s, csets.CArc):
+                assert s.sweep < TWO_PI - eps, (a, b, x, y, s)
+
+
 # every carrier that multiplies: M has no multiplication, and quat's products
 # of arcs have no closed form
 SET_PRODUCT_CARRIERS = [
@@ -553,6 +574,7 @@ RADIUS_MODES = {
     "dominated": lambda r: 0.5 * r,
 }
 sweeps = st.integers(1, 6282).map(lambda k: k * 1e-3)
+sum_sweeps = st.integers(1, 3141).map(lambda k: k * 1e-3)  # a sum's arc is below pi
 
 
 def _component(kind: str, r: float, start: float, sweep: float):
@@ -560,26 +582,24 @@ def _component(kind: str, r: float, start: float, sweep: float):
         return CPoint(ComplexElem(r, start))
     if kind == "arc":
         return csets.CArc(r, start, sweep)
-    if kind == "circle":
-        return csets.full_circle(r)
     return CDisk(r)
 
 
-KINDS = ["point", "point", "arc", "arc", "circle", "disk"]
+KINDS = ["point", "point", "arc", "arc", "disk"]
 
 
 @st.composite
 def _component_pair(draw, second=KINDS):
-    """Two single components with tied, eps-offset or dominant radii and
-    equal, antipodal or free start angles; the second is of a kind in
-    `second`."""
+    """Two single components that sums make, with tied, eps-offset or
+    dominant radii and equal, antipodal or free start angles; the second is
+    of a kind in `second`."""
     kinds = st.sampled_from(KINDS)
     r = draw(moduli)
     t1 = draw(angles)
     t2 = draw(st.one_of(st.sampled_from([t1, t1 + math.pi, t1 - math.pi + 1e-3]), angles))
     r2 = RADIUS_MODES[draw(st.sampled_from(sorted(RADIUS_MODES)))](r)
-    c1 = _component(draw(kinds), r, t1, draw(sweeps))
-    c2 = _component(draw(st.sampled_from(second)), r2, t2, draw(sweeps))
+    c1 = _component(draw(kinds), r, t1, draw(sum_sweeps))
+    c2 = _component(draw(st.sampled_from(second)), r2, t2, draw(sum_sweeps))
     return c1, c2
 
 
@@ -614,7 +634,7 @@ def _ref_minor_arc(radius, alpha, beta):
 
 def _ref_point_arc(p, a):
     r = max(p.modulus, a.radius)
-    if a.full or a.contains_angle(wrap_angle(p.argument + math.pi), EPS):
+    if a.contains_angle(wrap_angle(p.argument + math.pi), EPS):
         return [CDisk(r)]
     return [a, *_ref_minor_arc(r, a.start, p.argument)]
 
@@ -633,8 +653,6 @@ def _ref_comps(c, p):
 
 
 def _ref_merge_radius_arcs(radius, arcs):
-    if any(a.full for a in arcs):
-        return [csets.full_circle(radius)]
     merged = []
     for s, e, sw in sorted((a.start, a.start + a.sweep, a.sweep) for a in arcs):
         if merged and s <= merged[-1][1] + EPS:
@@ -647,8 +665,6 @@ def _ref_merge_radius_arcs(radius, arcs):
         merged.pop()
     out = []
     for s, e, sw in merged:
-        if e - s >= TWO_PI - EPS:
-            return [csets.full_circle(radius)]
         out.append(csets.CArc(radius, wrap_angle(s), sw if s + sw == e else e - s))
     return out
 
@@ -773,18 +789,14 @@ def test_complex_elem_canonicalises_like_wrap_angle(m, theta):
     assert 0.0 <= e.argument < TWO_PI
 
 
-@given(st.sampled_from([1e-300, 0.25, 3, 1e300]), seam_or_free, sweeps, st.booleans())
+@given(st.sampled_from([1e-300, 0.25, 3, 1e300]), seam_or_free, sweeps)
 @settings(max_examples=400, deadline=None)
-def test_carc_canonicalises_like_wrap_angle(r, start, sweep, full):
-    a = csets.CArc(r, start, sweep, full)
+def test_carc_canonicalises_like_wrap_angle(r, start, sweep):
+    a = csets.CArc(r, start, sweep)
     assert _bits(a.radius) == _bits(float(r))
-    assert a.full is full
-    if full:
-        assert (a.start, a.sweep) == (0.0, TWO_PI)
-    else:
-        assert _bits(a.start) == _bits(wrap_angle(start))
-        assert a.sweep == sweep
-        assert 0.0 <= a.start < TWO_PI
+    assert _bits(a.start) == _bits(wrap_angle(start))
+    assert a.sweep == sweep
+    assert 0.0 <= a.start < TWO_PI
 
 
 @pytest.mark.parametrize(
@@ -800,7 +812,7 @@ def test_carc_canonicalises_like_wrap_angle(r, start, sweep, full):
         lambda: csets.CArc(1.0, 0.0, -1.0),
         lambda: csets.CArc(1.0, 0.0, TWO_PI),
         lambda: csets.CArc(1.0, 0.0, math.nan),
-        lambda: csets.CArc(0.0, 0.0, 0.0, full=True),
+        lambda: CDisk(-1.0),
     ],
 )
 def test_malformed_components_raise(build):
@@ -814,12 +826,11 @@ def test_components_build_by_keyword_and_replace():
     assert dataclasses.replace(e, argument=TWO_PI + 1.0) == ComplexElem(2.0, 1.0)
     assert dataclasses.replace(e, modulus=0.0) == CZERO
     a = csets.CArc(radius=1, start=-1.0, sweep=0.5)
-    assert a == csets.CArc(1.0, TWO_PI - 1.0, 0.5, False)
+    assert a == csets.CArc(1.0, TWO_PI - 1.0, 0.5)
     assert dataclasses.replace(a, start=7.0) == csets.CArc(1.0, 7.0 - TWO_PI, 0.5)
-    assert dataclasses.replace(a, full=True) == csets.full_circle(1.0)
     with pytest.raises(csets.InvalidSetError):
-        dataclasses.replace(csets.full_circle(1.0), full=False)
-    for obj in (e, a, csets.full_circle(2.0)):
+        dataclasses.replace(a, sweep=TWO_PI)
+    for obj in (e, a, CDisk(2.0)):
         assert pickle.loads(pickle.dumps(obj)) == obj
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.modulus = 3.0

@@ -17,7 +17,6 @@ from hyperalg.csets import (
     InvalidSetError,
     PHASE_ALL,
     format_cset,
-    full_circle,
     member,
     normalize_parts,
     parse_celem,
@@ -25,7 +24,7 @@ from hyperalg.csets import (
     set_eq,
     subset,
 )
-from hyperalg.ctrop import ct_add_sets, ct_mul_sets, phase_add
+from hyperalg.ctrop import ct_add_sets, phase_add
 from hyperalg.qsets import (
     QZERO,
     QArc,
@@ -51,15 +50,14 @@ from hyperalg.rsets import (
     rset_eq,
     rsubset,
 )
-from hyperalg.tolerance import NEG_INF, TWO_PI, RepresentationClosureError, Tolerance
+from hyperalg.tolerance import NEG_INF, RepresentationClosureError, Tolerance
 
 PI = math.pi
 
 
 class TestNormalize:
     # a complex value set is one component: the cases below are sums of a set
-    # and a point, and products of two components, which normalize_parts
-    # never merges
+    # and a point, which normalize_parts never merges
 
     def test_adjacent_arcs_merge(self):
         s = ct_add_sets(CArc(1, 0, PI / 4), CPoint(ComplexElem(1, PI / 2)))
@@ -80,10 +78,6 @@ class TestNormalize:
         assert isinstance(s, CArc)
         assert s.start == pytest.approx(7 * PI / 4) and s.sweep == pytest.approx(PI / 2)
 
-    def test_near_full_promotion(self):
-        s = ct_mul_sets(CArc(1, 0, PI), CArc(1, 0.5, PI - 1e-12))
-        assert isinstance(s, CArc) and s.full
-
     def test_zero_radius_arc_rejected(self):
         with pytest.raises(InvalidSetError):
             CArc(0.0, 0, 1)
@@ -96,10 +90,6 @@ class TestNormalize:
     def test_tiny_disk_becomes_origin(self):
         for radius in (0.0, 5e-10):
             assert normalize_parts([CDisk(radius)]) == CPoint(CZERO)
-
-    def test_lone_near_full_arc_becomes_full_circle(self):
-        s = normalize_parts([CArc(1.0, 0.3, TWO_PI - 5e-10)])
-        assert s == full_circle(1.0) and s.full
 
 
 class TestMember:
@@ -138,18 +128,14 @@ class TestSetEq:
 
     def test_two_points_union(self):
         # two antipodal phases sum to the unit circle with 0, one set that
-        # equals itself and neither the circle nor 0
+        # equals itself and neither an arc of the circle, 0 nor the unit disk
         u = phase_add(ComplexElem(1, 0), ComplexElem(1, PI))
         assert u is PHASE_ALL and set_eq(u, CUnion())
-        for other in (full_circle(1.0), CPoint(CZERO), CDisk(1.0)):
+        for other in (CArc(1.0, 0.0, 3.0), CPoint(CZERO), CDisk(1.0)):
             assert not set_eq(u, other) and not set_eq(other, u)
 
 
 class TestSubset:
-    def test_full_arcs(self):
-        assert subset(CArc(1, 1.0, 0.5), full_circle(1.0))
-        assert not subset(full_circle(1.0), CArc(1, 1.0, 6.0))
-
     def test_start_within_eps_before_the_target_arc(self):
         # the offset of the starts wraps to just under 2*pi and counts as 0
         assert subset(CArc(1, 1.0 - 5e-10, 0.3), CArc(1, 1.0, 0.5))
@@ -284,9 +270,9 @@ class TestRSet:
         assert rsubset(rinterval(1, 2), rinterval(0, 3))
         assert not rsubset(rinterval(0, 4), rinterval(0, 3))
 
-    def test_lone_slightly_inverted_interval_becomes_point(self):
-        s = rset([(1.0, 1.0 - 5e-10)])
-        assert len(s.intervals) == 1 and s.lo == s.hi == pytest.approx(1.0)
+    def test_lone_slightly_inverted_interval_raises(self):
+        with pytest.raises(InvalidSetError):
+            rset([(1.0, 1.0 - 5e-10)])
 
     def test_lone_nan_interval_rejected(self):
         with pytest.raises(InvalidSetError):
@@ -438,7 +424,6 @@ class TestTextForms:
     def test_golden_formats(self):
         assert format_cset(CArc(1, 0, PI / 2)) == "arc r=1 from=0 sweep=1.5707963268"
         assert format_cset(CDisk(1)) == "disk r=1"
-        assert format_cset(full_circle(1)) == "circle r=1"
 
     @pytest.mark.parametrize(
         "x, text",
