@@ -11,11 +11,11 @@ Canonical form is a contract: every operation builds its set under the library
 tolerance DEFAULT_TOL and returns a fixed point of normalize_parts, which the
 predicates and set-extended sums take as is; a predicate may compare wider.
 
-A component is canonical from its constructor on.  ComplexElem and CArc
-validate their fields and set each one once: a modulus or radius as a float,
-the argument of 0 as 0, and an argument or arc start in [0, 2*pi), wrapped
-only when it lies outside.  So a point, an arc or a disk of radius above eps
-is already a fixed point.
+A component is canonical from its constructor on.  ComplexElem, CArc and
+CDisk validate their fields, rejecting NaN and infinity, and set each one
+once: a modulus or radius as a float, the argument of 0 as 0, and an argument
+or arc start in [0, 2*pi), wrapped only when it lies outside.  So a point, an
+arc or a disk of radius above eps is already a fixed point.
 """
 from __future__ import annotations
 
@@ -36,6 +36,14 @@ class CarrierMismatchError(TypeError):
 # carrier elements
 
 
+def _wrap_finite(theta: float, what: str) -> float:
+    """wrap_angle(theta), or InvalidSetError for a NaN or an infinity.  The
+    constructors call it only on an angle outside [0, 2*pi), where those fall."""
+    if not math.isfinite(theta):
+        raise InvalidSetError(f"{what} must be finite, got {theta}")
+    return wrap_angle(theta)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class ComplexElem:
     """A complex number in polar form; zero is canonically 0∠0."""
@@ -52,7 +60,7 @@ class ComplexElem:
         else:
             a = float(argument)
             if not 0.0 <= a < TWO_PI:  # wrap_angle returns such an angle as is
-                a = wrap_angle(a)
+                a = _wrap_finite(a, "argument")
         object.__setattr__(self, "modulus", m)
         object.__setattr__(self, "argument", a)
 
@@ -117,14 +125,14 @@ class CArc:
 
     def __init__(self, radius: float, start: float, sweep: float) -> None:
         r = float(radius)
-        if not r > 0.0:
-            raise InvalidSetError(f"arc of nonpositive radius {r}")
+        if not 0.0 < r < math.inf:  # also rejects NaN
+            raise InvalidSetError(f"arc radius must be finite and positive, got {r}")
         sw = float(sweep)
         if not 0.0 < sw < TWO_PI:
             raise InvalidSetError(f"arc sweep must lie in (0, 2*pi), got {sw}")
         start = float(start)
         if not 0.0 <= start < TWO_PI:
-            start = wrap_angle(start)
+            start = _wrap_finite(start, "arc start")
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "sweep", sw)
@@ -142,8 +150,8 @@ class CDisk:
 
     def __post_init__(self) -> None:
         r = float(self.radius)
-        if r < 0.0:
-            raise InvalidSetError(f"disk of negative radius {r}")
+        if not 0.0 <= r < math.inf:  # also rejects NaN
+            raise InvalidSetError(f"disk radius must be finite and nonnegative, got {r}")
         object.__setattr__(self, "radius", r)
 
 

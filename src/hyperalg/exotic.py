@@ -447,13 +447,11 @@ def pnormalize(parts: list) -> PSet:
 
 
 def random_unit(p: int, depth: int, rng) -> int:
-    """A random unit of `depth` base-p digits: the draws of randint(1, p - 1)
-    for the leading digit and randint(0, p - 1) for each next one, folded."""
-    unit, scale = 1 + rng.randrange(p - 1), 1
-    for _ in range(depth - 1):
-        scale *= p
-        unit += rng.randrange(p) * scale
-    return unit
+    """A uniform random unit of `depth` base-p digits, from one draw: k below
+    (p - 1)·p^(depth - 1) gives the unit digit 1 + k % (p - 1) and the higher
+    digits k // (p - 1), a bijection onto the units below p^depth."""
+    k = rng.randrange((p - 1) * p ** (depth - 1))
+    return 1 + k % (p - 1) + p * (k // (p - 1))
 
 
 def ppick(s: PSet, rng, depth: int) -> list:

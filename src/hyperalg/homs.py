@@ -163,11 +163,13 @@ def _split_terms(text: str) -> list[str]:
 
 
 def _random_poly(rng: random.Random, real_exponents: bool = False) -> Polynomial:
-    n_terms = rng.randint(1, 4)
+    """1-4 terms with exponents in {0, ..., 4} (or [0, 4] to 3 decimals) and
+    coefficient parts uniform in [-1, 1), all from rng.random()."""
+    r = rng.random
     acc: dict[float, complex] = {}
-    for _ in range(n_terms):
-        e = round(rng.uniform(0.0, 4.0), 3) if real_exponents else float(rng.randint(0, 4))
-        acc[e] = acc.get(e, 0) + complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    for _ in range(1 + int(4 * r())):
+        e = round(4 * r(), 3) if real_exponents else float(int(5 * r()))
+        acc[e] = acc.get(e, 0) + complex(2 * r() - 1, 2 * r() - 1)
     return Polynomial.make(acc)
 
 
@@ -181,7 +183,7 @@ def _w_pairs(budget: int, rng: random.Random, real_exponents: bool):
         p = _random_poly(rng, real_exponents)
         q = _random_poly(rng, real_exponents)
         e, c = p.leading()
-        q2 = q + Polynomial.make({e: c * complex(rng.gauss(0, 1) or 1.0, rng.gauss(0, 1))})
+        q2 = q + Polynomial.make({e: c * complex((2 * rng.random() - 1) or 1.0, 2 * rng.random() - 1)})
         if not q2.is_zero and q2.degree() == e:
             yield p, q2
     for _ in range(per):  # engineered cancellation of the leading term

@@ -372,22 +372,30 @@ def qset_eq(s1: QSet, s2: QSet, tol: Tolerance = DEFAULT_TOL) -> bool:
     return False
 
 
+def sphere_point(radius: float, rng) -> QuatElem:
+    """A uniform point of the origin-centred 3-sphere of `radius`, from two
+    uniform points of the unit disk (Marsaglia, Ann. Math. Stat. 43, 1972);
+    the second may not be the centre, which it divides by."""
+    r = rng.random
+    s1 = 1.0
+    while s1 >= 1.0:
+        x1, x2 = 2.0 * r() - 1.0, 2.0 * r() - 1.0
+        s1 = x1 * x1 + x2 * x2
+    s2 = 0.0
+    while not 0.0 < s2 < 1.0:
+        x3, x4 = 2.0 * r() - 1.0, 2.0 * r() - 1.0
+        s2 = x3 * x3 + x4 * x4
+    t = radius * math.sqrt((1.0 - s1) / s2)
+    return QuatElem(radius * x1, radius * x2, t * x3, t * x4)
+
+
 def qpick(s: QSet, rng, count: int = 4) -> list[QuatElem]:
     if isinstance(s, QPoint):
         return [s.elem]
     if isinstance(s, QBall):
-
-        def _rand_unit() -> tuple:
-            while True:
-                v = tuple(rng.gauss(0.0, 1.0) for _ in range(4))
-                n = math.sqrt(_dot(v, v))
-                if n > 1e-6:
-                    return _scale(v, 1.0 / n)
-
-        pts = [QZERO, QuatElem(*_scale(_rand_unit(), s.radius))]
-        for _ in range(count):
-            pts.append(QuatElem(*_scale(_rand_unit(), s.radius * rng.random())))
-        return pts
+        return [QZERO, sphere_point(s.radius, rng)] + [
+            sphere_point(s.radius * rng.random(), rng) for _ in range(count)
+        ]
     r = s.radius
     if isinstance(s, QArc):
         ua, ub = s.units

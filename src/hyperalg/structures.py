@@ -498,21 +498,15 @@ class QuaternionTropical(Structure):
         self.zero = qsets.QZERO
         self.one = qsets.QONE
 
-    @staticmethod
-    def _on_sphere(radius, rng):
-        v = [rng.gauss(0.0, 1.0) for _ in range(4)]
-        n = math.sqrt(sum(x * x for x in v)) or 1.0
-        return qsets.QuatElem(*(x * radius / n for x in v))
-
     def random_elem(self, rng):
         if rng.random() < 0.05:
             return self.zero
-        return self._on_sphere(math.exp(rng.uniform(-1.0, 1.0)), rng)
+        return qsets.sphere_point(math.exp(rng.uniform(-1.0, 1.0)), rng)
 
     def peer(self, a, rng):
         if a.norm == 0.0:
             return self.zero
-        return self._on_sphere(a.norm, rng)
+        return qsets.sphere_point(a.norm, rng)
 
     def add(self, a, b):
         return ctrop.quat_add(a, b)

@@ -380,7 +380,10 @@ class TestVerify:
         assert (proc.returncode, proc.stdout) == (2, "") and "--budget" in proc.stderr
 
     def test_verify_all_table(self):
-        proc = _verify_all("--budget", "200")
+        # at budget 200 a p-adic row misses negation-unique on about a
+        # quarter to a half of seeds; at 2000, the perfbench sweep budget,
+        # no seed of 0-299 misses it
+        proc = _verify_all("--budget", "2000")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         rows = [line.split() for line in proc.stdout.splitlines()[1:] if not line.startswith(" ")]
         names = [row[0] for row in rows]

@@ -27,6 +27,7 @@ from hyperalg.ctrop import (
     rt_add_sets,
 )
 from hyperalg.deq import c_add_0, c_add_h
+from hyperalg.homs import _random_poly
 from hyperalg.realhf import (
     amoeba_add,
     amoeba_add_sets,
@@ -813,6 +814,16 @@ def test_carc_canonicalises_like_wrap_angle(r, start, sweep):
         lambda: csets.CArc(1.0, 0.0, TWO_PI),
         lambda: csets.CArc(1.0, 0.0, math.nan),
         lambda: CDisk(-1.0),
+        # non-finite fields: a wrapped angle, or a radius compared with inf
+        lambda: ComplexElem(1.0, math.nan),
+        lambda: ComplexElem(1.0, math.inf),
+        lambda: ComplexElem(math.inf, 0.0),
+        lambda: csets.CArc(1.0, math.nan, 1.0),
+        lambda: csets.CArc(1.0, math.inf, 1.0),
+        lambda: csets.CArc(1.0, -math.inf, 1.0),
+        lambda: csets.CArc(math.inf, 0.0, 1.0),
+        lambda: CDisk(math.nan),
+        lambda: CDisk(math.inf),
     ],
 )
 def test_malformed_components_raise(build):
@@ -966,13 +977,109 @@ def test_padic_digits_round_trip(pair):
         assert exotic.parse_padic(exotic.format_padic(a), a.p, a.depth) == a
 
 
+# -- the samplers: p-adic units, points of S³ and random polynomials -----------
+
+
+class _Scripted:
+    """A stub rng: random() and randrange(n) return the next scripted value,
+    and randrange checks that it lies in range(n)."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.bounds = set()
+
+    def random(self):
+        return next(self.values)
+
+    def randrange(self, n):
+        k = next(self.values)
+        assert 0 <= k < n
+        self.bounds.add(n)
+        return k
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
-@pytest.mark.parametrize("depth", [1, 2, 8])
-def test_random_digits_draw_like_randint(p, depth):
-    old, new = random.Random(p * 100 + depth), random.Random(p * 100 + depth)
-    digits = [old.randint(1, p - 1)] + [old.randint(0, p - 1) for _ in range(depth - 1)]
-    assert exotic.random_unit(p, depth, new) == sum(d * p**k for k, d in enumerate(digits))
-    assert new.getstate() == old.getstate()
+@pytest.mark.parametrize("depth", [1, 2, 4])
+def test_random_unit_maps_each_draw_to_one_unit(p, depth):
+    # the draws 0, 1, ..., n - 1 of one randrange(n) give each unit below
+    # p^depth once, so a uniform draw gives a uniform unit
+    units = [u for u in range(1, p**depth) if u % p]
+    rng = _Scripted(range(len(units)))
+    assert sorted(exotic.random_unit(p, depth, rng) for _ in units) == units
+    assert rng.bounds == {len(units)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-1.0, 1.0), st.integers(0, 2**32))
+def test_sphere_points_lie_on_their_sphere(log_r, seed):
+    r, rng = math.exp(log_r), random.Random(seed)
+    assert abs(qsets.sphere_point(r, rng).norm - r) <= 1e-12 * r
+    zero, rim, *inner = qsets.qpick(qsets.QBall(r), rng)
+    assert zero == qsets.QZERO and abs(rim.norm - r) <= 1e-12 * r
+    assert len(inner) == 4 and all(q.norm <= r * (1 + 1e-12) for q in inner)
+
+
+def test_sphere_points_have_the_moments_of_the_uniform_sphere():
+    # a uniform point of the 3-sphere of radius r has coordinates of mean 0
+    # and mean square r²/4; a uniform draw of the square in place of the
+    # disk would give a mean square r²/3 in the first two
+    r, n, rng = 1.7, 20_000, random.Random(3)
+    pts = [qsets.sphere_point(r, rng).coords() for _ in range(n)]
+    for i in range(4):
+        assert abs(sum(v[i] for v in pts) / n) <= 0.02 * r
+        assert abs(sum(v[i] ** 2 for v in pts) / n - r * r / 4) <= 0.02 * r * r
+
+
+def test_sphere_point_rejects_outside_the_disk_and_at_its_centre():
+    # the draws (0, 0) map to the point (-1, -1), outside the disk, and
+    # (0.5, 0.5) to the centre, which the second disk point may not be: each
+    # is drawn again, and the centre is kept as the first point
+    rng = _Scripted([0.0, 0.0, 0.5, 0.5, 0.5, 0.5, 0.0, 0.0, 0.75, 0.5])
+    assert qsets.sphere_point(1.0, rng) == qsets.QuatElem(0.0, 0.0, 1.0, 0.0)
+    assert next(rng.values, None) is None
+    rng = _Scripted([0.0, 0.0, 0.75, 0.5, 0.5, 0.5, 0.0, 0.0, 0.5, 0.75])
+    q = qsets.sphere_point(2.0, rng)
+    assert q == qsets.QuatElem(1.0, 0.0, 0.0, math.sqrt(3.0))
+    assert next(rng.values, None) is None
+
+
+class _Recording(random.Random):
+    def __init__(self, seed):
+        self.draws = []
+        super().__init__(seed)
+
+    def random(self):
+        self.draws.append(super().random())
+        return self.draws[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_random_poly_has_one_to_four_terms_of_bounded_exponent(seed, real_exponents):
+    rng = _Recording(seed)
+    terms = _random_poly(rng, real_exponents).terms
+    n = 1 + int(4 * rng.draws[0])
+    assert len(rng.draws) == 1 + 3 * n and 1 <= len(terms) <= n <= 4
+    for e, c in terms:
+        if real_exponents:
+            assert 0.0 <= e <= 4.0 and round(e, 3) == e
+        else:
+            assert e in (0.0, 1.0, 2.0, 3.0, 4.0)
+        # a part is one draw in [-1, 1) unless two terms shared the exponent
+        bound = 1.0 if len(terms) == n else float(n)
+        assert -bound <= c.real < bound and -bound <= c.imag < bound
+
+
+def test_random_poly_draws_reach_both_ends():
+    top = math.nextafter(1.0, 0.0)
+    assert _random_poly(_Scripted([0.0] * 4)).terms == ((0.0, -1 - 1j),)
+    exps = [0.0, 0.2, 0.4, 0.6]  # exponents 0, 1, 2 and 3
+    rng = _Scripted([top] + [v for e in exps for v in (e, top, top)])
+    coeff = complex(2 * top - 1, 2 * top - 1)
+    assert _random_poly(rng).terms == tuple((e, coeff) for e in (3.0, 2.0, 1.0, 0.0))
+    assert coeff.real < 1.0
+    assert _random_poly(_Scripted([0.0, top, 0.0, 0.0])).terms == ((4.0, -1 - 1j),)
+    assert _random_poly(_Scripted([0.0, top, 0.0, 0.0]), True).terms == ((4.0, -1 - 1j),)
 
 
 # -- the one tie rule: Tolerance.order ----------------------------------------
